@@ -9,7 +9,7 @@ closed-form result against seeded Monte-Carlo simulation.
 """
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 from .errors import (
     ConvergenceError,

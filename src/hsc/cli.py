@@ -13,7 +13,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +30,7 @@ from .analytic import (
     tilted_ladder_mean_poisson,
     utilization,
 )
-from .distributions import parse_distribution_spec
+from .distributions import DistributionSpec, parse_distribution_spec
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -36,7 +38,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .simulate import estimate_eventual_outage
+from .simulate import estimate_eventual_outage, estimate_outage_curve
 
 __all__ = [
     "SweepSpec",
@@ -88,6 +90,12 @@ class SweepSpec:
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
+        if not 0.0 < self.horizon < math.inf:
+            raise PreconditionError(
+                f"horizon must be positive and finite, got {self.horizon!r}"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -121,25 +129,7 @@ def _fmt(value: float | int | str | None) -> str:
 def rows_to_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.dist,
-                    r.rho,
-                    r.u0,
-                    r.r_star,
-                    r.psi_exact,
-                    r.psi_bound,
-                    r.psi_mc,
-                    r.ci_lo,
-                    r.ci_hi,
-                    r.trials,
-                    r.horizon,
-                    r.seed,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in vars(r).values()))  # fields in CSV order
     return "\n".join(lines) + "\n"
 
 
@@ -234,55 +224,65 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     the sweep holds consumption and mean packet size fixed.  Points with
     ``rho <= 1`` carry the certain value ``psi_exact = 1`` and empty
     adjustment-coefficient columns.  ``trials = 0`` skips Monte-Carlo and
-    leaves those columns empty.
+    leaves those columns empty.  Each (dist, rho) column solves ``r*`` once
+    and walks each trial once for all its u0; the columns share one pool.
     """
+    workers = min(spec.workers or 1, spec.trials)
     rows: list[ResultRow] = []
-    for dist_text in spec.dist_list:
-        packet = parse_distribution_spec(dist_text)
-        for rho in spec.rho_list:
-            lam = rho * spec.p / packet.mean
-            for u0 in spec.u0_grid:
-                point = f"(dist={dist_text}, rho={rho}, u0={u0})"
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for dist_text in spec.dist_list:
+            packet = parse_distribution_spec(dist_text)
+            for rho in spec.rho_list:
                 try:
-                    params = SystemParams(lam, packet, spec.p, u0)
-                    if rho > 1.0:
-                        r_star = solve_adjustment_coefficient(params).r_star
-                        psi_exact = eventual_outage_poisson_exact(params, r_star)
-                        psi_bound = outage_bound(r_star, u0)
-                    else:
-                        r_star = None
-                        psi_exact = 1.0
-                        psi_bound = None
-                    if spec.trials > 0:
-                        est = estimate_eventual_outage(
-                            params,
-                            spec.horizon,
-                            spec.trials,
-                            spec.seed,
-                            workers=spec.workers,
-                            ci_method=spec.ci_method,
-                        )
-                        psi_mc, ci_lo, ci_hi = est.estimate, est.ci95_lo, est.ci95_hi
-                    else:
-                        psi_mc = ci_lo = ci_hi = None
+                    rows += _sweep_column(spec, packet, rho, workers, pool)
                 except Exception as exc:
-                    raise type(exc)(f"grid point {point} failed: {exc}") from exc
-                rows.append(
-                    ResultRow(
-                        dist=packet.spec_string(),
-                        rho=float(rho),
-                        u0=float(u0),
-                        r_star=r_star,
-                        psi_exact=psi_exact,
-                        psi_bound=psi_bound,
-                        psi_mc=psi_mc,
-                        ci_lo=ci_lo,
-                        ci_hi=ci_hi,
-                        trials=spec.trials,
-                        horizon=spec.horizon,
-                        seed=spec.seed,
-                    )
-                )
+                    # keep the type, and so the exit code; name the column
+                    exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
+                    raise
+    return rows
+
+
+def _sweep_column(
+    spec: SweepSpec,
+    packet: DistributionSpec,
+    rho: float,
+    workers: int,
+    pool: ProcessPoolExecutor | None,
+) -> list[ResultRow]:
+    base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
+    r_star = solve_adjustment_coefficient(base).r_star if rho > 1.0 else None
+    curve = [None] * len(spec.u0_grid)
+    if spec.trials > 0:
+        curve = estimate_outage_curve(
+            base, spec.horizon, spec.trials, spec.seed, spec.u0_grid, workers,
+            spec.ci_method, pool,
+        )
+    rows = []
+    for u0, est in zip(spec.u0_grid, curve):
+        params = replace(base, u0=u0)
+        psi_exact, psi_bound = 1.0, None
+        if r_star is not None:
+            psi_exact = eventual_outage_poisson_exact(params, r_star)
+            psi_bound = outage_bound(r_star, params.u0)
+        psi_mc = ci_lo = ci_hi = None
+        if est is not None:
+            psi_mc, ci_lo, ci_hi = est.estimate, est.ci95_lo, est.ci95_hi
+        rows.append(
+            ResultRow(
+                dist=packet.spec_string(),
+                rho=float(rho),
+                u0=params.u0,
+                r_star=r_star,
+                psi_exact=psi_exact,
+                psi_bound=psi_bound,
+                psi_mc=psi_mc,
+                ci_lo=ci_lo,
+                ci_hi=ci_hi,
+                trials=spec.trials,
+                horizon=spec.horizon,
+                seed=spec.seed,
+            )
+        )
     return rows
 
 
@@ -386,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp, with_system=False)
 
     sp = sub.add_parser("reproduce", help="emit a reference figure CSV + manifest")
-    sp.add_argument("--figure", type=int, help="figure number: 2, 3, 4 or 5")
+    sp.add_argument("--figure", help="figure number: 2, 3, 4, 5, or all")
     add_common(sp, with_system=False)
     return parser
 
@@ -469,6 +469,8 @@ def _emit(text: str, out: str | None) -> None:
 def _dispatch(args: argparse.Namespace) -> int:
     opt = _Options(args, _load_config(getattr(args, "config", None)))
     out = opt.get("out")
+    workers = opt.get("workers")
+    workers = None if workers is None else int(workers)
     if args.command == "analyze":
         report = run_analyze(_system_params(opt))
         _emit(json.dumps(report, indent=2) + "\n", out)
@@ -479,7 +481,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             trials=int(opt.get("trials", DEFAULT_TRIALS)),
             horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
             seed=int(opt.get("seed", DEFAULT_SEED)),
-            workers=opt.get("workers"),
+            workers=workers,
             ci_method=str(opt.get("ci", "normal")),
         )
         _emit(json.dumps(report, indent=2) + "\n", out)
@@ -497,22 +499,23 @@ def _dispatch(args: argparse.Namespace) -> int:
             trials=int(opt.get("trials", DEFAULT_TRIALS)),
             horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
             seed=int(opt.get("seed", DEFAULT_SEED)),
-            workers=opt.get("workers"),
+            workers=workers,
             ci_method=str(opt.get("ci", "normal")),
         )
         _emit(rows_to_csv(run_sweep(spec)), out)
         return 0
     if args.command == "reproduce":
-        figure = opt.get("figure", required=True)
-        paths = run_reproduce(
-            int(figure),
-            out_dir=out if out is not None else ".",
-            trials=int(opt.get("trials", DEFAULT_TRIALS)),
-            horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
-            seed=int(opt.get("seed", DEFAULT_SEED)),
-            workers=opt.get("workers"),
-        )
-        sys.stdout.write(f"{paths['csv']}\n{paths['manifest']}\n")
+        figure = str(opt.get("figure", required=True))
+        for number in sorted(_FIGURES) if figure == "all" else [int(figure)]:
+            paths = run_reproduce(
+                number,
+                out_dir=out if out is not None else ".",
+                trials=int(opt.get("trials", DEFAULT_TRIALS)),
+                horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
+                seed=int(opt.get("seed", DEFAULT_SEED)),
+                workers=workers,
+            )
+            sys.stdout.write(f"{paths['csv']}\n{paths['manifest']}\n")
         return 0
     raise ValueError(f"unknown command {args.command!r}")
 

@@ -10,19 +10,23 @@ first packet at time zero):
 * the nonnegative battery recursion at arrival epochs (``rho < 1`` regime)
   with empty-time accounting.
 
-Determinism contract.  Every trial ``i`` of a run seeded with ``seed`` draws
-from its own stream ``trial_rng(seed, i)``, built by seed-sequence spawning
-on a counter-based generator.  Trials can therefore be executed serially, in
-any order, or on any number of worker processes and produce bit-identical
-aggregates.  The vectorized kernels draw gaps and packets in the same fixed
-blocks as :func:`hsc.distributions.poisson_events`, so a kernel run and a
-generator-driven run of the same stream see the same realization.
+One walk per trial.  Trial ``i`` of a run seeded with ``seed`` walks its
+own stream ``trial_rng(seed, i)`` (seed-sequence spawning on a counter-based
+generator) once, recording its largest energy deficit before the horizon,
+``D_i = max_j (p * min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``;
+``A_j``: energy delivered up to and including it).  From any ``u0`` it has
+an outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
+counts a whole ``u0`` grid, bit-identically in any trial order or worker
+count.  The vectorized kernels draw in the same blocks as
+:func:`hsc.distributions.poisson_events`, so the scalar simulators replay
+the same realization.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,6 +42,7 @@ __all__ = [
     "LindleyStats",
     "trial_rng",
     "simulate_first_passage",
+    "estimate_outage_curve",
     "estimate_eventual_outage",
     "simulate_ladder",
     "collect_ladder_samples",
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# Relative gap between u0 and D_i within which the scalar simulator decides;
+# the two round differently, by at most 1e-13 measured at horizons to 1e5.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,47 +147,110 @@ def simulate_first_passage(
     return TrialOutcome(False, None, seen)
 
 
-def _first_passage_kernel(
-    params: SystemParams, horizon: float, rng: np.random.Generator
-) -> TrialOutcome:
-    # Vectorized replay of simulate_first_passage over poisson_events(rng):
-    # identical block draws, crossing predicate, and stopping order.
+def _max_deficit(
+    params: SystemParams, horizon: float, rng: np.random.Generator, ceiling: float
+) -> float:
+    # D_i of the module docstring; stops early once it reaches ``ceiling``.
     p = params.p
     scale = 1.0 / params.lam
-    t0 = 0.0
-    level = params.u0
-    seen = 0
+    t0 = 0.0  # time of the block's first arrival
+    s0 = 0.0  # p * t0 minus the energy delivered before it
+    best = -math.inf
     while True:
         gaps = rng.exponential(scale, EVENT_BLOCK)
         packets = sample_block(params.packet, rng, EVENT_BLOCK)
-        troughs = level + np.cumsum(packets - p * gaps)
-        cum_gaps = np.cumsum(gaps)
-        hits = np.flatnonzero(troughs <= 0.0)
-        overs = np.flatnonzero(t0 + cum_gaps >= horizon)
-        j_hit = int(hits[0]) if hits.size else None
-        j_over = int(overs[0]) if overs.size else None
-        if j_hit is not None and (j_over is None or j_hit <= j_over):
-            prev = troughs[j_hit - 1] if j_hit > 0 else level
-            post = prev + packets[j_hit]
-            arrive = t0 + (cum_gaps[j_hit] - gaps[j_hit])
-            tau = arrive + post / p
-            if tau <= horizon:
-                return TrialOutcome(True, float(tau), seen + j_hit + 1)
-            return TrialOutcome(False, None, seen + j_hit + 1)
-        if j_over is not None:
-            return TrialOutcome(False, None, seen + j_over + 1)
-        seen += EVENT_BLOCK
-        level = float(troughs[-1])
-        t0 = float(t0 + cum_gaps[-1])
+        deficits = s0 + np.cumsum(p * gaps - packets)
+        ends = t0 + np.cumsum(gaps)
+        last = int(np.searchsorted(ends, horizon))  # first ramp ending at or past H
+        if last < EVENT_BLOCK:
+            deficits[last] -= p * (ends[last] - horizon)
+            return max(best, float(deficits[: last + 1].max()))
+        best = max(best, float(deficits.max()))
+        if best >= ceiling:
+            return best
+        s0 = float(deficits[-1])
+        t0 = float(ends[-1])
 
 
-def _outage_count(task: tuple[SystemParams, float, int, int, int]) -> int:
-    params, horizon, seed, lo, hi = task
-    count = 0
+def _count_range(
+    params: SystemParams, horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
+) -> list[int]:
+    # Outages of trials [lo, hi) for each u0; near ties go to the scalar simulator.
+    u0s = np.asarray(u0_grid, dtype=float)
+    counts = np.zeros(u0s.size, dtype=np.int64)
+    ceiling = float(u0s.max())
     for i in range(lo, hi):
-        if _first_passage_kernel(params, horizon, trial_rng(seed, i)).outage:
-            count += 1
-    return count
+        deficit = _max_deficit(params, horizon, trial_rng(seed, i), ceiling)
+        hit = u0s <= deficit
+        for k in np.flatnonzero(np.abs(u0s - deficit) <= _TIE_RTOL * (1.0 + abs(deficit))):
+            events = poisson_events(params.lam, params.packet, trial_rng(seed, i))
+            hit[k] = simulate_first_passage(
+                replace(params, u0=float(u0s[k])), horizon, events
+            ).outage
+        counts += hit
+    return counts.tolist()
+
+
+def estimate_outage_curve(
+    params: SystemParams,
+    horizon: float,
+    trials: int,
+    seed: int,
+    u0_grid: list[float],
+    workers: int | None = None,
+    ci_method: str = "normal",
+    pool: ProcessPoolExecutor | None = None,
+) -> list[EstimateWithCI]:
+    """:func:`estimate_eventual_outage` for every u0 in ``u0_grid`` (``params.u0`` unused).
+
+    Each trial walks once for the whole grid.  With ``workers > 1`` the
+    trials are split into that many chunks, run on ``pool`` (or on a pool
+    opened for this call) and their counts summed.
+    """
+    trials = int(trials)
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
+        raise ValueError(f"u0_grid must be nonempty, nonnegative and finite, got {u0_grid}")
+    if ci_method not in ("normal", "wilson"):
+        raise ValueError(f"unknown ci_method {ci_method!r}")
+
+    chunks = min(workers or 1, trials)
+    if chunks > 1 and pool is None:
+        with ProcessPoolExecutor(chunks) as pool:
+            return estimate_outage_curve(
+                params, horizon, trials, seed, u0_grid, workers, ci_method, pool
+            )
+    task = partial(_count_range, params, horizon, seed, u0_grid)
+    bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+    parts = (pool.map if chunks > 1 else map)(task, bounds[:-1], bounds[1:])
+    counts = np.sum(list(parts), axis=0).tolist()
+
+    curve = []
+    for outages in counts:
+        est = outages / trials
+        stderr = math.sqrt(est * (1.0 - est) / trials)
+        if ci_method == "normal":
+            lo = max(0.0, est - _Z95 * stderr)
+            hi = min(1.0, est + _Z95 * stderr)
+        else:
+            z2 = _Z95 * _Z95
+            denom = 1.0 + z2 / trials
+            center = (est + z2 / (2.0 * trials)) / denom
+            half = (
+                _Z95
+                * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
+                / denom
+            )
+            lo = max(0.0, center - half)
+            hi = min(1.0, center + half)
+        curve.append(EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed)))
+    return curve
 
 
 def estimate_eventual_outage(
@@ -201,44 +272,10 @@ def estimate_eventual_outage(
         ci_method: ``"normal"`` (clamped normal approximation, default) or
             ``"wilson"`` for a score interval that behaves near 0 and 1.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
-    horizon = float(horizon)
-    if not horizon > 0.0:
-        raise PreconditionError(f"horizon must be positive, got {horizon!r}")
-    if ci_method not in ("normal", "wilson"):
-        raise ValueError(f"unknown ci_method {ci_method!r}")
-
-    if workers is not None and workers > 1:
-        n_chunks = min(workers, trials)
-        bounds = np.linspace(0, trials, n_chunks + 1, dtype=int)
-        tasks = [
-            (params, horizon, seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            outages = sum(pool.map(_outage_count, tasks))
-    else:
-        outages = _outage_count((params, horizon, seed, 0, trials))
-
-    est = outages / trials
-    stderr = math.sqrt(est * (1.0 - est) / trials)
-    if ci_method == "normal":
-        lo = max(0.0, est - _Z95 * stderr)
-        hi = min(1.0, est + _Z95 * stderr)
-    else:
-        z2 = _Z95 * _Z95
-        denom = 1.0 + z2 / trials
-        center = (est + z2 / (2.0 * trials)) / denom
-        half = (
-            _Z95
-            * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
-            / denom
-        )
-        lo = max(0.0, center - half)
-        hi = min(1.0, center + half)
-    return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
+    (est,) = estimate_outage_curve(
+        params, horizon, trials, seed, [params.u0], workers, ci_method
+    )
+    return est
 
 
 def simulate_ladder(

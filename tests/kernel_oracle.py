@@ -1,0 +1,113 @@
+"""The per-point first-passage kernel that the library used before its
+single max-deficit walk, kept as a reference for the tests.
+
+It replays :func:`hsc.simulate_first_passage` over the same block draws as
+:func:`hsc.poisson_events` for one initial energy ``params.u0``; the tests
+compare it with the scalar simulator and use it to rebuild sweeps the old
+way, one walk per ``(trial, u0)``.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from hsc.analytic import (
+    SystemParams,
+    eventual_outage_poisson_exact,
+    outage_bound,
+    solve_adjustment_coefficient,
+)
+from hsc.cli import ResultRow
+from hsc.distributions import EVENT_BLOCK, parse_distribution_spec, sample_block
+from hsc.simulate import _Z95, EstimateWithCI, TrialOutcome, trial_rng
+
+
+def _first_passage_kernel(
+    params: SystemParams, horizon: float, rng: np.random.Generator
+) -> TrialOutcome:
+    # Vectorized replay of simulate_first_passage over poisson_events(rng):
+    # identical block draws, crossing predicate, and stopping order.
+    p = params.p
+    scale = 1.0 / params.lam
+    t0 = 0.0
+    level = params.u0
+    seen = 0
+    while True:
+        gaps = rng.exponential(scale, EVENT_BLOCK)
+        packets = sample_block(params.packet, rng, EVENT_BLOCK)
+        troughs = level + np.cumsum(packets - p * gaps)
+        cum_gaps = np.cumsum(gaps)
+        hits = np.flatnonzero(troughs <= 0.0)
+        overs = np.flatnonzero(t0 + cum_gaps >= horizon)
+        j_hit = int(hits[0]) if hits.size else None
+        j_over = int(overs[0]) if overs.size else None
+        if j_hit is not None and (j_over is None or j_hit <= j_over):
+            prev = troughs[j_hit - 1] if j_hit > 0 else level
+            post = prev + packets[j_hit]
+            arrive = t0 + (cum_gaps[j_hit] - gaps[j_hit])
+            tau = arrive + post / p
+            if tau <= horizon:
+                return TrialOutcome(True, float(tau), seen + j_hit + 1)
+            return TrialOutcome(False, None, seen + j_hit + 1)
+        if j_over is not None:
+            return TrialOutcome(False, None, seen + j_over + 1)
+        seen += EVENT_BLOCK
+        level = float(troughs[-1])
+        t0 = float(t0 + cum_gaps[-1])
+
+
+def _old_path_estimate(params, horizon, trials, seed, ci_method):
+    # One kernel walk per trial for the single u0 in params, then the
+    # binomial interval as estimate_eventual_outage computes it.
+    outages = sum(
+        _first_passage_kernel(params, horizon, trial_rng(seed, i)).outage
+        for i in range(trials)
+    )
+    est = outages / trials
+    stderr = math.sqrt(est * (1.0 - est) / trials)
+    if ci_method == "normal":
+        lo = max(0.0, est - _Z95 * stderr)
+        hi = min(1.0, est + _Z95 * stderr)
+    else:
+        z2 = _Z95 * _Z95
+        denom = 1.0 + z2 / trials
+        center = (est + z2 / (2.0 * trials)) / denom
+        half = (
+            _Z95
+            * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
+            / denom
+        )
+        lo = max(0.0, center - half)
+        hi = min(1.0, center + half)
+    return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
+
+
+def old_path_sweep(spec):
+    """Rows of ``run_sweep(spec)`` computed point by point: a fresh ``r*``
+    solve and one kernel walk per ``(trial, u0)``."""
+    rows = []
+    for dist_text in spec.dist_list:
+        packet = parse_distribution_spec(dist_text)
+        for rho in spec.rho_list:
+            for u0 in spec.u0_grid:
+                params = SystemParams(rho * spec.p / packet.mean, packet, spec.p, u0)
+                r_star = psi_bound = psi_mc = ci_lo = ci_hi = None
+                psi_exact = 1.0
+                if rho > 1.0:
+                    r_star = solve_adjustment_coefficient(params).r_star
+                    psi_exact = eventual_outage_poisson_exact(params, r_star)
+                    psi_bound = outage_bound(r_star, u0)
+                if spec.trials > 0:
+                    est = _old_path_estimate(
+                        params, spec.horizon, spec.trials, spec.seed, spec.ci_method
+                    )
+                    psi_mc, ci_lo, ci_hi = est.estimate, est.ci95_lo, est.ci95_hi
+                rows.append(
+                    ResultRow(
+                        packet.spec_string(), float(rho), float(u0), r_star, psi_exact,
+                        psi_bound, psi_mc, ci_lo, ci_hi, spec.trials, spec.horizon,
+                        spec.seed,
+                    )
+                )
+    return rows

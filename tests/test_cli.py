@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hsc.cli as cli
-from hsc import ConvergenceError, SystemParams, parse_distribution_spec
+from hsc import ConvergenceError, PreconditionError, SystemParams, parse_distribution_spec
 from hsc.cli import (
     CSV_HEADER,
     ResultRow,
@@ -20,6 +20,7 @@ from hsc.cli import (
     run_simulate,
     run_sweep,
 )
+from kernel_oracle import old_path_sweep
 
 
 def params(text="exp:mean=1.0", lam=1.1, u0=10.0):
@@ -136,6 +137,50 @@ class TestSweep:
         with pytest.raises(Exception) as err:
             run_sweep(spec)
         assert "rho=nan" in str(err.value)
+
+    def test_column_failure_keeps_exception_type(self, monkeypatch, capsys):
+        class SolverStalled(ConvergenceError):
+            def __init__(self, what, iterations):
+                super().__init__(f"{what} stalled after {iterations} iterations")
+                self.iterations = iterations
+
+        def stall(params):
+            raise SolverStalled("bracket", 7)
+
+        monkeypatch.setattr(cli, "solve_adjustment_coefficient", stall)
+        spec = SweepSpec(
+            u0_grid=[0.0, 1.0], rho_list=[1.3], dist_list=["det:mean=1.0"], trials=0
+        )
+        with pytest.raises(SolverStalled) as err:
+            run_sweep(spec)
+        assert "(dist=det:mean=1.0, rho=1.3)" in str(err.value)
+        assert "bracket stalled after 7 iterations" in str(err.value)
+        assert err.value.iterations == 7
+        code = main(["sweep", "--dist", "det:mean=1.0", "--rho", "1.3", "--trials", "0"])
+        assert code == 3
+        assert "rho=1.3" in capsys.readouterr().err
+
+    def test_worker_count_invariance_over_u0_grid(self):
+        grids = dict(
+            u0_grid=[0.0, 2.5, 5.0, 10.0, 20.0],
+            rho_list=[0.9, 1.2],
+            dist_list=["exp:mean=1.0", "det:mean=1.0"],
+            trials=90,
+            horizon=200.0,
+            seed=4,
+        )
+        serial = run_sweep(SweepSpec(**grids, workers=1))
+        assert run_sweep(SweepSpec(**grids, workers=3)) == serial
+        assert all(row.psi_mc is not None for row in serial)
+
+    def test_horizon_and_workers_validation(self):
+        grids = dict(u0_grid=[1.0], rho_list=[1.1], dist_list=["exp:mean=1.0"])
+        for horizon in (math.inf, math.nan, 0.0):
+            with pytest.raises(PreconditionError):
+                SweepSpec(**grids, horizon=horizon)
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                SweepSpec(**grids, workers=workers)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -276,6 +321,33 @@ class TestMainEntry:
         )
         assert code == 4
 
+    def test_non_finite_horizon_is_exit_3(self, capsys):
+        code = main(
+            ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--horizon", "inf",
+             "--trials", "5"]
+        )
+        assert code == 3
+        assert main(["sweep", "--horizon", "nan", "--trials", "5"]) == 3
+
+    def test_workers_from_config_are_coerced(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": "2"}))
+        args = ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--u0", "3",
+                "--trials", "40", "--horizon", "50"]
+        assert main(args + ["--config", str(cfg)]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out) == pooled
+
+    def test_workers_below_one_is_exit_2(self, capsys):
+        code = main(
+            ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--workers", "-3",
+             "--trials", "5"]
+        )
+        assert code == 2
+        assert main(["sweep", "--workers", "-3", "--trials", "0"]) == 2
+        assert main(["reproduce", "--figure", "5", "--workers", "0", "--trials", "0"]) == 2
+
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
@@ -332,3 +404,29 @@ class TestReproduce:
         printed = capsys.readouterr().out.strip().split("\n")
         assert printed[0].endswith("figure4.csv")
         assert printed[1].endswith("figure4.manifest.json")
+
+    def test_figure_all_equals_single_figures(self, tmp_path, capsys):
+        common = ["--trials", "6", "--horizon", "30", "--seed", "3"]
+        assert main(["reproduce", "--figure", "all", "--out", str(tmp_path / "all")] + common) == 0
+        assert len(capsys.readouterr().out.split()) == 8
+        for figure in (2, 3, 4, 5):
+            one = tmp_path / str(figure)
+            assert main(["reproduce", "--figure", str(figure), "--out", str(one)] + common) == 0
+            for name in (f"figure{figure}.csv", f"figure{figure}.manifest.json"):
+                assert (tmp_path / "all" / name).read_bytes() == (one / name).read_bytes()
+        assert len(list((tmp_path / "all").iterdir())) == 8
+
+    @pytest.mark.parametrize(
+        "figure,trials,horizon,seed",
+        [(2, 20, 1000.0, 1), (3, 20, 1000.0, 2), (4, 20, 1000.0, 3), (5, 20, 1000.0, 4),
+         (5, 300, 200.0, 42)],
+    )
+    def test_csv_bytes_equal_old_per_point_path(self, tmp_path, figure, trials, horizon, seed):
+        # the old path: a fresh r* solve and one kernel walk per (trial, u0)
+        paths = run_reproduce(figure, tmp_path, trials=trials, horizon=horizon, seed=seed)
+        dists, rhos = cli._FIGURES[figure]
+        spec = SweepSpec(
+            u0_grid=list(cli._REPRODUCE_U0), rho_list=list(rhos), dist_list=list(dists),
+            trials=trials, horizon=horizon, seed=seed,
+        )
+        assert paths["csv"].read_bytes() == rows_to_csv(old_path_sweep(spec)).encode("utf-8")

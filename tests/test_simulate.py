@@ -3,6 +3,7 @@ and agreement between the scalar simulators and the vectorized kernels.
 """
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from hsc import (
     simulate_lindley,
     trial_rng,
 )
-from hsc.simulate import _first_passage_kernel, _ladder_kernel
+import hsc.simulate as simulate
+from hsc.simulate import _count_range, _ladder_kernel, _max_deficit, estimate_outage_curve
+from kernel_oracle import _first_passage_kernel
 
 EXP1 = DistributionSpec(Kind.EXPONENTIAL, 1.0)
 DET1 = DistributionSpec(Kind.DETERMINISTIC, 1.0)
@@ -359,6 +362,80 @@ class TestEstimatorDeterminism:
             estimate_eventual_outage(mm1(), 10.0, 0, 0)
         with pytest.raises(PreconditionError):
             estimate_eventual_outage(mm1(), -5.0, 10, 0)
+
+    def test_non_finite_horizon_rejected(self):
+        # at rho > 1 a walk to an infinite horizon would never end
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(PreconditionError):
+                estimate_eventual_outage(mm1(lam=1.1), horizon, 10, 0)
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                estimate_eventual_outage(mm1(), 10.0, 10, 0, workers=workers)
+
+
+class TestOutageCurve:
+    def test_one_walk_per_trial_matches_scalar_for_every_u0(self):
+        grid = [0.0, 0.5, 3.0, 7.5, 15.0, 30.0]
+        for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
+            for lam in (0.9, 1.1):
+                params = SystemParams(lam=lam, packet=packet, p=1.0)
+                curve = estimate_outage_curve(params, 400.0, 25, 6, grid)
+                for u0, est in zip(grid, curve):
+                    scalar = sum(
+                        simulate_first_passage(
+                            replace(params, u0=u0),
+                            400.0,
+                            poisson_events(lam, packet, trial_rng(6, i)),
+                        ).outage
+                        for i in range(25)
+                    )
+                    assert round(est.estimate * 25) == scalar, (packet, lam, u0)
+
+    def test_early_stop_keeps_every_count_up_to_the_ceiling(self):
+        # a walk stopped at the ceiling must agree with the full walk on
+        # every u0 <= ceiling: same D_i, or both at or above the ceiling.
+        # A ceiling of -inf stops after one block, at that block's maximum.
+        for lam in (0.9, 1.0):
+            params = mm1(lam=lam)
+            for i in range(20):
+                full = _max_deficit(params, 5000.0, trial_rng(2, i), math.inf)
+                first = _max_deficit(params, 5000.0, trial_rng(2, i), -math.inf)
+                for ceiling in (first + 0.5, 50.0, 120.0):
+                    stopped = _max_deficit(params, 5000.0, trial_rng(2, i), ceiling)
+                    assert stopped == full or min(stopped, full) >= ceiling
+
+    def test_u0_at_max_deficit_is_decided_by_scalar(self, monkeypatch):
+        params = mm1()
+        scalar = simulate.simulate_first_passage
+        replays = []
+        monkeypatch.setattr(
+            simulate,
+            "simulate_first_passage",
+            lambda *args: replays.append(args) or scalar(*args),
+        )
+        tried = 0
+        for i in range(10):
+            deficit = _max_deficit(params, 300.0, trial_rng(3, i), math.inf)
+            if deficit < 0.0:
+                continue
+            tried += 1
+            events = poisson_events(params.lam, params.packet, trial_rng(3, i))
+            expect = scalar(replace(params, u0=deficit), 300.0, events).outage
+            assert _count_range(params, 300.0, 3, [deficit], i, i + 1) == [int(expect)]
+        assert tried > 0 and len(replays) == tried
+
+    def test_exact_tie_follows_scalar(self):
+        # det packets: trial 128 ends with a ramp capped at the horizon whose
+        # deficit p * H - A_J = 80 - 46 is exactly 34.0.  The scalar's running
+        # time rounds past H and sees no outage; block arithmetic sees one.
+        params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
+        assert _max_deficit(params, 40.0, trial_rng(8, 128), math.inf) == 34.0
+        events = poisson_events(1.0, DET1, trial_rng(8, 128))
+        scalar = simulate_first_passage(params, 40.0, events).outage
+        assert _first_passage_kernel(params, 40.0, trial_rng(8, 128)).outage != scalar
+        assert _count_range(params, 40.0, 8, [34.0], 128, 129) == [int(scalar)]
 
 
 class TestStatisticalSanity:
