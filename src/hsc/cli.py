@@ -14,9 +14,10 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .analytic import (
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .simulate import estimate_eventual_outage, estimate_outage_curve
+from .simulate import estimate_eventual_outage, estimate_outage_curves
 
 __all__ = [
     "SweepSpec",
@@ -224,49 +225,58 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     the sweep holds consumption and mean packet size fixed.  Points with
     ``rho <= 1`` carry the certain value ``psi_exact = 1`` and empty
     adjustment-coefficient columns.  ``trials = 0`` skips Monte-Carlo and
-    leaves those columns empty.  Each (dist, rho) column solves ``r*`` once
-    and walks each trial once for all its u0; the columns share one pool.
+    leaves those columns empty.  Each (dist, rho) column solves ``r*`` once,
+    and every column is solved before any Monte-Carlo starts.  Then the
+    trial chunks of all columns go on one pool queue, and each trial walks
+    once for all the column's u0.
     """
+    columns = []  # ((dist, rho), params at u0 = 0, analytic rows)
+    for dist_text in spec.dist_list:
+        packet = parse_distribution_spec(dist_text)
+        for rho in spec.rho_list:
+            with _named_column(dist_text, rho):
+                columns.append(((dist_text, rho), *_analytic_column(spec, packet, rho)))
+    if spec.trials == 0:
+        return [row for _, _, rows in columns for row in rows]
     workers = min(spec.workers or 1, spec.trials)
-    rows: list[ResultRow] = []
+    out: list[ResultRow] = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for dist_text in spec.dist_list:
-            packet = parse_distribution_spec(dist_text)
-            for rho in spec.rho_list:
-                try:
-                    rows += _sweep_column(spec, packet, rho, workers, pool)
-                except Exception as exc:
-                    # keep the type, and so the exit code; name the column
-                    exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
-                    raise
-    return rows
+        curves = estimate_outage_curves(
+            [base for _, base, _ in columns], spec.horizon, spec.trials, spec.seed,
+            spec.u0_grid, workers, spec.ci_method, pool,
+        )
+        for name, _, rows in columns:
+            with _named_column(*name):
+                curve = next(curves)
+            out += [
+                replace(row, psi_mc=est.estimate, ci_lo=est.ci95_lo, ci_hi=est.ci95_hi)
+                for row, est in zip(rows, curve)
+            ]
+    return out
 
 
-def _sweep_column(
-    spec: SweepSpec,
-    packet: DistributionSpec,
-    rho: float,
-    workers: int,
-    pool: ProcessPoolExecutor | None,
-) -> list[ResultRow]:
+@contextmanager
+def _named_column(dist_text: str, rho: float) -> Iterator[None]:
+    try:
+        yield
+    except Exception as exc:
+        # keep the type, and so the exit code; name the column
+        exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
+        raise
+
+
+def _analytic_column(
+    spec: SweepSpec, packet: DistributionSpec, rho: float
+) -> tuple[SystemParams, list[ResultRow]]:
     base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
     r_star = solve_adjustment_coefficient(base).r_star if rho > 1.0 else None
-    curve = [None] * len(spec.u0_grid)
-    if spec.trials > 0:
-        curve = estimate_outage_curve(
-            base, spec.horizon, spec.trials, spec.seed, spec.u0_grid, workers,
-            spec.ci_method, pool,
-        )
     rows = []
-    for u0, est in zip(spec.u0_grid, curve):
+    for u0 in spec.u0_grid:
         params = replace(base, u0=u0)
         psi_exact, psi_bound = 1.0, None
         if r_star is not None:
             psi_exact = eventual_outage_poisson_exact(params, r_star)
             psi_bound = outage_bound(r_star, params.u0)
-        psi_mc = ci_lo = ci_hi = None
-        if est is not None:
-            psi_mc, ci_lo, ci_hi = est.estimate, est.ci95_lo, est.ci95_hi
         rows.append(
             ResultRow(
                 dist=packet.spec_string(),
@@ -275,15 +285,15 @@ def _sweep_column(
                 r_star=r_star,
                 psi_exact=psi_exact,
                 psi_bound=psi_bound,
-                psi_mc=psi_mc,
-                ci_lo=ci_lo,
-                ci_hi=ci_hi,
+                psi_mc=None,
+                ci_lo=None,
+                ci_hi=None,
                 trials=spec.trials,
                 horizon=spec.horizon,
                 seed=spec.seed,
             )
         )
-    return rows
+    return base, rows
 
 
 def run_reproduce(
@@ -408,15 +418,26 @@ class _Options:
         self._args = args
         self._config = config
 
-    def get(self, key: str, default=None, required: bool = False):
+    def get(self, key: str, default=None, kind=None, required: bool = False):
+        """The flag, else the config value, else ``default``, converted by ``kind``."""
         value = getattr(self._args, key, None)
-        if value is None:
-            value = self._config.get(key, None)
+        if value is None and key in self._config:
+            value = self._config[key]
+            listed = key == "u0_grid" and isinstance(value, list)
+            if isinstance(value, bool) or not (isinstance(value, (int, float, str)) or listed):
+                raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
         if value is None:
             value = default
-        if value is None and required:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        return value
+        if value is None:
+            if required:
+                raise ValueError(f"missing required option --{key.replace('_', '-')}")
+            return None
+        if kind is None:
+            return value
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"option {key!r}: {value!r} is not a valid {kind.__name__}") from None
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -431,7 +452,10 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 def _parse_u0_grid(value) -> list[float]:
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+        try:
+            return [float(v) for v in value]
+        except (TypeError, ValueError):
+            raise ParseError(f"bad u0 grid {value!r}") from None
     text = str(value)
     if ":" in text:
         parts = text.split(":")
@@ -451,10 +475,10 @@ def _parse_u0_grid(value) -> list[float]:
 
 
 def _system_params(opt: _Options) -> SystemParams:
-    lam = float(opt.get("lam", required=True))
-    packet = parse_distribution_spec(str(opt.get("packet", required=True)))
-    p = float(opt.get("p", 1.0))
-    u0 = float(opt.get("u0", 0.0))
+    lam = opt.get("lam", kind=float, required=True)
+    packet = parse_distribution_spec(opt.get("packet", kind=str, required=True))
+    p = opt.get("p", 1.0, float)
+    u0 = opt.get("u0", 0.0, float)
     return SystemParams(lam=lam, packet=packet, p=p, u0=u0)
 
 
@@ -468,9 +492,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     opt = _Options(args, _load_config(getattr(args, "config", None)))
-    out = opt.get("out")
-    workers = opt.get("workers")
-    workers = None if workers is None else int(workers)
+    out = opt.get("out", kind=str)
+    workers = opt.get("workers", kind=int)
     if args.command == "analyze":
         report = run_analyze(_system_params(opt))
         _emit(json.dumps(report, indent=2) + "\n", out)
@@ -478,41 +501,41 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         report = run_simulate(
             _system_params(opt),
-            trials=int(opt.get("trials", DEFAULT_TRIALS)),
-            horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
-            seed=int(opt.get("seed", DEFAULT_SEED)),
+            trials=opt.get("trials", DEFAULT_TRIALS, int),
+            horizon=opt.get("horizon", DEFAULT_HORIZON, float),
+            seed=opt.get("seed", DEFAULT_SEED, int),
             workers=workers,
-            ci_method=str(opt.get("ci", "normal")),
+            ci_method=opt.get("ci", "normal", str),
         )
         _emit(json.dumps(report, indent=2) + "\n", out)
         return 0
     if args.command == "sweep":
         spec = SweepSpec(
             u0_grid=_parse_u0_grid(opt.get("u0_grid", "0:2:40")),
-            rho_list=_parse_float_list(str(opt.get("rho", "1.1,1.2,1.3")), "rho"),
+            rho_list=_parse_float_list(opt.get("rho", "1.1,1.2,1.3", str), "rho"),
             dist_list=[
                 tok.strip()
-                for tok in str(opt.get("dist", "exp:mean=1.0")).split(",")
+                for tok in opt.get("dist", "exp:mean=1.0", str).split(",")
                 if tok.strip()
             ],
-            p=float(opt.get("p", 1.0)),
-            trials=int(opt.get("trials", DEFAULT_TRIALS)),
-            horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
-            seed=int(opt.get("seed", DEFAULT_SEED)),
+            p=opt.get("p", 1.0, float),
+            trials=opt.get("trials", DEFAULT_TRIALS, int),
+            horizon=opt.get("horizon", DEFAULT_HORIZON, float),
+            seed=opt.get("seed", DEFAULT_SEED, int),
             workers=workers,
-            ci_method=str(opt.get("ci", "normal")),
+            ci_method=opt.get("ci", "normal", str),
         )
         _emit(rows_to_csv(run_sweep(spec)), out)
         return 0
     if args.command == "reproduce":
-        figure = str(opt.get("figure", required=True))
+        figure = opt.get("figure", kind=str, required=True)
         for number in sorted(_FIGURES) if figure == "all" else [int(figure)]:
             paths = run_reproduce(
                 number,
                 out_dir=out if out is not None else ".",
-                trials=int(opt.get("trials", DEFAULT_TRIALS)),
-                horizon=float(opt.get("horizon", DEFAULT_HORIZON)),
-                seed=int(opt.get("seed", DEFAULT_SEED)),
+                trials=opt.get("trials", DEFAULT_TRIALS, int),
+                horizon=opt.get("horizon", DEFAULT_HORIZON, float),
+                seed=opt.get("seed", DEFAULT_SEED, int),
                 workers=workers,
             )
             sys.stdout.write(f"{paths['csv']}\n{paths['manifest']}\n")

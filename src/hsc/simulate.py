@@ -19,17 +19,24 @@ an outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
 counts a whole ``u0`` grid, bit-identically in any trial order or worker
 count.  The vectorized kernels draw in the same blocks as
 :func:`hsc.distributions.poisson_events`, so the scalar simulators replay
-the same realization.
+the same realization; a walk's final block draws packets only up to the
+horizon, since no later stream position is ever read.
+
+The kernels build each trial's generator from its Philox key, derived for a
+whole chunk of trials in one vectorized pass (:func:`_trial_keys`).  The
+keys equal numpy's seed-sequence spawn keys, so the streams are those of
+:func:`trial_rng`, which stays the public reference.  A sweep puts every
+(column, trial chunk) task on one pool queue (:func:`estimate_outage_curves`).
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .analytic import SystemParams
 from .distributions import EVENT_BLOCK, poisson_events, sample_block
@@ -43,6 +50,7 @@ __all__ = [
     "trial_rng",
     "simulate_first_passage",
     "estimate_outage_curve",
+    "estimate_outage_curves",
     "estimate_eventual_outage",
     "simulate_ladder",
     "collect_ladder_samples",
@@ -110,6 +118,65 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _trial_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Philox keys of ``trial_rng(seed, i)`` for ``i`` in ``[lo, hi)``, shape ``(hi - lo, 2)``.
+
+    Row ``i - lo`` equals ``SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(2, np.uint64)``.  For ``seed < 2**128`` and ``i < 2**32``
+    that sequence's entropy is the seed zero-padded to four pool words plus
+    one spawn word.  So its pool starts as ``SeedSequence(seed).pool``, after
+    16 hash steps, and the spawn word is hashed into each of the four pool
+    words; the key is ``generate_state`` of that pool.  Other seeds and
+    indices go through ``SeedSequence`` one trial at a time.
+    """
+    seed, lo, hi = int(seed), int(lo), int(hi)
+    if seed < 0 or lo < 0:
+        raise ValueError("seed and trial index must be nonnegative")
+    if seed >= 2**128 or hi > 2**32:
+        keys = [
+            np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            for i in range(lo, hi)
+        ]
+        return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+    spawn = np.arange(lo, hi, dtype=np.uint32)
+    hash_a = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _WORD
+    hash_b = _INIT_B
+    words = []
+    for word in np.random.SeedSequence(seed).pool.tolist():
+        value = spawn ^ hash_a  # hashmix(spawn word)
+        hash_a = hash_a * _MULT_A & _WORD
+        value *= hash_a
+        value ^= value >> 16
+        value = (_MIX_MULT_L * word & _WORD) - _MIX_MULT_R * value  # mix(pool word, it)
+        value ^= value >> 16
+        value ^= hash_b  # generate_state
+        hash_b = hash_b * _MULT_B & _WORD
+        value *= hash_b
+        value ^= value >> 16
+        words.append(value.astype(np.uint64))
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+
+
+class _Key(ISeedSequence):
+    # Hands a precomputed key to Philox, which asks for generate_state(2, uint64).
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+def _keyed_rng(key: np.ndarray) -> np.random.Generator:
+    # The generator trial_rng builds for the trial whose key this is.
+    return np.random.Generator(np.random.Philox(_Key(key)))
+
+
 def simulate_first_passage(
     params: SystemParams,
     horizon: float,
@@ -121,10 +188,12 @@ def simulate_first_passage(
     rate ``p`` in between; a trough at or below zero is an outage and the
     crossing instant is solved exactly on the ramp.  A finite scripted
     stream that runs dry leaves the surplus on a final unbroken ramp.
+    ``horizon`` must be finite, since an endless stream at ``rho > 1`` may
+    never produce an outage.
     """
     horizon = float(horizon)
-    if not horizon > 0.0:
-        raise PreconditionError(f"horizon must be positive, got {horizon!r}")
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
     p = params.p
     t = 0.0  # arrival instant of the pair being consumed
     level = params.u0  # surplus just before that arrival
@@ -158,10 +227,10 @@ def _max_deficit(
     best = -math.inf
     while True:
         gaps = rng.exponential(scale, EVENT_BLOCK)
-        packets = sample_block(params.packet, rng, EVENT_BLOCK)
-        deficits = s0 + np.cumsum(p * gaps - packets)
         ends = t0 + np.cumsum(gaps)
         last = int(np.searchsorted(ends, horizon))  # first ramp ending at or past H
+        n = min(last + 1, EVENT_BLOCK)  # packets after arrival `last` are never read
+        deficits = s0 + np.cumsum(p * gaps[:n] - sample_block(params.packet, rng, n))
         if last < EVENT_BLOCK:
             deficits[last] -= p * (ends[last] - horizon)
             return max(best, float(deficits[: last + 1].max()))
@@ -177,22 +246,47 @@ def _count_range(
 ) -> list[int]:
     # Outages of trials [lo, hi) for each u0; near ties go to the scalar simulator.
     u0s = np.asarray(u0_grid, dtype=float)
-    counts = np.zeros(u0s.size, dtype=np.int64)
     ceiling = float(u0s.max())
-    for i in range(lo, hi):
-        deficit = _max_deficit(params, horizon, trial_rng(seed, i), ceiling)
-        hit = u0s <= deficit
-        for k in np.flatnonzero(np.abs(u0s - deficit) <= _TIE_RTOL * (1.0 + abs(deficit))):
-            events = poisson_events(params.lam, params.packet, trial_rng(seed, i))
-            hit[k] = simulate_first_passage(
+    deficits = np.array(
+        [_max_deficit(params, horizon, _keyed_rng(key), ceiling) for key in _trial_keys(seed, lo, hi)]
+    )
+    counts = np.zeros(u0s.size, dtype=np.int64)
+    for start in range(0, deficits.size, EVENT_BLOCK):  # caps the (trial, u0) arrays
+        d = deficits[start : start + EVENT_BLOCK, None]
+        hit = u0s <= d
+        for t, k in np.argwhere(np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))):
+            events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
+            hit[t, k] = simulate_first_passage(
                 replace(params, u0=float(u0s[k])), horizon, events
             ).outage
-        counts += hit
+        counts += hit.sum(axis=0)
     return counts.tolist()
 
 
-def estimate_outage_curve(
-    params: SystemParams,
+def _estimate(
+    outages: int, trials: int, horizon: float, seed: int, ci_method: str
+) -> EstimateWithCI:
+    est = outages / trials
+    stderr = math.sqrt(est * (1.0 - est) / trials)
+    if ci_method == "normal":
+        lo = max(0.0, est - _Z95 * stderr)
+        hi = min(1.0, est + _Z95 * stderr)
+    else:
+        z2 = _Z95 * _Z95
+        denom = 1.0 + z2 / trials
+        center = (est + z2 / (2.0 * trials)) / denom
+        half = (
+            _Z95
+            * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
+            / denom
+        )
+        lo = max(0.0, center - half)
+        hi = min(1.0, center + half)
+    return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
+
+
+def estimate_outage_curves(
+    columns: list[SystemParams],
     horizon: float,
     trials: int,
     seed: int,
@@ -200,12 +294,15 @@ def estimate_outage_curve(
     workers: int | None = None,
     ci_method: str = "normal",
     pool: ProcessPoolExecutor | None = None,
-) -> list[EstimateWithCI]:
-    """:func:`estimate_eventual_outage` for every u0 in ``u0_grid`` (``params.u0`` unused).
+) -> Iterator[list[EstimateWithCI]]:
+    """:func:`estimate_outage_curve` for each of ``columns``, yielded in order.
 
-    Each trial walks once for the whole grid.  With ``workers > 1`` the
-    trials are split into that many chunks, run on ``pool`` (or on a pool
-    opened for this call) and their counts summed.
+    Every column uses the same trial streams.  With ``workers > 1`` each
+    column's trials are split into that many chunks, and the first ``next``
+    puts every (column, chunk) task on one queue of ``pool`` (or of a pool
+    opened for this generator), so no worker waits at a column boundary.
+    An exception from a column's tasks is raised when that column is
+    reached; the tasks not yet started are then cancelled.
     """
     trials = int(trials)
     if trials < 1:
@@ -223,33 +320,47 @@ def estimate_outage_curve(
     chunks = min(workers or 1, trials)
     if chunks > 1 and pool is None:
         with ProcessPoolExecutor(chunks) as pool:
-            return estimate_outage_curve(
-                params, horizon, trials, seed, u0_grid, workers, ci_method, pool
+            yield from estimate_outage_curves(
+                columns, horizon, trials, seed, u0_grid, workers, ci_method, pool
             )
-    task = partial(_count_range, params, horizon, seed, u0_grid)
-    bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
-    parts = (pool.map if chunks > 1 else map)(task, bounds[:-1], bounds[1:])
-    counts = np.sum(list(parts), axis=0).tolist()
+        return
+    tasks = []
+    if chunks > 1:
+        bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+        tasks = [
+            [
+                pool.submit(_count_range, params, horizon, seed, u0_grid, lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            for params in columns
+        ]
+        counts = (np.sum([f.result() for f in column], axis=0).tolist() for column in tasks)
+    else:
+        counts = (_count_range(params, horizon, seed, u0_grid, 0, trials) for params in columns)
+    try:
+        for column_counts in counts:
+            yield [_estimate(k, trials, horizon, seed, ci_method) for k in column_counts]
+    finally:
+        for future in (f for column in tasks for f in column):
+            future.cancel()
 
-    curve = []
-    for outages in counts:
-        est = outages / trials
-        stderr = math.sqrt(est * (1.0 - est) / trials)
-        if ci_method == "normal":
-            lo = max(0.0, est - _Z95 * stderr)
-            hi = min(1.0, est + _Z95 * stderr)
-        else:
-            z2 = _Z95 * _Z95
-            denom = 1.0 + z2 / trials
-            center = (est + z2 / (2.0 * trials)) / denom
-            half = (
-                _Z95
-                * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
-                / denom
-            )
-            lo = max(0.0, center - half)
-            hi = min(1.0, center + half)
-        curve.append(EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed)))
+
+def estimate_outage_curve(
+    params: SystemParams,
+    horizon: float,
+    trials: int,
+    seed: int,
+    u0_grid: list[float],
+    workers: int | None = None,
+    ci_method: str = "normal",
+) -> list[EstimateWithCI]:
+    """:func:`estimate_eventual_outage` for every u0 in ``u0_grid`` (``params.u0`` unused).
+
+    Each trial walks once for the whole grid.  With ``workers > 1`` the
+    trials are split into that many chunks, run on a pool opened for this
+    call and their counts summed.
+    """
+    (curve,) = estimate_outage_curves([params], horizon, trials, seed, u0_grid, workers, ci_method)
     return curve
 
 
@@ -365,8 +476,8 @@ def collect_ladder_samples(
     if walks < 1:
         raise PreconditionError(f"walks must be >= 1, got {walks}")
     return [
-        _ladder_kernel(params, max_steps, trial_rng(seed, i), stop_drawdown)
-        for i in range(walks)
+        _ladder_kernel(params, max_steps, _keyed_rng(key), stop_drawdown)
+        for key in _trial_keys(seed, 0, walks)
     ]
 
 
@@ -470,11 +581,12 @@ def record_path(
     (surplus zero) or at the horizon.  Consecutive points sharing a time
     coordinate encode the jump; between breakpoints the surplus is linear
     with slope ``-p``.  Pre-jump values reproduce the troughs seen by
-    :func:`simulate_first_passage` on the same stream.
+    :func:`simulate_first_passage` on the same stream, and ``horizon``
+    must be finite as there.
     """
     horizon = float(horizon)
-    if not horizon > 0.0:
-        raise PreconditionError(f"horizon must be positive, got {horizon!r}")
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
     p = params.p
     t = 0.0
     level = params.u0

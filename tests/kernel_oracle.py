@@ -1,10 +1,11 @@
-"""The per-point first-passage kernel that the library used before its
-single max-deficit walk, kept as a reference for the tests.
+"""Kernels the library used before, kept as references for the tests.
 
-It replays :func:`hsc.simulate_first_passage` over the same block draws as
-:func:`hsc.poisson_events` for one initial energy ``params.u0``; the tests
-compare it with the scalar simulator and use it to rebuild sweeps the old
-way, one walk per ``(trial, u0)``.
+The per-point first-passage kernel replays :func:`hsc.simulate_first_passage`
+over the same block draws as :func:`hsc.poisson_events` for one initial
+energy ``params.u0``; the tests compare it with the scalar simulator and use
+it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
+full-block max-deficit walk draws every block's packets in full, where the
+library's walk draws its final block's packets only up to the horizon.
 """
 from __future__ import annotations
 
@@ -55,6 +56,31 @@ def _first_passage_kernel(
         seen += EVENT_BLOCK
         level = float(troughs[-1])
         t0 = float(t0 + cum_gaps[-1])
+
+
+def max_deficit_full_blocks(
+    params: SystemParams, horizon: float, rng: np.random.Generator, ceiling: float
+) -> float:
+    # D_i with every block drawn in full: gaps, then all EVENT_BLOCK packets.
+    p = params.p
+    scale = 1.0 / params.lam
+    t0 = 0.0
+    s0 = 0.0
+    best = -math.inf
+    while True:
+        gaps = rng.exponential(scale, EVENT_BLOCK)
+        packets = sample_block(params.packet, rng, EVENT_BLOCK)
+        deficits = s0 + np.cumsum(p * gaps - packets)
+        ends = t0 + np.cumsum(gaps)
+        last = int(np.searchsorted(ends, horizon))
+        if last < EVENT_BLOCK:
+            deficits[last] -= p * (ends[last] - horizon)
+            return max(best, float(deficits[: last + 1].max()))
+        best = max(best, float(deficits.max()))
+        if best >= ceiling:
+            return best
+        s0 = float(deficits[-1])
+        t0 = float(ends[-1])
 
 
 def _old_path_estimate(params, horizon, trials, seed, ci_method):

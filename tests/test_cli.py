@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hsc.cli as cli
+import hsc.simulate as simulate
 from hsc import ConvergenceError, PreconditionError, SystemParams, parse_distribution_spec
 from hsc.cli import (
     CSV_HEADER,
@@ -159,6 +160,31 @@ class TestSweep:
         code = main(["sweep", "--dist", "det:mean=1.0", "--rho", "1.3", "--trials", "0"])
         assert code == 3
         assert "rho=1.3" in capsys.readouterr().err
+
+    def test_every_column_is_solved_before_monte_carlo(self, monkeypatch):
+        solve = cli.solve_adjustment_coefficient
+        solved, started = [], []
+
+        def second_fails(params):
+            solved.append(params)
+            if len(solved) == 2:
+                raise ConvergenceError("no bracket")
+            return solve(params)
+
+        monkeypatch.setattr(cli, "solve_adjustment_coefficient", second_fails)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a: started.append(a))
+        monkeypatch.setattr(simulate, "_count_range", lambda *a: started.append(a))
+        for workers in (1, 2):
+            solved.clear()
+            spec = SweepSpec(
+                u0_grid=[0.0, 5.0], rho_list=[1.1, 1.3], dist_list=["exp:mean=1.0"],
+                trials=50, workers=workers,
+            )
+            with pytest.raises(ConvergenceError) as err:
+                run_sweep(spec)
+            assert "(dist=exp:mean=1.0, rho=1.3)" in str(err.value)
+            assert "no bracket" in str(err.value)
+        assert started == []
 
     def test_worker_count_invariance_over_u0_grid(self):
         grids = dict(
@@ -338,6 +364,21 @@ class TestMainEntry:
         pooled = json.loads(capsys.readouterr().out)
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out) == pooled
+
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"trials": [5]}, "trials"),
+            ({"workers": {}, "trials": 0}, "workers"),
+            ({"horizon": None, "trials": 0}, "horizon"),
+        ],
+    )
+    def test_non_scalar_config_value_is_exit_2(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["sweep", "--rho", "1.1", "--u0-grid", "0,1", "--config", str(cfg)])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_workers_below_one_is_exit_2(self, capsys):
         code = main(

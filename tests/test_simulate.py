@@ -3,6 +3,8 @@ and agreement between the scalar simulators and the vectorized kernels.
 """
 import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsc import (
+    EVENT_BLOCK,
     DistributionSpec,
     Kind,
     LadderSample,
@@ -29,8 +32,15 @@ from hsc import (
     trial_rng,
 )
 import hsc.simulate as simulate
-from hsc.simulate import _count_range, _ladder_kernel, _max_deficit, estimate_outage_curve
-from kernel_oracle import _first_passage_kernel
+from hsc.simulate import (
+    _count_range,
+    _keyed_rng,
+    _ladder_kernel,
+    _max_deficit,
+    _trial_keys,
+    estimate_outage_curve,
+)
+from kernel_oracle import _first_passage_kernel, max_deficit_full_blocks
 
 EXP1 = DistributionSpec(Kind.EXPONENTIAL, 1.0)
 DET1 = DistributionSpec(Kind.DETERMINISTIC, 1.0)
@@ -204,6 +214,12 @@ class TestLadderScripted:
                     b.first_ladder_height, rel=1e-9
                 )
 
+    def test_walks_use_the_trial_streams(self):
+        params = mm1()
+        for stop in (None, 40.0):
+            expect = [_ladder_kernel(params, 2500, trial_rng(12, i), stop) for i in range(40)]
+            assert collect_ladder_samples(params, 40, 2500, 12, stop) == expect
+
     def test_stop_drawdown_only_prunes_decided_walks(self):
         params = mm1()
         full = collect_ladder_samples(params, 150, 20000, 5)
@@ -369,6 +385,17 @@ class TestEstimatorDeterminism:
             with pytest.raises(PreconditionError):
                 estimate_eventual_outage(mm1(lam=1.1), horizon, 10, 0)
 
+    def test_scalar_simulators_reject_non_finite_horizon(self):
+        # on an endless stream at rho > 1 neither would ever return
+        params = mm1(u0=5.0, lam=1.1)
+        first = next(poisson_events(params.lam, params.packet, trial_rng(0, 0)))
+        for simulator in (simulate_first_passage, record_path):
+            for horizon in (math.inf, math.nan):
+                events = poisson_events(params.lam, params.packet, trial_rng(0, 0))
+                with pytest.raises(PreconditionError):
+                    simulator(params, horizon, events)
+                assert next(events) == first  # no event was consumed
+
     def test_workers_below_one_rejected(self):
         for workers in (0, -3):
             with pytest.raises(ValueError):
@@ -406,6 +433,55 @@ class TestOutageCurve:
                     stopped = _max_deficit(params, 5000.0, trial_rng(2, i), ceiling)
                     assert stopped == full or min(stopped, full) >= ceiling
 
+    def test_final_block_cut_keeps_the_deficit_bit_identical(self):
+        for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
+            for lam, horizon in ((0.9, 1000.0), (1.1, 1000.0), (1.3, 2500.0), (1.0, 30.0)):
+                params = SystemParams(lam=lam, packet=packet, p=1.0)
+                for i in range(15):
+                    for ceiling in (math.inf, 30.0):
+                        got = _max_deficit(params, horizon, trial_rng(9, i), ceiling)
+                        ref = max_deficit_full_blocks(params, horizon, trial_rng(9, i), ceiling)
+                        assert got == ref, (packet, lam, i, ceiling)
+
+    def test_chunk_counts_match_scalar_across_row_blocks(self):
+        # 1100 trials span two 1024-row blocks of the (trial, u0) comparison;
+        # one u0 ties trial 1050 exactly, so the replay must find that trial
+        params = mm1()
+        tie = _max_deficit(params, 30.0, trial_rng(3, 1050), math.inf)
+        grid = [0.0, 4.0, tie]
+        expect = [
+            sum(
+                simulate_first_passage(
+                    replace(params, u0=u0),
+                    30.0,
+                    poisson_events(params.lam, params.packet, trial_rng(3, i)),
+                ).outage
+                for i in range(1100)
+            )
+            for u0 in grid
+        ]
+        assert _count_range(params, 30.0, 3, grid, 0, 1100) == expect
+
+    def test_failed_column_cancels_the_queued_tasks(self, monkeypatch):
+        # one worker: the first task fails, the second blocks until released
+        ran, gate = [], threading.Event()
+
+        def count(*args):
+            ran.append(args)
+            if len(ran) == 1:
+                raise RuntimeError("boom")
+            gate.wait(10.0)
+            return [0]
+
+        monkeypatch.setattr(simulate, "_count_range", count)
+        columns = [mm1(lam=lam) for lam in (1.1, 1.2, 1.3)]
+        with ThreadPoolExecutor(1) as pool:
+            curves = simulate.estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2, pool=pool)
+            with pytest.raises(RuntimeError):
+                next(curves)
+            gate.set()
+        assert len(ran) <= 2  # of six tasks
+
     def test_u0_at_max_deficit_is_decided_by_scalar(self, monkeypatch):
         params = mm1()
         scalar = simulate.simulate_first_passage
@@ -436,6 +512,48 @@ class TestOutageCurve:
         scalar = simulate_first_passage(params, 40.0, events).outage
         assert _first_passage_kernel(params, 40.0, trial_rng(8, 128)).outage != scalar
         assert _count_range(params, 40.0, 8, [34.0], 128, 129) == [int(scalar)]
+
+
+class TestTrialKeys:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127)
+
+    @staticmethod
+    def spawn_key(seed, i):
+        return np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+
+    def test_keys_equal_seed_sequence_keys(self):
+        for seed in self.SEEDS:
+            keys = _trial_keys(seed, 0, 5000)
+            assert keys.shape == (5000, 2) and keys.dtype == np.uint64
+            assert np.array_equal(keys, [self.spawn_key(seed, i) for i in range(5000)])
+            for i in (0, 1, 2**31, 2**32 - 1):
+                assert np.array_equal(_trial_keys(seed, i, i + 1), [self.spawn_key(seed, i)])
+
+    def test_keyed_generator_draws_equal_trial_rng(self):
+        # the first three 1024-pair blocks of an event stream
+        pairs = 3 * EVENT_BLOCK
+        for seed, i in ((3, 0), (3, 77), (2**64 + 3, 2**31)):
+            for packet in (EXP1, DistributionSpec(Kind.UNIFORM, 1.0)):
+                keyed = _keyed_rng(_trial_keys(seed, i, i + 1)[0])
+                got = itertools.islice(poisson_events(1.1, packet, keyed), pairs)
+                ref = itertools.islice(poisson_events(1.1, packet, trial_rng(seed, i)), pairs)
+                assert list(got) == list(ref)
+
+    def test_fallback_is_exact_on_both_sides_of_each_boundary(self):
+        for seed in (2**128 - 1, 2**128):
+            for i in (2**32 - 1, 2**32):
+                assert np.array_equal(_trial_keys(seed, i, i + 1), [self.spawn_key(seed, i)])
+            lo = 2**32 - 2
+            assert np.array_equal(
+                _trial_keys(seed, lo, lo + 4), [self.spawn_key(seed, i) for i in range(lo, lo + 4)]
+            )
+
+    def test_negative_seed_or_index_raises_like_trial_rng(self):
+        for seed, lo in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                trial_rng(seed, lo)
+            with pytest.raises(ValueError):
+                _trial_keys(seed, lo, lo + 2)
 
 
 class TestStatisticalSanity:
