@@ -13,8 +13,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -39,7 +38,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .simulate import estimate_eventual_outage, estimate_outage_curves
+from .simulate import _estimate_outage_curves, estimate_eventual_outage
 
 __all__ = [
     "SweepSpec",
@@ -238,13 +237,12 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 columns.append(((dist_text, rho), *_analytic_column(spec, packet, rho)))
     if spec.trials == 0:
         return [row for _, _, rows in columns for row in rows]
-    workers = min(spec.workers or 1, spec.trials)
     out: list[ResultRow] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        curves = estimate_outage_curves(
-            [base for _, base, _ in columns], spec.horizon, spec.trials, spec.seed,
-            spec.u0_grid, workers, spec.ci_method, pool,
-        )
+    curves = _estimate_outage_curves(
+        [base for _, base, _ in columns], spec.horizon, spec.trials, spec.seed,
+        spec.u0_grid, spec.workers, spec.ci_method,
+    )
+    with closing(curves):
         for name, _, rows in columns:
             with _named_column(*name):
                 curve = next(curves)
@@ -418,13 +416,18 @@ class _Options:
         self._args = args
         self._config = config
 
-    def get(self, key: str, default=None, kind=None, required: bool = False):
-        """The flag, else the config value, else ``default``, converted by ``kind``."""
+    def get(self, key: str, default=None, kind=str, required: bool = False):
+        """The flag, else the config value, else ``default``, converted by ``kind``.
+
+        A config value for an ``int``, ``float`` or ``str`` option must be a
+        number or a string; any other ``kind`` parses the value itself.
+        """
         value = getattr(self._args, key, None)
         if value is None and key in self._config:
             value = self._config[key]
-            listed = key == "u0_grid" and isinstance(value, list)
-            if isinstance(value, bool) or not (isinstance(value, (int, float, str)) or listed):
+            if value is None or kind in (int, float, str) and (
+                isinstance(value, bool) or not isinstance(value, (int, float, str))
+            ):
                 raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
         if value is None:
             value = default
@@ -432,12 +435,15 @@ class _Options:
             if required:
                 raise ValueError(f"missing required option --{key.replace('_', '-')}")
             return None
-        if kind is None:
-            return value
-        try:
+        if kind not in (int, float, str):
             return kind(value)
+        try:
+            converted = kind(value)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"option {key!r}: {value!r} is not a valid {kind.__name__}") from None
+            converted = None
+        if converted is None or kind is int and isinstance(value, float) and converted != value:
+            raise ValueError(f"option {key!r}: {value!r} is not a valid {kind.__name__}")
+        return converted
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -511,7 +517,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "sweep":
         spec = SweepSpec(
-            u0_grid=_parse_u0_grid(opt.get("u0_grid", "0:2:40")),
+            u0_grid=opt.get("u0_grid", "0:2:40", _parse_u0_grid),
             rho_list=_parse_float_list(opt.get("rho", "1.1,1.2,1.3", str), "rho"),
             dist_list=[
                 tok.strip()

@@ -26,7 +26,7 @@ The kernels build each trial's generator from its Philox key, derived for a
 whole chunk of trials in one vectorized pass (:func:`_trial_keys`).  The
 keys equal numpy's seed-sequence spawn keys, so the streams are those of
 :func:`trial_rng`, which stays the public reference.  A sweep puts every
-(column, trial chunk) task on one pool queue (:func:`estimate_outage_curves`).
+(column, trial chunk) task on one pool queue.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ __all__ = [
     "trial_rng",
     "simulate_first_passage",
     "estimate_outage_curve",
-    "estimate_outage_curves",
     "estimate_eventual_outage",
     "simulate_ladder",
     "collect_ladder_samples",
@@ -285,7 +284,7 @@ def _estimate(
     return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
 
 
-def estimate_outage_curves(
+def _estimate_outage_curves(
     columns: list[SystemParams],
     horizon: float,
     trials: int,
@@ -293,16 +292,15 @@ def estimate_outage_curves(
     u0_grid: list[float],
     workers: int | None = None,
     ci_method: str = "normal",
-    pool: ProcessPoolExecutor | None = None,
 ) -> Iterator[list[EstimateWithCI]]:
     """:func:`estimate_outage_curve` for each of ``columns``, yielded in order.
 
-    Every column uses the same trial streams.  With ``workers > 1`` each
-    column's trials are split into that many chunks, and the first ``next``
-    puts every (column, chunk) task on one queue of ``pool`` (or of a pool
-    opened for this generator), so no worker waits at a column boundary.
-    An exception from a column's tasks is raised when that column is
-    reached; the tasks not yet started are then cancelled.
+    The arguments are checked at the call.  Every column uses the same trial
+    streams.  With ``workers > 1`` each column's trials are split into that
+    many chunks, and the first ``next`` opens one pool and puts every
+    (column, chunk) task on its queue, so no worker waits at a column
+    boundary.  An exception from a column's tasks is raised when that column
+    is reached; the tasks not yet started are then cancelled.
     """
     trials = int(trials)
     if trials < 1:
@@ -316,17 +314,25 @@ def estimate_outage_curves(
         raise ValueError(f"u0_grid must be nonempty, nonnegative and finite, got {u0_grid}")
     if ci_method not in ("normal", "wilson"):
         raise ValueError(f"unknown ci_method {ci_method!r}")
+    return _curves(columns, horizon, trials, seed, u0_grid, min(workers or 1, trials), ci_method)
 
-    chunks = min(workers or 1, trials)
-    if chunks > 1 and pool is None:
-        with ProcessPoolExecutor(chunks) as pool:
-            yield from estimate_outage_curves(
-                columns, horizon, trials, seed, u0_grid, workers, ci_method, pool
-            )
+
+def _curves(
+    columns: list[SystemParams],
+    horizon: float,
+    trials: int,
+    seed: int,
+    u0_grid: list[float],
+    chunks: int,
+    ci_method: str,
+) -> Iterator[list[EstimateWithCI]]:
+    if chunks == 1:
+        for params in columns:
+            counts = _count_range(params, horizon, seed, u0_grid, 0, trials)
+            yield [_estimate(k, trials, horizon, seed, ci_method) for k in counts]
         return
-    tasks = []
-    if chunks > 1:
-        bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+    bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+    with ProcessPoolExecutor(chunks) as pool:
         tasks = [
             [
                 pool.submit(_count_range, params, horizon, seed, u0_grid, lo, hi)
@@ -334,15 +340,13 @@ def estimate_outage_curves(
             ]
             for params in columns
         ]
-        counts = (np.sum([f.result() for f in column], axis=0).tolist() for column in tasks)
-    else:
-        counts = (_count_range(params, horizon, seed, u0_grid, 0, trials) for params in columns)
-    try:
-        for column_counts in counts:
-            yield [_estimate(k, trials, horizon, seed, ci_method) for k in column_counts]
-    finally:
-        for future in (f for column in tasks for f in column):
-            future.cancel()
+        try:
+            for column in tasks:
+                counts = np.sum([f.result() for f in column], axis=0).tolist()
+                yield [_estimate(k, trials, horizon, seed, ci_method) for k in counts]
+        finally:
+            for future in (f for column in tasks for f in column):
+                future.cancel()
 
 
 def estimate_outage_curve(
@@ -360,7 +364,9 @@ def estimate_outage_curve(
     trials are split into that many chunks, run on a pool opened for this
     call and their counts summed.
     """
-    (curve,) = estimate_outage_curves([params], horizon, trials, seed, u0_grid, workers, ci_method)
+    (curve,) = _estimate_outage_curves(
+        [params], horizon, trials, seed, u0_grid, workers, ci_method
+    )
     return curve
 
 

@@ -172,7 +172,7 @@ class TestSweep:
             return solve(params)
 
         monkeypatch.setattr(cli, "solve_adjustment_coefficient", second_fails)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a: started.append(a))
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", lambda *a: started.append(a))
         monkeypatch.setattr(simulate, "_count_range", lambda *a: started.append(a))
         for workers in (1, 2):
             solved.clear()
@@ -371,6 +371,8 @@ class TestMainEntry:
             ({"trials": [5]}, "trials"),
             ({"workers": {}, "trials": 0}, "workers"),
             ({"horizon": None, "trials": 0}, "horizon"),
+            ({"trials": 2.7}, "trials"),
+            ({"seed": 1.5, "trials": 0}, "seed"),
         ],
     )
     def test_non_scalar_config_value_is_exit_2(self, tmp_path, capsys, config, key):

@@ -463,7 +463,7 @@ class TestOutageCurve:
         assert _count_range(params, 30.0, 3, grid, 0, 1100) == expect
 
     def test_failed_column_cancels_the_queued_tasks(self, monkeypatch):
-        # one worker: the first task fails, the second blocks until released
+        # one worker: the first task fails, the second blocks until shutdown
         ran, gate = [], threading.Event()
 
         def count(*args):
@@ -473,14 +473,30 @@ class TestOutageCurve:
             gate.wait(10.0)
             return [0]
 
+        class OneThread(ThreadPoolExecutor):
+            def __init__(self, workers):
+                super().__init__(1)
+
+            def shutdown(self, *args, **kwargs):
+                gate.set()
+                super().shutdown(*args, **kwargs)
+
         monkeypatch.setattr(simulate, "_count_range", count)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", OneThread)
         columns = [mm1(lam=lam) for lam in (1.1, 1.2, 1.3)]
-        with ThreadPoolExecutor(1) as pool:
-            curves = simulate.estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2, pool=pool)
-            with pytest.raises(RuntimeError):
-                next(curves)
-            gate.set()
+        curves = simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
+        with pytest.raises(RuntimeError):
+            next(curves)
         assert len(ran) <= 2  # of six tasks
+
+    def test_curve_arguments_are_checked_at_the_call(self):
+        columns = [mm1()]
+        with pytest.raises(PreconditionError):
+            simulate._estimate_outage_curves(columns, math.inf, 10, 0, [0.0])
+        with pytest.raises(ValueError):
+            simulate._estimate_outage_curves(columns, 50.0, 10, 0, [-1.0])
+        with pytest.raises(ValueError):
+            simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], ci_method="x")
 
     def test_u0_at_max_deficit_is_decided_by_scalar(self, monkeypatch):
         params = mm1()
