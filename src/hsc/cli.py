@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .simulate import _estimate_outage_curves, estimate_eventual_outage
+from .simulate import EstimateWithCI, _estimate_outage_curves, estimate_eventual_outage
 
 __all__ = [
     "SweepSpec",
@@ -229,28 +229,31 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     trial chunks of all columns go on one pool queue, and each trial walks
     once for all the column's u0.
     """
-    columns = []  # ((dist, rho), params at u0 = 0, analytic rows)
+    columns = []  # ((dist, rho), params at u0 = 0, analytic fields per u0)
     for dist_text in spec.dist_list:
         packet = parse_distribution_spec(dist_text)
         for rho in spec.rho_list:
             with _named_column(dist_text, rho):
                 columns.append(((dist_text, rho), *_analytic_column(spec, packet, rho)))
     if spec.trials == 0:
-        return [row for _, _, rows in columns for row in rows]
+        return [_row(spec, head, None) for _, _, heads in columns for head in heads]
     out: list[ResultRow] = []
     curves = _estimate_outage_curves(
         [base for _, base, _ in columns], spec.horizon, spec.trials, spec.seed,
         spec.u0_grid, spec.workers, spec.ci_method,
     )
     with closing(curves):
-        for name, _, rows in columns:
+        for name, _, heads in columns:
             with _named_column(*name):
                 curve = next(curves)
-            out += [
-                replace(row, psi_mc=est.estimate, ci_lo=est.ci95_lo, ci_hi=est.ci95_hi)
-                for row, est in zip(rows, curve)
-            ]
+            out += [_row(spec, head, est) for head, est in zip(heads, curve)]
     return out
+
+
+def _row(spec: SweepSpec, head: tuple, est: EstimateWithCI | None) -> ResultRow:
+    # head holds the fields from dist to psi_bound; est fills psi_mc, ci_lo, ci_hi
+    mc = (None, None, None) if est is None else (est.estimate, est.ci95_lo, est.ci95_hi)
+    return ResultRow(*head, *mc, spec.trials, spec.horizon, spec.seed)
 
 
 @contextmanager
@@ -265,33 +268,18 @@ def _named_column(dist_text: str, rho: float) -> Iterator[None]:
 
 def _analytic_column(
     spec: SweepSpec, packet: DistributionSpec, rho: float
-) -> tuple[SystemParams, list[ResultRow]]:
+) -> tuple[SystemParams, list[tuple]]:
     base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
     r_star = solve_adjustment_coefficient(base).r_star if rho > 1.0 else None
-    rows = []
+    heads = []
     for u0 in spec.u0_grid:
         params = replace(base, u0=u0)
         psi_exact, psi_bound = 1.0, None
         if r_star is not None:
             psi_exact = eventual_outage_poisson_exact(params, r_star)
             psi_bound = outage_bound(r_star, params.u0)
-        rows.append(
-            ResultRow(
-                dist=packet.spec_string(),
-                rho=float(rho),
-                u0=params.u0,
-                r_star=r_star,
-                psi_exact=psi_exact,
-                psi_bound=psi_bound,
-                psi_mc=None,
-                ci_lo=None,
-                ci_hi=None,
-                trials=spec.trials,
-                horizon=spec.horizon,
-                seed=spec.seed,
-            )
-        )
-    return base, rows
+        heads.append((packet.spec_string(), float(rho), params.u0, r_star, psi_exact, psi_bound))
+    return base, heads
 
 
 def run_reproduce(
@@ -413,6 +401,13 @@ class _Options:
     """Flag values merged over config-file values merged over defaults."""
 
     def __init__(self, args: argparse.Namespace, config: dict):
+        keys = set(vars(args)) - {"command", "config"}  # the subcommand's flags, as dests
+        unknown = sorted(set(config) - keys)
+        if unknown:
+            raise ValueError(
+                f"unknown config key {', '.join(map(repr, unknown))}; "
+                f"the keys are {', '.join(sorted(keys))}"
+            )
         self._args = args
         self._config = config
 

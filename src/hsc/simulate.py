@@ -17,10 +17,14 @@ generator) once, recording its largest energy deficit before the horizon,
 ``A_j``: energy delivered up to and including it).  From any ``u0`` it has
 an outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
 counts a whole ``u0`` grid, bit-identically in any trial order or worker
-count.  The vectorized kernels draw in the same blocks as
+count.  Packets are nonnegative, so after a block no later deficit exceeds
+``p * H - A`` (``A``: the energy delivered so far); the walk stops at the
+first block end where no grid ``u0`` lies above its running maximum and
+within reach of that bound, tie band included, so every ``u0`` is decided
+as by the full walk.  The vectorized kernels draw in the same blocks as
 :func:`hsc.distributions.poisson_events`, so the scalar simulators replay
 the same realization; a walk's final block draws packets only up to the
-horizon, since no later stream position is ever read.
+horizon (or the step limit), since no later stream position is ever read.
 
 The kernels build each trial's generator from its Philox key, derived for a
 whole chunk of trials in one vectorized pass (:func:`_trial_keys`).  The
@@ -31,6 +35,7 @@ keys equal numpy's seed-sequence spawn keys, so the streams are those of
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
@@ -216,9 +221,11 @@ def simulate_first_passage(
 
 
 def _max_deficit(
-    params: SystemParams, horizon: float, rng: np.random.Generator, ceiling: float
+    params: SystemParams, horizon: float, rng: np.random.Generator, u0_sorted: list[float]
 ) -> float:
-    # D_i of the module docstring; stops early once it reaches ``ceiling``.
+    # D_i of the module docstring, or a running maximum that decides each of
+    # u0_sorted alike: the walk stops at a block end once no u0 lies above the
+    # maximum yet within reach of p * H - A (plus the tie band).
     p = params.p
     scale = 1.0 / params.lam
     t0 = 0.0  # time of the block's first arrival
@@ -234,10 +241,12 @@ def _max_deficit(
             deficits[last] -= p * (ends[last] - horizon)
             return max(best, float(deficits[: last + 1].max()))
         best = max(best, float(deficits.max()))
-        if best >= ceiling:
-            return best
         s0 = float(deficits[-1])
         t0 = float(ends[-1])
+        bound = s0 + p * (horizon - t0)  # p * H - A: no later deficit exceeds it
+        k = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
+        if k == len(u0_sorted) or u0_sorted[k] - _TIE_RTOL * (1.0 + abs(bound)) > bound:
+            return best
 
 
 def _count_range(
@@ -245,9 +254,9 @@ def _count_range(
 ) -> list[int]:
     # Outages of trials [lo, hi) for each u0; near ties go to the scalar simulator.
     u0s = np.asarray(u0_grid, dtype=float)
-    ceiling = float(u0s.max())
+    u0_sorted = sorted(u0s.tolist())
     deficits = np.array(
-        [_max_deficit(params, horizon, _keyed_rng(key), ceiling) for key in _trial_keys(seed, lo, hi)]
+        [_max_deficit(params, horizon, _keyed_rng(key), u0_sorted) for key in _trial_keys(seed, lo, hi)]
     )
     counts = np.zeros(u0s.size, dtype=np.int64)
     for start in range(0, deficits.size, EVENT_BLOCK):  # caps the (trial, u0) arrays
@@ -445,10 +454,9 @@ def _ladder_kernel(
     height: float | None = None
     done = 0
     while done < max_steps:
+        take = min(EVENT_BLOCK, max_steps - done)  # the walk ends after a short block
         gaps = rng.exponential(scale, EVENT_BLOCK)
-        packets = sample_block(params.packet, rng, EVENT_BLOCK)
-        take = min(EVENT_BLOCK, max_steps - done)
-        walk = s + np.cumsum(p * gaps[:take] - packets[:take])
+        walk = s + np.cumsum(p * gaps[:take] - sample_block(params.packet, rng, take))
         if epoch is None:
             pos = np.flatnonzero(walk > 0.0)
             if pos.size:

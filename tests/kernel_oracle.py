@@ -4,12 +4,14 @@ The per-point first-passage kernel replays :func:`hsc.simulate_first_passage`
 over the same block draws as :func:`hsc.poisson_events` for one initial
 energy ``params.u0``; the tests compare it with the scalar simulator and use
 it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
-full-block max-deficit walk draws every block's packets in full, where the
-library's walk draws its final block's packets only up to the horizon.
+full-block max-deficit walk draws every block's packets in full and always
+walks to the horizon, where the library's walk draws its final block's
+packets only up to the horizon and stops once every u0 is decided.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,8 +22,15 @@ from hsc.analytic import (
     solve_adjustment_coefficient,
 )
 from hsc.cli import ResultRow
-from hsc.distributions import EVENT_BLOCK, parse_distribution_spec, sample_block
-from hsc.simulate import _Z95, EstimateWithCI, TrialOutcome, trial_rng
+from hsc.distributions import EVENT_BLOCK, parse_distribution_spec, poisson_events, sample_block
+from hsc.simulate import (
+    _TIE_RTOL,
+    _Z95,
+    EstimateWithCI,
+    TrialOutcome,
+    simulate_first_passage,
+    trial_rng,
+)
 
 
 def _first_passage_kernel(
@@ -59,9 +68,10 @@ def _first_passage_kernel(
 
 
 def max_deficit_full_blocks(
-    params: SystemParams, horizon: float, rng: np.random.Generator, ceiling: float
+    params: SystemParams, horizon: float, rng: np.random.Generator
 ) -> float:
-    # D_i with every block drawn in full: gaps, then all EVENT_BLOCK packets.
+    # D_i walked to the horizon, every block drawn in full: gaps, then all
+    # EVENT_BLOCK packets.
     p = params.p
     scale = 1.0 / params.lam
     t0 = 0.0
@@ -77,10 +87,23 @@ def max_deficit_full_blocks(
             deficits[last] -= p * (ends[last] - horizon)
             return max(best, float(deficits[: last + 1].max()))
         best = max(best, float(deficits.max()))
-        if best >= ceiling:
-            return best
         s0 = float(deficits[-1])
         t0 = float(ends[-1])
+
+
+def count_outages_full_walk(params, horizon, seed, u0_grid, lo, hi):
+    """Outages of trials ``[lo, hi)`` for each u0, from unstopped walks:
+    ``u0 <= D_i``, with the scalar simulator deciding inside the tie band."""
+    counts = [0] * len(u0_grid)
+    for i in range(lo, hi):
+        deficit = max_deficit_full_blocks(params, horizon, trial_rng(seed, i))
+        for k, u0 in enumerate(u0_grid):
+            if abs(u0 - deficit) <= _TIE_RTOL * (1.0 + abs(deficit)):
+                events = poisson_events(params.lam, params.packet, trial_rng(seed, i))
+                counts[k] += simulate_first_passage(replace(params, u0=u0), horizon, events).outage
+            else:
+                counts[k] += u0 <= deficit
+    return counts
 
 
 def _old_path_estimate(params, horizon, trials, seed, ci_method):

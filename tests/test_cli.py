@@ -2,11 +2,14 @@
 and figure reproduction plumbing."""
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hsc
 import hsc.cli as cli
 import hsc.simulate as simulate
 from hsc import ConvergenceError, PreconditionError, SystemParams, parse_distribution_spec
@@ -382,6 +385,24 @@ class TestMainEntry:
         assert code == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,config,key",
+        [
+            (["sweep", "--trials", "0"], {"trails": 5}, "trails"),
+            (["sweep", "--trials", "0"], {"u0-grid": [0, 1]}, "u0-grid"),
+            (["analyze"], {"lam": 1.1, "packet": "exp:mean=1.0", "rho": "1.1"}, "rho"),
+            (["reproduce", "--figure", "5", "--trials", "0"], {"dist": "det:mean=1.0"}, "dist"),
+            (["sweep", "--trials", "0"], {"config": "other.json"}, "config"),
+        ],
+    )
+    def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, argv, config, key):
+        # the keys are the subcommand's flags; a typo must not be dropped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_workers_below_one_is_exit_2(self, capsys):
         code = main(
             ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--workers", "-3",
@@ -404,6 +425,14 @@ class TestMainEntry:
         assert cli._parse_u0_grid([0, 7]) == [0.0, 7.0]
         grid = cli._parse_u0_grid("0:0.1:0.5")
         assert len(grid) == 6 and grid[-1] == pytest.approx(0.5)
+
+
+class TestVersion:
+    def test_package_version_equals_pyproject(self):
+        # the manifest's tool_version is hsc.__version__; keep it in step
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        match = re.search(r'^\[project\]$[^\[]*?^version = "([^"]+)"$', text, re.M)
+        assert match and hsc.__version__ == match.group(1)
 
 
 class TestReproduce:

@@ -25,6 +25,7 @@ from hsc import (
     lindley_path,
     poisson_events,
     record_path,
+    sample_block,
     scripted_events,
     simulate_first_passage,
     simulate_ladder,
@@ -40,7 +41,8 @@ from hsc.simulate import (
     _trial_keys,
     estimate_outage_curve,
 )
-from kernel_oracle import _first_passage_kernel, max_deficit_full_blocks
+import kernel_oracle
+from kernel_oracle import _first_passage_kernel, count_outages_full_walk, max_deficit_full_blocks
 
 EXP1 = DistributionSpec(Kind.EXPONENTIAL, 1.0)
 DET1 = DistributionSpec(Kind.DETERMINISTIC, 1.0)
@@ -213,6 +215,19 @@ class TestLadderScripted:
                 assert a.first_ladder_height == pytest.approx(
                     b.first_ladder_height, rel=1e-9
                 )
+
+    def test_kernel_matches_the_stream_walk_in_a_cut_final_block(self):
+        # drifting up (rho < 1), the running maximum lands in the last of
+        # 3000 steps' three blocks, the one cut at max_steps
+        for packet in (EXP1, DistributionSpec(Kind.UNIFORM, 1.0)):
+            params = SystemParams(lam=0.9, packet=packet, p=1.0)
+            for i in range(10):
+                a = _ladder_kernel(params, 3000, trial_rng(17, i))
+                events = poisson_events(params.lam, params.packet, trial_rng(17, i))
+                pairs = np.array(list(itertools.islice(events, 3000)))
+                walk = np.cumsum(params.p * pairs[:, 0] - pairs[:, 1])
+                assert walk.argmax() >= 2 * EVENT_BLOCK
+                assert a.max_shortfall == pytest.approx(walk.max(), rel=1e-9)
 
     def test_walks_use_the_trial_streams(self):
         params = mm1()
@@ -421,33 +436,106 @@ class TestOutageCurve:
                     assert round(est.estimate * 25) == scalar, (packet, lam, u0)
 
     def test_early_stop_keeps_every_count_up_to_the_ceiling(self):
-        # a walk stopped at the ceiling must agree with the full walk on
-        # every u0 <= ceiling: same D_i, or both at or above the ceiling.
-        # A ceiling of -inf stops after one block, at that block's maximum.
-        for lam in (0.9, 1.0):
+        # a stopped walk must decide every grid u0 as the full walk does, and
+        # a grid holding D_i itself keeps the walk going until it reaches D_i.
+        # An empty grid stops after one block, at that block's maximum.
+        for lam in (0.9, 1.0, 1.1):
             params = mm1(lam=lam)
             for i in range(20):
-                full = _max_deficit(params, 5000.0, trial_rng(2, i), math.inf)
-                first = _max_deficit(params, 5000.0, trial_rng(2, i), -math.inf)
-                for ceiling in (first + 0.5, 50.0, 120.0):
-                    stopped = _max_deficit(params, 5000.0, trial_rng(2, i), ceiling)
-                    assert stopped == full or min(stopped, full) >= ceiling
+                full = max_deficit_full_blocks(params, 5000.0, trial_rng(2, i))
+                first = _max_deficit(params, 5000.0, trial_rng(2, i), [])
+                assert _max_deficit(params, 5000.0, trial_rng(2, i), [full]) == full
+                for grid in ([first + 0.5], [50.0], [120.0], sorted([0.0, first + 0.5, 50.0, 120.0])):
+                    stopped = _max_deficit(params, 5000.0, trial_rng(2, i), grid)
+                    assert first <= stopped <= full
+                    assert [u0 <= stopped for u0 in grid] == [u0 <= full for u0 in grid]
 
-    def test_final_block_cut_keeps_the_deficit_bit_identical(self):
+    def test_final_block_cut_keeps_the_deficit_bit_identical(self, monkeypatch):
+        # a u0 one ulp above D_i is decided only when no later deficit can
+        # reach it (then D_i is already the running maximum) or at the
+        # horizon, where the walk's last block is cut short
+        drawn = {}
+
+        def counting(module):
+            def sample(spec, rng, n):
+                drawn[module].append(n)
+                return sample_block(spec, rng, n)
+
+            drawn[module] = []
+            monkeypatch.setattr(module, "sample_block", sample)
+
+        counting(simulate)
+        counting(kernel_oracle)
+        walked = 0
         for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
-            for lam, horizon in ((0.9, 1000.0), (1.1, 1000.0), (1.3, 2500.0), (1.0, 30.0)):
+            for lam, horizon in (
+                (0.9, 1000.0), (0.9, 2500.0), (1.0, 2500.0), (1.1, 1000.0), (1.3, 2500.0), (1.0, 30.0)
+            ):
                 params = SystemParams(lam=lam, packet=packet, p=1.0)
                 for i in range(15):
-                    for ceiling in (math.inf, 30.0):
-                        got = _max_deficit(params, horizon, trial_rng(9, i), ceiling)
-                        ref = max_deficit_full_blocks(params, horizon, trial_rng(9, i), ceiling)
-                        assert got == ref, (packet, lam, i, ceiling)
+                    for n in drawn.values():
+                        n.clear()
+                    ref = max_deficit_full_blocks(params, horizon, trial_rng(9, i))
+                    grid = [float(np.nextafter(ref, math.inf))]
+                    got = _max_deficit(params, horizon, trial_rng(9, i), grid)
+                    assert got == ref, (packet, lam, i)
+                    kernel, full = drawn[simulate], drawn[kernel_oracle]
+                    assert kernel[:-1] == full[: len(kernel) - 1] and len(kernel) <= len(full)
+                    if len(kernel) == len(full) > 1:
+                        walked += 1
+                        assert kernel[-1] <= full[-1] == EVENT_BLOCK
+        assert walked >= 60  # multi-block walks that reached the horizon
+
+    def test_stopped_walk_counts_equal_the_full_walk_oracle(self):
+        # horizons end mid-block; the grids are unsorted and repeat a value
+        grids = ([12.5, 0.0, 5.0, 5.0, 60.0, 30.0], [40.0, 3.0, 3.0, 0.5])
+        for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
+            for lam, horizon in ((0.9, 2000.0), (1.0, 1500.3), (1.1, 2500.0), (1.3, 3100.7)):
+                params = SystemParams(lam=lam, packet=packet, p=1.0)
+                for grid in grids:
+                    expect = count_outages_full_walk(params, horizon, 4, grid, 0, 30)
+                    assert _count_range(params, horizon, 4, grid, 0, 30) == expect, (packet, lam)
+
+    def test_u0_at_the_bound_keeps_the_walk_going(self, monkeypatch):
+        # after the first block no later deficit exceeds p * H - A; a u0 at
+        # that bound, or within the tie band above it, is not yet decided
+        params = mm1(lam=1.1)
+        horizon, p = 2500.0, params.p
+        blocks, tried = [], 0
+        monkeypatch.setattr(
+            simulate, "sample_block", lambda *args: blocks.append(args) or sample_block(*args)
+        )
+        for i in range(10):
+            rng = trial_rng(5, i)
+            gaps = rng.exponential(1.0 / params.lam, EVENT_BLOCK)
+            deficits = np.cumsum(p * gaps - sample_block(params.packet, rng, EVENT_BLOCK))
+            bound = float(deficits[-1]) + p * (horizon - float(np.cumsum(gaps)[-1]))
+            band = simulate._TIE_RTOL * (1.0 + abs(bound))
+            if bound <= deficits.max():
+                continue  # D_i already decided by the first block
+            tried += 1
+            for grid, walks_on in (([bound], True), ([bound + 0.5 * band], True), ([bound + 2 * band], False)):
+                blocks.clear()
+                _max_deficit(params, horizon, trial_rng(5, i), grid)
+                assert (len(blocks) > 1) == walks_on, (i, grid)
+                expect = count_outages_full_walk(params, horizon, 5, grid, i, i + 1)
+                assert _count_range(params, horizon, 5, grid, i, i + 1) == expect
+        assert tried == 10
+
+    def test_walk_stops_once_every_u0_is_decided(self, monkeypatch):
+        # rho 1.1, H = 1000: after one block p * H - A is mostly below u0 = 30
+        calls = []
+        monkeypatch.setattr(
+            simulate, "sample_block", lambda *args: calls.append(args) or sample_block(*args)
+        )
+        _count_range(mm1(lam=1.1), 1000.0, 7, [30.0], 0, 400)
+        assert len(calls) / 400 <= 1.1
 
     def test_chunk_counts_match_scalar_across_row_blocks(self):
         # 1100 trials span two 1024-row blocks of the (trial, u0) comparison;
         # one u0 ties trial 1050 exactly, so the replay must find that trial
         params = mm1()
-        tie = _max_deficit(params, 30.0, trial_rng(3, 1050), math.inf)
+        tie = max_deficit_full_blocks(params, 30.0, trial_rng(3, 1050))
         grid = [0.0, 4.0, tie]
         expect = [
             sum(
@@ -509,7 +597,7 @@ class TestOutageCurve:
         )
         tried = 0
         for i in range(10):
-            deficit = _max_deficit(params, 300.0, trial_rng(3, i), math.inf)
+            deficit = max_deficit_full_blocks(params, 300.0, trial_rng(3, i))
             if deficit < 0.0:
                 continue
             tried += 1
@@ -523,7 +611,8 @@ class TestOutageCurve:
         # deficit p * H - A_J = 80 - 46 is exactly 34.0.  The scalar's running
         # time rounds past H and sees no outage; block arithmetic sees one.
         params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
-        assert _max_deficit(params, 40.0, trial_rng(8, 128), math.inf) == 34.0
+        assert _max_deficit(params, 40.0, trial_rng(8, 128), [34.0]) == 34.0
+        assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 128)) == 34.0
         events = poisson_events(1.0, DET1, trial_rng(8, 128))
         scalar = simulate_first_passage(params, 40.0, events).outage
         assert _first_passage_kernel(params, 40.0, trial_rng(8, 128)).outage != scalar
