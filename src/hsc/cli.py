@@ -38,7 +38,12 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .simulate import EstimateWithCI, _estimate_outage_curves, estimate_eventual_outage
+from .simulate import (
+    EstimateWithCI,
+    _estimate_outage_curves,
+    _finite_horizon,
+    estimate_eventual_outage,
+)
 
 __all__ = [
     "SweepSpec",
@@ -90,12 +95,11 @@ class SweepSpec:
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if not 0.0 < self.horizon < math.inf:
-            raise PreconditionError(
-                f"horizon must be positive and finite, got {self.horizon!r}"
-            )
+        _finite_horizon(self.horizon)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.ci_method not in ("normal", "wilson"):
+            raise ValueError(f"unknown ci_method {self.ci_method!r}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,11 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _params_report(params: SystemParams) -> dict:
+    packet = params.packet.spec_string()
+    return {"lam": params.lam, "packet": packet, "p": params.p, "u0": params.u0}
+
+
 def run_analyze(params: SystemParams) -> dict:
     """Single-point analytic report as a JSON-ready dict.
 
@@ -144,12 +153,7 @@ def run_analyze(params: SystemParams) -> dict:
     """
     verdict = utilization(params)
     report: dict = {
-        "params": {
-            "lam": params.lam,
-            "packet": params.packet.spec_string(),
-            "p": params.p,
-            "u0": params.u0,
-        },
+        "params": _params_report(params),
         "rho": verdict.rho,
         "verdict": verdict.status.value,
     }
@@ -194,12 +198,7 @@ def run_simulate(
         params, horizon, trials, seed, workers=workers, ci_method=ci_method
     )
     report = {
-        "params": {
-            "lam": params.lam,
-            "packet": params.packet.spec_string(),
-            "p": params.p,
-            "u0": params.u0,
-        },
+        "params": _params_report(params),
         "rho": params.rho,
         "psi_mc": est.estimate,
         "stderr": est.stderr,
@@ -350,27 +349,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hsc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, with_system: bool) -> None:
-        if with_system:
+    def add_flags(sp: argparse.ArgumentParser, system=False, trials=False, ci=False) -> None:
+        # each subcommand gets only the flags it reads
+        if system:
             sp.add_argument("--lam", type=float, help="packet arrival rate")
-            sp.add_argument(
-                "--packet", help="packet-size law, e.g. exp:mean=1.0 (exp|det|unif)"
-            )
+            sp.add_argument("--packet", help="packet-size law, e.g. exp:mean=1.0 (exp|det|unif)")
             sp.add_argument("--p", type=float, help="consumption rate (default 1.0)")
             sp.add_argument("--u0", type=float, help="initial energy (default 0.0)")
-        sp.add_argument("--trials", type=int, help=f"Monte-Carlo trials (default {DEFAULT_TRIALS})")
-        sp.add_argument("--horizon", type=float, help=f"simulated-time horizon (default {DEFAULT_HORIZON})")
-        sp.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-        sp.add_argument("--workers", type=int, help="worker processes for trials")
-        sp.add_argument("--ci", choices=["normal", "wilson"], help="CI method (default normal)")
+        if trials:
+            sp.add_argument("--trials", type=int, help=f"Monte-Carlo trials (default {DEFAULT_TRIALS})")
+            sp.add_argument("--horizon", type=float, help=f"simulated-time horizon (default {DEFAULT_HORIZON})")
+            sp.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+            sp.add_argument("--workers", type=int, help="worker processes for trials")
+        if ci:
+            sp.add_argument("--ci", choices=["normal", "wilson"], help="CI method (default normal)")
         sp.add_argument("--out", help="output file (directory for reproduce)")
         sp.add_argument("--config", help="JSON file with the same keys as the flags")
 
     sp = sub.add_parser("analyze", help="closed-form report for one parameter point")
-    add_common(sp, with_system=True)
+    add_flags(sp, system=True)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo outage estimate for one point")
-    add_common(sp, with_system=True)
+    add_flags(sp, system=True, trials=True, ci=True)
 
     sp = sub.add_parser("sweep", help="CSV sweep over (dist, rho, u0) grids")
     sp.add_argument("--dist", help="comma-separated packet laws (default exp:mean=1.0)")
@@ -379,11 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--u0-grid", dest="u0_grid", help="start:step:stop or comma list (default 0:2:40)"
     )
     sp.add_argument("--p", type=float, help="consumption rate (default 1.0)")
-    add_common(sp, with_system=False)
+    add_flags(sp, trials=True, ci=True)
 
     sp = sub.add_parser("reproduce", help="emit a reference figure CSV + manifest")
     sp.add_argument("--figure", help="figure number: 2, 3, 4, 5, or all")
-    add_common(sp, with_system=False)
+    add_flags(sp, trials=True)
     return parser
 
 

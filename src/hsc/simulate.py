@@ -1,36 +1,31 @@
 """Seeded Monte-Carlo engines for the surplus process.
 
-Three simulators share one event-stream convention (``(gap, packet)`` pairs,
-first packet at time zero):
+Every engine reads one event-stream convention, ``(gap, packet)`` pairs with
+the first packet at time zero.  The vectorized ones read it as one random
+walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, summed by one generator in
+the same blocks as :func:`hsc.distributions.poisson_events`, so the scalar
+simulators replay the same realization.  Two functionals are read off it:
 
-* first-passage trials that find the exact ramp-crossing instant of an
-  outage within a finite horizon,
-* truncated random-walk runs recording the first ascending ladder point and
-  the running maximum,
-* the nonnegative battery recursion at arrival epochs (``rho < 1`` regime)
-  with empty-time accounting.
+* the largest energy deficit before the horizon, ``D_i = max_j (p *
+  min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
+  delivered up to and including it).  From any ``u0`` the trial has an
+  outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
+  counts a whole ``u0`` grid; near ties go to the scalar first-passage
+  simulator, which solves the exact ramp-crossing instant.  Packets are
+  nonnegative, so after a block no later deficit exceeds ``p * H - A``; the
+  walk stops at the first block end where no grid ``u0`` lies above its
+  running maximum and within reach of that bound, tie band included.
+* the first ascending ladder point and the running maximum of a walk
+  truncated at ``max_steps``.
 
-One walk per trial.  Trial ``i`` of a run seeded with ``seed`` walks its
-own stream ``trial_rng(seed, i)`` (seed-sequence spawning on a counter-based
-generator) once, recording its largest energy deficit before the horizon,
-``D_i = max_j (p * min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``;
-``A_j``: energy delivered up to and including it).  From any ``u0`` it has
-an outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
-counts a whole ``u0`` grid, bit-identically in any trial order or worker
-count.  Packets are nonnegative, so after a block no later deficit exceeds
-``p * H - A`` (``A``: the energy delivered so far); the walk stops at the
-first block end where no grid ``u0`` lies above its running maximum and
-within reach of that bound, tie band included, so every ``u0`` is decided
-as by the full walk.  The vectorized kernels draw in the same blocks as
-:func:`hsc.distributions.poisson_events`, so the scalar simulators replay
-the same realization; a walk's final block draws packets only up to the
-horizon (or the step limit), since no later stream position is ever read.
-
-The kernels build each trial's generator from its Philox key, derived for a
-whole chunk of trials in one vectorized pass (:func:`_trial_keys`).  The
-keys equal numpy's seed-sequence spawn keys, so the streams are those of
-:func:`trial_rng`, which stays the public reference.  A sweep puts every
-(column, trial chunk) task on one pool queue.
+A walk's final block draws packets only up to the horizon or the step
+limit.  The battery recursion at arrival epochs (``rho < 1`` regime) is
+scalar.  Trial ``i`` of a run seeded with ``seed`` walks its own stream
+``trial_rng(seed, i)``; the kernels build its generator from its Philox key,
+derived for a whole chunk of trials in one vectorized pass
+(:func:`_trial_keys`) and equal to numpy's seed-sequence spawn key.  So
+counts are bit-identical in any trial order or worker count.  A sweep puts
+every (column, trial chunk) task on one pool queue.
 """
 from __future__ import annotations
 
@@ -181,6 +176,13 @@ def _keyed_rng(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
+def _finite_horizon(horizon: float) -> float:
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
+    return horizon
+
+
 def simulate_first_passage(
     params: SystemParams,
     horizon: float,
@@ -195,9 +197,7 @@ def simulate_first_passage(
     ``horizon`` must be finite, since an endless stream at ``rho > 1`` may
     never produce an outage.
     """
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
+    horizon = _finite_horizon(horizon)
     p = params.p
     t = 0.0  # arrival instant of the pair being consumed
     level = params.u0  # surplus just before that arrival
@@ -220,33 +220,47 @@ def simulate_first_passage(
     return TrialOutcome(False, None, seen)
 
 
+def _walk(
+    params: SystemParams,
+    rng: np.random.Generator,
+    horizon: float = math.inf,
+    max_steps: float = math.inf,
+) -> Iterator[tuple[np.ndarray, float]]:
+    # S_n of the module docstring in the blocks of poisson_events(rng): yields
+    # each block's S values and the arrival time after its last step (summed
+    # only for a finite horizon).  Ends at the first ramp reaching the horizon
+    # or at step max_steps, drawing that block's packets only up to there.
+    s = t = 0.0  # S and the arrival time after the previous block
+    done = 0
+    while done < max_steps and t < horizon:
+        gaps = rng.exponential(1.0 / params.lam, EVENT_BLOCK)
+        n = min(EVENT_BLOCK, max_steps - done)
+        if horizon < math.inf:
+            ends = t + np.cumsum(gaps)
+            n = min(n, int(np.searchsorted(ends, horizon)) + 1)  # first ramp reaching H
+            t = float(ends[n - 1])
+        walk = s + np.cumsum(params.p * gaps[:n] - sample_block(params.packet, rng, n))
+        s = float(walk[-1])
+        done += n
+        yield walk, t
+
+
 def _max_deficit(
     params: SystemParams, horizon: float, rng: np.random.Generator, u0_sorted: list[float]
 ) -> float:
     # D_i of the module docstring, or a running maximum that decides each of
     # u0_sorted alike: the walk stops at a block end once no u0 lies above the
     # maximum yet within reach of p * H - A (plus the tie band).
-    p = params.p
-    scale = 1.0 / params.lam
-    t0 = 0.0  # time of the block's first arrival
-    s0 = 0.0  # p * t0 minus the energy delivered before it
     best = -math.inf
-    while True:
-        gaps = rng.exponential(scale, EVENT_BLOCK)
-        ends = t0 + np.cumsum(gaps)
-        last = int(np.searchsorted(ends, horizon))  # first ramp ending at or past H
-        n = min(last + 1, EVENT_BLOCK)  # packets after arrival `last` are never read
-        deficits = s0 + np.cumsum(p * gaps[:n] - sample_block(params.packet, rng, n))
-        if last < EVENT_BLOCK:
-            deficits[last] -= p * (ends[last] - horizon)
-            return max(best, float(deficits[: last + 1].max()))
+    for deficits, t in _walk(params, rng, horizon):
+        if t >= horizon:  # the walk's last ramp, cut at H
+            deficits[-1] -= params.p * (t - horizon)
         best = max(best, float(deficits.max()))
-        s0 = float(deficits[-1])
-        t0 = float(ends[-1])
-        bound = s0 + p * (horizon - t0)  # p * H - A: no later deficit exceeds it
+        bound = float(deficits[-1]) + params.p * (horizon - t)  # p * H - A caps later deficits
         k = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
         if k == len(u0_sorted) or u0_sorted[k] - _TIE_RTOL * (1.0 + abs(bound)) > bound:
-            return best
+            break
+    return best
 
 
 def _count_range(
@@ -314,9 +328,7 @@ def _estimate_outage_curves(
     trials = int(trials)
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
+    horizon = _finite_horizon(horizon)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
@@ -446,29 +458,17 @@ def _ladder_kernel(
     # stop_drawdown ends the run once the walk sits that far below its
     # running maximum: with drift down, the probability that either recorded
     # statistic could still change is at most exp(-r* drawdown).
-    p = params.p
-    scale = 1.0 / params.lam
-    s = 0.0
     s_max = 0.0
-    epoch: int | None = None
-    height: float | None = None
+    epoch = height = None
     done = 0
-    while done < max_steps:
-        take = min(EVENT_BLOCK, max_steps - done)  # the walk ends after a short block
-        gaps = rng.exponential(scale, EVENT_BLOCK)
-        walk = s + np.cumsum(p * gaps[:take] - sample_block(params.packet, rng, take))
+    for walk, _ in _walk(params, rng, max_steps=max_steps):
         if epoch is None:
             pos = np.flatnonzero(walk > 0.0)
             if pos.size:
-                j = int(pos[0])
-                epoch = done + j + 1
-                height = float(walk[j])
-        block_max = float(walk.max())
-        if block_max > s_max:
-            s_max = block_max
-        s = float(walk[-1])
-        done += take
-        if stop_drawdown is not None and s_max - s >= stop_drawdown:
+                epoch, height = done + int(pos[0]) + 1, float(walk[pos[0]])
+        s_max = max(s_max, float(walk.max()))
+        done += walk.size
+        if stop_drawdown is not None and s_max - float(walk[-1]) >= stop_drawdown:
             break
     return LadderSample(epoch is None, s_max, epoch, height)
 
@@ -598,9 +598,7 @@ def record_path(
     :func:`simulate_first_passage` on the same stream, and ``horizon``
     must be finite as there.
     """
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
+    horizon = _finite_horizon(horizon)
     p = params.p
     t = 0.0
     level = params.u0

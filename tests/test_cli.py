@@ -210,6 +210,8 @@ class TestSweep:
         for workers in (0, -3):
             with pytest.raises(ValueError):
                 SweepSpec(**grids, workers=workers)
+        with pytest.raises(ValueError, match="bogus"):
+            SweepSpec(**grids, trials=0, ci_method="bogus")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -393,6 +395,8 @@ class TestMainEntry:
             (["analyze"], {"lam": 1.1, "packet": "exp:mean=1.0", "rho": "1.1"}, "rho"),
             (["reproduce", "--figure", "5", "--trials", "0"], {"dist": "det:mean=1.0"}, "dist"),
             (["sweep", "--trials", "0"], {"config": "other.json"}, "config"),
+            (["analyze"], {"lam": 1.1, "packet": "exp:mean=1.0", "trials": 5}, "trials"),
+            (["reproduce", "--figure", "5", "--trials", "0"], {"ci": "wilson"}, "ci"),
         ],
     )
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, argv, config, key):
@@ -402,6 +406,30 @@ class TestMainEntry:
         assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--trials", "5"],
+            ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--horizon", "50"],
+            ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--seed", "3"],
+            ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--workers", "2"],
+            ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--ci", "wilson"],
+            ["reproduce", "--figure", "5", "--trials", "0", "--ci", "wilson"],
+        ],
+    )
+    def test_flag_the_subcommand_ignores_is_exit_2(self, tmp_path, capsys, argv):
+        # each subcommand takes only the flags it reads
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_ci_method_is_exit_2_without_trials(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ci": "bogus"}))
+        for trials in ("0", "5"):
+            assert main(["sweep", "--trials", trials, "--u0-grid", "0", "--config", str(cfg)]) == 2
+            assert "bogus" in capsys.readouterr().err
 
     def test_workers_below_one_is_exit_2(self, capsys):
         code = main(

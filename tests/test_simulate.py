@@ -203,10 +203,10 @@ class TestLadderScripted:
 
     def test_kernel_matches_scalar_walk(self):
         params = mm1()
-        for i in range(20):
-            a = _ladder_kernel(params, 3000, trial_rng(17, i))
+        for max_steps, i in itertools.product((3000, 1, 1024, 1025, 2048), range(20)):
+            a = _ladder_kernel(params, max_steps, trial_rng(17, i))
             b = simulate_ladder(
-                params, 3000, poisson_events(params.lam, params.packet, trial_rng(17, i))
+                params, max_steps, poisson_events(params.lam, params.packet, trial_rng(17, i))
             )
             assert a.terminated == b.terminated
             assert a.first_ladder_epoch == b.first_ladder_epoch
@@ -485,6 +485,30 @@ class TestOutageCurve:
                         walked += 1
                         assert kernel[-1] <= full[-1] == EVENT_BLOCK
         assert walked >= 60  # multi-block walks that reached the horizon
+
+    def test_horizon_at_a_block_end_arrival(self):
+        # H at T_1023 or T_1024 (the arrival after the first block's last gap),
+        # and one ulp either side: the walk takes the steps up to the first
+        # ramp reaching H, so one ulp past T_1024 its second block is one step
+        for packet in (EXP1, DET1):
+            params = SystemParams(lam=1.1, packet=packet, p=1.0)
+            for i in range(10):
+                ends = np.cumsum(trial_rng(6, i).exponential(1.0 / params.lam, EVENT_BLOCK))
+                for j in (EVENT_BLOCK - 2, EVENT_BLOCK - 1):
+                    arrival = float(ends[j])
+                    for horizon, steps in (
+                        (float(np.nextafter(arrival, 0.0)), j + 1),
+                        (arrival, j + 1),
+                        (float(np.nextafter(arrival, math.inf)), j + 2),
+                    ):
+                        walk = list(simulate._walk(params, trial_rng(6, i), horizon))
+                        sizes = [w.size for w, _ in walk]
+                        assert sizes == [min(steps, EVENT_BLOCK)] + [1] * (steps > EVENT_BLOCK)
+                        assert walk[-1][1] >= horizon
+                        ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
+                        for grid in ([], [ref], [float(np.nextafter(ref, math.inf))]):
+                            got = _max_deficit(params, horizon, trial_rng(6, i), grid)
+                            assert got == ref, (packet, i, j, horizon, grid)
 
     def test_stopped_walk_counts_equal_the_full_walk_oracle(self):
         # horizons end mid-block; the grids are unsorted and repeat a value
