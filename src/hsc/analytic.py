@@ -21,13 +21,16 @@ With utilization ``rho = lam * mean / p``:
 
 For Poisson arrivals the decay is exact, not just asymptotic::
 
-    psi(u0) = (1 - r* p / lam) * exp(-r* u0)
+    psi(u0) = theta * exp(-r* u0),   theta = E[e^{-r* X}] = 1 - r* p / lam
 
-and ``exp(-r* u0)`` is always an upper bound.  The module also provides the
-first-ascent ("ladder") height density of the walk, a trapezoidal solver for
-the defective renewal equation satisfied by ``phi = 1 - psi``, the density
-of a single step, and the stationary fraction of time spent empty in the
-``rho < 1`` regime.
+and ``exp(-r* u0)`` is always an upper bound.  ``r*`` is solved in the
+fixed-point form ``(1 - E[e^{-r X}]) / (r mean) = 1 / rho`` of the CGF
+root, and ``theta`` is taken as ``E[e^{-r* X}]``, so both keep their
+digits at either end of rho (Asmussen & Albrecher, *Ruin Probabilities*,
+ch. IV).  The module also provides the first-ascent ("ladder") height
+density of the walk, a trapezoidal solver for the defective renewal
+equation satisfied by ``phi = 1 - psi``, the density of a single step, and
+the stationary fraction of time spent empty in the ``rho < 1`` regime.
 """
 from __future__ import annotations
 
@@ -37,9 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .distributions import DistributionSpec, Kind, mgf, moments
+from .distributions import PHI_SERIES, DistributionSpec, Kind, log_laplace, log_phi, moments
 from .errors import ConvergenceError, DomainError, GridError, PreconditionError
 
 __all__ = [
@@ -72,8 +74,7 @@ class Sustainability(enum.Enum):
     SELF_SUSTAINABLE_POSSIBLE = "SelfSustainablePossible"
 
 
-@dataclass(frozen=True)
-class SustainabilityVerdict:
+class SustainabilityVerdict(NamedTuple):
     """Utilization together with the regime it implies."""
 
     rho: float
@@ -120,14 +121,14 @@ class SolveMethod(enum.Enum):
     NUMERIC = "numeric"
 
 
-@dataclass(frozen=True)
-class AdjustmentResult:
-    """Adjustment coefficient plus provenance of the solve."""
+class AdjustmentResult(NamedTuple):
+    """Adjustment coefficient, ladder mass ``theta``, and how they were solved."""
 
     r_star: float
     method: SolveMethod
     iterations: int
     residual: float
+    theta: float
 
 
 class AdjustmentApproximations(NamedTuple):
@@ -151,15 +152,6 @@ def expected_surplus(params: SystemParams, t: float) -> float:
     return params.u0 + (params.lam * params.packet.mean - params.p) * t
 
 
-def _step_moments(params: SystemParams) -> tuple[float, float]:
-    # step = p*gap - packet, gap ~ Exp(lam) independent of packet
-    mean_x, m2_x = moments(params.packet)
-    var_x = m2_x - mean_x * mean_x
-    mu = params.p / params.lam - mean_x
-    var = (params.p / params.lam) ** 2 + var_x
-    return mu, var
-
-
 def step_cgf(params: SystemParams, r: float) -> float:
     """Cumulant generating function of one walk step at ``r``.
 
@@ -172,87 +164,85 @@ def step_cgf(params: SystemParams, r: float) -> float:
             f"step CGF diverges at r={r}: requires p*r < lam "
             f"({params.p}*{r} >= {params.lam})"
         )
-    return -math.log1p(-params.p * r / params.lam) + math.log(mgf(params.packet, -r))
+    return -math.log1p(-params.p * r / params.lam) + log_laplace(params.packet, r)
+
+
+def _rho_minus_one(params: SystemParams) -> float:
+    # (lam*mean - p) / p, whose numerator cancels as rho -> 1: Dekker's
+    # product (Veltkamp split at 2^27 + 1) gives lam*mean = hi + lo exactly,
+    # so the numerator is rounded once.  The split overflows (lo = nan) for
+    # lam or mean above 1e299, where the plain difference is used.
+    x, y, p = params.lam, params.packet.mean, params.p
+    xh = x * 134217729.0 - (x * 134217729.0 - x)
+    yh = y * 134217729.0 - (y * 134217729.0 - y)
+    hi = x * y
+    lo = xh * yh - hi + xh * (y - yh) + (x - xh) * yh + (x - xh) * (y - yh)
+    excess = (hi - p + (lo if math.isfinite(lo) else 0.0)) / p
+    if not excess > 0.0:
+        raise PreconditionError(f"adjustment coefficient requires rho > 1, got rho - 1 = {excess}")
+    return excess
+
+
+def _newton_step(kind: Kind, a: float, log_rho: float) -> tuple[float, float]:
+    # g = log phi(a) + log rho, zero at a = r* mean, and the Newton step
+    # g / (dg / d log a), which estimates the relative error of a
+    value, slope = log_phi(kind, a)
+    g = value + log_rho
+    return g, g / slope
 
 
 def solve_adjustment_coefficient(
     params: SystemParams, tol: float = 1e-12, force_numeric: bool = False
 ) -> AdjustmentResult:
-    """Find the unique positive root of the step CGF.
+    """Find the unique positive root ``r*`` of the step CGF, and ``theta``.
 
-    Exponential packets admit the closed form ``(rho - 1) / mean`` and are
-    solved that way unless ``force_numeric`` is set.  The numeric path
-    brackets the root inside ``(0, lam/p)``, starting from the
-    mean-variance guess, and polishes it with a safeguarded bracketing
-    solve; a residual above ``tol`` raises :class:`ConvergenceError`.
+    For ``r > 0``, ``K(r) = 0`` exactly when ``phi(a) = 1 / rho``, where
+    ``a = r * mean`` and ``phi(a) = (1 - E[e^{-r X}]) / a`` falls from 1 to
+    0.  Newton steps on the concave ``log phi(a) + log rho`` in ``log a``
+    start from an upper bound on the root and fall monotonically onto it;
+    a step below the lower bound ``(1 - 1/rho) E[X]^2 / (E[X^2] / 2)``
+    bisects instead.  A short series gives ``1 - phi`` for small ``a``, and
+    ``rho - 1`` is formed exactly, so ``r*`` keeps its digits as
+    ``rho -> 1``.  Exponential packets use ``r* = (lam*mean - p) /
+    (p*mean)`` unless ``force_numeric``.
+
+    ``theta = E[e^{-r* X}] = 1 - r* p/lam`` is the ladder-height mass and
+    the outage prefactor, accurate at both ends of rho.  ``residual`` is
+    the last Newton step, an estimate of the relative error of ``r*``.
 
     Raises:
         PreconditionError: if ``rho <= 1`` (no positive root exists).
+        ConvergenceError: if ``residual > tol``, or after 100 steps.
     """
-    rho = params.rho
-    if rho <= 1.0:
-        raise PreconditionError(
-            f"adjustment coefficient requires rho > 1, got rho = {rho}"
-        )
-    if params.packet.kind is Kind.EXPONENTIAL and not force_numeric:
-        r = (rho - 1.0) / params.packet.mean
+    excess = _rho_minus_one(params)
+    log_rho = math.log1p(excess)
+    mean, kind = params.packet.mean, params.packet.kind
+    if kind is Kind.EXPONENTIAL and not force_numeric:
+        residual = abs(_newton_step(kind, excess, log_rho)[1])
         return AdjustmentResult(
-            r_star=r,
-            method=SolveMethod.CLOSED_FORM,
-            iterations=0,
-            residual=abs(step_cgf(params, r)),
+            excess / mean, SolveMethod.CLOSED_FORM, 0, residual, params.p / (params.lam * mean)
         )
 
-    mu, var = _step_moments(params)
-    r0 = -2.0 * mu / var  # mean-variance guess, positive since mu < 0 here
-    hi_limit = params.lam / params.p
-
-    lo = min(r0 / 10.0, 0.5 * hi_limit)
-    for _ in range(200):
-        if step_cgf(params, lo) < 0.0:
-            break
-        lo *= 0.1
+    # 1 - c1 a <= phi(a) <= min(1/a, 1 - c1 a + c2 a^2) brackets the root
+    c1, c2 = PHI_SERIES[kind][:2]
+    x = -math.expm1(-log_rho)  # 1 - 1/rho
+    disc = c1 * c1 - 4.0 * c2 * x
+    lo, s = math.log(x / c1), log_rho
+    if disc >= 0.0:
+        s = min(s, math.log(2.0 * x / (c1 + math.sqrt(disc))))
+    for iterations in range(1, 101):
+        g, step = _newton_step(kind, math.exp(s), log_rho)
+        if g >= 0.0 or step <= 1e-15 * max(1.0, abs(s)):
+            break  # at the root, up to rounding
+        s = s - step if s - step > lo else 0.5 * (lo + s)
     else:
-        raise ConvergenceError("could not find a negative-CGF point near zero")
-
-    hi = min(2.0 * r0, 0.5 * (lo + hi_limit))
-    if hi <= lo:
-        hi = 0.5 * (lo + hi_limit)
-    found = False
-    for _ in range(200):
-        if step_cgf(params, hi) > 0.0:
-            found = True
-            break
-        lo = hi  # still left of the root: tighten the bracket
-        nxt = hi + 0.5 * (hi_limit - hi)
-        if not nxt < hi_limit or nxt <= hi:
-            break  # cannot expand further in float without leaving the domain
-        hi = nxt
-    if not found:
-        raise ConvergenceError(
-            f"failed to bracket the adjustment coefficient in (0, {hi_limit})"
-        )
-
-    root, info = brentq(
-        lambda r: step_cgf(params, r),
-        lo,
-        hi,
-        xtol=1e-18,
-        rtol=8.881784197001252e-16,
-        maxiter=300,
-        full_output=True,
-    )
-    residual = abs(step_cgf(params, root))
-    if not info.converged or residual > tol:
-        raise ConvergenceError(
-            f"root polish stalled: residual {residual} exceeds tol {tol}"
-        )
-    return AdjustmentResult(
-        r_star=float(root),
-        method=SolveMethod.NUMERIC,
-        iterations=int(info.iterations),
-        residual=residual,
-    )
+        raise ConvergenceError("adjustment coefficient did not converge in 100 steps")
+    residual = abs(step)
+    if residual > tol:
+        raise ConvergenceError(f"root polish stalled: residual {residual} exceeds tol {tol}")
+    r = min(math.exp(s) / mean, params.lam / params.p)  # r* < lam/p, up to rounding
+    theta = math.exp(log_laplace(params.packet, r))
+    return AdjustmentResult(r, SolveMethod.NUMERIC, iterations, residual, theta)
 
 
 def approx_adjustment_coefficient(params: SystemParams) -> AdjustmentApproximations:
@@ -269,9 +259,11 @@ def approx_adjustment_coefficient(params: SystemParams) -> AdjustmentApproximati
     rho = params.rho
     if rho <= 1.0:
         raise PreconditionError(f"approximations require rho > 1, got rho = {rho}")
-    _, m2_x = moments(params.packet)
+    mean_x, m2_x = moments(params.packet)
     quad = 2.0 * params.p * (rho - 1.0) / (params.lam * m2_x)
-    mu, var = _step_moments(params)
+    # step = p*gap - packet, gap ~ Exp(lam) independent of packet
+    mu = params.p / params.lam - mean_x
+    var = (params.p / params.lam) ** 2 + m2_x - mean_x * mean_x
     return AdjustmentApproximations(quad, -2.0 * mu / var)
 
 
@@ -284,34 +276,35 @@ def outage_bound(r_star: float, u0: float) -> float:
     return math.exp(-r_star * u0)
 
 
-def _check_r_star(params: SystemParams, r_star: float, tol: float = 1e-6) -> None:
-    resid = abs(step_cgf(params, r_star))
-    if resid > tol:
-        raise PreconditionError(
-            f"r_star={r_star} is not a CGF root for these parameters "
-            f"(residual {resid})"
-        )
+def _ladder_mass(params: SystemParams, r_star: float, what: str) -> float:
+    # theta = E[e^{-r* X}] = 1 - r* p/lam for a caller's r*, which may
+    # round to lam/p (det, rho >~ 37)
+    if params.rho <= 1.0:
+        raise PreconditionError(f"{what} requires rho > 1, got rho = {params.rho}")
+    if not (r_star * params.packet.mean > 0.0 and r_star <= params.lam / params.p):
+        raise PreconditionError(f"r_star must lie in (0, lam/p], got {r_star!r}")
+    return math.exp(log_laplace(params.packet, r_star))
 
 
 def eventual_outage_poisson_exact(params: SystemParams, r_star: float) -> float:
-    """Exact eventual-outage probability ``(1 - r* p/lam) exp(-r* u0)``.
+    """Exact eventual-outage probability ``theta exp(-r* u0)``.
 
-    Exactness relies on the memoryless arrival stream; ``r_star`` must be
-    the adjustment coefficient of ``params``.
+    ``theta = E[e^{-r* X}]``; exactness relies on the memoryless arrival
+    stream.  ``r_star`` must be the adjustment coefficient of ``params``:
+    the solver's Newton step from it, a relative error, is under 1e-6.
 
     Raises:
         PreconditionError: if ``rho <= 1`` or ``r_star`` is inconsistent.
     """
-    if params.rho <= 1.0:
+    theta = _ladder_mass(params, r_star, "exact formula")
+    log_rho = math.log1p(_rho_minus_one(params))
+    step = _newton_step(params.packet.kind, r_star * params.packet.mean, log_rho)[1]
+    if not abs(step) <= 1e-6:
         raise PreconditionError(
-            f"exact formula requires rho > 1, got rho = {params.rho}"
+            f"r_star={r_star} is not a CGF root for these parameters "
+            f"(relative residual {abs(step)})"
         )
-    if not 0.0 < r_star < params.lam / params.p:
-        raise PreconditionError(
-            f"r_star must lie in (0, lam/p), got {r_star!r}"
-        )
-    _check_r_star(params, r_star)
-    return (1.0 - r_star * params.p / params.lam) * math.exp(-r_star * params.u0)
+    return theta * math.exp(-r_star * params.u0)
 
 
 def asymptotic_outage(
@@ -323,8 +316,8 @@ def asymptotic_outage(
     is the total mass of the (defective) ladder-height law and ``mu_tilde``
     the mean of its exponentially tilted, proper version.
     """
-    if not 0.0 < theta < 1.0:
-        raise PreconditionError(f"theta must be in (0, 1), got {theta!r}")
+    if not 0.0 <= theta < 1.0:
+        raise PreconditionError(f"theta must be in [0, 1), got {theta!r}")
     if not r_star > 0.0:
         raise PreconditionError(f"r_star must be positive, got {r_star!r}")
     if not mu_tilde > 0.0:
@@ -354,25 +347,19 @@ def ladder_height_density_poisson(
     For Poisson arrivals: ``(lam/p - r*) exp(-lam x / p)`` on ``x >= 0``,
     with total mass ``theta = 1 - r* p / lam < 1``.
     """
-    if params.rho <= 1.0:
-        raise PreconditionError(
-            f"ladder density form requires rho > 1, got rho = {params.rho}"
-        )
-    if not 0.0 < r_star < params.lam / params.p:
-        raise PreconditionError(f"r_star must lie in (0, lam/p), got {r_star!r}")
+    theta = _ladder_mass(params, r_star, "ladder density form")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise PreconditionError("ladder heights are nonnegative; x must be >= 0")
     beta = params.lam / params.p
-    out = (beta - r_star) * np.exp(-beta * arr)
+    out = theta * beta * np.exp(-beta * arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def tilted_ladder_mean_poisson(params: SystemParams, r_star: float) -> float:
-    """Mean of the tilted ladder-height law: ``1 / (lam/p - r*)``."""
-    if not 0.0 < r_star < params.lam / params.p:
-        raise PreconditionError(f"r_star must lie in (0, lam/p), got {r_star!r}")
-    return 1.0 / (params.lam / params.p - r_star)
+    """Mean of the tilted ladder-height law: ``1 / (lam/p - r*)``, or inf."""
+    delta = _ladder_mass(params, r_star, "tilted ladder mean") * params.lam / params.p
+    return 1.0 / delta if delta > 0.0 else math.inf
 
 
 def solve_renewal_equation(

@@ -63,6 +63,7 @@ CSV_HEADER = "dist,rho,u0,r_star,psi_exact,psi_bound,psi_mc,ci_lo,ci_hi,trials,h
 DEFAULT_TRIALS = 50_000
 DEFAULT_HORIZON = 1000.0
 DEFAULT_SEED = 1
+_OUTAGE_TARGETS = (("0.1", 0.1), ("0.01", 0.01), ("0.001", 0.001))  # JSON key, epsilon
 
 _REPRODUCE_U0 = [float(u) for u in range(0, 41, 2)]
 _REPRODUCE_RHO = [1.1, 1.2, 1.3]
@@ -160,7 +161,6 @@ def run_analyze(params: SystemParams) -> dict:
     if verdict.rho > 1.0:
         adj = solve_adjustment_coefficient(params)
         r = adj.r_star
-        theta = 1.0 - r * params.p / params.lam
         report["adjustment_coefficient"] = {
             "r_star": r,
             "method": adj.method.value,
@@ -170,10 +170,10 @@ def run_analyze(params: SystemParams) -> dict:
         report["psi_exact"] = eventual_outage_poisson_exact(params, r)
         report["psi_bound"] = outage_bound(r, params.u0)
         report["psi_asymptotic"] = asymptotic_outage(
-            theta, r, tilted_ladder_mean_poisson(params, r), params.u0
+            adj.theta, r, tilted_ladder_mean_poisson(params, r), params.u0
         )
         report["required_u0"] = {
-            str(eps): required_initial_energy(r, eps) for eps in (0.1, 0.01, 0.001)
+            key: required_initial_energy(r, eps) for key, eps in _OUTAGE_TARGETS
         }
     else:
         report["psi_exact"] = 1.0

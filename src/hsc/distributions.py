@@ -31,6 +31,7 @@ __all__ = [
     "sample",
     "sample_block",
     "moments",
+    "log_laplace",
     "mgf",
     "poisson_events",
     "scripted_events",
@@ -151,28 +152,74 @@ def moments(spec: DistributionSpec) -> tuple[float, float]:
     return m, 4.0 * m * m / 3.0
 
 
+def log_laplace(spec: DistributionSpec, r: float) -> float:
+    """``log E[e^{-r X}]`` of the packet law, finite where the transform
+    itself under- or overflows.
+
+    Exponential packets need ``r > -1/mean``; otherwise a
+    :class:`DomainError` is raised.
+    """
+    a = float(r) * spec.mean
+    if spec.kind is Kind.EXPONENTIAL:
+        if a <= -1.0:
+            raise DomainError(
+                f"E[e^(-rX)] of exponential packets diverges at r={r} "
+                f"(requires r > -1/mean = {-1.0 / spec.mean})"
+            )
+        return -math.log1p(a)
+    if spec.kind is Kind.DETERMINISTIC:
+        return -a
+    # uniform: E e^{-bU} = (1 - e^{-b}) / b for U ~ Unif(0, 1) and b = 2a,
+    # with e^{-b} factored out for b < 0; expm1 keeps it exact as b -> 0
+    b = abs(2.0 * a)
+    return 0.0 if b == 0.0 else math.log(-math.expm1(-b) / b) + max(-2.0 * a, 0.0)
+
+
 def mgf(spec: DistributionSpec, r: float) -> float:
     """Moment generating function E[e^{rX}] of the packet law at ``r``.
 
     Exponential packets are only finite for r < 1/mean; outside that a
-    :class:`DomainError` is raised.  The uniform closed form
-    ``(e^{2mr} - 1) / (2mr)`` is evaluated through ``expm1`` so it stays
-    accurate to machine precision as r -> 0.
+    :class:`DomainError` is raised.
     """
-    r = float(r)
-    m = spec.mean
-    if spec.kind is Kind.EXPONENTIAL:
-        if r >= 1.0 / m:
-            raise DomainError(
-                f"exponential MGF diverges at r={r} (requires r < 1/mean = {1.0 / m})"
-            )
-        return 1.0 / (1.0 - r * m)
-    if spec.kind is Kind.DETERMINISTIC:
-        return math.exp(m * r)
-    a = 2.0 * m * r
-    if a == 0.0:
-        return 1.0
-    return math.expm1(a) / a
+    return math.exp(log_laplace(spec, -r))
+
+
+# Taylor coefficients c_k = E[Y^(k+1)] / (k+1)! of
+# 1 - phi(a) = sum_{k>=1} (-1)^(k+1) c_k a^k, for Y = X / mean.
+PHI_SERIES = {
+    Kind.EXPONENTIAL: [1.0] * 12,
+    Kind.DETERMINISTIC: [1.0 / math.factorial(k + 1) for k in range(1, 13)],
+    Kind.UNIFORM: [2.0 ** (k + 1) / math.factorial(k + 2) for k in range(1, 13)],
+}
+
+
+def log_phi(kind: Kind, a: float) -> tuple[float, float]:
+    """``log phi(a)`` and its slope ``d log phi / d log a``, for ``a > 0``.
+
+    ``phi(a) = (1 - E[e^{-a Y}]) / a`` with ``Y = X / mean`` falls from 1
+    to 0.  Below ``a = 0.1`` the series ``PHI_SERIES`` is summed until a
+    term falls under 1e-17 of the total (at most twelve terms), so
+    ``1 - phi`` keeps its digits as ``a -> 0``.
+    """
+    if kind is Kind.EXPONENTIAL:
+        return -math.log1p(a), -a / (1.0 + a)
+    if a < 0.1:
+        w = aw = 0.0  # 1 - phi and a * d(1 - phi)/da
+        power = -1.0
+        for k, c in enumerate(PHI_SERIES[kind], 1):
+            power *= -a
+            w += c * power
+            aw += k * c * power
+            if c * abs(power) < 1e-17 * w:
+                break
+        return math.log1p(-w), -aw / (1.0 - w)
+    # with a * phi = 1 - E e^{-aY} = l1 and m = -a d/da E e^{-aY}
+    if kind is Kind.DETERMINISTIC:
+        l1, m = -math.expm1(-a), a * math.exp(-a)
+    else:
+        laplace = -math.expm1(-2.0 * a) / (2.0 * a)
+        l1, m = 1.0 - laplace, laplace - math.exp(-2.0 * a)
+    return math.log(l1 / a), m / l1 - 1.0
 
 
 def poisson_events(

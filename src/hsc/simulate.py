@@ -183,6 +183,12 @@ def _finite_horizon(horizon: float) -> float:
     return horizon
 
 
+def _step_cap(max_steps: int) -> int:
+    if not (float(max_steps).is_integer() and max_steps >= 1):
+        raise PreconditionError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+    return int(max_steps)
+
+
 def simulate_first_passage(
     params: SystemParams,
     horizon: float,
@@ -427,9 +433,7 @@ def simulate_ladder(
     (the first ascending ladder point) and the running maximum, both
     truncated at ``max_steps``.
     """
-    max_steps = int(max_steps)
-    if max_steps < 1:
-        raise PreconditionError(f"max_steps must be >= 1, got {max_steps}")
+    max_steps = _step_cap(max_steps)
     p = params.p
     s = 0.0
     s_max = 0.0
@@ -489,6 +493,7 @@ def collect_ladder_samples(
     walks = int(walks)
     if walks < 1:
         raise PreconditionError(f"walks must be >= 1, got {walks}")
+    max_steps = _step_cap(max_steps)
     return [
         _ladder_kernel(params, max_steps, _keyed_rng(key), stop_drawdown)
         for key in _trial_keys(seed, 0, walks)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mp_reference import adjustment
 
 from hsc import (
     ConvergenceError,
@@ -138,6 +139,11 @@ class TestStepCgf:
         second = step_cgf(p, r + h) - 2 * step_cgf(p, r) + step_cgf(p, r - h)
         assert second >= -1e-10
 
+    def test_finite_where_the_laplace_transform_underflows(self):
+        # E e^{-800 X} = e^{-800} underflows; its log does not
+        p = SystemParams(1000.0, DET1, 1.0)
+        assert step_cgf(p, 800.0) == pytest.approx(math.log(5.0) - 800.0, rel=1e-15)
+
     def test_frozen_roots_have_tiny_residual(self):
         assert abs(step_cgf(SystemParams(1.1, DET1, 1.0), R_DET)) < 1e-12
         assert abs(step_cgf(SystemParams(1.1, UNIF1, 1.0), R_UNIF)) < 1e-12
@@ -186,6 +192,58 @@ class TestAdjustmentSolver:
             solve_adjustment_coefficient(
                 SystemParams(1.1, DET1, 1.0), tol=0.0, force_numeric=True
             )
+
+
+RHO_GRID = (1 + 1e-12, 1 + 1e-10, 1 + 1e-8, 1 + 1e-4, 1.1, 3.0, 50.0, 700.0, 1e3, 1e4, 1e6)
+
+
+class TestAgainstMpmath:
+    """r* and theta against a 60-digit root computed in tests/mp_reference.py."""
+
+    @pytest.mark.parametrize("mean,p", [(1.0, 1.0), (0.37, 2.5)])
+    @pytest.mark.parametrize("rho", RHO_GRID)
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_root_and_theta_within_1e_10(self, kind, rho, mean, p):
+        params = params_from(kind, mean, rho, p=p)
+        r_ref, theta_ref = adjustment(kind.value, mean, params.lam, p)
+        for force in {False, kind is Kind.EXPONENTIAL}:
+            res = solve_adjustment_coefficient(params, force_numeric=force)
+            assert abs(res.r_star - r_ref) <= 1e-10 * r_ref
+            floor = 1e-300 if theta_ref < 1e-300 else 0.0
+            assert abs(res.theta - theta_ref) <= 1e-10 * theta_ref + floor
+            # the checks on a caller's r* accept the solver's own
+            psi = eventual_outage_poisson_exact(params, res.r_star)
+            assert psi == pytest.approx(res.theta, rel=1e-14, abs=1e-300)
+            assert tilted_ladder_mean_poisson(params, res.r_star) > 0.0
+            assert ladder_height_density_poisson(params, res.r_star, 0.0) >= 0.0
+
+    @pytest.mark.parametrize("rho", [1.1, 50.0, 1e6])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_rates_near_the_top_of_the_double_range(self, kind, rho):
+        # lam = rho * 5e299 overflows the exact product's split
+        params = params_from(kind, 2.0, rho, p=1e300)
+        r_ref, theta_ref = adjustment(kind.value, 2.0, params.lam, 1e300)
+        res = solve_adjustment_coefficient(params, force_numeric=True)
+        assert abs(res.r_star - r_ref) <= 1e-10 * r_ref
+        assert abs(res.theta - theta_ref) <= 1e-10 * theta_ref + 1e-300
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_caller_check_is_relative_near_rho_one(self, kind):
+        params = params_from(kind, 0.37, 1 + 1e-12, p=2.5)
+        r = solve_adjustment_coefficient(params).r_star
+        for wrong in (r * (1 - 1e-4), r * (1 + 1e-4), 1e-3 * r):
+            with pytest.raises(PreconditionError):
+                eventual_outage_poisson_exact(params, wrong)
+
+    def test_underflowed_theta_gives_zero_outage(self):
+        params = SystemParams(1e3, DET1, 1.0, u0=3.0)
+        res = solve_adjustment_coefficient(params)
+        assert res.r_star == pytest.approx(params.lam / params.p, rel=1e-15)
+        assert res.theta == 0.0
+        assert eventual_outage_poisson_exact(params, res.r_star) == 0.0
+        mu = tilted_ladder_mean_poisson(params, res.r_star)
+        assert mu == math.inf
+        assert asymptotic_outage(res.theta, res.r_star, mu, params.u0) == 0.0
 
 
 class TestApproximations:

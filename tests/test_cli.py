@@ -2,7 +2,10 @@
 and figure reproduction plumbing."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,19 @@ class TestAnalyzeReport:
         assert report["verdict"] == "UnsustainableCertain"
         assert report["psi_exact"] == 1.0
         assert "stationary_outage" not in report
+
+    @pytest.mark.parametrize("kind", ["exp", "det", "unif"])
+    @pytest.mark.parametrize(
+        "rho", [0.5, 1.0, 1 + 1e-12, 1 + 1e-10, 1 + 1e-8, 1.1, 3.0, 50.0, 1e3, 1e4, 1e6]
+    )
+    def test_report_over_the_whole_rho_range(self, kind, rho):
+        report = run_analyze(params(f"{kind}:mean=1.0", lam=rho, u0=30.5))
+        assert 0.0 <= report["psi_exact"] <= 1.0
+        if rho > 1.0:
+            assert 0.0 <= report["psi_asymptotic"] <= report["psi_bound"] <= 1.0
+            assert report["psi_exact"] <= report["psi_bound"]
+            if kind == "det" and rho >= 1e3:  # theta = e^{-r* mean} underflows
+                assert report["psi_exact"] == report["psi_asymptotic"] == 0.0
 
 
 class TestSimulateReport:
@@ -344,6 +360,12 @@ class TestMainEntry:
         assert main(["analyze", "--lam", "1.1", "--packet", "det:mean=1.0"]) == 3
         assert "stalled" in capsys.readouterr().err
 
+    def test_analyze_where_rho_rounds_to_one_plus_an_ulp(self, capsys):
+        # exact rho of these doubles is about 1 + 8e-17; r* is its root
+        assert main(["analyze", "--lam", "17", "--p", "1.7", "--packet", "det:mean=0.1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["adjustment_coefficient"]["r_star"] == pytest.approx(1.6327e-15, rel=1e-4)
+
     def test_io_error_is_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "x.csv"
         code = main(
@@ -453,6 +475,17 @@ class TestMainEntry:
         assert cli._parse_u0_grid([0, 7]) == [0.0, 7.0]
         grid = cli._parse_u0_grid("0:0.1:0.5")
         assert len(grid) == 6 and grid[-1] == pytest.approx(0.5)
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(hsc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, hsc.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestVersion:

@@ -201,6 +201,13 @@ class TestLadderScripted:
         with pytest.raises(PreconditionError):
             simulate_ladder(mm1(), 0, scripted_events([(1.0, 1.0)]))
 
+    @pytest.mark.parametrize("max_steps", [0, -5, 2.5])
+    def test_max_steps_checked_by_both_walkers(self, max_steps):
+        with pytest.raises(PreconditionError, match="max_steps"):
+            simulate_ladder(mm1(), max_steps, scripted_events([(1.0, 1.0)] * 3))
+        with pytest.raises(PreconditionError, match="max_steps"):
+            collect_ladder_samples(mm1(), 3, max_steps, 1)
+
     def test_kernel_matches_scalar_walk(self):
         params = mm1()
         for max_steps, i in itertools.product((3000, 1, 1024, 1025, 2048), range(20)):
