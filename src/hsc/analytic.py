@@ -308,23 +308,26 @@ def eventual_outage_poisson_exact(params: SystemParams, r_star: float) -> float:
 
 
 def asymptotic_outage(
-    theta: float, r_star: float, mu_tilde: float, u0: float
+    defect: float, r_star: float, mu_tilde: float, u0: float
 ) -> float:
     """Renewal-theoretic tail approximation of the outage probability.
 
-    ``psi(u0) ~ (1 - theta) / (r* mu_tilde) * exp(-r* u0)`` where ``theta``
-    is the total mass of the (defective) ladder-height law and ``mu_tilde``
-    the mean of its exponentially tilted, proper version.
+    ``psi(u0) ~ defect / (r* mu_tilde) * exp(-r* u0)`` where ``defect = 1 -
+    theta`` is the mass the (defective) ladder-height law misses and
+    ``mu_tilde`` the mean of its exponentially tilted, proper version.  Pass
+    the defect itself, not ``1 - theta``, which cancels as rho -> 1: with
+    Poisson arrivals it is ``r* p / lam``, and the formula then equals
+    :func:`eventual_outage_poisson_exact`.
     """
-    if not 0.0 <= theta < 1.0:
-        raise PreconditionError(f"theta must be in [0, 1), got {theta!r}")
+    if not 0.0 < defect <= 1.0:
+        raise PreconditionError(f"defect must be in (0, 1], got {defect!r}")
     if not r_star > 0.0:
         raise PreconditionError(f"r_star must be positive, got {r_star!r}")
     if not mu_tilde > 0.0:
         raise PreconditionError(f"mu_tilde must be positive, got {mu_tilde!r}")
     if u0 < 0.0:
         raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
-    return (1.0 - theta) / (r_star * mu_tilde) * math.exp(-r_star * u0)
+    return defect / (r_star * mu_tilde) * math.exp(-r_star * u0)
 
 
 def required_initial_energy(r_star: float, epsilon: float) -> float:

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -92,6 +92,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.u0_grid or not self.rho_list or not self.dist_list:
             raise ValueError("sweep grids must be nonempty")
+        if not all(0.0 <= u0 < math.inf for u0 in self.u0_grid):
+            raise ValueError(f"every u0 must be nonnegative and finite, got {self.u0_grid}")
         if any(not rho > 0.0 for rho in self.rho_list):
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
         if self.trials < 0:
@@ -169,8 +171,9 @@ def run_analyze(params: SystemParams) -> dict:
         }
         report["psi_exact"] = eventual_outage_poisson_exact(params, r)
         report["psi_bound"] = outage_bound(r, params.u0)
+        defect = min(1.0, r * params.p / params.lam)  # 1 - theta; r* <= lam/p, up to rounding
         report["psi_asymptotic"] = asymptotic_outage(
-            adj.theta, r, tilted_ladder_mean_poisson(params, r), params.u0
+            defect, r, tilted_ladder_mean_poisson(params, r), params.u0
         )
         report["required_u0"] = {
             key: required_initial_energy(r, eps) for key, eps in _OUTAGE_TARGETS
@@ -269,16 +272,15 @@ def _analytic_column(
     spec: SweepSpec, packet: DistributionSpec, rho: float
 ) -> tuple[SystemParams, list[tuple]]:
     base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
-    r_star = solve_adjustment_coefficient(base).r_star if rho > 1.0 else None
-    heads = []
-    for u0 in spec.u0_grid:
-        params = replace(base, u0=u0)
-        psi_exact, psi_bound = 1.0, None
-        if r_star is not None:
-            psi_exact = eventual_outage_poisson_exact(params, r_star)
-            psi_bound = outage_bound(r_star, params.u0)
-        heads.append((packet.spec_string(), float(rho), params.u0, r_star, psi_exact, psi_bound))
-    return base, heads
+    name = (packet.spec_string(), float(rho))
+    if not rho > 1.0:
+        return base, [(*name, float(u0), None, 1.0, None) for u0 in spec.u0_grid]
+    r_star = solve_adjustment_coefficient(base).r_star
+    theta = eventual_outage_poisson_exact(base, r_star)  # checks r*; theta at u0 = 0
+    return base, [
+        (*name, float(u0), r_star, theta * math.exp(-r_star * u0), outage_bound(r_star, u0))
+        for u0 in spec.u0_grid
+    ]
 
 
 def run_reproduce(

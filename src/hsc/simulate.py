@@ -24,14 +24,23 @@ scalar.  Trial ``i`` of a run seeded with ``seed`` walks its own stream
 ``trial_rng(seed, i)``; the kernels build its generator from its Philox key,
 derived for a whole chunk of trials in one vectorized pass
 (:func:`_trial_keys`) and equal to numpy's seed-sequence spawn key.  So
-counts are bit-identical in any trial order or worker count.  A sweep puts
-every (column, trial chunk) task on one pool queue.
+counts are bit-identical in any trial order or worker count.
+
+One draw of a trial's stream serves every column (``rho``) of a packet law.
+``exponential(1 / lam)`` is ``1 / lam`` times ``standard_exponential()``, bit
+for bit, so one block of standard exponentials gives each column's gaps;
+packets do not depend on ``rho``, and a shorter draw is the prefix of a
+longer one, so a block's packets are drawn once, up to the longest horizon
+cut among the columns still walking.  Each column keeps its own walk, cut
+and stop rule, and the trial ends when all have stopped.  A sweep puts one
+task per (packet law, trial chunk) on one pool queue.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
@@ -39,7 +48,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .analytic import SystemParams
-from .distributions import EVENT_BLOCK, poisson_events, sample_block
+from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, sample_block
 from .errors import PreconditionError
 
 __all__ = [
@@ -227,67 +236,89 @@ def simulate_first_passage(
 
 
 def _walk(
-    params: SystemParams,
+    columns: list[SystemParams],
     rng: np.random.Generator,
+    live: set[int],
     horizon: float = math.inf,
     max_steps: float = math.inf,
-) -> Iterator[tuple[np.ndarray, float]]:
-    # S_n of the module docstring in the blocks of poisson_events(rng): yields
-    # each block's S values and the arrival time after its last step (summed
-    # only for a finite horizon).  Ends at the first ramp reaching the horizon
-    # or at step max_steps, drawing that block's packets only up to there.
-    s = t = 0.0  # S and the arrival time after the previous block
+) -> Iterator[tuple[int, np.ndarray, float]]:
+    # S_n of the module docstring for columns of one packet law, each in the
+    # blocks of poisson_events(rng): yields (k, S values, arrival time after
+    # the last step; summed only for a finite horizon) for each column k in
+    # live, block by block.  A column leaves live at its first ramp reaching
+    # the horizon or at step max_steps, or when its caller removes it; the
+    # walk ends with live empty.  exponential(1 / lam) is 1 / lam times
+    # standard_exponential, bit for bit, so one draw serves every column's
+    # gaps.  The block's packets are drawn once, up to the longest cut; a
+    # column cut shorter reads their prefix and ends there.
+    scales = [1.0 / params.lam for params in columns]
+    s = [0.0] * len(columns)  # S after the previous block
+    t = [0.0] * len(columns)  # and the arrival time after it
     done = 0
-    while done < max_steps and t < horizon:
-        gaps = rng.exponential(1.0 / params.lam, EVENT_BLOCK)
-        n = min(EVENT_BLOCK, max_steps - done)
-        if horizon < math.inf:
-            ends = t + np.cumsum(gaps)
-            n = min(n, int(np.searchsorted(ends, horizon)) + 1)  # first ramp reaching H
-            t = float(ends[n - 1])
-        walk = s + np.cumsum(params.p * gaps[:n] - sample_block(params.packet, rng, n))
-        s = float(walk[-1])
-        done += n
-        yield walk, t
+    while live:
+        unit = rng.standard_exponential(EVENT_BLOCK)
+        cuts, most = [], 0
+        for k in live:
+            gaps = scales[k] * unit
+            n = min(EVENT_BLOCK, max_steps - done)
+            if horizon < math.inf:
+                ends = t[k] + np.cumsum(gaps)
+                n = min(n, int(np.searchsorted(ends, horizon)) + 1)  # first ramp reaching H
+                t[k] = float(ends[n - 1])
+            cuts.append((k, gaps, n))
+            most = max(most, n)
+        packets = sample_block(columns[0].packet, rng, most)
+        for k, gaps, n in cuts:
+            walk = s[k] + np.cumsum(columns[k].p * gaps[:n] - packets[:n])
+            s[k] = float(walk[-1])
+            if t[k] >= horizon or done + n >= max_steps:
+                live.discard(k)
+            yield k, walk, t[k]
+        done += EVENT_BLOCK
 
 
 def _max_deficit(
-    params: SystemParams, horizon: float, rng: np.random.Generator, u0_sorted: list[float]
-) -> float:
-    # D_i of the module docstring, or a running maximum that decides each of
-    # u0_sorted alike: the walk stops at a block end once no u0 lies above the
-    # maximum yet within reach of p * H - A (plus the tie band).
-    best = -math.inf
-    for deficits, t in _walk(params, rng, horizon):
-        if t >= horizon:  # the walk's last ramp, cut at H
-            deficits[-1] -= params.p * (t - horizon)
-        best = max(best, float(deficits.max()))
-        bound = float(deficits[-1]) + params.p * (horizon - t)  # p * H - A caps later deficits
-        k = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
-        if k == len(u0_sorted) or u0_sorted[k] - _TIE_RTOL * (1.0 + abs(bound)) > bound:
-            break
+    columns: list[SystemParams], horizon: float, rng: np.random.Generator, u0_sorted: list[float]
+) -> list[float]:
+    # D_i of the module docstring for each column, or a running maximum that
+    # decides each of u0_sorted alike: a column stops at a block end once no
+    # u0 lies above its maximum yet within reach of its p * H - A (plus the
+    # tie band).
+    best = [-math.inf] * len(columns)
+    live = set(range(len(columns)))
+    for k, deficits, t in _walk(columns, rng, live, horizon):
+        p = columns[k].p
+        if t >= horizon:  # the column's last ramp, cut at H
+            deficits[-1] -= p * (t - horizon)
+        best[k] = max(best[k], float(deficits.max()))
+        bound = float(deficits[-1]) + p * (horizon - t)  # p * H - A caps later deficits
+        j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
+        if j == len(u0_sorted) or u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) > bound:
+            live.discard(k)
     return best
 
 
 def _count_range(
-    params: SystemParams, horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
-) -> list[int]:
-    # Outages of trials [lo, hi) for each u0; near ties go to the scalar simulator.
+    columns: list[SystemParams], horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
+) -> list[list[int]]:
+    # Outages of trials [lo, hi) for each column (one packet law) and u0;
+    # near ties go to the scalar simulator, one (trial, column, u0) at a time.
     u0s = np.asarray(u0_grid, dtype=float)
     u0_sorted = sorted(u0s.tolist())
     deficits = np.array(
-        [_max_deficit(params, horizon, _keyed_rng(key), u0_sorted) for key in _trial_keys(seed, lo, hi)]
-    )
-    counts = np.zeros(u0s.size, dtype=np.int64)
-    for start in range(0, deficits.size, EVENT_BLOCK):  # caps the (trial, u0) arrays
-        d = deficits[start : start + EVENT_BLOCK, None]
-        hit = u0s <= d
-        for t, k in np.argwhere(np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))):
-            events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
-            hit[t, k] = simulate_first_passage(
-                replace(params, u0=float(u0s[k])), horizon, events
-            ).outage
-        counts += hit.sum(axis=0)
+        [_max_deficit(columns, horizon, _keyed_rng(key), u0_sorted) for key in _trial_keys(seed, lo, hi)]
+    )  # (trial, column)
+    counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
+    for start in range(0, len(deficits), EVENT_BLOCK):  # caps the (trial, u0) arrays
+        for k, params in enumerate(columns):
+            d = deficits[start : start + EVENT_BLOCK, k, None]
+            hit = u0s <= d
+            for t, j in np.argwhere(np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))):
+                events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
+                hit[t, j] = simulate_first_passage(
+                    replace(params, u0=float(u0s[j])), horizon, events
+                ).outage
+            counts[k] += hit.sum(axis=0)
     return counts.tolist()
 
 
@@ -325,11 +356,12 @@ def _estimate_outage_curves(
     """:func:`estimate_outage_curve` for each of ``columns``, yielded in order.
 
     The arguments are checked at the call.  Every column uses the same trial
-    streams.  With ``workers > 1`` each column's trials are split into that
-    many chunks, and the first ``next`` opens one pool and puts every
-    (column, chunk) task on its queue, so no worker waits at a column
-    boundary.  An exception from a column's tasks is raised when that column
-    is reached; the tasks not yet started are then cancelled.
+    streams, and the columns of one packet law walk each trial together.
+    With ``workers > 1`` the trials are split into that many chunks, and the
+    first ``next`` opens one pool and puts every (packet law, chunk) task on
+    its queue, so no worker waits at a column boundary.  An exception from a
+    packet law's tasks is raised when its first column is reached; the tasks
+    not yet started are then cancelled.
     """
     trials = int(trials)
     if trials < 1:
@@ -353,27 +385,34 @@ def _curves(
     chunks: int,
     ci_method: str,
 ) -> Iterator[list[EstimateWithCI]]:
-    if chunks == 1:
-        for params in columns:
-            counts = _count_range(params, horizon, seed, u0_grid, 0, trials)
-            yield [_estimate(k, trials, horizon, seed, ci_method) for k in counts]
-        return
-    bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
-    with ProcessPoolExecutor(chunks) as pool:
-        tasks = [
-            [
-                pool.submit(_count_range, params, horizon, seed, u0_grid, lo, hi)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for params in columns
-        ]
-        try:
-            for column in tasks:
-                counts = np.sum([f.result() for f in column], axis=0).tolist()
-                yield [_estimate(k, trials, horizon, seed, ci_method) for k in counts]
-        finally:
-            for future in (f for column in tasks for f in column):
-                future.cancel()
+    groups: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns, in order
+    for k, params in enumerate(columns):
+        groups.setdefault(params.packet, []).append(k)
+    members = {packet: [columns[k] for k in ks] for packet, ks in groups.items()}
+    with ExitStack() as stack:
+        if chunks == 1:
+            def group_counts(packet: DistributionSpec) -> list[list[int]]:
+                return _count_range(members[packet], horizon, seed, u0_grid, 0, trials)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(chunks))
+            bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+            futures = {
+                packet: [
+                    pool.submit(_count_range, group, horizon, seed, u0_grid, lo, hi)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                ]
+                for packet, group in members.items()
+            }
+            stack.callback(lambda: [f.cancel() for group in futures.values() for f in group])
+
+            def group_counts(packet: DistributionSpec) -> list[list[int]]:
+                return np.sum([f.result() for f in futures[packet]], axis=0).tolist()
+
+        counts: dict[int, list[int]] = {}  # column -> its counts, filled a group at a time
+        for k, params in enumerate(columns):
+            if k not in counts:
+                counts.update(zip(groups[params.packet], group_counts(params.packet)))
+            yield [_estimate(n, trials, horizon, seed, ci_method) for n in counts.pop(k)]
 
 
 def estimate_outage_curve(
@@ -465,7 +504,7 @@ def _ladder_kernel(
     s_max = 0.0
     epoch = height = None
     done = 0
-    for walk, _ in _walk(params, rng, max_steps=max_steps):
+    for _, walk, _ in _walk([params], rng, {0}, max_steps=max_steps):
         if epoch is None:
             pos = np.flatnonzero(walk > 0.0)
             if pos.size:

@@ -243,7 +243,8 @@ class TestAgainstMpmath:
         assert eventual_outage_poisson_exact(params, res.r_star) == 0.0
         mu = tilted_ladder_mean_poisson(params, res.r_star)
         assert mu == math.inf
-        assert asymptotic_outage(res.theta, res.r_star, mu, params.u0) == 0.0
+        defect = res.r_star * params.p / params.lam
+        assert asymptotic_outage(defect, res.r_star, mu, params.u0) == 0.0
 
 
 class TestApproximations:
@@ -312,13 +313,30 @@ class TestOutageFormulas:
     def test_asymptotic_reduces_to_exact_for_poisson(self):
         for packet, r in ((EXP1, 0.1), (DET1, R_DET), (UNIF1, R_UNIF)):
             p = SystemParams(1.1, packet, 1.0, 7.0)
-            theta = 1.0 - r * p.p / p.lam
             asym = asymptotic_outage(
-                theta, r, tilted_ladder_mean_poisson(p, r), p.u0
+                r * p.p / p.lam, r, tilted_ladder_mean_poisson(p, r), p.u0
             )
             assert asym == pytest.approx(
                 eventual_outage_poisson_exact(p, r), rel=1e-12
             )
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("rho", [1 + 1e-12, 1 + 1e-8, 1.1, 3.0, 1e3])
+    def test_asymptotic_equals_exact_over_the_rho_range(self, kind, rho):
+        # the defect r* p/lam keeps its digits where 1 - theta cancels
+        for u0 in (0.0, 7.0):
+            p = params_from(kind, 1.0, rho, u0=u0)
+            res = solve_adjustment_coefficient(p)
+            asym = asymptotic_outage(
+                res.r_star * p.p / p.lam, res.r_star, tilted_ladder_mean_poisson(p, res.r_star), u0
+            )
+            exact = eventual_outage_poisson_exact(p, res.r_star)
+            assert math.isclose(asym, exact, rel_tol=1e-12), (asym, exact)
+
+    def test_asymptotic_rejects_a_defect_outside_0_1(self):
+        for defect in (0.0, -0.1, 1.5, math.nan):
+            with pytest.raises(PreconditionError):
+                asymptotic_outage(defect, 0.1, 10.0, 1.0)
 
     def test_required_energy(self):
         assert required_initial_energy(0.1, 0.01) == pytest.approx(

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,42 @@ class TestSweep:
         assert run_sweep(SweepSpec(**grids, workers=3)) == serial
         assert all(row.psi_mc is not None for row in serial)
 
+    def test_worker_count_invariance_over_a_multi_rho_sweep(self):
+        # four rho columns share each packet law's walk; the old path walks
+        # one (trial, u0) at a time
+        grids = dict(
+            u0_grid=[0.0, 3.0, 12.0, 30.0],
+            rho_list=[0.9, 1.02, 1.1, 1.3],
+            dist_list=["exp:mean=1.0", "det:mean=1.0", "unif:mean=1.0"],
+            trials=40,
+            horizon=600.0,
+            seed=8,
+        )
+        serial = run_sweep(SweepSpec(**grids, workers=1))
+        assert serial == old_path_sweep(SweepSpec(**grids))
+        for workers in (2, 3):
+            assert run_sweep(SweepSpec(**grids, workers=workers)) == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_group_names_its_first_column(self, monkeypatch, workers):
+        count = simulate._count_range
+
+        def det_fails(columns, *args):
+            if columns[0].packet.kind.value == "det":
+                raise ConvergenceError("walk failed")
+            return count(columns, *args)
+
+        monkeypatch.setattr(simulate, "_count_range", det_fails)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", ThreadPoolExecutor)
+        spec = SweepSpec(
+            u0_grid=[0.0, 5.0], rho_list=[1.1, 1.3],
+            dist_list=["exp:mean=1.0", "det:mean=1.0", "unif:mean=1.0"],
+            trials=20, horizon=100.0, workers=workers,
+        )
+        with pytest.raises(ConvergenceError) as err:
+            run_sweep(spec)
+        assert "(dist=det:mean=1.0, rho=1.1) failed: walk failed" in str(err.value)
+
     def test_horizon_and_workers_validation(self):
         grids = dict(u0_grid=[1.0], rho_list=[1.1], dist_list=["exp:mean=1.0"])
         for horizon in (math.inf, math.nan, 0.0):
@@ -236,6 +273,14 @@ class TestSweep:
             SweepSpec(u0_grid=[1.0], rho_list=[-0.5], dist_list=["exp:mean=1.0"])
         with pytest.raises(ValueError):
             SweepSpec(u0_grid=[1.0], rho_list=[1.1], dist_list=["exp:mean=1.0"], trials=-1)
+        for u0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="u0 must be nonnegative and finite"):
+                SweepSpec(u0_grid=[0.0, u0], rho_list=[1.1, 0.9], dist_list=["exp:mean=1.0"], trials=0)
+
+    def test_negative_u0_in_a_sweep_is_exit_2(self, capsys):
+        for trials in ("0", "5"):
+            assert main(["sweep", "--u0-grid=2,-1", "--rho", "0.9,1.1", "--trials", trials]) == 2
+            assert "u0 must be nonnegative" in capsys.readouterr().err
 
 
 class TestCsv:
@@ -365,6 +410,7 @@ class TestMainEntry:
         assert main(["analyze", "--lam", "17", "--p", "1.7", "--packet", "det:mean=0.1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["adjustment_coefficient"]["r_star"] == pytest.approx(1.6327e-15, rel=1e-4)
+        assert report["psi_asymptotic"] == pytest.approx(report["psi_exact"], rel=1e-12)
 
     def test_io_error_is_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "x.csv"

@@ -46,6 +46,7 @@ from kernel_oracle import _first_passage_kernel, count_outages_full_walk, max_de
 
 EXP1 = DistributionSpec(Kind.EXPONENTIAL, 1.0)
 DET1 = DistributionSpec(Kind.DETERMINISTIC, 1.0)
+UNIF1 = DistributionSpec(Kind.UNIFORM, 1.0)
 
 
 def mm1(u0=0.0, lam=1.1):
@@ -450,10 +451,10 @@ class TestOutageCurve:
             params = mm1(lam=lam)
             for i in range(20):
                 full = max_deficit_full_blocks(params, 5000.0, trial_rng(2, i))
-                first = _max_deficit(params, 5000.0, trial_rng(2, i), [])
-                assert _max_deficit(params, 5000.0, trial_rng(2, i), [full]) == full
+                (first,) = _max_deficit([params], 5000.0, trial_rng(2, i), [])
+                assert _max_deficit([params], 5000.0, trial_rng(2, i), [full]) == [full]
                 for grid in ([first + 0.5], [50.0], [120.0], sorted([0.0, first + 0.5, 50.0, 120.0])):
-                    stopped = _max_deficit(params, 5000.0, trial_rng(2, i), grid)
+                    (stopped,) = _max_deficit([params], 5000.0, trial_rng(2, i), grid)
                     assert first <= stopped <= full
                     assert [u0 <= stopped for u0 in grid] == [u0 <= full for u0 in grid]
 
@@ -484,7 +485,7 @@ class TestOutageCurve:
                         n.clear()
                     ref = max_deficit_full_blocks(params, horizon, trial_rng(9, i))
                     grid = [float(np.nextafter(ref, math.inf))]
-                    got = _max_deficit(params, horizon, trial_rng(9, i), grid)
+                    (got,) = _max_deficit([params], horizon, trial_rng(9, i), grid)
                     assert got == ref, (packet, lam, i)
                     kernel, full = drawn[simulate], drawn[kernel_oracle]
                     assert kernel[:-1] == full[: len(kernel) - 1] and len(kernel) <= len(full)
@@ -508,13 +509,13 @@ class TestOutageCurve:
                         (arrival, j + 1),
                         (float(np.nextafter(arrival, math.inf)), j + 2),
                     ):
-                        walk = list(simulate._walk(params, trial_rng(6, i), horizon))
-                        sizes = [w.size for w, _ in walk]
+                        walk = list(simulate._walk([params], trial_rng(6, i), {0}, horizon))
+                        sizes = [w.size for _, w, _ in walk]
                         assert sizes == [min(steps, EVENT_BLOCK)] + [1] * (steps > EVENT_BLOCK)
-                        assert walk[-1][1] >= horizon
+                        assert walk[-1][2] >= horizon
                         ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
                         for grid in ([], [ref], [float(np.nextafter(ref, math.inf))]):
-                            got = _max_deficit(params, horizon, trial_rng(6, i), grid)
+                            (got,) = _max_deficit([params], horizon, trial_rng(6, i), grid)
                             assert got == ref, (packet, i, j, horizon, grid)
 
     def test_stopped_walk_counts_equal_the_full_walk_oracle(self):
@@ -525,7 +526,7 @@ class TestOutageCurve:
                 params = SystemParams(lam=lam, packet=packet, p=1.0)
                 for grid in grids:
                     expect = count_outages_full_walk(params, horizon, 4, grid, 0, 30)
-                    assert _count_range(params, horizon, 4, grid, 0, 30) == expect, (packet, lam)
+                    assert _count_range([params], horizon, 4, grid, 0, 30) == [expect], (packet, lam)
 
     def test_u0_at_the_bound_keeps_the_walk_going(self, monkeypatch):
         # after the first block no later deficit exceeds p * H - A; a u0 at
@@ -547,10 +548,10 @@ class TestOutageCurve:
             tried += 1
             for grid, walks_on in (([bound], True), ([bound + 0.5 * band], True), ([bound + 2 * band], False)):
                 blocks.clear()
-                _max_deficit(params, horizon, trial_rng(5, i), grid)
+                _max_deficit([params], horizon, trial_rng(5, i), grid)
                 assert (len(blocks) > 1) == walks_on, (i, grid)
                 expect = count_outages_full_walk(params, horizon, 5, grid, i, i + 1)
-                assert _count_range(params, horizon, 5, grid, i, i + 1) == expect
+                assert _count_range([params], horizon, 5, grid, i, i + 1) == [expect]
         assert tried == 10
 
     def test_walk_stops_once_every_u0_is_decided(self, monkeypatch):
@@ -559,7 +560,7 @@ class TestOutageCurve:
         monkeypatch.setattr(
             simulate, "sample_block", lambda *args: calls.append(args) or sample_block(*args)
         )
-        _count_range(mm1(lam=1.1), 1000.0, 7, [30.0], 0, 400)
+        _count_range([mm1(lam=1.1)], 1000.0, 7, [30.0], 0, 400)
         assert len(calls) / 400 <= 1.1
 
     def test_chunk_counts_match_scalar_across_row_blocks(self):
@@ -579,7 +580,7 @@ class TestOutageCurve:
             )
             for u0 in grid
         ]
-        assert _count_range(params, 30.0, 3, grid, 0, 1100) == expect
+        assert _count_range([params], 30.0, 3, grid, 0, 1100) == [expect]
 
     def test_failed_column_cancels_the_queued_tasks(self, monkeypatch):
         # one worker: the first task fails, the second blocks until shutdown
@@ -602,7 +603,8 @@ class TestOutageCurve:
 
         monkeypatch.setattr(simulate, "_count_range", count)
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", OneThread)
-        columns = [mm1(lam=lam) for lam in (1.1, 1.2, 1.3)]
+        # one packet law per column, so one task per (column, chunk)
+        columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
         curves = simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
         with pytest.raises(RuntimeError):
             next(curves)
@@ -634,7 +636,7 @@ class TestOutageCurve:
             tried += 1
             events = poisson_events(params.lam, params.packet, trial_rng(3, i))
             expect = scalar(replace(params, u0=deficit), 300.0, events).outage
-            assert _count_range(params, 300.0, 3, [deficit], i, i + 1) == [int(expect)]
+            assert _count_range([params], 300.0, 3, [deficit], i, i + 1) == [[int(expect)]]
         assert tried > 0 and len(replays) == tried
 
     def test_exact_tie_follows_scalar(self):
@@ -642,12 +644,102 @@ class TestOutageCurve:
         # deficit p * H - A_J = 80 - 46 is exactly 34.0.  The scalar's running
         # time rounds past H and sees no outage; block arithmetic sees one.
         params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
-        assert _max_deficit(params, 40.0, trial_rng(8, 128), [34.0]) == 34.0
+        assert _max_deficit([params], 40.0, trial_rng(8, 128), [34.0]) == [34.0]
         assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 128)) == 34.0
         events = poisson_events(1.0, DET1, trial_rng(8, 128))
         scalar = simulate_first_passage(params, 40.0, events).outage
         assert _first_passage_kernel(params, 40.0, trial_rng(8, 128)).outage != scalar
-        assert _count_range(params, 40.0, 8, [34.0], 128, 129) == [int(scalar)]
+        assert _count_range([params], 40.0, 8, [34.0], 128, 129) == [[int(scalar)]]
+
+
+class TestSharedWalk:
+    """Columns of one packet law walk each trial's stream once, together."""
+
+    RHOS = (0.9, 1.0, 1.02, 1.3)
+
+    @staticmethod
+    def group(packet, rhos=RHOS):
+        return [SystemParams(lam=rho, packet=packet, p=1.0) for rho in rhos]
+
+    @staticmethod
+    def check_group_equals_single_columns(columns, horizon, seed, i):
+        # for the empty grid and each column's D_i and the next double above it
+        full = [max_deficit_full_blocks(c, horizon, trial_rng(seed, i)) for c in columns]
+        grids = [[]] + [[d] for d in full] + [[float(np.nextafter(d, math.inf))] for d in full]
+        for grid in grids:
+            got = _max_deficit(columns, horizon, trial_rng(seed, i), grid)
+            single = [_max_deficit([c], horizon, trial_rng(seed, i), grid)[0] for c in columns]
+            assert got == single, (horizon, i, grid)
+            for d, g in zip(full, got):
+                assert [u0 <= g for u0 in grid] == [u0 <= d for u0 in grid]
+        for k, d in enumerate(full):  # a u0 one ulp above D_i walks that column to the end
+            assert _max_deficit(columns, horizon, trial_rng(seed, i), grids[-len(full) + k])[k] == d
+
+    def test_group_equals_single_column_walks(self):
+        # H = 1e4 takes several blocks at every rho here
+        for packet in (EXP1, DET1, UNIF1):
+            columns = self.group(packet)
+            for horizon in (37.5, 1000.0, 3000.0, 1e4):
+                for i in range(6):
+                    self.check_group_equals_single_columns(columns, horizon, 13, i)
+
+    def test_group_equals_single_columns_with_h_at_a_block_end_arrival(self):
+        # H at T_1023 or T_1024 of one column, and one ulp either side; the
+        # other columns cut their blocks elsewhere
+        for packet in (EXP1, DET1, UNIF1):
+            columns = self.group(packet)
+            for k, params in enumerate(columns):
+                for i in range(2):
+                    ends = np.cumsum(trial_rng(6, i).exponential(1.0 / params.lam, EVENT_BLOCK))
+                    for j in (EVENT_BLOCK - 2, EVENT_BLOCK - 1):
+                        arrival = float(ends[j])
+                        for horizon in (float(np.nextafter(arrival, 0.0)), arrival,
+                                        float(np.nextafter(arrival, math.inf))):
+                            self.check_group_equals_single_columns(columns, horizon, 6, i)
+
+    def test_group_counts_equal_the_full_walk_oracle(self):
+        grid = [12.5, 0.0, 5.0, 5.0, 60.0, 30.0]
+        for packet in (EXP1, DET1, UNIF1):
+            columns = self.group(packet)
+            for horizon in (1500.3, 3100.7):
+                expect = [count_outages_full_walk(c, horizon, 4, grid, 0, 30) for c in columns]
+                assert _count_range(columns, horizon, 4, grid, 0, 30) == expect, (packet, horizon)
+
+    def test_one_draw_per_block_serves_the_group(self, monkeypatch):
+        # four columns at rho 1.1, all decided after about one block: one
+        # column alone draws about 1.04 blocks per trial here
+        calls = []
+        monkeypatch.setattr(
+            simulate, "sample_block", lambda *args: calls.append(args) or sample_block(*args)
+        )
+        columns = [SystemParams(lam=1.1 * p, packet=EXP1, p=p) for p in (0.25, 0.5, 0.75, 1.0)]
+        counts = _count_range(columns, 1000.0, 7, [30.0], 0, 400)
+        assert len(calls) / 400 <= 1.1
+        monkeypatch.undo()
+        assert counts == [_count_range([c], 1000.0, 7, [30.0], 0, 400)[0] for c in columns]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interleaved_families_yield_in_column_order(self, monkeypatch, workers):
+        # exp, det, exp, unif: the two exp columns form one group
+        columns = [
+            SystemParams(1.1, EXP1, 1.0),
+            SystemParams(1.2, DET1, 1.0),
+            SystemParams(1.3, EXP1, 1.0),
+            SystemParams(1.05, UNIF1, 1.0),
+        ]
+        grid = [0.0, 4.0, 10.0]
+        expect = [estimate_outage_curve(c, 300.0, 40, 5, grid) for c in columns]
+        groups = []
+        count = simulate._count_range
+        monkeypatch.setattr(
+            simulate, "_count_range", lambda cols, *args: groups.append(cols) or count(cols, *args)
+        )
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", ThreadPoolExecutor)
+        curves = list(simulate._estimate_outage_curves(columns, 300.0, 40, 5, grid, workers))
+        assert curves == expect
+        assert len(groups) == 3 * workers  # one task per (group, chunk)
+        for group in ([columns[0], columns[2]], [columns[1]], [columns[3]]):
+            assert groups.count(group) == workers
 
 
 class TestTrialKeys:
