@@ -28,9 +28,10 @@ fixed-point form ``(1 - E[e^{-r X}]) / (r mean) = 1 / rho`` of the CGF
 root, and ``theta`` is taken as ``E[e^{-r* X}]``, so both keep their
 digits at either end of rho (Asmussen & Albrecher, *Ruin Probabilities*,
 ch. IV).  The module also provides the first-ascent ("ladder") height
-density of the walk, a trapezoidal solver for the defective renewal
-equation satisfied by ``phi = 1 - psi``, the density of a single step, and
-the stationary fraction of time spent empty in the ``rho < 1`` regime.
+density of the walk, an O(n log n) trapezoidal solver for the defective
+renewal equation satisfied by ``phi = 1 - psi``, the density of a single
+step, and the stationary fraction of time spent empty in the ``rho < 1``
+regime.
 """
 from __future__ import annotations
 
@@ -371,12 +372,13 @@ def solve_renewal_equation(
     step: float,
     u_max: float | None = None,
 ) -> np.ndarray:
-    """March the defective renewal equation for ``phi = 1 - psi`` upward.
+    """Solve the defective renewal equation for ``phi = 1 - psi``.
 
     Solves ``phi(u) = (1 - theta) + integral_0^u phi(u - x) f_h(x) dx`` on
     the grid ``0, step, ..., u_max`` with the trapezoid rule, anchored at
     ``phi(0) = 1 - theta``.  The quadrature error is O(step^2) for smooth
-    kernels.
+    kernels.  The trapezoid system is solved exactly, up to rounding, by
+    power-series division in O(n log n) for n grid steps.
 
     Args:
         f_h: ladder-height density, either already tabulated on the grid or
@@ -392,6 +394,8 @@ def solve_renewal_equation(
     Raises:
         GridError: if ``step`` does not tile ``u_max`` within 1e-9, or the
             tabulated input has the wrong length.
+        ValueError: if ``f_h`` is not finite, is negative, or has more mass
+            than ``theta`` beyond the step tolerance.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
@@ -404,6 +408,8 @@ def solve_renewal_equation(
             raise GridError("u_max is required when f_h is a callable")
         n = _grid_points(u_max, step)
         f = np.asarray(f_h(np.arange(n + 1) * step), dtype=float)
+        if f.shape != (n + 1,):
+            raise GridError(f"f_h returned shape {f.shape}, grid needs ({n + 1},)")
     else:
         f = np.asarray(f_h, dtype=float)
         if f.ndim != 1 or f.size < 1:
@@ -416,6 +422,9 @@ def solve_renewal_equation(
                 )
         n = f.size - 1
 
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        raise ValueError(f"f_h is not finite at index {bad[0]}: {f[bad[0]]!r}")
     if np.any(f < 0.0):
         raise ValueError("f_h must be nonnegative")
     if n >= 1:
@@ -433,10 +442,26 @@ def solve_renewal_equation(
         raise GridError(
             f"step {step} too coarse for kernel value f_h(0) = {f[0]}"
         )
-    half_phi0 = 0.5 * phi[0]
-    for j in range(1, n + 1):
-        interior = f[1:j] @ phi[j - 1 : 0 : -1]
-        phi[j] = ((1.0 - theta) + step * (interior + f[j] * half_phi0)) / denom
+    # Trapezoid row j >= 1 reads sum_{i < j} a_i phi_{j-i} = b_j with a_0 =
+    # denom, a_i = -step f_i and b_j = (1 - theta) + step f_j phi_0 / 2: a
+    # lower-triangular Toeplitz system, so the series of phi_{k+1} is B / A
+    # mod z^n.  Newton doubling g <- g (2 - A g) inverts A, each pass
+    # correcting the coefficients [m, 2m) from two cyclic FFT products of
+    # length 2m, O(n log n) in all (Brent & Kung 1978).
+    if n == 0:
+        return phi
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    a = -step * f[:n]
+    a[0] = denom
+    g = np.array([1.0 / denom])
+    m = 1
+    while m < n:
+        size = 2 * m
+        ag = irfft(rfft(a[:size], size) * rfft(g, size), size)  # A g: 1 below z^m
+        g = np.concatenate([g, -irfft(rfft(g, size) * rfft(ag[m:], size), size)[:m]])
+        m = size
+    b = (1.0 - theta) + step * f[1:] * (0.5 * phi[0])
+    phi[1:] = irfft(rfft(b, 2 * m) * rfft(g[:n], 2 * m), 2 * m)[:n]
     return phi
 
 

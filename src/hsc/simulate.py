@@ -42,6 +42,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -192,10 +193,10 @@ def _finite_horizon(horizon: float) -> float:
     return horizon
 
 
-def _step_cap(max_steps: int) -> int:
-    if not (float(max_steps).is_integer() and max_steps >= 1):
-        raise PreconditionError(f"max_steps must be an integer >= 1, got {max_steps!r}")
-    return int(max_steps)
+def _integer(name: str, value: int, least: int) -> int:
+    if not (float(value).is_integer() and value >= least):
+        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def simulate_first_passage(
@@ -245,31 +246,39 @@ def _walk(
     # S_n of the module docstring for columns of one packet law, each in the
     # blocks of poisson_events(rng): yields (k, S values, arrival time after
     # the last step; summed only for a finite horizon) for each column k in
-    # live, block by block.  A column leaves live at its first ramp reaching
-    # the horizon or at step max_steps, or when its caller removes it; the
-    # walk ends with live empty.  exponential(1 / lam) is 1 / lam times
-    # standard_exponential, bit for bit, so one draw serves every column's
-    # gaps.  The block's packets are drawn once, up to the longest cut; a
-    # column cut shorter reads their prefix and ends there.
+    # live, block by block.  A yielded array is column k's own buffer, valid
+    # only until the walk's next block.  A column leaves live at its first
+    # ramp reaching the horizon or at step max_steps, or when its caller
+    # removes it; the walk ends with live empty.  exponential(1 / lam) is
+    # 1 / lam times standard_exponential, bit for bit, so one draw serves
+    # every column's gaps.  The block's packets are drawn once, up to the
+    # longest cut; a column cut shorter reads their prefix and ends there.
     scales = [1.0 / params.lam for params in columns]
     s = [0.0] * len(columns)  # S after the previous block
     t = [0.0] * len(columns)  # and the arrival time after it
+    buffers = {k: np.empty(EVENT_BLOCK) for k in live}  # gaps, then the walk
+    ends = np.empty(EVENT_BLOCK)
     done = 0
     while live:
         unit = rng.standard_exponential(EVENT_BLOCK)
         cuts, most = [], 0
         for k in live:
-            gaps = scales[k] * unit
+            gaps = np.multiply(unit, scales[k], out=buffers[k])
             n = min(EVENT_BLOCK, max_steps - done)
             if horizon < math.inf:
-                ends = t[k] + np.cumsum(gaps)
+                gaps.cumsum(out=ends)
+                ends += t[k]
                 n = min(n, int(np.searchsorted(ends, horizon)) + 1)  # first ramp reaching H
                 t[k] = float(ends[n - 1])
-            cuts.append((k, gaps, n))
+            cuts.append((k, n))
             most = max(most, n)
         packets = sample_block(columns[0].packet, rng, most)
-        for k, gaps, n in cuts:
-            walk = s[k] + np.cumsum(columns[k].p * gaps[:n] - packets[:n])
+        for k, n in cuts:
+            walk = buffers[k][:n]
+            walk *= columns[k].p
+            walk -= packets[:n]
+            walk.cumsum(out=walk)
+            walk += s[k]
             s[k] = float(walk[-1])
             if t[k] >= horizon or done + n >= max_steps:
                 live.discard(k)
@@ -472,7 +481,7 @@ def simulate_ladder(
     (the first ascending ladder point) and the running maximum, both
     truncated at ``max_steps``.
     """
-    max_steps = _step_cap(max_steps)
+    max_steps = _integer("max_steps", max_steps, 1)
     p = params.p
     s = 0.0
     s_max = 0.0
@@ -505,11 +514,11 @@ def _ladder_kernel(
     epoch = height = None
     done = 0
     for _, walk, _ in _walk([params], rng, {0}, max_steps=max_steps):
-        if epoch is None:
-            pos = np.flatnonzero(walk > 0.0)
-            if pos.size:
-                epoch, height = done + int(pos[0]) + 1, float(walk[pos[0]])
-        s_max = max(s_max, float(walk.max()))
+        top = float(walk.max())
+        if epoch is None and top > 0.0:
+            first = int(np.argmax(walk > 0.0))
+            epoch, height = done + first + 1, float(walk[first])
+        s_max = max(s_max, top)
         done += walk.size
         if stop_drawdown is not None and s_max - float(walk[-1]) >= stop_drawdown:
             break
@@ -532,7 +541,7 @@ def collect_ladder_samples(
     walks = int(walks)
     if walks < 1:
         raise PreconditionError(f"walks must be >= 1, got {walks}")
-    max_steps = _step_cap(max_steps)
+    max_steps = _integer("max_steps", max_steps, 1)
     return [
         _ladder_kernel(params, max_steps, _keyed_rng(key), stop_drawdown)
         for key in _trial_keys(seed, 0, walks)
@@ -553,15 +562,11 @@ def lindley_path(
     events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
 ) -> list[float]:
     """Battery levels at arrival epochs: ``[W_0, W_1, ..]``, W_0 = u0."""
-    steps = int(steps)
-    if steps < 0:
-        raise PreconditionError(f"steps must be nonnegative, got {steps}")
+    steps = _integer("steps", steps, 0)
     p = params.p
     w = params.u0
     path = [w]
-    for n, (gap, packet) in enumerate(events):
-        if n >= steps:
-            break
+    for gap, packet in islice(events, steps):
         w = max(0.0, w + packet - p * gap)
         path.append(w)
     return path
@@ -580,17 +585,17 @@ def simulate_lindley(
     produced levels that are exactly zero; ``time_empty_fraction`` is the
     share of elapsed time the store spends empty, where the interval after
     arrival ``n`` contributes ``max(0, gap_n - (W_n + packet_n) / p)``.
+    The returned ``steps`` counts the pairs consumed, fewer than asked if
+    the stream runs dry.
 
     Raises:
-        PreconditionError: when ``rho >= 1`` and ``require_stationary`` is
-            set; there is no stationary regime to sample.
+        PreconditionError: unless ``steps > burn_in >= 0`` are integers;
+            when ``rho >= 1`` and ``require_stationary`` is set, since there
+            is no stationary regime to sample; or when the stream ends
+            before any post-burn-in step.
     """
-    steps = int(steps)
-    burn_in = int(burn_in)
-    if not steps > burn_in >= 0:
-        raise PreconditionError(
-            f"need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}"
-        )
+    burn_in = _integer("burn_in", burn_in, 0)
+    steps = _integer("steps", steps, burn_in + 1)
     if require_stationary and params.rho >= 1.0:
         raise PreconditionError(
             f"no stationary regime at rho = {params.rho} >= 1; "
@@ -598,31 +603,31 @@ def simulate_lindley(
         )
     p = params.p
     w = params.u0
+    events = iter(events)
+    for gap, packet in islice(events, burn_in):
+        w_next = w + packet - p * gap
+        w = w_next if w_next > 0.0 else 0.0
     counted = 0
     empty_arrivals = 0
     empty_time = 0.0
     total_time = 0.0
-    n = 0
-    for gap, packet in events:
-        if n >= steps:
-            break
-        if n >= burn_in:
-            counted += 1
-            total_time += gap
-            idle = gap - (w + packet) / p
-            if idle > 0.0:
-                empty_time += idle
+    for counted, (gap, packet) in enumerate(islice(events, steps - burn_in), 1):
+        total_time += gap
+        idle = gap - (w + packet) / p
+        if idle > 0.0:
+            empty_time += idle
         w_next = w + packet - p * gap
-        w = w_next if w_next > 0.0 else 0.0
-        if n >= burn_in and w == 0.0:
+        if w_next > 0.0:
+            w = w_next
+        else:
+            w = 0.0
             empty_arrivals += 1
-        n += 1
     if counted == 0 or total_time <= 0.0:
         raise PreconditionError("event stream ended before any post-burn-in step")
     return LindleyStats(
         time_empty_fraction=empty_time / total_time,
         arrival_empty_fraction=empty_arrivals / counted,
-        steps=n,
+        steps=burn_in + counted,
         burn_in=burn_in,
     )
 

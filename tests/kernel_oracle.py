@@ -6,7 +6,10 @@ energy ``params.u0``; the tests compare it with the scalar simulator and use
 it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
 full-block max-deficit walk draws every block's packets in full and always
 walks to the horizon, where the library's walk draws its final block's
-packets only up to the horizon and stops once every u0 is decided.
+packets only up to the horizon and stops once every u0 is decided.  The
+renewal march solves the trapezoid rows one dot product at a time, where the
+library divides power series; the Lindley loop tests the step index on every
+pair, where the library slices the stream.
 """
 from __future__ import annotations
 
@@ -23,10 +26,12 @@ from hsc.analytic import (
 )
 from hsc.cli import ResultRow
 from hsc.distributions import EVENT_BLOCK, parse_distribution_spec, poisson_events, sample_block
+from hsc.errors import PreconditionError
 from hsc.simulate import (
     _TIE_RTOL,
     _Z95,
     EstimateWithCI,
+    LindleyStats,
     TrialOutcome,
     simulate_first_passage,
     trial_rng,
@@ -160,3 +165,51 @@ def old_path_sweep(spec):
                     )
                 )
     return rows
+
+
+def renewal_march(f, theta, step):
+    """``solve_renewal_equation`` on a checked tabulated kernel, one grid
+    point at a time: O(n^2)."""
+    n = f.size - 1
+    phi = np.empty(n + 1)
+    phi[0] = 1.0 - theta
+    denom = 1.0 - 0.5 * step * f[0]
+    half_phi0 = 0.5 * phi[0]
+    for j in range(1, n + 1):
+        interior = f[1:j] @ phi[j - 1 : 0 : -1]
+        phi[j] = ((1.0 - theta) + step * (interior + f[j] * half_phi0)) / denom
+    return phi
+
+
+def lindley_loop(params, steps, burn_in, events):
+    """``simulate_lindley`` on checked arguments, testing the step index on
+    every pair."""
+    p = params.p
+    w = params.u0
+    counted = 0
+    empty_arrivals = 0
+    empty_time = 0.0
+    total_time = 0.0
+    n = 0
+    for gap, packet in events:
+        if n >= steps:
+            break
+        if n >= burn_in:
+            counted += 1
+            total_time += gap
+            idle = gap - (w + packet) / p
+            if idle > 0.0:
+                empty_time += idle
+        w_next = w + packet - p * gap
+        w = w_next if w_next > 0.0 else 0.0
+        if n >= burn_in and w == 0.0:
+            empty_arrivals += 1
+        n += 1
+    if counted == 0 or total_time <= 0.0:
+        raise PreconditionError("event stream ended before any post-burn-in step")
+    return LindleyStats(
+        time_empty_fraction=empty_time / total_time,
+        arrival_empty_fraction=empty_arrivals / counted,
+        steps=n,
+        burn_in=burn_in,
+    )

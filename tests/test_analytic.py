@@ -6,11 +6,13 @@ this module was written; they are frozen here, not recomputed from the code
 under test.
 """
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import renewal_march
 from mp_reference import adjustment
 
 from hsc import (
@@ -409,6 +411,9 @@ class TestLadderAndRenewal:
             solve_renewal_equation(np.zeros(5), 0.5, 0.1, u_max=1.0)  # wrong length
         with pytest.raises(GridError):
             solve_renewal_equation(lambda x: x * 0, 0.5, -0.1, u_max=1.0)
+        for short in (lambda x: 0.1 + 0 * x[:5], lambda x: 0.1):  # not one value per grid point
+            with pytest.raises(GridError, match="grid needs"):
+                solve_renewal_equation(short, 0.5, 0.1, u_max=1.0)
 
     def test_renewal_kernel_validation(self):
         with pytest.raises(ValueError):
@@ -418,6 +423,51 @@ class TestLadderAndRenewal:
             solve_renewal_equation(np.full(11, 2.0), 0.1, 0.5)
         with pytest.raises(PreconditionError):
             solve_renewal_equation(np.zeros(3), 1.5, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_renewal_rejects_non_finite_kernels(self, bad):
+        f = np.array([0.1, 0.1, bad, 0.1])
+        with pytest.raises(ValueError, match="not finite at index 2"):
+            solve_renewal_equation(f, 0.5, 0.1)
+        with pytest.raises(ValueError, match="not finite at index 2"):
+            solve_renewal_equation(lambda x: np.where(x == 0.2, bad, 0.1), 0.5, 0.1, u_max=0.3)
+
+    @pytest.mark.parametrize("rho", [1.1, 1.0 + 1e-6, 1.0 + 1e-9])
+    def test_renewal_equals_the_march_on_ladder_densities(self, rho):
+        params = mm1(lam=rho)
+        fit = solve_adjustment_coefficient(params)
+        for step, u_max in ((0.01, 10.0), (1e-3, 10.0)):  # the second is c04's grid
+            f = ladder_height_density_poisson(params, fit.r_star, np.arange(round(u_max / step) + 1) * step)
+            phi = solve_renewal_equation(f, fit.theta, step)
+            ref = renewal_march(f, fit.theta, step)
+            assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 1000, 4097])
+    def test_renewal_equals_the_march_on_random_kernels(self, n):
+        rng = np.random.default_rng(n)
+        step = 0.01
+        for mass in (0.3, 0.9, 1.0 - 1e-6):
+            f = rng.random(n + 1)
+            f *= mass / np.trapezoid(f, dx=step)
+            phi = solve_renewal_equation(f, mass, step)
+            ref = renewal_march(f, mass, step)
+            assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref)), mass
+
+    def test_renewal_n_zero_is_the_anchor(self):
+        assert solve_renewal_equation(np.array([0.7]), 0.25, 0.1).tolist() == [0.75]
+
+    def test_renewal_large_grid_is_fast_and_accurate(self):
+        params = mm1()
+        r, theta = 0.1, 1.0 - 0.1 / 1.1
+        n, step = 2**18, 1e-3
+        t0 = time.perf_counter()
+        phi = solve_renewal_equation(
+            lambda x: ladder_height_density_poisson(params, r, x), theta, step, u_max=n * step
+        )
+        elapsed = time.perf_counter() - t0
+        u = np.arange(n + 1) * step
+        assert np.max(np.abs(phi - (1.0 - theta * np.exp(-r * u)))) <= 2e-6
+        assert elapsed < 5.0
 
 
 class TestStepDensity:

@@ -224,6 +224,15 @@ class TestLadderScripted:
                     b.first_ladder_height, rel=1e-9
                 )
 
+    def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
+        # trial 46 of seed 17 at rho 1.02 first rises above zero at step 1065
+        params = SystemParams(lam=1.02, packet=EXP1, p=1.0)
+        a = _ladder_kernel(params, 5000, trial_rng(17, 46))
+        b = simulate_ladder(params, 5000, poisson_events(params.lam, params.packet, trial_rng(17, 46)))
+        assert b.first_ladder_epoch > EVENT_BLOCK
+        assert a.first_ladder_epoch == b.first_ladder_epoch
+        assert a.first_ladder_height == pytest.approx(b.first_ladder_height, rel=1e-9)
+
     def test_kernel_matches_the_stream_walk_in_a_cut_final_block(self):
         # drifting up (rho < 1), the running maximum lands in the last of
         # 3000 steps' three blocks, the one cut at max_steps
@@ -320,6 +329,47 @@ class TestLindley:
     def test_short_stream_rejected(self):
         with pytest.raises(PreconditionError):
             simulate_lindley(mm1(lam=0.9), 10, 5, scripted_events([(1.0, 1.0)] * 3))
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    @pytest.mark.parametrize("burn_in", [0, 1, 1023, 1024, 1025])
+    def test_equals_the_loop_oracle(self, packet, burn_in):
+        params = SystemParams(lam=0.8, packet=packet, p=1.0, u0=0.5)
+        for steps in (burn_in + 1, 5000):
+            got, ref = (
+                f(params, steps, burn_in, poisson_events(0.8, packet, trial_rng(21, burn_in)))
+                for f in (simulate_lindley, kernel_oracle.lindley_loop)
+            )
+            assert got == ref
+
+    @pytest.mark.parametrize("size", [0, 3, 5, 6, 9])
+    def test_equals_the_loop_oracle_when_the_stream_runs_dry(self, size):
+        # 5 burn-in pairs: the stream ends during burn-in (0, 3), at its
+        # end (5), or during the counted steps (6, 9 of 10)
+        params = mm1(lam=0.9, u0=0.3)
+        pairs = [(0.5 + 0.25 * (i % 3), 0.2 + 0.5 * (i % 2)) for i in range(size)]
+        try:
+            ref = kernel_oracle.lindley_loop(params, 10, 5, scripted_events(pairs))
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="ended before"):
+                simulate_lindley(params, 10, 5, scripted_events(pairs))
+        else:
+            assert simulate_lindley(params, 10, 5, scripted_events(pairs)) == ref
+            assert ref.steps == size
+
+    @pytest.mark.parametrize("steps,burn_in", [(100.7, 10), (100, 10.2), (math.inf, 10), (100, math.nan)])
+    def test_non_integral_counts_rejected(self, steps, burn_in):
+        events = scripted_events([(1.0, 1.0)] * 200)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            simulate_lindley(mm1(lam=0.9), steps, burn_in, events)
+
+    @pytest.mark.parametrize("steps", [5.9, -1, math.inf])
+    def test_path_steps_checked(self, steps):
+        with pytest.raises(PreconditionError, match="steps"):
+            lindley_path(mm1(lam=0.9), steps, scripted_events([(1.0, 1.0)] * 9))
+
+    def test_path_takes_integral_float_steps(self):
+        pairs = [(1.0, 0.5)] * 9
+        assert lindley_path(mm1(lam=0.9, u0=2.0), 4.0, scripted_events(pairs)) == [2.0, 1.5, 1.0, 0.5, 0.0]
 
     @given(pairs=pair_lists, u0=st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=60)
