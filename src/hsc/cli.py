@@ -42,6 +42,7 @@ from .simulate import (
     EstimateWithCI,
     _estimate_outage_curves,
     _finite_horizon,
+    _integer,
     estimate_eventual_outage,
 )
 
@@ -99,8 +100,8 @@ class SweepSpec:
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         _finite_horizon(self.horizon)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workers is not None:
+            _integer("workers", self.workers, 1, ValueError)
         if self.ci_method not in ("normal", "wilson"):
             raise ValueError(f"unknown ci_method {self.ci_method!r}")
 

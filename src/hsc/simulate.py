@@ -1,39 +1,44 @@
 """Seeded Monte-Carlo engines for the surplus process.
 
-Every engine reads one event-stream convention, ``(gap, packet)`` pairs with
-the first packet at time zero.  The vectorized ones read it as one random
-walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, summed by one generator in
-the same blocks as :func:`hsc.distributions.poisson_events`, so the scalar
-simulators replay the same realization.  Two functionals are read off it:
+Every engine reads one event-stream convention: ``(gap, packet)`` pairs,
+the first packet at time zero, drawn in blocks of ``EVENT_BLOCK`` gaps
+(``1 / lam`` times ``standard_exponential()``, bit for bit) and then as many
+packets, the final block's packets only up to the horizon or step limit.
+The scalar simulators read it through :func:`hsc.distributions.poisson_events`;
+the vectorized kernels draw the same blocks and read them as one random
+walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, with two functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
   delivered up to and including it).  From any ``u0`` the trial has an
   outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
   counts a whole ``u0`` grid; near ties go to the scalar first-passage
-  simulator, which solves the exact ramp-crossing instant.  Packets are
-  nonnegative, so after a block no later deficit exceeds ``p * H - A``; the
-  walk stops at the first block end where no grid ``u0`` lies above its
-  running maximum and within reach of that bound, tie band included.
+  simulator, which solves the exact ramp-crossing instant.  In a block the
+  walk is ``s + (p / lam) * cumsum(units) - cumsum(packets)``: ``units``
+  are the block's standard exponentials and ``s`` the walk at its start.
+  Packets are nonnegative, so after a block no later deficit exceeds ``p *
+  H - A``; the walk stops at the first block end where no grid ``u0`` lies
+  above its running maximum and within reach of that bound, tie band
+  included.
 * the first ascending ladder point and the running maximum of a walk
-  truncated at ``max_steps``.
+  truncated at ``max_steps``, summed as ``s + cumsum(p * gap - packet)``.
 
-A walk's final block draws packets only up to the horizon or the step
-limit.  The battery recursion at arrival epochs (``rho < 1`` regime) is
-scalar.  Trial ``i`` of a run seeded with ``seed`` walks its own stream
-``trial_rng(seed, i)``; the kernels build its generator from its Philox key,
-derived for a whole chunk of trials in one vectorized pass
-(:func:`_trial_keys`) and equal to numpy's seed-sequence spawn key.  So
+Both add the offset ``s`` to scalars, not to the block: rounding is
+monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
+> 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
+(``rho < 1`` regime) is scalar.  Trial ``i`` of a run seeded with ``seed``
+walks its own stream ``trial_rng(seed, i)``; the kernels build its generator
+from its Philox key, derived for a whole chunk of trials in one vectorized
+pass (:func:`_trial_keys`) and equal to numpy's seed-sequence spawn key.  So
 counts are bit-identical in any trial order or worker count.
 
-One draw of a trial's stream serves every column (``rho``) of a packet law.
-``exponential(1 / lam)`` is ``1 / lam`` times ``standard_exponential()``, bit
-for bit, so one block of standard exponentials gives each column's gaps;
-packets do not depend on ``rho``, and a shorter draw is the prefix of a
-longer one, so a block's packets are drawn once, up to the longest horizon
-cut among the columns still walking.  Each column keeps its own walk, cut
-and stop rule, and the trial ends when all have stopped.  A sweep puts one
-task per (packet law, trial chunk) on one pool queue.
+The columns (``rho``) of one packet law share each trial's draws and both
+running sums: arrival times are ``1 / lam`` times ``cumsum(units)``, and the
+energy delivered does not depend on ``rho``.  A block's packets are drawn
+once, up to the longest horizon cut among the columns still walking (a
+shorter draw is the prefix of a longer one).  Each column keeps its own
+offset, cut and stop rule, and the trial ends when all have stopped.  A
+sweep puts one task per (packet law, trial chunk) on one pool queue.
 """
 from __future__ import annotations
 
@@ -70,8 +75,9 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# Relative gap between u0 and D_i within which the scalar simulator decides;
-# the two round differently, by at most 1e-13 measured at horizons to 1e5.
+# Relative gap between u0 and D_i within which the scalar simulator decides.
+# The walk's block sums are within 6.6e-13 of D_i in exact arithmetic
+# (3 families, rho 0.9 to 1.3, horizons to 1e5), well inside the band.
 _TIE_RTOL = 1e-9
 
 
@@ -193,9 +199,9 @@ def _finite_horizon(horizon: float) -> float:
     return horizon
 
 
-def _integer(name: str, value: int, least: int) -> int:
+def _integer(name: str, value: int, least: int, error: type[ValueError] = PreconditionError) -> int:
     if not (float(value).is_integer() and value >= least):
-        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -236,74 +242,50 @@ def simulate_first_passage(
     return TrialOutcome(False, None, seen)
 
 
-def _walk(
-    columns: list[SystemParams],
-    rng: np.random.Generator,
-    live: set[int],
-    horizon: float = math.inf,
-    max_steps: float = math.inf,
-) -> Iterator[tuple[int, np.ndarray, float]]:
-    # S_n of the module docstring for columns of one packet law, each in the
-    # blocks of poisson_events(rng): yields (k, S values, arrival time after
-    # the last step; summed only for a finite horizon) for each column k in
-    # live, block by block.  A yielded array is column k's own buffer, valid
-    # only until the walk's next block.  A column leaves live at its first
-    # ramp reaching the horizon or at step max_steps, or when its caller
-    # removes it; the walk ends with live empty.  exponential(1 / lam) is
-    # 1 / lam times standard_exponential, bit for bit, so one draw serves
-    # every column's gaps.  The block's packets are drawn once, up to the
-    # longest cut; a column cut shorter reads their prefix and ends there.
-    scales = [1.0 / params.lam for params in columns]
-    s = [0.0] * len(columns)  # S after the previous block
-    t = [0.0] * len(columns)  # and the arrival time after it
-    buffers = {k: np.empty(EVENT_BLOCK) for k in live}  # gaps, then the walk
-    ends = np.empty(EVENT_BLOCK)
-    done = 0
-    while live:
-        unit = rng.standard_exponential(EVENT_BLOCK)
-        cuts, most = [], 0
-        for k in live:
-            gaps = np.multiply(unit, scales[k], out=buffers[k])
-            n = min(EVENT_BLOCK, max_steps - done)
-            if horizon < math.inf:
-                gaps.cumsum(out=ends)
-                ends += t[k]
-                n = min(n, int(np.searchsorted(ends, horizon)) + 1)  # first ramp reaching H
-                t[k] = float(ends[n - 1])
-            cuts.append((k, n))
-            most = max(most, n)
-        packets = sample_block(columns[0].packet, rng, most)
-        for k, n in cuts:
-            walk = buffers[k][:n]
-            walk *= columns[k].p
-            walk -= packets[:n]
-            walk.cumsum(out=walk)
-            walk += s[k]
-            s[k] = float(walk[-1])
-            if t[k] >= horizon or done + n >= max_steps:
-                live.discard(k)
-            yield k, walk, t[k]
-        done += EVENT_BLOCK
-
-
 def _max_deficit(
     columns: list[SystemParams], horizon: float, rng: np.random.Generator, u0_sorted: list[float]
 ) -> list[float]:
     # D_i of the module docstring for each column, or a running maximum that
     # decides each of u0_sorted alike: a column stops at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
-    # tie band).
+    # tie band), or at its first ramp reaching the horizon.
+    scales = [1.0 / params.lam for params in columns]
+    rates = [params.p / params.lam for params in columns]
     best = [-math.inf] * len(columns)
-    live = set(range(len(columns)))
-    for k, deficits, t in _walk(columns, rng, live, horizon):
-        p = columns[k].p
-        if t >= horizon:  # the column's last ramp, cut at H
-            deficits[-1] -= p * (t - horizon)
-        best[k] = max(best[k], float(deficits.max()))
-        bound = float(deficits[-1]) + p * (horizon - t)  # p * H - A caps later deficits
-        j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
-        if j == len(u0_sorted) or u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) > bound:
-            live.discard(k)
+    s = [0.0] * len(columns)  # the walk after the previous block
+    t = [0.0] * len(columns)  # and the arrival time after it
+    live = list(range(len(columns)))
+    units, walk = np.empty(EVENT_BLOCK), np.empty(EVENT_BLOCK)
+    while live:
+        rng.standard_exponential(out=units)
+        units.cumsum(out=units)
+        cuts = []
+        for k in live:
+            n, end = EVENT_BLOCK, t[k] + scales[k] * float(units[-1])
+            if end >= horizon:  # cut at the first ramp reaching H
+                ends = t[k] + scales[k] * units
+                n = int(np.searchsorted(ends, horizon)) + 1
+                end = float(ends[n - 1])
+            t[k] = end
+            cuts.append(n)
+        packets = sample_block(columns[0].packet, rng, max(cuts))
+        packets.cumsum(out=packets)
+        walking = []
+        for k, n in zip(live, cuts):
+            x = np.multiply(units[:n], rates[k], out=walk[:n])
+            x -= packets[:n]
+            p = columns[k].p
+            if t[k] >= horizon:  # the column's last ramp, cut at H
+                x[-1] -= p * (t[k] - horizon)
+            best[k] = max(best[k], s[k] + float(x.max()))
+            s[k] += float(x[-1])
+            bound = s[k] + p * (horizon - t[k])  # p * H - A caps later deficits
+            j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
+            if t[k] < horizon and j < len(u0_sorted) and (
+                u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound
+            ):
+                walking.append(k)
+        live = walking
     return best
 
 
@@ -372,17 +354,15 @@ def _estimate_outage_curves(
     packet law's tasks is raised when its first column is reached; the tasks
     not yet started are then cancelled.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
     horizon = _finite_horizon(horizon)
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    # a ValueError, which the CLI maps to exit code 2 as for its other options
+    chunks = 1 if workers is None else min(_integer("workers", workers, 1, ValueError), trials)
     if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
         raise ValueError(f"u0_grid must be nonempty, nonnegative and finite, got {u0_grid}")
     if ci_method not in ("normal", "wilson"):
         raise ValueError(f"unknown ci_method {ci_method!r}")
-    return _curves(columns, horizon, trials, seed, u0_grid, min(workers or 1, trials), ci_method)
+    return _curves(columns, horizon, trials, seed, u0_grid, chunks, ci_method)
 
 
 def _curves(
@@ -510,17 +490,24 @@ def _ladder_kernel(
     # stop_drawdown ends the run once the walk sits that far below its
     # running maximum: with drift down, the probability that either recorded
     # statistic could still change is at most exp(-r* drawdown).
-    s_max = 0.0
+    scale = 1.0 / params.lam
+    s = s_max = 0.0
     epoch = height = None
-    done = 0
-    for _, walk, _ in _walk([params], rng, {0}, max_steps=max_steps):
-        top = float(walk.max())
+    gaps = np.empty(EVENT_BLOCK)
+    for done in range(0, max_steps, EVENT_BLOCK):
+        rng.standard_exponential(out=gaps)
+        x = gaps[: max_steps - done]
+        x *= scale
+        x *= params.p
+        x -= sample_block(params.packet, rng, x.size)
+        x.cumsum(out=x)  # the walk is s + x
+        top = s + float(x.max())
         if epoch is None and top > 0.0:
-            first = int(np.argmax(walk > 0.0))
-            epoch, height = done + first + 1, float(walk[first])
+            first = int(np.argmax(x > -s))
+            epoch, height = done + first + 1, s + float(x[first])
         s_max = max(s_max, top)
-        done += walk.size
-        if stop_drawdown is not None and s_max - float(walk[-1]) >= stop_drawdown:
+        s += float(x[-1])
+        if stop_drawdown is not None and s_max - s >= stop_drawdown:
             break
     return LadderSample(epoch is None, s_max, epoch, height)
 
@@ -538,9 +525,7 @@ def collect_ladder_samples(
     ``exp(-r* stop_drawdown)`` per walk for a large speedup; pass e.g.
     ``30 / r*`` to keep that error below 1e-13.
     """
-    walks = int(walks)
-    if walks < 1:
-        raise PreconditionError(f"walks must be >= 1, got {walks}")
+    walks = _integer("walks", walks, 1)
     max_steps = _integer("max_steps", max_steps, 1)
     return [
         _ladder_kernel(params, max_steps, _keyed_rng(key), stop_drawdown)

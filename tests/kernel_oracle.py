@@ -4,12 +4,14 @@ The per-point first-passage kernel replays :func:`hsc.simulate_first_passage`
 over the same block draws as :func:`hsc.poisson_events` for one initial
 energy ``params.u0``; the tests compare it with the scalar simulator and use
 it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
-full-block max-deficit walk draws every block's packets in full and always
-walks to the horizon, where the library's walk draws its final block's
-packets only up to the horizon and stops once every u0 is decided.  The
-renewal march solves the trapezoid rows one dot product at a time, where the
-library divides power series; the Lindley loop tests the step index on every
-pair, where the library slices the stream.
+full-block max-deficit walk, in the library's block arithmetic, draws every
+block's packets in full and always walks to the horizon, where the library's
+walk draws its final block's packets only up to the horizon and stops once
+every u0 is decided.  The ladder walk forms each block's walk in full, where
+the library adds the block-start offset to scalars.  The renewal march
+solves the trapezoid rows one dot product at a time, where the library
+divides power series; the Lindley loop tests the step index on every pair,
+where the library slices the stream.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from hsc.simulate import (
     _TIE_RTOL,
     _Z95,
     EstimateWithCI,
+    LadderSample,
     LindleyStats,
     TrialOutcome,
     simulate_first_passage,
@@ -75,25 +78,44 @@ def _first_passage_kernel(
 def max_deficit_full_blocks(
     params: SystemParams, horizon: float, rng: np.random.Generator
 ) -> float:
-    # D_i walked to the horizon, every block drawn in full: gaps, then all
-    # EVENT_BLOCK packets.
+    # D_i walked to the horizon, every block drawn in full: unit gaps, then
+    # all EVENT_BLOCK packets, each block walked as (p / lam) * cumsum(units)
+    # - cumsum(packets) on top of the walk at its start.
     p = params.p
     scale = 1.0 / params.lam
     t0 = 0.0
     s0 = 0.0
     best = -math.inf
     while True:
-        gaps = rng.exponential(scale, EVENT_BLOCK)
-        packets = sample_block(params.packet, rng, EVENT_BLOCK)
-        deficits = s0 + np.cumsum(p * gaps - packets)
-        ends = t0 + np.cumsum(gaps)
+        units = np.cumsum(rng.standard_exponential(EVENT_BLOCK))
+        packets = np.cumsum(sample_block(params.packet, rng, EVENT_BLOCK))
+        deficits = p / params.lam * units - packets
+        ends = t0 + scale * units
         last = int(np.searchsorted(ends, horizon))
         if last < EVENT_BLOCK:
             deficits[last] -= p * (ends[last] - horizon)
-            return max(best, float(deficits[: last + 1].max()))
-        best = max(best, float(deficits.max()))
-        s0 = float(deficits[-1])
+            return max(best, s0 + float(deficits[: last + 1].max()))
+        best = max(best, s0 + float(deficits.max()))
+        s0 += float(deficits[-1])
         t0 = float(ends[-1])
+
+
+def ladder_blocks(params, max_steps, rng, stop_drawdown=None):
+    """``_ladder_kernel`` with each block's walk ``s + cumsum(p * gap - packet)``
+    formed in full, gaps drawn as ``poisson_events`` draws them."""
+    s = s_max = 0.0
+    epoch = height = None
+    for done in range(0, max_steps, EVENT_BLOCK):
+        gaps = rng.exponential(1.0 / params.lam, EVENT_BLOCK)[: max_steps - done]
+        walk = s + np.cumsum(params.p * gaps - sample_block(params.packet, rng, gaps.size))
+        rises = np.flatnonzero(walk > 0.0)
+        if epoch is None and rises.size:
+            epoch, height = done + int(rises[0]) + 1, float(walk[rises[0]])
+        s_max = max(s_max, float(walk.max()))
+        s = float(walk[-1])
+        if stop_drawdown is not None and s_max - s >= stop_drawdown:
+            break
+    return LadderSample(epoch is None, s_max, epoch, height)
 
 
 def count_outages_full_walk(params, horizon, seed, u0_grid, lo, hi):

@@ -1,5 +1,6 @@
 """CLI surface: report contents, CSV contract, config merging, exit codes,
 and figure reproduction plumbing."""
+import hashlib
 import json
 import math
 import os
@@ -263,6 +264,10 @@ class TestSweep:
         for workers in (0, -3):
             with pytest.raises(ValueError):
                 SweepSpec(**grids, workers=workers)
+        for workers in (1.5, math.inf):
+            with pytest.raises(ValueError, match="workers must be an integer") as err:
+                SweepSpec(**grids, workers=workers)
+            assert type(err.value) is ValueError  # exit code 2, as for workers < 1
         with pytest.raises(ValueError, match="bogus"):
             SweepSpec(**grids, trials=0, ci_method="bogus")
 
@@ -594,6 +599,27 @@ class TestReproduce:
             for name in (f"figure{figure}.csv", f"figure{figure}.manifest.json"):
                 assert (tmp_path / "all" / name).read_bytes() == (one / name).read_bytes()
         assert len(list((tmp_path / "all").iterdir())) == 8
+
+    def test_golden_csv_digests(self, tmp_path, capsys):
+        # sha256 of CSVs written before the walk summed gaps and packets as
+        # two running sums; they pin the bytes across kernel rewrites
+        assert main(["reproduce", "--figure", "all", "--seed", "42", "--trials", "300",
+                     "--horizon", "200", "--out", str(tmp_path)]) == 0
+        golden = {
+            "figure2.csv": "fa69a6c2df641274d643e0db9156347741b39a2aac1b68d99fd29efc7fedb78b",
+            "figure3.csv": "302b4fcb56cf2ff381d240722dff1361dbb615af3ca14ca22d6ece7033ddffa8",
+            "figure4.csv": "83a1e50b73d8a5efc361d31bd5dc83529d96f9a69324101cfe96bd7dfca607e9",
+            "figure5.csv": "1a81259343d35ecfcf9fbfe539d05b2e881b8d0981b5c69322adf5b5f9f0c471",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        spec = SweepSpec(
+            u0_grid=[0.0, 5.0, 30.0], rho_list=[0.9, 1.02, 1.1, 1.3],
+            dist_list=["exp:mean=1.0", "det:mean=1.0", "unif:mean=1.0"],
+            trials=400, horizon=1000.0, seed=5,
+        )
+        digest = hashlib.sha256(rows_to_csv(run_sweep(spec)).encode("utf-8")).hexdigest()
+        assert digest == "bed93ab75834f3a0d0f46b97ba3b0f65c5a92f013b6349a141667cf6c01c0d05"
 
     @pytest.mark.parametrize(
         "figure,trials,horizon,seed",

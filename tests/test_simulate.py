@@ -1,11 +1,13 @@
 """Monte-Carlo engines: scripted exact-value cases, determinism contracts,
 and agreement between the scalar simulators and the vectorized kernels.
 """
+import bisect
 import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +211,11 @@ class TestLadderScripted:
         with pytest.raises(PreconditionError, match="max_steps"):
             collect_ladder_samples(mm1(), 3, max_steps, 1)
 
+    @pytest.mark.parametrize("walks", [2.7, 0, -1])
+    def test_walks_checked(self, walks):
+        with pytest.raises(PreconditionError, match="walks must be an integer"):
+            collect_ladder_samples(mm1(), walks, 10, 1)
+
     def test_kernel_matches_scalar_walk(self):
         params = mm1()
         for max_steps, i in itertools.product((3000, 1, 1024, 1025, 2048), range(20)):
@@ -223,6 +230,14 @@ class TestLadderScripted:
                 assert a.first_ladder_height == pytest.approx(
                     b.first_ladder_height, rel=1e-9
                 )
+
+    def test_kernel_equals_the_block_walk_bit_for_bit(self):
+        for packet in (EXP1, DET1, UNIF1):
+            for rho in (0.9, 1.0, 1.1):
+                params = SystemParams(lam=0.7 * rho, packet=packet, p=0.7)
+                for max_steps, stop, i in itertools.product((1, 1023, 1025, 3000), (None, 20.0), range(4)):
+                    expect = kernel_oracle.ladder_blocks(params, max_steps, trial_rng(8, i), stop)
+                    assert _ladder_kernel(params, max_steps, trial_rng(8, i), stop) == expect
 
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
         # trial 46 of seed 17 at rho 1.02 first rises above zero at step 1065
@@ -474,6 +489,22 @@ class TestEstimatorDeterminism:
             with pytest.raises(ValueError):
                 estimate_eventual_outage(mm1(), 10.0, 10, 0, workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, math.inf, math.nan])
+    def test_non_integral_workers_rejected(self, workers):
+        # the ValueError of workers < 1, which the CLI maps to exit code 2
+        with pytest.raises(ValueError, match="workers must be an integer") as err:
+            estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0], workers=workers)
+        assert type(err.value) is ValueError
+
+    def test_integral_float_workers_accepted(self):
+        curve = estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0], workers=1.0)
+        assert curve == estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0])
+
+    @pytest.mark.parametrize("trials", [3.9, 0, -2])
+    def test_trials_checked(self, trials):
+        with pytest.raises(PreconditionError, match="trials must be an integer"):
+            estimate_eventual_outage(mm1(u0=3.0), 10.0, trials, 1)
+
 
 class TestOutageCurve:
     def test_one_walk_per_trial_matches_scalar_for_every_u0(self):
@@ -544,14 +575,20 @@ class TestOutageCurve:
                         assert kernel[-1] <= full[-1] == EVENT_BLOCK
         assert walked >= 60  # multi-block walks that reached the horizon
 
-    def test_horizon_at_a_block_end_arrival(self):
+    def test_horizon_at_a_block_end_arrival(self, monkeypatch):
         # H at T_1023 or T_1024 (the arrival after the first block's last gap),
         # and one ulp either side: the walk takes the steps up to the first
         # ramp reaching H, so one ulp past T_1024 its second block is one step
+        # (drawn only if the first block leaves a u0 undecided)
+        drawn = []
+        monkeypatch.setattr(
+            simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
+        )
         for packet in (EXP1, DET1):
             params = SystemParams(lam=1.1, packet=packet, p=1.0)
             for i in range(10):
-                ends = np.cumsum(trial_rng(6, i).exponential(1.0 / params.lam, EVENT_BLOCK))
+                units = trial_rng(6, i).standard_exponential(EVENT_BLOCK)
+                ends = 1.0 / params.lam * np.cumsum(units)
                 for j in (EVENT_BLOCK - 2, EVENT_BLOCK - 1):
                     arrival = float(ends[j])
                     for horizon, steps in (
@@ -559,14 +596,34 @@ class TestOutageCurve:
                         (arrival, j + 1),
                         (float(np.nextafter(arrival, math.inf)), j + 2),
                     ):
-                        walk = list(simulate._walk([params], trial_rng(6, i), {0}, horizon))
-                        sizes = [w.size for _, w, _ in walk]
-                        assert sizes == [min(steps, EVENT_BLOCK)] + [1] * (steps > EVENT_BLOCK)
-                        assert walk[-1][2] >= horizon
+                        sizes = [min(steps, EVENT_BLOCK)] + [1] * (steps > EVENT_BLOCK)
                         ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
                         for grid in ([], [ref], [float(np.nextafter(ref, math.inf))]):
+                            drawn.clear()
                             (got,) = _max_deficit([params], horizon, trial_rng(6, i), grid)
                             assert got == ref, (packet, i, j, horizon, grid)
+                            assert drawn == sizes[: len(drawn)] and drawn, (packet, i, j, horizon)
+
+    def test_one_ulp_past_a_block_end_the_last_block_is_one_step(self, monkeypatch):
+        # drifting up (rho 0.5), the first block often ends at its running
+        # maximum, so a u0 one ulp above D_i stays undecided until the
+        # horizon one ulp past T_1024; the walk then draws a single packet
+        drawn, walked = [], 0
+        monkeypatch.setattr(
+            simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
+        )
+        for packet in (EXP1, DET1, UNIF1):
+            params = SystemParams(lam=0.5, packet=packet, p=1.0)
+            for i in range(10):
+                units = trial_rng(6, i).standard_exponential(EVENT_BLOCK)
+                horizon = float(np.nextafter(1.0 / params.lam * np.cumsum(units)[-1], math.inf))
+                ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
+                drawn.clear()
+                grid = [float(np.nextafter(ref, math.inf))]
+                assert _max_deficit([params], horizon, trial_rng(6, i), grid) == [ref]
+                assert drawn in ([EVENT_BLOCK], [EVENT_BLOCK, 1]), (packet, i)
+                walked += drawn == [EVENT_BLOCK, 1]
+        assert walked >= 15
 
     def test_stopped_walk_counts_equal_the_full_walk_oracle(self):
         # horizons end mid-block; the grids are unsorted and repeat a value
@@ -702,6 +759,48 @@ class TestOutageCurve:
         assert _count_range([params], 40.0, 8, [34.0], 128, 129) == [[int(scalar)]]
 
 
+BITS = 200  # every draw here is a multiple of 2**-BITS
+
+
+def exact_max_deficit(params, horizon, rng):
+    """D_i of rng's stream (its gaps and packets as poisson_events yields
+    them) in exact arithmetic: sums are kept as integers in units of
+    2**-BITS, the deficits as fractions."""
+    gaps, packets = [], []
+    while sum(block.sum() for block in gaps) <= 1.001 * horizon:
+        gaps.append(rng.exponential(1.0 / params.lam, EVENT_BLOCK))
+        packets.append(sample_block(params.packet, rng, EVENT_BLOCK))
+
+    def running_sum(blocks):
+        scaled = np.ldexp(np.concatenate(blocks), BITS)
+        assert (np.floor(scaled) == scaled).all()
+        return list(itertools.accumulate(map(int, scaled.tolist())))
+
+    ends, energy = running_sum(gaps), running_sum(packets)  # T_{j+1} and A_j
+    last = bisect.bisect_left(ends, Fraction(horizon) * 2**BITS)  # first ramp reaching H
+    pn, pd = params.p.as_integer_ratio()
+    cut = Fraction(params.p) * Fraction(horizon) - Fraction(energy[last], 2**BITS)
+    if last == 0:
+        return cut
+    top = max(pn * t - pd * a for t, a in zip(ends[:last], energy[:last]))
+    return max(cut, Fraction(top, pd * 2**BITS))
+
+
+class TestWalkRounding:
+    def test_deficits_are_within_a_hundredth_of_the_tie_band(self):
+        # the block sums (p / lam) * cumsum(units) - cumsum(packets) and the
+        # carried offset against D_i in exact arithmetic
+        worst = 0.0
+        for packet in (EXP1, DET1, UNIF1):
+            for rho in (0.9, 1.0, 1.02, 1.3):
+                params = SystemParams(lam=rho, packet=packet, p=1.0)
+                for horizon in (1e3, 1e4, 1e5):
+                    exact = exact_max_deficit(params, horizon, trial_rng(21, 2))
+                    (got,) = _max_deficit([params], horizon, trial_rng(21, 2), [float(exact)])
+                    worst = max(worst, abs(Fraction(got) - exact) / (1 + abs(exact)))
+        assert worst <= 1e-11 <= simulate._TIE_RTOL / 100
+
+
 class TestSharedWalk:
     """Columns of one packet law walk each trial's stream once, together."""
 
@@ -740,7 +839,8 @@ class TestSharedWalk:
             columns = self.group(packet)
             for k, params in enumerate(columns):
                 for i in range(2):
-                    ends = np.cumsum(trial_rng(6, i).exponential(1.0 / params.lam, EVENT_BLOCK))
+                    units = trial_rng(6, i).standard_exponential(EVENT_BLOCK)
+                    ends = 1.0 / params.lam * np.cumsum(units)
                     for j in (EVENT_BLOCK - 2, EVENT_BLOCK - 1):
                         arrival = float(ends[j])
                         for horizon in (float(np.nextafter(arrival, 0.0)), arrival,
