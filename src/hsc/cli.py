@@ -64,6 +64,7 @@ CSV_HEADER = "dist,rho,u0,r_star,psi_exact,psi_bound,psi_mc,ci_lo,ci_hi,trials,h
 DEFAULT_TRIALS = 50_000
 DEFAULT_HORIZON = 1000.0
 DEFAULT_SEED = 1
+_MAX_GRID_POINTS = 10**6  # of a start:step:stop u0 grid
 _OUTAGE_TARGETS = (("0.1", 0.1), ("0.01", 0.01), ("0.001", 0.001))  # JSON key, epsilon
 
 _REPRODUCE_U0 = [float(u) for u in range(0, 41, 2)]
@@ -343,6 +344,44 @@ def run_reproduce(
 # argument parsing
 
 
+_POINT = ["--lam", "--packet", "--p", "--u0"]
+_TRIALS = ["--trials", "--horizon", "--seed", "--workers"]
+_COMMANDS = {  # subcommand -> (help, the flags it reads besides --out and --config)
+    "analyze": ("closed-form report for one parameter point", _POINT),
+    "simulate": ("Monte-Carlo outage estimate for one point", [*_POINT, *_TRIALS, "--ci"]),
+    "sweep": (
+        "CSV sweep over (dist, rho, u0) grids",
+        ["--dist", "--rho", "--u0-grid", "--p", *_TRIALS, "--ci"],
+    ),
+    "reproduce": ("emit a reference figure CSV + manifest", ["--figure", *_TRIALS]),
+}
+_FLAGS = {  # each flag once, with its type, default and help
+    "--lam": dict(type=float, help="packet arrival rate"),
+    "--packet": dict(help="packet-size law, e.g. exp:mean=1.0 (exp|det|unif)"),
+    "--p": dict(type=float, default=1.0, help="consumption rate (default %(default)s)"),
+    "--u0": dict(type=float, default=0.0, help="initial energy (default %(default)s)"),
+    "--dist": dict(
+        default="exp:mean=1.0", help="comma-separated packet laws (default %(default)s)"
+    ),
+    "--rho": dict(default="1.1,1.2,1.3", help="comma-separated utilizations (default %(default)s)"),
+    "--u0-grid": dict(default="0:2:40", help="start:step:stop or comma list (default %(default)s)"),
+    "--figure": dict(choices=[*map(str, _FIGURES), "all"], help="figure number, or all"),
+    "--trials": dict(
+        type=int, default=DEFAULT_TRIALS, help="Monte-Carlo trials (default %(default)s)"
+    ),
+    "--horizon": dict(
+        type=float, default=DEFAULT_HORIZON, help="simulated-time horizon (default %(default)s)"
+    ),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="master seed (default %(default)s)"),
+    "--workers": dict(type=int, help="worker processes for trials"),
+    "--ci": dict(
+        choices=["normal", "wilson"], default="normal", help="CI method (default %(default)s)"
+    ),
+    "--out": dict(help="output file (directory for reproduce)"),
+    "--config": dict(help="JSON file with the same keys as the flags"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsc",
@@ -351,102 +390,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hsc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_flags(sp: argparse.ArgumentParser, system=False, trials=False, ci=False) -> None:
-        # each subcommand gets only the flags it reads
-        if system:
-            sp.add_argument("--lam", type=float, help="packet arrival rate")
-            sp.add_argument("--packet", help="packet-size law, e.g. exp:mean=1.0 (exp|det|unif)")
-            sp.add_argument("--p", type=float, help="consumption rate (default 1.0)")
-            sp.add_argument("--u0", type=float, help="initial energy (default 0.0)")
-        if trials:
-            sp.add_argument("--trials", type=int, help=f"Monte-Carlo trials (default {DEFAULT_TRIALS})")
-            sp.add_argument("--horizon", type=float, help=f"simulated-time horizon (default {DEFAULT_HORIZON})")
-            sp.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-            sp.add_argument("--workers", type=int, help="worker processes for trials")
-        if ci:
-            sp.add_argument("--ci", choices=["normal", "wilson"], help="CI method (default normal)")
-        sp.add_argument("--out", help="output file (directory for reproduce)")
-        sp.add_argument("--config", help="JSON file with the same keys as the flags")
-
-    sp = sub.add_parser("analyze", help="closed-form report for one parameter point")
-    add_flags(sp, system=True)
-
-    sp = sub.add_parser("simulate", help="Monte-Carlo outage estimate for one point")
-    add_flags(sp, system=True, trials=True, ci=True)
-
-    sp = sub.add_parser("sweep", help="CSV sweep over (dist, rho, u0) grids")
-    sp.add_argument("--dist", help="comma-separated packet laws (default exp:mean=1.0)")
-    sp.add_argument("--rho", help="comma-separated utilizations (default 1.1,1.2,1.3)")
-    sp.add_argument(
-        "--u0-grid", dest="u0_grid", help="start:step:stop or comma list (default 0:2:40)"
-    )
-    sp.add_argument("--p", type=float, help="consumption rate (default 1.0)")
-    add_flags(sp, trials=True, ci=True)
-
-    sp = sub.add_parser("reproduce", help="emit a reference figure CSV + manifest")
-    sp.add_argument("--figure", help="figure number: 2, 3, 4, 5, or all")
-    add_flags(sp, trials=True)
+    for command, (help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag in [*flags, "--out", "--config"]:  # each subcommand gets only the flags it reads
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Flags over config-file values over defaults, all converted by the parser."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    keys = set(vars(args)) - {"command", "config"}  # the subcommand's flags, as dests
+    # argv[0] is the subcommand; the flags come after the config tokens, and
+    # argparse keeps the last value, so flags win
+    return parser.parse_args([argv[0], *_config_argv(args.config, keys), *argv[1:]])
+
+
+def _config_argv(path: str, keys: set[str]) -> list[str]:
+    """The JSON object in ``path`` as one ``--key=value`` token per entry."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
+        config = json.load(fh)
+    if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    return cfg
+    unknown = sorted(set(config) - keys)
+    if unknown:
+        raise ValueError(
+            f"unknown config key {', '.join(map(repr, unknown))}; "
+            f"the keys are {', '.join(sorted(keys))}"
+        )
+    tokens = []
+    for key, value in config.items():
+        if key == "u0_grid" and isinstance(value, list):
+            if not all(type(v) in (int, float) for v in value):  # bool is not among them
+                raise ValueError(f"config key {key!r} must list numbers, got {value!r}")
+            value = ",".join(map(str, value))
+        elif type(value) not in (int, float, str):
+            raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
+        elif isinstance(value, float) and value.is_integer():
+            value = int(value)  # so that 5.0 reads as the int flag --trials=5
+        # the = form keeps a value such as "-1,2" from being read as a flag
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
-class _Options:
-    """Flag values merged over config-file values merged over defaults."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        keys = set(vars(args)) - {"command", "config"}  # the subcommand's flags, as dests
-        unknown = sorted(set(config) - keys)
-        if unknown:
-            raise ValueError(
-                f"unknown config key {', '.join(map(repr, unknown))}; "
-                f"the keys are {', '.join(sorted(keys))}"
-            )
-        self._args = args
-        self._config = config
-
-    def get(self, key: str, default=None, kind=str, required: bool = False):
-        """The flag, else the config value, else ``default``, converted by ``kind``.
-
-        A config value for an ``int``, ``float`` or ``str`` option must be a
-        number or a string; any other ``kind`` parses the value itself.
-        """
-        value = getattr(self._args, key, None)
-        if value is None and key in self._config:
-            value = self._config[key]
-            if value is None or kind in (int, float, str) and (
-                isinstance(value, bool) or not isinstance(value, (int, float, str))
-            ):
-                raise ValueError(f"config key {key!r} must be a number or a string, got {value!r}")
-        if value is None:
-            value = default
-        if value is None:
-            if required:
-                raise ValueError(f"missing required option --{key.replace('_', '-')}")
-            return None
-        if kind not in (int, float, str):
-            return kind(value)
-        try:
-            converted = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            converted = None
-        if converted is None or kind is int and isinstance(value, float) and converted != value:
-            raise ValueError(f"option {key!r}: {value!r} is not a valid {kind.__name__}")
-        return converted
+def _required(args: argparse.Namespace, key: str):
+    if getattr(args, key) is None:  # not required=, which is checked before the config is read
+        raise ValueError(f"missing required option --{key}")
+    return getattr(args, key)
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParseError(f"bad {what} list {text!r}") from None
     if not values:
@@ -454,13 +452,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _parse_u0_grid(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        try:
-            return [float(v) for v in value]
-        except (TypeError, ValueError):
-            raise ParseError(f"bad u0 grid {value!r}") from None
-    text = str(value)
+def _parse_u0_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -469,100 +461,70 @@ def _parse_u0_grid(value) -> list[float]:
             start, step, stop = (float(tok) for tok in parts)
         except ValueError:
             raise ParseError(f"grid {text!r} has non-numeric parts") from None
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise ParseError(f"grid {text!r} must have step > 0 and stop >= start")
-        count = round((stop - start) / step)
+        span = (stop - start) / step
+        # the whole list is built, so a tiny step must fail here and not at
+        # the allocator; inf and nan fail too
+        if not span + 1 <= _MAX_GRID_POINTS:
+            raise ParseError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        count = round(span)
         if abs(start + count * step - stop) > 1e-9:
             raise ParseError(f"step does not tile [{start}, {stop}] in grid {text!r}")
         return [start + k * step for k in range(count + 1)]
     return _parse_float_list(text, "u0 grid")
 
 
-def _system_params(opt: _Options) -> SystemParams:
-    lam = opt.get("lam", kind=float, required=True)
-    packet = parse_distribution_spec(opt.get("packet", kind=str, required=True))
-    p = opt.get("p", 1.0, float)
-    u0 = opt.get("u0", 0.0, float)
-    return SystemParams(lam=lam, packet=packet, p=p, u0=u0)
+def _system_params(args: argparse.Namespace) -> SystemParams:
+    lam = _required(args, "lam")
+    packet = parse_distribution_spec(_required(args, "packet"))
+    return SystemParams(lam=lam, packet=packet, p=args.p, u0=args.u0)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _dispatch(args: argparse.Namespace) -> None:
+    if args.command == "reproduce":
+        figure = _required(args, "figure")
+        out_dir = "." if args.out is None else args.out
+        for number in sorted(_FIGURES) if figure == "all" else [int(figure)]:
+            paths = run_reproduce(
+                number, out_dir, args.trials, args.horizon, args.seed, args.workers
+            )
+            sys.stdout.write(f"{paths['csv']}\n{paths['manifest']}\n")
+        return
+    if args.command == "sweep":
+        spec = SweepSpec(
+            u0_grid=_parse_u0_grid(args.u0_grid),
+            rho_list=_parse_float_list(args.rho, "rho"),
+            dist_list=[tok.strip() for tok in args.dist.split(",") if tok.strip()],
+            p=args.p, trials=args.trials, horizon=args.horizon, seed=args.seed,
+            workers=args.workers, ci_method=args.ci,
+        )
+        text = rows_to_csv(run_sweep(spec))
+    elif args.command == "simulate":
+        report = run_simulate(
+            _system_params(args), args.trials, args.horizon, args.seed, args.workers, args.ci
+        )
+        text = json.dumps(report, indent=2) + "\n"
+    else:
+        text = json.dumps(run_analyze(_system_params(args)), indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    opt = _Options(args, _load_config(getattr(args, "config", None)))
-    out = opt.get("out", kind=str)
-    workers = opt.get("workers", kind=int)
-    if args.command == "analyze":
-        report = run_analyze(_system_params(opt))
-        _emit(json.dumps(report, indent=2) + "\n", out)
-        return 0
-    if args.command == "simulate":
-        report = run_simulate(
-            _system_params(opt),
-            trials=opt.get("trials", DEFAULT_TRIALS, int),
-            horizon=opt.get("horizon", DEFAULT_HORIZON, float),
-            seed=opt.get("seed", DEFAULT_SEED, int),
-            workers=workers,
-            ci_method=opt.get("ci", "normal", str),
-        )
-        _emit(json.dumps(report, indent=2) + "\n", out)
-        return 0
-    if args.command == "sweep":
-        spec = SweepSpec(
-            u0_grid=opt.get("u0_grid", "0:2:40", _parse_u0_grid),
-            rho_list=_parse_float_list(opt.get("rho", "1.1,1.2,1.3", str), "rho"),
-            dist_list=[
-                tok.strip()
-                for tok in opt.get("dist", "exp:mean=1.0", str).split(",")
-                if tok.strip()
-            ],
-            p=opt.get("p", 1.0, float),
-            trials=opt.get("trials", DEFAULT_TRIALS, int),
-            horizon=opt.get("horizon", DEFAULT_HORIZON, float),
-            seed=opt.get("seed", DEFAULT_SEED, int),
-            workers=workers,
-            ci_method=opt.get("ci", "normal", str),
-        )
-        _emit(rows_to_csv(run_sweep(spec)), out)
-        return 0
-    if args.command == "reproduce":
-        figure = opt.get("figure", kind=str, required=True)
-        for number in sorted(_FIGURES) if figure == "all" else [int(figure)]:
-            paths = run_reproduce(
-                number,
-                out_dir=out if out is not None else ".",
-                trials=opt.get("trials", DEFAULT_TRIALS, int),
-                horizon=opt.get("horizon", DEFAULT_HORIZON, float),
-                seed=opt.get("seed", DEFAULT_SEED, int),
-                workers=workers,
-            )
-            sys.stdout.write(f"{paths['csv']}\n{paths['manifest']}\n")
-        return 0
-    raise ValueError(f"unknown command {args.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        _dispatch(_parse_args(sys.argv[1:] if argv is None else argv))
+        return 0
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)
-    try:
-        return _dispatch(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError, PreconditionError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, PreconditionError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -43,6 +43,7 @@ sweep puts one task per (packet law, trial chunk) on one pool queue.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -383,7 +384,9 @@ def _curves(
             def group_counts(packet: DistributionSpec) -> list[list[int]]:
                 return _count_range(members[packet], horizon, seed, u0_grid, 0, trials)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(chunks))
+            # one task per chunk as asked, but no more processes than CPUs: under
+            # fork the pool starts every process at the first submit
+            pool = stack.enter_context(ProcessPoolExecutor(min(chunks, os.cpu_count() or 1)))
             bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
             futures = {
                 packet: [

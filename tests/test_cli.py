@@ -1,23 +1,28 @@
 """CLI surface: report contents, CSV contract, config merging, exit codes,
 and figure reproduction plumbing."""
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsc
 import hsc.cli as cli
 import hsc.simulate as simulate
-from hsc import ConvergenceError, PreconditionError, SystemParams, parse_distribution_spec
+from hsc import (
+    ConvergenceError, ParseError, PreconditionError, SystemParams, parse_distribution_spec,
+)
 from hsc.cli import (
     CSV_HEADER,
     ResultRow,
@@ -401,6 +406,13 @@ class TestMainEntry:
     def test_bad_grid_is_exit_2(self, capsys):
         assert main(["sweep", "--u0-grid", "0:3:10", "--trials", "0"]) == 2
         assert main(["sweep", "--u0-grid", "0:2:x", "--trials", "0"]) == 2
+        # one point past the bound first: without the bound that call returns a
+        # list and the test fails before the tiny steps ask for terabytes
+        for grid in ("0:1:1000000", "0:1e-9:1000", "0:1e-300:1", "0:1:inf", "0:1e-320:1e300"):
+            with pytest.raises(ParseError, match="more than 1000000 points"):
+                cli._parse_u0_grid(grid)
+        assert main(["sweep", "--u0-grid", "0:1e-9:1000", "--trials", "0"]) == 2
+        assert len(cli._parse_u0_grid("0:1:999999")) == 10**6
 
     def test_numeric_error_is_exit_3(self, capsys, monkeypatch):
         def boom(*a, **k):
@@ -444,21 +456,32 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out) == pooled
 
     @pytest.mark.parametrize(
-        "config,key",
+        "config,fragment",
         [
-            ({"trials": [5]}, "trials"),
-            ({"workers": {}, "trials": 0}, "workers"),
-            ({"horizon": None, "trials": 0}, "horizon"),
-            ({"trials": 2.7}, "trials"),
-            ({"seed": 1.5, "trials": 0}, "seed"),
+            ({"trials": [5]}, repr("trials")),
+            ({"workers": {}, "trials": 0}, repr("workers")),
+            ({"horizon": None, "trials": 0}, repr("horizon")),
+            ({"trials": 2.7}, "argument --trials: invalid int value: '2.7'"),
+            ({"seed": 1.5, "trials": 0}, "argument --seed: invalid int value: '1.5'"),
+            ({"u0_grid": [1, True], "trials": 0, "rho": "1.1"}, repr("u0_grid")),
         ],
     )
-    def test_non_scalar_config_value_is_exit_2(self, tmp_path, capsys, config, key):
+    def test_non_scalar_config_value_is_exit_2(self, tmp_path, capsys, config, fragment):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code = main(["sweep", "--rho", "1.1", "--u0-grid", "0,1", "--config", str(cfg)])
         assert code == 2
-        assert repr(key) in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
+
+    def test_integral_float_config_values_read_as_ints(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 5.0, "seed": 3.0, "horizon": 50.0}))
+        point = ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--u0", "2"]
+        assert main(point + ["--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["trials"] == 5 and report["seed"] == 3
+        assert main(point + ["--trials", "5", "--seed", "3", "--horizon", "50"]) == 0
+        assert json.loads(capsys.readouterr().out) == report
 
     @pytest.mark.parametrize(
         "argv,config,key",
@@ -523,9 +546,126 @@ class TestMainEntry:
     def test_u0_grid_forms(self):
         assert cli._parse_u0_grid("0:2:6") == [0.0, 2.0, 4.0, 6.0]
         assert cli._parse_u0_grid("1,3.5") == [1.0, 3.5]
-        assert cli._parse_u0_grid([0, 7]) == [0.0, 7.0]
         grid = cli._parse_u0_grid("0:0.1:0.5")
         assert len(grid) == 6 and grid[-1] == pytest.approx(0.5)
+
+
+# token pools for the main(argv) fuzz: each keeps rho <= 1e6 and lam * horizon
+# small, and the Monte-Carlo subcommands always end with few trials
+_NUMBERS = ["0.5", "1", "1.1", "1.7", "17", "1e-3"]
+_BAD = ["-1", "0", "inf", "nan", "x", ""]
+_LAWS = [f"{kind}:mean={mean}" for kind in ("exp", "det", "unif") for mean in ("0.1", "1", "2.5")]
+_VALID = {  # dest -> argv values
+    "lam": _NUMBERS,
+    "packet": _LAWS,
+    "p": _NUMBERS,
+    "u0": _NUMBERS + ["0"],
+    "dist": _LAWS + ["exp:mean=1,det:mean=2.5"],
+    "rho": _NUMBERS + ["1.1,1.7", "0.5,17"],
+    "u0_grid": ["0:2:6", "0,1.5,4", "3", "0:0.5:2"],
+    "figure": ["2", "3", "4", "5", "all"],
+    "trials": ["0", "1", "3"],
+    "horizon": ["5", "20"],
+    "seed": ["0", "1", "7"],
+    "workers": ["1"],
+    "ci": ["normal", "wilson"],
+    "out": ["out"],
+}
+_INVALID = {  # dest -> argv values, _BAD when absent
+    "packet": ["cauchy:mean=1", "exp", "exp:mean=-1", ""],
+    "dist": ["cauchy:mean=1", ",", ""],
+    "rho": ["-1,2", ","] + _BAD,
+    "u0_grid": ["0:3:10", "0:1e-9:1000", "0:1e-300:1", "1:1:0", "0:0:1", "0:1", "a:b:c",
+                "2,-1", "0:1:inf", "nan:1:2"] + _BAD,
+    "figure": ["9", "2.0"] + _BAD,
+    "seed": ["1.5"] + _BAD,
+    "workers": ["-3", "0", "1.5"],
+    "ci": ["bogus", ""],
+}
+_OWN = {  # subcommand -> its dests, besides out and config
+    "analyze": ["lam", "packet", "p", "u0"],
+    "simulate": ["lam", "packet", "p", "u0", "trials", "horizon", "seed", "workers", "ci"],
+    "sweep": ["dist", "rho", "u0_grid", "p", "trials", "horizon", "seed", "workers", "ci"],
+    "reproduce": ["figure", "trials", "horizon", "seed", "workers"],
+}
+_STRANGERS = sorted(_VALID) + ["trails", "u0-grid", "config"]  # for unknown and foreign keys
+
+
+def _json_token(token: str):
+    """A pool token as the JSON number it spells, else as a string."""
+    try:
+        return json.loads(token)
+    except ValueError:
+        return token
+
+
+def _json_containers(children):
+    keys = st.sampled_from(["trials", "lam", "a"])
+    return st.lists(children, max_size=3) | st.dictionaries(keys, children, max_size=2)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.sampled_from(_NUMBERS + _BAD).map(_json_token),
+    _json_containers,
+    max_leaves=6,
+)
+
+
+def _token(dest: str):
+    """Mostly a valid value for ``dest``, one time in four an invalid one."""
+    pools = [_VALID.get(dest, _NUMBERS)] * 3 + [_INVALID.get(dest, _BAD)]
+    return st.sampled_from(pools).flatmap(st.sampled_from)
+
+
+def _config_value(key: str):
+    token = _token(key) | _token(key).map(_json_token)
+    if key == "workers":  # never a real pool: any number or string comes from the pool
+        return token | st.none() | st.booleans() | _json_containers(_JSON)
+    return token | _JSON
+
+
+class TestMainFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_ends_in_a_documented_exit(self, data):
+        command = data.draw(st.sampled_from(sorted(_OWN)))
+        own = _OWN[command]
+        dests = data.draw(st.lists(st.sampled_from(own), unique=True, max_size=len(own)))
+        if data.draw(st.integers(0, 4)):  # mostly with the point or figure it needs
+            dests = [d for d in ("lam", "packet", "figure") if d in own] + dests
+        if not data.draw(st.integers(0, 4)):  # sometimes a flag the subcommand rejects
+            dests.append(data.draw(st.sampled_from(_STRANGERS)))
+        argv = [command]
+        for dest in dests:
+            flag, value = "--" + dest.replace("_", "-"), data.draw(_token(dest))
+            argv += data.draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+        config = None
+        if data.draw(st.booleans()):
+            optional = {key: _config_value(key) for key in own + ["out"]}
+            config = data.draw(st.fixed_dictionaries({}, optional=optional))
+            if not data.draw(st.integers(0, 4)):  # sometimes an unknown key or no object
+                stranger = data.draw(st.sampled_from(_STRANGERS))
+                config[stranger] = data.draw(_config_value(stranger))
+                config = data.draw(st.sampled_from([config, list(config.values())]))
+        if command != "analyze":
+            argv += ["--trials", data.draw(st.sampled_from(["0", "1", "3"]))]
+            argv += ["--horizon", data.draw(st.sampled_from(["5", "20"]))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                Path(tmp, "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+                argv += ["--config", str(Path(tmp, "cfg.json"))]
+            argv += ["--out", str(Path(tmp, "out"))]
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4), (argv, config, err)
+        assert "Traceback" not in err
+        for untyped in ("math domain error", "invalid literal for int()", "could not convert",
+                        "object has no attribute"):
+            assert untyped not in err, (argv, config, err)
+        if code != 0:
+            assert "error: " in err or "usage:" in err, (argv, config, err)
 
 
 class TestImports:
@@ -578,6 +718,9 @@ class TestReproduce:
 
     def test_cli_reproduce_exit_codes(self, tmp_path, capsys):
         assert main(["reproduce", "--figure", "9", "--out", str(tmp_path)]) == 2
+        for figure in ("x", "2.0"):
+            assert main(["reproduce", "--figure", figure, "--out", str(tmp_path)]) == 2
+            assert "invalid choice" in capsys.readouterr().err
         assert (
             main(
                 ["reproduce", "--figure", "4", "--trials", "0", "--horizon", "5",

@@ -500,6 +500,28 @@ class TestEstimatorDeterminism:
         curve = estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0], workers=1.0)
         assert curve == estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0])
 
+    def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
+        # the trials still split into one chunk per worker asked for
+        sizes, chunks = [], []
+        count = simulate._count_range
+
+        def recording_pool(workers):
+            sizes.append(workers)
+            return ThreadPoolExecutor(workers)
+
+        def recording_count(columns, horizon, seed, u0_grid, lo, hi):
+            chunks.append((lo, hi))
+            return count(columns, horizon, seed, u0_grid, lo, hi)
+
+        grid = [0.0, 2.0, 5.0]
+        serial = estimate_outage_curve(mm1(), 200.0, 50, 7, grid)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(simulate, "_count_range", recording_count)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        assert estimate_outage_curve(mm1(), 200.0, 50, 7, grid, workers=1000) == serial
+        assert sizes == [2]
+        assert sorted(chunks) == [(k, k + 1) for k in range(50)]
+
     @pytest.mark.parametrize("trials", [3.9, 0, -2])
     def test_trials_checked(self, trials):
         with pytest.raises(PreconditionError, match="trials must be an integer"):
