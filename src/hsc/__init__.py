@@ -9,7 +9,7 @@ closed-form result against seeded Monte-Carlo simulation.
 """
 from __future__ import annotations
 
-__version__ = "0.1.2"
+__version__ = "0.2.0"
 
 from .errors import (
     ConvergenceError,
@@ -23,34 +23,27 @@ from .distributions import (
     DistributionSpec,
     Kind,
     log_laplace,
-    mgf,
     moments,
     parse_distribution_spec,
     poisson_events,
-    sample,
     sample_block,
     scripted_events,
 )
 from .analytic import (
-    AdjustmentApproximations,
     AdjustmentResult,
     SolveMethod,
     Sustainability,
     SustainabilityVerdict,
     SystemParams,
-    approx_adjustment_coefficient,
     asymptotic_outage,
     eventual_outage_poisson_exact,
-    expected_surplus,
     ladder_height_density_poisson,
     outage_bound,
-    outage_duration_cdf,
     required_initial_energy,
     solve_adjustment_coefficient,
     solve_renewal_equation,
     stationary_outage,
     step_cgf,
-    step_density,
     tilted_ladder_mean_poisson,
     utilization,
 )
@@ -62,10 +55,7 @@ from .simulate import (
     collect_ladder_samples,
     estimate_eventual_outage,
     estimate_phi_from_max,
-    lindley_path,
-    record_path,
     simulate_first_passage,
-    simulate_ladder,
     simulate_lindley,
     trial_rng,
 )
@@ -81,32 +71,25 @@ __all__ = [
     "DistributionSpec",
     "Kind",
     "log_laplace",
-    "mgf",
     "moments",
     "parse_distribution_spec",
     "poisson_events",
-    "sample",
     "sample_block",
     "scripted_events",
-    "AdjustmentApproximations",
     "AdjustmentResult",
     "SolveMethod",
     "Sustainability",
     "SustainabilityVerdict",
     "SystemParams",
-    "approx_adjustment_coefficient",
     "asymptotic_outage",
     "eventual_outage_poisson_exact",
-    "expected_surplus",
     "ladder_height_density_poisson",
     "outage_bound",
-    "outage_duration_cdf",
     "required_initial_energy",
     "solve_adjustment_coefficient",
     "solve_renewal_equation",
     "stationary_outage",
     "step_cgf",
-    "step_density",
     "tilted_ladder_mean_poisson",
     "utilization",
     "EstimateWithCI",
@@ -116,10 +99,7 @@ __all__ = [
     "collect_ladder_samples",
     "estimate_eventual_outage",
     "estimate_phi_from_max",
-    "lindley_path",
-    "record_path",
     "simulate_first_passage",
-    "simulate_ladder",
     "simulate_lindley",
     "trial_rng",
 ]

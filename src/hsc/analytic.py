@@ -29,9 +29,8 @@ root, and ``theta`` is taken as ``E[e^{-r* X}]``, so both keep their
 digits at either end of rho (Asmussen & Albrecher, *Ruin Probabilities*,
 ch. IV).  The module also provides the first-ascent ("ladder") height
 density of the walk, an O(n log n) trapezoidal solver for the defective
-renewal equation satisfied by ``phi = 1 - psi``, the density of a single
-step, and the stationary fraction of time spent empty in the ``rho < 1``
-regime.
+renewal equation satisfied by ``phi = 1 - psi``, and the stationary
+fraction of time spent empty in the ``rho < 1`` regime.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import PHI_SERIES, DistributionSpec, Kind, log_laplace, log_phi, moments
+from .distributions import PHI_SERIES, DistributionSpec, Kind, log_laplace, log_phi
 from .errors import ConvergenceError, DomainError, GridError, PreconditionError
 
 __all__ = [
@@ -51,12 +50,9 @@ __all__ = [
     "SystemParams",
     "SolveMethod",
     "AdjustmentResult",
-    "AdjustmentApproximations",
     "utilization",
-    "expected_surplus",
     "step_cgf",
     "solve_adjustment_coefficient",
-    "approx_adjustment_coefficient",
     "outage_bound",
     "eventual_outage_poisson_exact",
     "asymptotic_outage",
@@ -64,9 +60,7 @@ __all__ = [
     "ladder_height_density_poisson",
     "tilted_ladder_mean_poisson",
     "solve_renewal_equation",
-    "step_density",
     "stationary_outage",
-    "outage_duration_cdf",
 ]
 
 
@@ -132,25 +126,12 @@ class AdjustmentResult(NamedTuple):
     theta: float
 
 
-class AdjustmentApproximations(NamedTuple):
-    quadratic_fixed_point: float
-    mean_variance_guess: float
-
-
 def utilization(params: SystemParams) -> SustainabilityVerdict:
     """Classify the system: rho <= 1 makes eventual outage certain."""
     rho = params.rho
     if rho <= 1.0:
         return SustainabilityVerdict(rho, Sustainability.UNSUSTAINABLE_CERTAIN)
     return SustainabilityVerdict(rho, Sustainability.SELF_SUSTAINABLE_POSSIBLE)
-
-
-def expected_surplus(params: SystemParams, t: float) -> float:
-    """Mean surplus at time t: ``u0 + (lam * mean - p) * t``."""
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise PreconditionError(f"t must be nonnegative and finite, got {t!r}")
-    return params.u0 + (params.lam * params.packet.mean - params.p) * t
 
 
 def step_cgf(params: SystemParams, r: float) -> float:
@@ -181,6 +162,13 @@ def _rho_minus_one(params: SystemParams) -> float:
     excess = (hi - p + (lo if math.isfinite(lo) else 0.0)) / p
     if not excess > 0.0:
         raise PreconditionError(f"adjustment coefficient requires rho > 1, got rho - 1 = {excess}")
+    # r* < lam/p and r* mean < rho bound every argument of the solve, and the
+    # uniform law's transform doubles r* mean, which exp(log rho) can round
+    # up by 1e-13 relative: so lam/p must be finite and rho well below 9e307
+    if not (excess < 1e307 and x / p < math.inf):
+        raise DomainError(
+            f"rho - 1 = {excess} must be below 1e307 and lam/p = {x / p} must be finite"
+        )
     return excess
 
 
@@ -213,6 +201,7 @@ def solve_adjustment_coefficient(
 
     Raises:
         PreconditionError: if ``rho <= 1`` (no positive root exists).
+        DomainError: if ``rho > 1e307`` or ``lam/p`` overflows.
         ConvergenceError: if ``residual > tol``, or after 100 steps.
     """
     excess = _rho_minus_one(params)
@@ -244,28 +233,6 @@ def solve_adjustment_coefficient(
     r = min(math.exp(s) / mean, params.lam / params.p)  # r* < lam/p, up to rounding
     theta = math.exp(log_laplace(params.packet, r))
     return AdjustmentResult(r, SolveMethod.NUMERIC, iterations, residual, theta)
-
-
-def approx_adjustment_coefficient(params: SystemParams) -> AdjustmentApproximations:
-    """Two cheap surrogates for the adjustment coefficient.
-
-    * ``quadratic_fixed_point``: ``2 p (rho - 1) / (lam E[X^2])``, from a
-      second-order expansion of the packet MGF in the fixed-point form.
-    * ``mean_variance_guess``: ``-2 mu / var`` of one walk step, from a
-      quadratic expansion of the step CGF itself.
-
-    Raises:
-        PreconditionError: if ``rho <= 1``.
-    """
-    rho = params.rho
-    if rho <= 1.0:
-        raise PreconditionError(f"approximations require rho > 1, got rho = {rho}")
-    mean_x, m2_x = moments(params.packet)
-    quad = 2.0 * params.p * (rho - 1.0) / (params.lam * m2_x)
-    # step = p*gap - packet, gap ~ Exp(lam) independent of packet
-    mu = params.p / params.lam - mean_x
-    var = (params.p / params.lam) ** 2 + m2_x - mean_x * mean_x
-    return AdjustmentApproximations(quad, -2.0 * mu / var)
 
 
 def outage_bound(r_star: float, u0: float) -> float:
@@ -477,35 +444,6 @@ def _grid_points(u_max: float, step: float) -> int:
     return n
 
 
-def step_density(params: SystemParams, z: float) -> float:
-    """Density of one walk step ``p*gap - packet`` at the point ``z``.
-
-    Conditioning on the packet size gives
-    ``f(z) = (lam/p) e^{-lam z / p} * E[e^{-lam X / p}; X >= -z]``, which
-    closes for all three packet families.  The right tail is always
-    proportional to ``e^{-lam z / p}``.
-    """
-    z = float(z)
-    beta = params.lam / params.p
-    m = params.packet.mean
-    kind = params.packet.kind
-    if kind is Kind.EXPONENTIAL:
-        denom = 1.0 + beta * m
-        if z >= 0.0:
-            return beta * math.exp(-beta * z) / denom
-        return beta * math.exp(z / m) / denom
-    if kind is Kind.DETERMINISTIC:
-        if z < -m:
-            return 0.0
-        return beta * math.exp(-beta * (z + m))
-    b = 2.0 * m
-    if z >= 0.0:
-        return math.exp(-beta * z) * (1.0 - math.exp(-beta * b)) / b
-    if z >= -b:
-        return (1.0 - math.exp(-beta * (z + b))) / b
-    return 0.0
-
-
 def stationary_outage(params: SystemParams) -> float:
     """Long-run fraction of time the store is empty: ``1 - rho`` (rho < 1).
 
@@ -520,14 +458,3 @@ def stationary_outage(params: SystemParams) -> float:
         )
     return 1.0 - rho
 
-
-def outage_duration_cdf(params: SystemParams, x: float) -> float:
-    """CDF of a single outage's duration in the stationary ``rho < 1`` regime.
-
-    An outage ends at the next arrival, so the duration is the memoryless
-    residual gap: ``1 - exp(-lam x)``.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise PreconditionError(f"durations are nonnegative, got x = {x!r}")
-    return -math.expm1(-params.lam * x)

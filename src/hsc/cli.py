@@ -40,8 +40,8 @@ from .errors import (
 )
 from .simulate import (
     EstimateWithCI,
+    _check_protocol,
     _estimate_outage_curves,
-    _finite_horizon,
     _integer,
     estimate_eventual_outage,
 )
@@ -92,19 +92,13 @@ class SweepSpec:
     ci_method: str = "normal"
 
     def __post_init__(self) -> None:
-        if not self.u0_grid or not self.rho_list or not self.dist_list:
+        if not self.rho_list or not self.dist_list:
             raise ValueError("sweep grids must be nonempty")
-        if not all(0.0 <= u0 < math.inf for u0 in self.u0_grid):
-            raise ValueError(f"every u0 must be nonnegative and finite, got {self.u0_grid}")
         if any(not rho > 0.0 for rho in self.rho_list):
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        _finite_horizon(self.horizon)
-        if self.workers is not None:
-            _integer("workers", self.workers, 1, ValueError)
-        if self.ci_method not in ("normal", "wilson"):
-            raise ValueError(f"unknown ci_method {self.ci_method!r}")
+        _integer("trials", self.trials, 0, ValueError)
+        # checked here as well as by the Monte-Carlo call, which trials = 0 skips
+        _check_protocol(self.horizon, self.u0_grid, self.workers, self.ci_method)
 
 
 @dataclass(frozen=True)
@@ -199,6 +193,7 @@ def run_simulate(
     ci_method: str = "normal",
 ) -> dict:
     """Monte-Carlo outage estimate for one parameter point, as a dict."""
+    trials = _integer("trials", trials, 1, ValueError)  # exit code 2, as for sweep
     est = estimate_eventual_outage(
         params, horizon, trials, seed, workers=workers, ci_method=ci_method
     )

@@ -28,11 +28,9 @@ __all__ = [
     "Kind",
     "DistributionSpec",
     "parse_distribution_spec",
-    "sample",
     "sample_block",
     "moments",
     "log_laplace",
-    "mgf",
     "poisson_events",
     "scripted_events",
     "EVENT_BLOCK",
@@ -121,15 +119,6 @@ def parse_distribution_spec(text: str) -> DistributionSpec:
     return DistributionSpec(_KINDS[kind_token], mean)
 
 
-def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
-    """Draw one packet size. Deterministic packets consume no randomness."""
-    if spec.kind is Kind.EXPONENTIAL:
-        return float(rng.exponential(spec.mean))
-    if spec.kind is Kind.DETERMINISTIC:
-        return spec.mean
-    return float(rng.uniform(0.0, 2.0 * spec.mean))
-
-
 def sample_block(
     spec: DistributionSpec, rng: np.random.Generator, n: int
 ) -> np.ndarray:
@@ -173,15 +162,6 @@ def log_laplace(spec: DistributionSpec, r: float) -> float:
     # with e^{-b} factored out for b < 0; expm1 keeps it exact as b -> 0
     b = abs(2.0 * a)
     return 0.0 if b == 0.0 else math.log(-math.expm1(-b) / b) + max(-2.0 * a, 0.0)
-
-
-def mgf(spec: DistributionSpec, r: float) -> float:
-    """Moment generating function E[e^{rX}] of the packet law at ``r``.
-
-    Exponential packets are only finite for r < 1/mean; outside that a
-    :class:`DomainError` is raised.
-    """
-    return math.exp(log_laplace(spec, -r))
 
 
 # Taylor coefficients c_k = E[Y^(k+1)] / (k+1)! of

@@ -67,12 +67,9 @@ __all__ = [
     "simulate_first_passage",
     "estimate_outage_curve",
     "estimate_eventual_outage",
-    "simulate_ladder",
     "collect_ladder_samples",
     "estimate_phi_from_max",
     "simulate_lindley",
-    "lindley_path",
-    "record_path",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -80,6 +77,11 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # The walk's block sums are within 6.6e-13 of D_i in exact arithmetic
 # (3 families, rho 0.9 to 1.3, horizons to 1e5), well inside the band.
 _TIE_RTOL = 1e-9
+# Cap on lam * H, the expected arrivals per trial.  A trial with no outage
+# walks until p * H - A falls below every u0, about lam * H / rho arrivals
+# at 30-60 ns each (measured on a 2-core x86 host), so 1e8 costs seconds
+# per trial where an uncapped horizon hangs.  The figures need 1.3e3.
+_MAX_ARRIVALS = 1e8
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,26 @@ def _integer(name: str, value: int, least: int, error: type[ValueError] = Precon
     if not (float(value).is_integer() and value >= least):
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_protocol(
+    horizon: float, u0_grid: list[float], workers: int | None, ci_method: str
+) -> float:
+    """Check the Monte-Carlo arguments a sweep shares; return the horizon as a float.
+
+    The CLI maps the horizon's :class:`PreconditionError` to exit code 3 and
+    the ``ValueError`` of the others to exit code 2.
+    """
+    if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
+        raise ValueError(
+            f"the u0 grid must be nonempty and every u0 must be nonnegative and finite, got {u0_grid}"
+        )
+    horizon = _finite_horizon(horizon)
+    if workers is not None:
+        _integer("workers", workers, 1, ValueError)
+    if ci_method not in ("normal", "wilson"):
+        raise ValueError(f"unknown ci_method {ci_method!r}")
+    return horizon
 
 
 def simulate_first_passage(
@@ -356,13 +378,13 @@ def _estimate_outage_curves(
     not yet started are then cancelled.
     """
     trials = _integer("trials", trials, 1)
-    horizon = _finite_horizon(horizon)
-    # a ValueError, which the CLI maps to exit code 2 as for its other options
-    chunks = 1 if workers is None else min(_integer("workers", workers, 1, ValueError), trials)
-    if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
-        raise ValueError(f"u0_grid must be nonempty, nonnegative and finite, got {u0_grid}")
-    if ci_method not in ("normal", "wilson"):
-        raise ValueError(f"unknown ci_method {ci_method!r}")
+    horizon = _check_protocol(horizon, u0_grid, workers, ci_method)
+    arrivals = max(params.lam for params in columns) * horizon
+    if not arrivals <= _MAX_ARRIVALS:
+        raise PreconditionError(
+            f"lam * horizon = {arrivals} expected arrivals per trial exceeds {_MAX_ARRIVALS:g}"
+        )
+    chunks = 1 if workers is None else min(int(workers), trials)
     return _curves(columns, horizon, trials, seed, u0_grid, chunks, ci_method)
 
 
@@ -453,43 +475,14 @@ def estimate_eventual_outage(
     return est
 
 
-def simulate_ladder(
-    params: SystemParams,
-    max_steps: int,
-    events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
-) -> LadderSample:
-    """Walk ``S_n = sum(p * gap_i - packet_i)`` for up to ``max_steps`` steps.
-
-    Records the first epoch at which the walk becomes strictly positive
-    (the first ascending ladder point) and the running maximum, both
-    truncated at ``max_steps``.
-    """
-    max_steps = _integer("max_steps", max_steps, 1)
-    p = params.p
-    s = 0.0
-    s_max = 0.0
-    epoch: int | None = None
-    height: float | None = None
-    n = 0
-    for gap, packet in events:
-        n += 1
-        s += p * gap - packet
-        if epoch is None and s > 0.0:
-            epoch, height = n, s
-        if s > s_max:
-            s_max = s
-        if n >= max_steps:
-            break
-    return LadderSample(epoch is None, s_max, epoch, height)
-
-
 def _ladder_kernel(
     params: SystemParams,
     max_steps: int,
     rng: np.random.Generator,
     stop_drawdown: float | None = None,
 ) -> LadderSample:
-    # Vectorized simulate_ladder over poisson_events(rng), identical draws.
+    # First ladder point and running maximum of S_n, over the draws of
+    # poisson_events(rng), a block at a time.
     # stop_drawdown ends the run once the walk sits that far below its
     # running maximum: with drift down, the probability that either recorded
     # statistic could still change is at most exp(-r* drawdown).
@@ -542,22 +535,6 @@ def estimate_phi_from_max(samples: list[LadderSample], u0: float) -> float:
         raise PreconditionError("samples must be nonempty")
     hits = sum(1 for s in samples if s.max_shortfall <= u0)
     return hits / len(samples)
-
-
-def lindley_path(
-    params: SystemParams,
-    steps: int,
-    events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
-) -> list[float]:
-    """Battery levels at arrival epochs: ``[W_0, W_1, ..]``, W_0 = u0."""
-    steps = _integer("steps", steps, 0)
-    p = params.p
-    w = params.u0
-    path = [w]
-    for gap, packet in islice(events, steps):
-        w = max(0.0, w + packet - p * gap)
-        path.append(w)
-    return path
 
 
 def simulate_lindley(
@@ -619,51 +596,3 @@ def simulate_lindley(
         burn_in=burn_in,
     )
 
-
-def record_path(
-    params: SystemParams,
-    horizon: float,
-    events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """Breakpoints of the sawtooth surplus trajectory.
-
-    Returns ``(time, surplus)`` pairs: the start point, a pre-jump and
-    post-jump pair at each arrival, and a final point at the outage instant
-    (surplus zero) or at the horizon.  Consecutive points sharing a time
-    coordinate encode the jump; between breakpoints the surplus is linear
-    with slope ``-p``.  Pre-jump values reproduce the troughs seen by
-    :func:`simulate_first_passage` on the same stream, and ``horizon``
-    must be finite as there.
-    """
-    horizon = _finite_horizon(horizon)
-    p = params.p
-    t = 0.0
-    level = params.u0
-    pts: list[tuple[float, float]] = [(0.0, level)]
-    first = True
-    for gap, packet in events:
-        if not first:
-            pts.append((t, level))
-        first = False
-        post = level + packet
-        pts.append((t, post))
-        level = post - p * gap
-        if level <= 0.0:
-            tau = t + post / p
-            if tau <= horizon:
-                pts.append((tau, 0.0))
-            else:
-                pts.append((horizon, post - p * (horizon - t)))
-            return pts
-        t_next = t + gap
-        if t_next >= horizon:
-            pts.append((horizon, post - p * (horizon - t)))
-            return pts
-        t = t_next
-    # stream ran dry: one final ramp from the last recorded state
-    tau = t + level / p
-    if tau <= horizon:
-        pts.append((tau, 0.0))
-    else:
-        pts.append((horizon, level - p * (horizon - t)))
-    return pts

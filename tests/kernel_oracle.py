@@ -7,8 +7,9 @@ it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
 full-block max-deficit walk, in the library's block arithmetic, draws every
 block's packets in full and always walks to the horizon, where the library's
 walk draws its final block's packets only up to the horizon and stops once
-every u0 is decided.  The ladder walk forms each block's walk in full, where
-the library adds the block-start offset to scalars.  The renewal march
+every u0 is decided.  The scalar ladder walk reads the stream one pair at a
+time, and the block ladder walk forms each block's walk in full, where the
+library adds the block-start offset to scalars.  The renewal march
 solves the trapezoid rows one dot product at a time, where the library
 divides power series; the Lindley loop tests the step index on every pair,
 where the library slices the stream.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from hsc.simulate import (
     LadderSample,
     LindleyStats,
     TrialOutcome,
+    _integer,
     simulate_first_passage,
     trial_rng,
 )
@@ -98,6 +101,36 @@ def max_deficit_full_blocks(
         best = max(best, s0 + float(deficits.max()))
         s0 += float(deficits[-1])
         t0 = float(ends[-1])
+
+
+def simulate_ladder(
+    params: SystemParams,
+    max_steps: int,
+    events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
+) -> LadderSample:
+    """Walk ``S_n = sum(p * gap_i - packet_i)`` for up to ``max_steps`` steps.
+
+    Records the first epoch at which the walk becomes strictly positive
+    (the first ascending ladder point) and the running maximum, both
+    truncated at ``max_steps``.  The scalar oracle of ``_ladder_kernel``.
+    """
+    max_steps = _integer("max_steps", max_steps, 1)
+    p = params.p
+    s = 0.0
+    s_max = 0.0
+    epoch: int | None = None
+    height: float | None = None
+    n = 0
+    for gap, packet in events:
+        n += 1
+        s += p * gap - packet
+        if epoch is None and s > 0.0:
+            epoch, height = n, s
+        if s > s_max:
+            s_max = s
+        if n >= max_steps:
+            break
+    return LadderSample(epoch is None, s_max, epoch, height)
 
 
 def ladder_blocks(params, max_steps, rng, stop_drawdown=None):

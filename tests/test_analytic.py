@@ -1,5 +1,5 @@
 """Closed-form layer: sustainability, adjustment coefficient, outage formulas,
-renewal solver, step density, and the rho < 1 stationary regime.
+renewal solver, and the rho < 1 stationary regime.
 
 Expected constants were produced by an independent bisection script before
 this module was written; they are frozen here, not recomputed from the code
@@ -25,19 +25,15 @@ from hsc import (
     SolveMethod,
     Sustainability,
     SystemParams,
-    approx_adjustment_coefficient,
     asymptotic_outage,
     eventual_outage_poisson_exact,
-    expected_surplus,
     ladder_height_density_poisson,
     outage_bound,
-    outage_duration_cdf,
     required_initial_energy,
     solve_adjustment_coefficient,
     solve_renewal_equation,
     stationary_outage,
     step_cgf,
-    step_density,
     tilted_ladder_mean_poisson,
     utilization,
 )
@@ -84,13 +80,6 @@ class TestSustainability:
         verdict = utilization(mm1(lam=lam))
         assert verdict.status is expected
         assert verdict.rho == pytest.approx(lam)
-
-    def test_expected_surplus_is_linear_in_t(self):
-        p = SystemParams(lam=2.0, packet=DET1, p=1.5, u0=4.0)
-        assert expected_surplus(p, 0.0) == 4.0
-        assert expected_surplus(p, 3.0) == pytest.approx(4.0 + (2.0 - 1.5) * 3.0)
-        with pytest.raises(PreconditionError):
-            expected_surplus(p, -1.0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -247,30 +236,6 @@ class TestAgainstMpmath:
         assert mu == math.inf
         defect = res.r_star * params.p / params.lam
         assert asymptotic_outage(defect, res.r_star, mu, params.u0) == 0.0
-
-
-class TestApproximations:
-    def test_frozen_values(self):
-        quad, mv = approx_adjustment_coefficient(mm1())
-        assert quad == pytest.approx(1.0 / 11.0, rel=1e-12)
-        assert mv == pytest.approx(0.09954751131221723, rel=1e-12)
-        quad_det, _ = approx_adjustment_coefficient(SystemParams(1.1, DET1, 1.0))
-        assert quad_det == pytest.approx(2.0 / 11.0, rel=1e-12)
-
-    def test_requires_supercritical(self):
-        with pytest.raises(PreconditionError):
-            approx_adjustment_coefficient(mm1(lam=0.9))
-
-    @given(kind=kinds, mean=means, rho=st.floats(min_value=1.001, max_value=1.05))
-    @settings(max_examples=30, deadline=None)
-    def test_near_criticality_both_approach_true_root(self, kind, mean, rho):
-        # both surrogates come from quadratic expansions around r = 0, so
-        # they converge to the true root as rho -> 1+
-        p = params_from(kind, mean, rho)
-        true = solve_adjustment_coefficient(p, force_numeric=True).r_star
-        quad, mv = approx_adjustment_coefficient(p)
-        assert quad == pytest.approx(true, rel=0.2)
-        assert mv == pytest.approx(true, rel=0.2)
 
 
 class TestOutageFormulas:
@@ -470,37 +435,6 @@ class TestLadderAndRenewal:
         assert elapsed < 5.0
 
 
-class TestStepDensity:
-    # trapezoid tolerances allow for the jump of the deterministic-packet
-    # density and the slow exponential left tail
-    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
-    def test_integrates_to_one(self, packet):
-        p = SystemParams(1.1, packet, 1.0)
-        z = np.linspace(-16.0, 60.0, 400001)
-        dens = np.array([step_density(p, float(v)) for v in z])
-        assert float(np.trapezoid(dens, z)) == pytest.approx(1.0, abs=5e-4)
-        assert np.all(dens >= 0.0)
-
-    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
-    def test_mean_matches_step_moments(self, packet):
-        p = SystemParams(1.1, packet, 1.0)
-        z = np.linspace(-16.0, 60.0, 400001)
-        dens = np.array([step_density(p, float(v)) for v in z])
-        mean = float(np.trapezoid(dens * z, z))
-        assert mean == pytest.approx(1.0 / 1.1 - 1.0, abs=5e-3)
-
-    def test_frozen_value_at_zero(self):
-        assert step_density(mm1(), 0.0) == pytest.approx(1.1 / 2.1, rel=1e-14)
-
-    def test_supports(self):
-        det = SystemParams(1.0, DET1, 1.0)
-        assert step_density(det, -1.0 - 1e-9) == 0.0
-        assert step_density(det, -1.0) == pytest.approx(1.0)
-        unif = SystemParams(1.0, UNIF1, 1.0)
-        assert step_density(unif, -2.0 - 1e-9) == 0.0
-        assert step_density(unif, 5.0) > 0.0
-
-
 class TestUnsustainableRegime:
     def test_stationary_fraction(self):
         assert stationary_outage(mm1(lam=0.9)) == pytest.approx(0.1, rel=1e-12)
@@ -509,10 +443,3 @@ class TestUnsustainableRegime:
         with pytest.raises(PreconditionError):
             stationary_outage(mm1(lam=1.2))
 
-    def test_duration_cdf(self):
-        p = mm1(lam=0.9)
-        assert outage_duration_cdf(p, 0.0) == 0.0
-        assert outage_duration_cdf(p, 1.0) == pytest.approx(-math.expm1(-0.9))
-        assert outage_duration_cdf(p, 50.0) == pytest.approx(1.0)
-        with pytest.raises(PreconditionError):
-            outage_duration_cdf(p, -0.5)

@@ -1,6 +1,8 @@
 """CLI surface: report contents, CSV contract, config merging, exit codes,
 and figure reproduction plumbing."""
+import ast
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -21,7 +23,8 @@ import hsc
 import hsc.cli as cli
 import hsc.simulate as simulate
 from hsc import (
-    ConvergenceError, ParseError, PreconditionError, SystemParams, parse_distribution_spec,
+    ConvergenceError, DomainError, ParseError, PreconditionError, SystemParams,
+    parse_distribution_spec, solve_adjustment_coefficient,
 )
 from hsc.cli import (
     CSV_HEADER,
@@ -445,6 +448,47 @@ class TestMainEntry:
         assert code == 3
         assert main(["sweep", "--horizon", "nan", "--trials", "5"]) == 3
 
+    @pytest.mark.parametrize(
+        "lam,packet,p",
+        [
+            ("9.893843729220723e+155", "det:mean=1.3150817829110412e-56", "3.978498365559883e-158"),
+            ("1e300", "det:mean=1e10", "1"),
+            ("1e200", "det:mean=1", "1e-200"),
+            # 2 rho overflows where rho does not
+            ("5.820866122431718e-169", "unif:mean=4.511324633952074e+202", "2.0408845725338486e-274"),
+        ],
+    )
+    def test_overflowing_rho_or_rate_is_exit_3(self, capsys, lam, packet, p):
+        assert main(["analyze", "--lam", lam, "--packet", packet, "--p", p]) == 3
+        assert "must be below 1e307" in capsys.readouterr().err
+        params = SystemParams(float(lam), parse_distribution_spec(packet), float(p))
+        with pytest.raises(DomainError):
+            solve_adjustment_coefficient(params)
+
+    def test_long_horizon_is_exit_3_before_any_walk(self, capsys, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(simulate, "_count_range", walk)
+        argv = ["simulate", "--lam", "1.1", "--packet", "exp:mean=1", "--horizon", "1e12"]
+        assert main([*argv, "--trials", "20"]) == 3
+        assert "expected arrivals per trial" in capsys.readouterr().err
+        # a sweep is capped at its largest lam: 1000 * 1e6, where 1.1 * 1e6 walks
+        assert main(["sweep", "--rho", "1.1,1000", "--horizon", "1e6", "--trials", "5"]) == 3
+        with pytest.raises(AssertionError, match="walked"):
+            main(["sweep", "--rho", "1.1", "--horizon", "1e6", "--trials", "5"])
+
+    def test_trials_below_one_is_exit_2_for_every_subcommand(self, tmp_path, capsys):
+        point = ["--lam", "1.1", "--packet", "exp:mean=1.0"]
+        for argv in (
+            ["simulate", *point, "--trials", "-1"],
+            ["simulate", *point, "--trials", "0"],
+            ["sweep", "--trials", "-1"],
+            ["reproduce", "--figure", "5", "--trials", "-1", "--out", str(tmp_path)],
+        ):
+            assert main(argv) == 2, argv
+            assert "trials must be an integer" in capsys.readouterr().err
+
     def test_workers_from_config_are_coerced(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": "2"}))
@@ -677,6 +721,32 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+class TestPublicSurface:
+    def test_every_name_the_benchmark_looks_up_exists(self):
+        # perfbench times and calls hsc by module attribute; read its source
+        # without importing it, so that nothing is traced or installed
+        bench = Path(__file__).parents[1] / "perfbench"
+        run = ast.parse((bench / "run.py").read_text(encoding="utf-8"))
+        (spans,) = [
+            ast.literal_eval(node.value) for node in run.body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]
+        ]
+        modules = {"analytic", "cli", "distributions", "errors", "simulate"}
+        workloads = ast.parse((bench / "workloads.py").read_text(encoding="utf-8"))
+        called = {
+            (node.value.id, node.attr) for node in ast.walk(workloads)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+        assert len(spans) > 10 and len(called) > 10
+        missing = [
+            f"{module}.{attr}" for module, attr in sorted(called | set(spans.values()))
+            if not hasattr(importlib.import_module(f"hsc.{module}"), attr)
+        ]
+        assert missing == []
+        assert [name for name in hsc.__all__ if not hasattr(hsc, name)] == []
 
 
 class TestVersion:
