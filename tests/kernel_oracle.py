@@ -7,7 +7,10 @@ it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
 full-block max-deficit walk, in the library's block arithmetic, draws every
 block's packets in full and always walks to the horizon, where the library's
 walk draws its final block's packets only up to the horizon and stops once
-every u0 is decided.  The scalar ladder walk reads the stream one pair at a
+every u0 is decided.  The sawtooth recorder lists the breakpoints of the
+trajectory whose troughs :func:`hsc.simulate_first_passage` scans, and the
+Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
+accumulates.  The scalar ladder walk reads the stream one pair at a
 time, and the block ladder walk forms each block's walk in full, where the
 library adds the block-start offset to scalars.  The renewal march
 solves the trapezoid rows one dot product at a time, where the library
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,6 +42,7 @@ from hsc.simulate import (
     LadderSample,
     LindleyStats,
     TrialOutcome,
+    _finite_horizon,
     _integer,
     simulate_first_passage,
     trial_rng,
@@ -101,6 +106,71 @@ def max_deficit_full_blocks(
         best = max(best, s0 + float(deficits.max()))
         s0 += float(deficits[-1])
         t0 = float(ends[-1])
+
+
+def record_path(
+    params: SystemParams,
+    horizon: float,
+    events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """Breakpoints of the sawtooth surplus trajectory.
+
+    Returns ``(time, surplus)`` pairs: the start point, a pre-jump and
+    post-jump pair at each arrival, and a final point at the outage instant
+    (surplus zero) or at the horizon.  Consecutive points sharing a time
+    coordinate encode the jump; between breakpoints the surplus is linear
+    with slope ``-p``.  Pre-jump values reproduce the troughs seen by
+    :func:`hsc.simulate_first_passage` on the same stream, and ``horizon``
+    must be finite as there.
+    """
+    horizon = _finite_horizon(horizon)
+    p = params.p
+    t = 0.0
+    level = params.u0
+    pts: list[tuple[float, float]] = [(0.0, level)]
+    first = True
+    for gap, packet in events:
+        if not first:
+            pts.append((t, level))
+        first = False
+        post = level + packet
+        pts.append((t, post))
+        level = post - p * gap
+        if level <= 0.0:
+            tau = t + post / p
+            if tau <= horizon:
+                pts.append((tau, 0.0))
+            else:
+                pts.append((horizon, post - p * (horizon - t)))
+            return pts
+        t_next = t + gap
+        if t_next >= horizon:
+            pts.append((horizon, post - p * (horizon - t)))
+            return pts
+        t = t_next
+    # stream ran dry: one final ramp from the last recorded state
+    tau = t + level / p
+    if tau <= horizon:
+        pts.append((tau, 0.0))
+    else:
+        pts.append((horizon, level - p * (horizon - t)))
+    return pts
+
+
+def lindley_path(
+    params: SystemParams,
+    steps: int,
+    events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
+) -> list[float]:
+    """Battery levels at arrival epochs: ``[W_0, W_1, ..]``, W_0 = u0."""
+    steps = _integer("steps", steps, 0)
+    p = params.p
+    w = params.u0
+    path = [w]
+    for gap, packet in islice(events, steps):
+        w = max(0.0, w + packet - p * gap)
+        path.append(w)
+    return path
 
 
 def simulate_ladder(

@@ -1,5 +1,5 @@
 """Closed-form layer: sustainability, adjustment coefficient, outage formulas,
-renewal solver, and the rho < 1 stationary regime.
+renewal solver, step density, and the rho < 1 stationary regime.
 
 Expected constants were produced by an independent bisection script before
 this module was written; they are frozen here, not recomputed from the code
@@ -7,6 +7,7 @@ under test.
 """
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hsc import (
     asymptotic_outage,
     eventual_outage_poisson_exact,
     ladder_height_density_poisson,
+    moments,
     outage_bound,
     required_initial_energy,
     solve_adjustment_coefficient,
@@ -54,6 +56,57 @@ UNIF1 = DistributionSpec(Kind.UNIFORM, 1.0)
 
 def mm1(u0=0.0, lam=1.1):
     return SystemParams(lam=lam, packet=EXP1, p=1.0, u0=u0)
+
+
+class AdjustmentApproximations(NamedTuple):
+    quadratic_fixed_point: float
+    mean_variance_guess: float
+
+
+def approx_adjustment_coefficient(params: SystemParams) -> AdjustmentApproximations:
+    """Two cheap surrogates for the adjustment coefficient.
+
+    * ``quadratic_fixed_point``: ``2 p (rho - 1) / (lam E[X^2])``, from a
+      second-order expansion of the packet MGF in the fixed-point form.
+    * ``mean_variance_guess``: ``-2 mu / var`` of one walk step, from a
+      quadratic expansion of the step CGF itself.
+    """
+    rho = params.rho
+    if rho <= 1.0:
+        raise PreconditionError(f"approximations require rho > 1, got rho = {rho}")
+    mean_x, m2_x = moments(params.packet)
+    quad = 2.0 * params.p * (rho - 1.0) / (params.lam * m2_x)
+    # step = p*gap - packet, gap ~ Exp(lam) independent of packet
+    mu = params.p / params.lam - mean_x
+    var = (params.p / params.lam) ** 2 + m2_x - mean_x * mean_x
+    return AdjustmentApproximations(quad, -2.0 * mu / var)
+
+
+def step_density(params: SystemParams, z: float) -> float:
+    """Density of one walk step ``p*gap - packet`` at the point ``z``.
+
+    Conditioning on the packet size gives
+    ``f(z) = (lam/p) e^{-lam z / p} * E[e^{-lam X / p}; X >= -z]``, which
+    closes for all three packet families.
+    """
+    beta = params.lam / params.p
+    m = params.packet.mean
+    kind = params.packet.kind
+    if kind is Kind.EXPONENTIAL:
+        denom = 1.0 + beta * m
+        if z >= 0.0:
+            return beta * math.exp(-beta * z) / denom
+        return beta * math.exp(z / m) / denom
+    if kind is Kind.DETERMINISTIC:
+        if z < -m:
+            return 0.0
+        return beta * math.exp(-beta * (z + m))
+    b = 2.0 * m
+    if z >= 0.0:
+        return math.exp(-beta * z) * (1.0 - math.exp(-beta * b)) / b
+    if z >= -b:
+        return (1.0 - math.exp(-beta * (z + b))) / b
+    return 0.0
 
 
 kinds = st.sampled_from(list(Kind))
@@ -236,6 +289,30 @@ class TestAgainstMpmath:
         assert mu == math.inf
         defect = res.r_star * params.p / params.lam
         assert asymptotic_outage(defect, res.r_star, mu, params.u0) == 0.0
+
+
+class TestApproximations:
+    def test_frozen_values(self):
+        quad, mv = approx_adjustment_coefficient(mm1())
+        assert quad == pytest.approx(1.0 / 11.0, rel=1e-12)
+        assert mv == pytest.approx(0.09954751131221723, rel=1e-12)
+        quad_det, _ = approx_adjustment_coefficient(SystemParams(1.1, DET1, 1.0))
+        assert quad_det == pytest.approx(2.0 / 11.0, rel=1e-12)
+
+    def test_requires_supercritical(self):
+        with pytest.raises(PreconditionError):
+            approx_adjustment_coefficient(mm1(lam=0.9))
+
+    @given(kind=kinds, mean=means, rho=st.floats(min_value=1.001, max_value=1.05))
+    @settings(max_examples=30, deadline=None)
+    def test_near_criticality_both_approach_true_root(self, kind, mean, rho):
+        # both surrogates come from quadratic expansions around r = 0, so
+        # they converge to the true root as rho -> 1+
+        p = params_from(kind, mean, rho)
+        true = solve_adjustment_coefficient(p, force_numeric=True).r_star
+        quad, mv = approx_adjustment_coefficient(p)
+        assert quad == pytest.approx(true, rel=0.2)
+        assert mv == pytest.approx(true, rel=0.2)
 
 
 class TestOutageFormulas:
@@ -433,6 +510,47 @@ class TestLadderAndRenewal:
         u = np.arange(n + 1) * step
         assert np.max(np.abs(phi - (1.0 - theta * np.exp(-r * u)))) <= 2e-6
         assert elapsed < 5.0
+
+
+class TestStepDensity:
+    # trapezoid tolerances allow for the jump of the deterministic-packet
+    # density and the slow exponential left tail
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_integrates_to_one(self, packet):
+        p = SystemParams(1.1, packet, 1.0)
+        z = np.linspace(-16.0, 60.0, 400001)
+        dens = np.array([step_density(p, float(v)) for v in z])
+        assert float(np.trapezoid(dens, z)) == pytest.approx(1.0, abs=5e-4)
+        assert np.all(dens >= 0.0)
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_mean_matches_step_moments(self, packet):
+        p = SystemParams(1.1, packet, 1.0)
+        z = np.linspace(-16.0, 60.0, 400001)
+        dens = np.array([step_density(p, float(v)) for v in z])
+        mean = float(np.trapezoid(dens * z, z))
+        assert mean == pytest.approx(1.0 / 1.1 - 1.0, abs=5e-3)
+
+    def test_frozen_value_at_zero(self):
+        assert step_density(mm1(), 0.0) == pytest.approx(1.1 / 2.1, rel=1e-14)
+
+    def test_supports(self):
+        det = SystemParams(1.0, DET1, 1.0)
+        assert step_density(det, -1.0 - 1e-9) == 0.0
+        assert step_density(det, -1.0) == pytest.approx(1.0)
+        unif = SystemParams(1.0, UNIF1, 1.0)
+        assert step_density(unif, -2.0 - 1e-9) == 0.0
+        assert step_density(unif, 5.0) > 0.0
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_step_cgf_matches_quadrature(self, packet):
+        # K(r) = log E[e^{r Z}] for the step Z = p*gap - packet
+        p = SystemParams(1.1, packet, 1.0)
+        z = np.linspace(-16.0, 60.0, 40001)
+        dens = np.array([step_density(p, float(v)) for v in z])
+        for r in (-0.5, 0.1, 0.5):
+            mgf = float(np.trapezoid(dens * np.exp(r * z), z))
+            assert math.log(mgf) == pytest.approx(step_cgf(p, r), abs=2e-3)
 
 
 class TestUnsustainableRegime:

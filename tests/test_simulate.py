@@ -42,7 +42,12 @@ from hsc.simulate import (
 )
 import kernel_oracle
 from kernel_oracle import (
-    _first_passage_kernel, count_outages_full_walk, max_deficit_full_blocks, simulate_ladder,
+    _first_passage_kernel,
+    count_outages_full_walk,
+    lindley_path,
+    max_deficit_full_blocks,
+    record_path,
+    simulate_ladder,
 )
 
 EXP1 = DistributionSpec(Kind.EXPONENTIAL, 1.0)
@@ -119,6 +124,60 @@ class TestFirstPassageScripted:
         out = simulate_first_passage(params, 1e9, scripted_events(pairs))
         assert out.outage is True
         assert out.tau == pytest.approx(float(expected_tau), rel=1e-12, abs=1e-12)
+
+
+class TestRecordPath:
+    def test_breakpoints_of_single_crossing(self):
+        pts = record_path(mm1(u0=1.0), 10.0, scripted_events([(2.0, 0.5)]))
+        assert pts == [(0.0, 1.0), (0.0, 1.5), (1.5, 0.0)]
+
+    def test_truncated_at_horizon_on_single_ramp(self):
+        pts = record_path(mm1(u0=1.0), 1.2, scripted_events([(5.0, 0.5)]))
+        assert pts[-1] == (1.2, pytest.approx(1.5 - 1.2))
+
+    def test_pre_jump_points_are_the_troughs(self):
+        pairs = [(1.0, 2.0), (0.5, 1.0), (2.0, 0.25)]
+        params = mm1(u0=4.0)
+        pts = record_path(params, 100.0, scripted_events(pairs))
+        # breakpoints: start, jump at 0, then (pre, post) per later arrival
+        gaps = np.array([g for g, _ in pairs])
+        packets = np.array([x for _, x in pairs])
+        troughs = 4.0 - np.cumsum(1.0 * gaps - packets)
+        assert pts[2] == (1.0, pytest.approx(float(troughs[0])))
+        assert pts[4] == (1.5, pytest.approx(float(troughs[1])))
+
+    def test_path_consistent_with_first_passage_on_same_stream(self):
+        params = mm1(u0=3.0)
+        for i in range(10):
+            out = simulate_first_passage(
+                params,
+                200.0,
+                poisson_events(params.lam, params.packet, trial_rng(11, i)),
+            )
+            if not out.outage:
+                continue
+            pts = record_path(
+                params,
+                200.0,
+                poisson_events(params.lam, params.packet, trial_rng(11, i)),
+            )
+            assert pts[-1][0] == pytest.approx(out.tau, rel=1e-12)
+            assert pts[-1][1] == 0.0
+            return
+        pytest.fail("no outage among the first 10 trial streams")
+
+    @given(pairs=pair_lists, u0=st.floats(min_value=0.5, max_value=10.0))
+    @settings(max_examples=60)
+    def test_path_geometry(self, pairs, u0):
+        params = SystemParams(lam=1.0, packet=EXP1, p=1.0, u0=u0)
+        pts = record_path(params, 50.0, scripted_events(pairs))
+        times = [t for t, _ in pts]
+        assert times == sorted(times)
+        assert pts[0] == (0.0, u0)
+        # between consecutive breakpoints at distinct times the drop is p*dt
+        for (t0, v0), (t1, v1) in zip(pts[1:], pts[2:]):
+            if t1 > t0 and v1 <= v0:  # ramp segment, not a jump
+                assert v0 - v1 == pytest.approx(t1 - t0, rel=1e-9, abs=1e-9)
 
 
 class TestLadderScripted:
@@ -238,6 +297,13 @@ class TestPhiFromMax:
 
 
 class TestLindley:
+    def test_single_recursion_step(self):
+        # W1 = max(0, 5 + 2 - 1) = 6
+        path = lindley_path(
+            SystemParams(0.5, DET1, 1.0, u0=5.0), 1, scripted_events([(1.0, 2.0)])
+        )
+        assert path == [5.0, 6.0]
+
     def test_empty_interval_accounting(self):
         # store empties 1 time-unit into a 3-unit gap: idle 2 of 3
         stats = simulate_lindley(
@@ -249,6 +315,14 @@ class TestLindley:
         assert stats.time_empty_fraction == pytest.approx(2.0 / 3.0)
         assert stats.arrival_empty_fraction == 1.0
         assert stats.steps == 1
+
+    def test_clamps_at_zero(self):
+        path = lindley_path(
+            SystemParams(0.5, DET1, 1.0, u0=1.0),
+            3,
+            scripted_events([(5.0, 1.0), (1.0, 3.0), (10.0, 1.0)]),
+        )
+        assert path == [1.0, 0.0, 2.0, 0.0]
 
     def test_stationary_guard(self):
         with pytest.raises(PreconditionError):
@@ -306,6 +380,37 @@ class TestLindley:
         events = scripted_events([(1.0, 1.0)] * 200)
         with pytest.raises(PreconditionError, match="must be an integer"):
             simulate_lindley(mm1(lam=0.9), steps, burn_in, events)
+
+    @pytest.mark.parametrize("steps", [5.9, -1, math.inf])
+    def test_path_steps_checked(self, steps):
+        with pytest.raises(PreconditionError, match="steps"):
+            lindley_path(mm1(lam=0.9), steps, scripted_events([(1.0, 1.0)] * 9))
+
+    def test_path_takes_integral_float_steps(self):
+        pairs = [(1.0, 0.5)] * 9
+        assert lindley_path(mm1(lam=0.9, u0=2.0), 4.0, scripted_events(pairs)) == [2.0, 1.5, 1.0, 0.5, 0.0]
+
+    @given(pairs=pair_lists, u0=st.floats(min_value=0.0, max_value=5.0))
+    @settings(max_examples=60)
+    def test_path_nonnegative_and_recursion_exact(self, pairs, u0):
+        params = SystemParams(lam=0.5, packet=DET1, p=1.0, u0=u0)
+        path = lindley_path(params, len(pairs), scripted_events(pairs))
+        assert len(path) == len(pairs) + 1
+        w = u0
+        for (gap, packet), got in zip(pairs, path[1:]):
+            w = max(0.0, w + packet - gap)
+            assert got == w
+        assert all(v >= 0.0 for v in path)
+
+    @given(pairs=pair_lists, u0=st.floats(min_value=0.0, max_value=5.0))
+    @settings(max_examples=60)
+    def test_empty_arrivals_are_the_zeros_of_the_path(self, pairs, u0):
+        params = SystemParams(lam=0.5, packet=DET1, p=1.0, u0=u0)
+        burn_in = len(pairs) // 2
+        path = lindley_path(params, len(pairs), scripted_events(pairs))
+        stats = simulate_lindley(params, len(pairs), burn_in, scripted_events(pairs))
+        counted = path[burn_in + 1:]
+        assert stats.arrival_empty_fraction == counted.count(0.0) / len(counted)
 
 
 class TestEstimatorDeterminism:
@@ -386,7 +491,7 @@ class TestEstimatorDeterminism:
         # on an endless stream at rho > 1 neither would ever return
         params = mm1(u0=5.0, lam=1.1)
         first = next(poisson_events(params.lam, params.packet, trial_rng(0, 0)))
-        for simulator in (simulate_first_passage,):
+        for simulator in (simulate_first_passage, record_path):
             for horizon in (math.inf, math.nan):
                 events = poisson_events(params.lam, params.packet, trial_rng(0, 0))
                 with pytest.raises(PreconditionError):
