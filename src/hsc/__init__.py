@@ -23,7 +23,6 @@ from .distributions import (
     DistributionSpec,
     Kind,
     log_laplace,
-    moments,
     parse_distribution_spec,
     poisson_events,
     sample_block,
@@ -71,7 +70,6 @@ __all__ = [
     "DistributionSpec",
     "Kind",
     "log_laplace",
-    "moments",
     "parse_distribution_spec",
     "poisson_events",
     "sample_block",

@@ -13,8 +13,8 @@ import argparse
 import json
 import math
 import sys
-from contextlib import closing, contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -58,8 +58,6 @@ __all__ = [
     "run_reproduce",
     "main",
 ]
-
-CSV_HEADER = "dist,rho,u0,r_star,psi_exact,psi_bound,psi_mc,ci_lo,ci_hi,trials,horizon,seed"
 
 DEFAULT_TRIALS = 50_000
 DEFAULT_HORIZON = 1000.0
@@ -119,6 +117,9 @@ class ResultRow:
     seed: int
 
 
+CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
+
+
 def _fmt(value: float | int | str | None) -> str:
     if value is None:
         return ""
@@ -167,7 +168,9 @@ def run_analyze(params: SystemParams) -> dict:
         }
         report["psi_exact"] = eventual_outage_poisson_exact(params, r)
         report["psi_bound"] = outage_bound(r, params.u0)
-        defect = min(1.0, r * params.p / params.lam)  # 1 - theta; r* <= lam/p, up to rounding
+        # 1 - theta; r* <= lam/p, up to rounding.  lam/p is finite and above
+        # 1/mean, where r* p can underflow to 0 (lam of 1e-323, say)
+        defect = min(1.0, r / (params.lam / params.p))
         report["psi_asymptotic"] = asymptotic_outage(
             defect, r, tilted_ladder_mean_poisson(params, r), params.u0
         )
@@ -207,26 +210,24 @@ def run_simulate(
         "horizon": est.horizon,
         "seed": est.seed,
     }
-    if params.rho > 1.0:
-        r = solve_adjustment_coefficient(params).r_star
-        report["psi_exact"] = eventual_outage_poisson_exact(params, r)
-        report["psi_bound"] = outage_bound(r, params.u0)
-    else:
-        report["psi_exact"] = 1.0
+    analytic = run_analyze(params)
+    report.update((key, analytic[key]) for key in ("psi_exact", "psi_bound") if key in analytic)
     return report
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """One ResultRow per (dist, rho, u0) point; aborts naming a failed point.
+    """One ResultRow per (dist, rho, u0) point.
 
     The arrival rate is derived per point as ``lam = rho * p / mean`` so
     the sweep holds consumption and mean packet size fixed.  Points with
     ``rho <= 1`` carry the certain value ``psi_exact = 1`` and empty
     adjustment-coefficient columns.  ``trials = 0`` skips Monte-Carlo and
     leaves those columns empty.  Each (dist, rho) column solves ``r*`` once,
-    and every column is solved before any Monte-Carlo starts.  Then the
-    trial chunks of all columns go on one pool queue, and each trial walks
-    once for all the column's u0.
+    and every column is solved before any Monte-Carlo starts; a failed
+    solve aborts the sweep naming its column.  Then one Monte-Carlo call
+    returns the curves of all columns: their trial chunks go on one pool
+    queue, and each trial walks once for all the column's u0.  A failure
+    there is shared by every column, so it is raised as it is.
     """
     columns = []  # ((dist, rho), params at u0 = 0, analytic fields per u0)
     for dist_text in spec.dist_list:
@@ -236,17 +237,15 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 columns.append(((dist_text, rho), *_analytic_column(spec, packet, rho)))
     if spec.trials == 0:
         return [_row(spec, head, None) for _, _, heads in columns for head in heads]
-    out: list[ResultRow] = []
     curves = _estimate_outage_curves(
         [base for _, base, _ in columns], spec.horizon, spec.trials, spec.seed,
         spec.u0_grid, spec.workers, spec.ci_method,
     )
-    with closing(curves):
-        for name, _, heads in columns:
-            with _named_column(*name):
-                curve = next(curves)
-            out += [_row(spec, head, est) for head, est in zip(heads, curve)]
-    return out
+    return [
+        _row(spec, head, est)
+        for (_, _, heads), curve in zip(columns, curves)
+        for head, est in zip(heads, curve)
+    ]
 
 
 def _row(spec: SweepSpec, head: tuple, est: EstimateWithCI | None) -> ResultRow:

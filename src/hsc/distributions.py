@@ -29,7 +29,6 @@ __all__ = [
     "DistributionSpec",
     "parse_distribution_spec",
     "sample_block",
-    "moments",
     "log_laplace",
     "poisson_events",
     "scripted_events",
@@ -128,17 +127,6 @@ def sample_block(
     if spec.kind is Kind.DETERMINISTIC:
         return np.full(n, spec.mean)
     return rng.uniform(0.0, 2.0 * spec.mean, n)
-
-
-def moments(spec: DistributionSpec) -> tuple[float, float]:
-    """Return ``(mean, second_moment)`` of the packet law, exactly."""
-    m = spec.mean
-    if spec.kind is Kind.EXPONENTIAL:
-        return m, 2.0 * m * m
-    if spec.kind is Kind.DETERMINISTIC:
-        return m, m * m
-    # uniform on (0, 2m): E[X^2] = (2m)^2 / 3
-    return m, 4.0 * m * m / 3.0
 
 
 def log_laplace(spec: DistributionSpec, r: float) -> float:

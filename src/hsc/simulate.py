@@ -80,7 +80,8 @@ _TIE_RTOL = 1e-9
 # Cap on lam * H, the expected arrivals per trial.  A trial with no outage
 # walks until p * H - A falls below every u0, about lam * H / rho arrivals
 # at 30-60 ns each (measured on a 2-core x86 host), so 1e8 costs seconds
-# per trial where an uncapped horizon hangs.  The figures need 1.3e3.
+# per trial where an uncapped horizon hangs.  The figures need 1.3e3.  It
+# caps the steps of a ladder walk and of a battery recursion run alike.
 _MAX_ARRIVALS = 1e8
 
 
@@ -206,6 +207,13 @@ def _integer(name: str, value: int, least: int, error: type[ValueError] = Precon
     if not (float(value).is_integer() and value >= least):
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _walk_length(name: str, value: int, least: int) -> int:
+    value = _integer(name, value, least)
+    if value > _MAX_ARRIVALS:
+        raise PreconditionError(f"{name} = {value} exceeds {_MAX_ARRIVALS:g} steps")
+    return value
 
 
 def _check_protocol(
@@ -366,16 +374,14 @@ def _estimate_outage_curves(
     u0_grid: list[float],
     workers: int | None = None,
     ci_method: str = "normal",
-) -> Iterator[list[EstimateWithCI]]:
-    """:func:`estimate_outage_curve` for each of ``columns``, yielded in order.
+) -> list[list[EstimateWithCI]]:
+    """:func:`estimate_outage_curve` for each of ``columns``, in order.
 
-    The arguments are checked at the call.  Every column uses the same trial
-    streams, and the columns of one packet law walk each trial together.
-    With ``workers > 1`` the trials are split into that many chunks, and the
-    first ``next`` opens one pool and puts every (packet law, chunk) task on
-    its queue, so no worker waits at a column boundary.  An exception from a
-    packet law's tasks is raised when its first column is reached; the tasks
-    not yet started are then cancelled.
+    Every column uses the same trial streams, and the columns of one packet
+    law walk each trial together.  With ``workers > 1`` the trials are split
+    into that many chunks, and every (packet law, chunk) task goes on the
+    queue of one pool, so no worker waits at a column boundary.  Once a task
+    raises, the tasks not yet started are cancelled.
     """
     trials = _integer("trials", trials, 1)
     horizon = _check_protocol(horizon, u0_grid, workers, ci_method)
@@ -385,48 +391,29 @@ def _estimate_outage_curves(
             f"lam * horizon = {arrivals} expected arrivals per trial exceeds {_MAX_ARRIVALS:g}"
         )
     chunks = 1 if workers is None else min(int(workers), trials)
-    return _curves(columns, horizon, trials, seed, u0_grid, chunks, ci_method)
-
-
-def _curves(
-    columns: list[SystemParams],
-    horizon: float,
-    trials: int,
-    seed: int,
-    u0_grid: list[float],
-    chunks: int,
-    ci_method: str,
-) -> Iterator[list[EstimateWithCI]]:
     groups: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns, in order
     for k, params in enumerate(columns):
         groups.setdefault(params.packet, []).append(k)
-    members = {packet: [columns[k] for k in ks] for packet, ks in groups.items()}
+    bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+    tasks = [
+        ([columns[k] for k in ks], horizon, seed, u0_grid, lo, hi)
+        for ks in groups.values()
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
     with ExitStack() as stack:
-        if chunks == 1:
-            def group_counts(packet: DistributionSpec) -> list[list[int]]:
-                return _count_range(members[packet], horizon, seed, u0_grid, 0, trials)
-        else:
-            # one task per chunk as asked, but no more processes than CPUs: under
-            # fork the pool starts every process at the first submit
-            pool = stack.enter_context(ProcessPoolExecutor(min(chunks, os.cpu_count() or 1)))
-            bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
-            futures = {
-                packet: [
-                    pool.submit(_count_range, group, horizon, seed, u0_grid, lo, hi)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                ]
-                for packet, group in members.items()
-            }
-            stack.callback(lambda: [f.cancel() for group in futures.values() for f in group])
-
-            def group_counts(packet: DistributionSpec) -> list[list[int]]:
-                return np.sum([f.result() for f in futures[packet]], axis=0).tolist()
-
-        counts: dict[int, list[int]] = {}  # column -> its counts, filled a group at a time
-        for k, params in enumerate(columns):
-            if k not in counts:
-                counts.update(zip(groups[params.packet], group_counts(params.packet)))
-            yield [_estimate(n, trials, horizon, seed, ci_method) for n in counts.pop(k)]
+        # one task per chunk as asked, but no more processes than CPUs: under
+        # fork the pool starts every process at the first submit
+        run = map if chunks == 1 else stack.enter_context(
+            ProcessPoolExecutor(min(chunks, os.cpu_count() or 1))
+        ).map
+        counts = list(run(_count_range, *zip(*tasks)))  # (task, column of its law, u0)
+    outages: dict[int, list[int]] = {}  # column -> its counts over all chunks
+    for g, ks in enumerate(groups.values()):
+        outages.update(zip(ks, np.sum(counts[g * chunks : (g + 1) * chunks], axis=0).tolist()))
+    return [
+        [_estimate(n, trials, horizon, seed, ci_method) for n in outages[k]]
+        for k in range(len(columns))
+    ]
 
 
 def estimate_outage_curve(
@@ -519,10 +506,11 @@ def collect_ladder_samples(
 
     ``stop_drawdown`` (optional) trades an error bounded by
     ``exp(-r* stop_drawdown)`` per walk for a large speedup; pass e.g.
-    ``30 / r*`` to keep that error below 1e-13.
+    ``30 / r*`` to keep that error below 1e-13.  ``max_steps`` above 1e8
+    raises :class:`PreconditionError` before any draw.
     """
     walks = _integer("walks", walks, 1)
-    max_steps = _integer("max_steps", max_steps, 1)
+    max_steps = _walk_length("max_steps", max_steps, 1)
     return [
         _ladder_kernel(params, max_steps, _keyed_rng(key), stop_drawdown)
         for key in _trial_keys(seed, 0, walks)
@@ -555,12 +543,13 @@ def simulate_lindley(
 
     Raises:
         PreconditionError: unless ``steps > burn_in >= 0`` are integers;
-            when ``rho >= 1`` and ``require_stationary`` is set, since there
-            is no stationary regime to sample; or when the stream ends
-            before any post-burn-in step.
+            when ``steps`` exceeds 1e8, before any draw; when ``rho >= 1``
+            and ``require_stationary`` is set, since there is no stationary
+            regime to sample; or when the stream ends before any
+            post-burn-in step.
     """
     burn_in = _integer("burn_in", burn_in, 0)
-    steps = _integer("steps", steps, burn_in + 1)
+    steps = _walk_length("steps", steps, burn_in + 1)
     if require_stationary and params.rho >= 1.0:
         raise PreconditionError(
             f"no stationary regime at rho = {params.rho} >= 1; "

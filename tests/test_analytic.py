@@ -29,7 +29,6 @@ from hsc import (
     asymptotic_outage,
     eventual_outage_poisson_exact,
     ladder_height_density_poisson,
-    moments,
     outage_bound,
     required_initial_energy,
     solve_adjustment_coefficient,
@@ -39,6 +38,7 @@ from hsc import (
     tilted_ladder_mean_poisson,
     utilization,
 )
+from hsc.distributions import PHI_SERIES
 
 # frozen oracle outputs (independent bisection / direct evaluation)
 R_DET = 0.19374755799499177
@@ -74,7 +74,8 @@ def approx_adjustment_coefficient(params: SystemParams) -> AdjustmentApproximati
     rho = params.rho
     if rho <= 1.0:
         raise PreconditionError(f"approximations require rho > 1, got rho = {rho}")
-    mean_x, m2_x = moments(params.packet)
+    mean_x = params.packet.mean
+    m2_x = 2.0 * PHI_SERIES[params.packet.kind][0] * mean_x**2  # E[X^2]
     quad = 2.0 * params.p * (rho - 1.0) / (params.lam * m2_x)
     # step = p*gap - packet, gap ~ Exp(lam) independent of packet
     mu = params.p / params.lam - mean_x

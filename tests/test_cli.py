@@ -101,6 +101,15 @@ class TestSimulateReport:
         report = run_simulate(params(lam=0.8, u0=1.0), 50, 50.0, 1)
         assert report["psi_exact"] == 1.0
 
+    def test_subnormal_rate_keeps_its_analytic_fields(self):
+        # r* p underflows to 0 here; the defect r* / (lam / p) is 1 - theta
+        point = SystemParams(1e-323, parse_distribution_spec("exp:mean=1.1525273304157484e+157"),
+                             8.610802159813937e-167)
+        theta = solve_adjustment_coefficient(point).theta
+        assert run_analyze(point)["psi_exact"] == theta
+        report = run_simulate(point, 20, 10.0, 1)
+        assert (report["psi_exact"], report["psi_bound"]) == (theta, 1.0)
+
 
 class TestSweep:
     def test_analytic_only_frozen_column(self):
@@ -245,7 +254,8 @@ class TestSweep:
             assert run_sweep(SweepSpec(**grids, workers=workers)) == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_group_names_its_first_column(self, monkeypatch, workers):
+    def test_failed_walk_reaches_the_caller_as_it_is(self, monkeypatch, capsys, workers):
+        # a walk failure is shared by every column, so no column is named
         count = simulate._count_range
 
         def det_fails(columns, *args):
@@ -262,7 +272,10 @@ class TestSweep:
         )
         with pytest.raises(ConvergenceError) as err:
             run_sweep(spec)
-        assert "(dist=det:mean=1.0, rho=1.1) failed: walk failed" in str(err.value)
+        assert err.value.args == ("walk failed",)
+        argv = ["sweep", "--dist", "exp:mean=1.0,det:mean=1.0", "--trials", "20"]
+        assert main([*argv, "--horizon", "100", "--workers", str(workers)]) == 3
+        assert capsys.readouterr().err == "error: walk failed\n"
 
     def test_horizon_and_workers_validation(self):
         grids = dict(u0_grid=[1.0], rho_list=[1.1], dist_list=["exp:mean=1.0"])

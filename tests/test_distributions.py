@@ -14,12 +14,12 @@ from hsc import (
     Kind,
     ParseError,
     log_laplace,
-    moments,
     parse_distribution_spec,
     poisson_events,
     sample_block,
     scripted_events,
 )
+from hsc.distributions import PHI_SERIES
 
 means = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 kinds = st.sampled_from(list(Kind))
@@ -76,12 +76,11 @@ class TestParse:
 
 class TestMoments:
     def test_closed_forms(self):
-        m = 1.7
-        assert moments(DistributionSpec(Kind.EXPONENTIAL, m)) == (m, 2 * m * m)
-        assert moments(DistributionSpec(Kind.DETERMINISTIC, m)) == (m, m * m)
-        mu, m2 = moments(DistributionSpec(Kind.UNIFORM, 1.0))
-        assert mu == 1.0
-        assert m2 == pytest.approx(4.0 / 3.0, abs=0, rel=1e-15)
+        # PHI_SERIES[kind][0] is E[Y^2] / 2 for Y = X / mean, the
+        # coefficient behind the solver's lower bound on r*
+        assert PHI_SERIES[Kind.EXPONENTIAL][0] == 1.0
+        assert PHI_SERIES[Kind.DETERMINISTIC][0] == 0.5
+        assert PHI_SERIES[Kind.UNIFORM][0] == pytest.approx(2.0 / 3.0, abs=0, rel=1e-15)
 
     @given(kind=kinds, mean=means)
     @settings(max_examples=30, deadline=None)
@@ -89,7 +88,7 @@ class TestMoments:
         spec = DistributionSpec(kind, mean)
         rng = np.random.default_rng(1234)
         draws = sample_block(spec, rng, 20000)
-        _, m2 = moments(spec)
+        m2 = 2.0 * PHI_SERIES[kind][0] * mean**2  # E[X^2]
         tol = 4.0 * math.sqrt(max(m2 - mean * mean, 1e-30) / 20000) + 1e-12
         assert abs(float(draws.mean()) - mean) <= tol
 

@@ -215,6 +215,16 @@ class TestLadderScripted:
         with pytest.raises(PreconditionError, match="max_steps"):
             collect_ladder_samples(mm1(), 3, max_steps, 1)
 
+    def test_max_steps_above_the_cap_raise_before_any_draw(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(simulate, "_ladder_kernel", walk)
+        with pytest.raises(PreconditionError, match="max_steps"):
+            collect_ladder_samples(mm1(), 1, 10**11, 1)
+        with pytest.raises(AssertionError, match="walked"):  # the cap itself walks
+            collect_ladder_samples(mm1(), 1, int(simulate._MAX_ARRIVALS), 1)
+
     @pytest.mark.parametrize("walks", [2.7, 0, -1])
     def test_walks_checked(self, walks):
         with pytest.raises(PreconditionError, match="walks must be an integer"):
@@ -380,6 +390,16 @@ class TestLindley:
         events = scripted_events([(1.0, 1.0)] * 200)
         with pytest.raises(PreconditionError, match="must be an integer"):
             simulate_lindley(mm1(lam=0.9), steps, burn_in, events)
+
+    def test_steps_above_the_cap_raise_before_any_draw(self):
+        def events():
+            raise AssertionError("walked")
+            yield
+
+        with pytest.raises(PreconditionError, match="steps"):
+            simulate_lindley(mm1(lam=0.9), 10**11, 0, events())
+        with pytest.raises(AssertionError, match="walked"):  # the cap itself walks
+            simulate_lindley(mm1(lam=0.9), int(simulate._MAX_ARRIVALS), 0, events())
 
     @pytest.mark.parametrize("steps", [5.9, -1, math.inf])
     def test_path_steps_checked(self, steps):
@@ -748,10 +768,20 @@ class TestOutageCurve:
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", OneThread)
         # one packet law per column, so one task per (column, chunk)
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
-        curves = simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
         with pytest.raises(RuntimeError):
-            next(curves)
+            simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
         assert len(ran) <= 2  # of six tasks
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_one_chunk_builds_no_pool(self, monkeypatch, workers):
+        def no_pool(*args):
+            raise AssertionError("pool built")
+
+        grid = [0.0, 3.0]
+        columns = [mm1(), SystemParams(1.2, DET1, 1.0)]
+        expect = [estimate_outage_curve(c, 100.0, 30, 2, grid) for c in columns]
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        assert simulate._estimate_outage_curves(columns, 100.0, 30, 2, grid, workers) == expect
 
     def test_curve_arguments_are_checked_at_the_call(self):
         columns = [mm1()]
