@@ -25,12 +25,13 @@ For Poisson arrivals the decay is exact, not just asymptotic::
 
 and ``exp(-r* u0)`` is always an upper bound.  ``r*`` is solved in the
 fixed-point form ``(1 - E[e^{-r X}]) / (r mean) = 1 / rho`` of the CGF
-root, and ``theta`` is taken as ``E[e^{-r* X}]``, so both keep their
-digits at either end of rho (Asmussen & Albrecher, *Ruin Probabilities*,
-ch. IV).  The module also provides the first-ascent ("ladder") height
-density of the walk, an O(n log n) trapezoidal solver for the defective
-renewal equation satisfied by ``phi = 1 - psi``, and the stationary
-fraction of time spent empty in the ``rho < 1`` regime.
+root by :func:`solve_adjustment_coefficient`, and ``theta`` is taken as
+``E[e^{-r* X}]`` by :func:`eventual_outage_poisson_exact` (at ``u0 = 0``),
+so both keep their digits at either end of rho (Asmussen & Albrecher,
+*Ruin Probabilities*, ch. IV).  The module also provides the first-ascent
+("ladder") height density of the walk, an O(n log n) trapezoidal solver
+for the defective renewal equation satisfied by ``phi = 1 - psi``, and the
+stationary fraction of time spent empty in the ``rho < 1`` regime.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ from .errors import ConvergenceError, DomainError, GridError, PreconditionError
 
 __all__ = [
     "Sustainability",
-    "SustainabilityVerdict",
     "SystemParams",
     "SolveMethod",
     "AdjustmentResult",
@@ -67,13 +67,6 @@ __all__ = [
 class Sustainability(enum.Enum):
     UNSUSTAINABLE_CERTAIN = "UnsustainableCertain"
     SELF_SUSTAINABLE_POSSIBLE = "SelfSustainablePossible"
-
-
-class SustainabilityVerdict(NamedTuple):
-    """Utilization together with the regime it implies."""
-
-    rho: float
-    status: Sustainability
 
 
 @dataclass(frozen=True)
@@ -117,21 +110,19 @@ class SolveMethod(enum.Enum):
 
 
 class AdjustmentResult(NamedTuple):
-    """Adjustment coefficient, ladder mass ``theta``, and how they were solved."""
+    """Adjustment coefficient and how it was solved."""
 
     r_star: float
     method: SolveMethod
     iterations: int
     residual: float
-    theta: float
 
 
-def utilization(params: SystemParams) -> SustainabilityVerdict:
-    """Classify the system: rho <= 1 makes eventual outage certain."""
-    rho = params.rho
-    if rho <= 1.0:
-        return SustainabilityVerdict(rho, Sustainability.UNSUSTAINABLE_CERTAIN)
-    return SustainabilityVerdict(rho, Sustainability.SELF_SUSTAINABLE_POSSIBLE)
+def utilization(params: SystemParams) -> Sustainability:
+    """Classify the system by ``params.rho``: rho <= 1 makes eventual outage certain."""
+    if params.rho <= 1.0:
+        return Sustainability.UNSUSTAINABLE_CERTAIN
+    return Sustainability.SELF_SUSTAINABLE_POSSIBLE
 
 
 def step_cgf(params: SystemParams, r: float) -> float:
@@ -183,7 +174,7 @@ def _newton_step(kind: Kind, a: float, log_rho: float) -> tuple[float, float]:
 def solve_adjustment_coefficient(
     params: SystemParams, tol: float = 1e-12, force_numeric: bool = False
 ) -> AdjustmentResult:
-    """Find the unique positive root ``r*`` of the step CGF, and ``theta``.
+    """Find the unique positive root ``r*`` of the step CGF.
 
     For ``r > 0``, ``K(r) = 0`` exactly when ``phi(a) = 1 / rho``, where
     ``a = r * mean`` and ``phi(a) = (1 - E[e^{-r X}]) / a`` falls from 1 to
@@ -195,9 +186,9 @@ def solve_adjustment_coefficient(
     ``rho -> 1``.  Exponential packets use ``r* = (lam*mean - p) /
     (p*mean)`` unless ``force_numeric``.
 
-    ``theta = E[e^{-r* X}] = 1 - r* p/lam`` is the ladder-height mass and
-    the outage prefactor, accurate at both ends of rho.  ``residual`` is
-    the last Newton step, an estimate of the relative error of ``r*``.
+    ``residual`` is the last Newton step, an estimate of the relative
+    error of ``r*``.  The outage prefactor ``theta`` is
+    ``eventual_outage_poisson_exact`` at ``u0 = 0``.
 
     Raises:
         PreconditionError: if ``rho <= 1`` (no positive root exists).
@@ -209,9 +200,7 @@ def solve_adjustment_coefficient(
     mean, kind = params.packet.mean, params.packet.kind
     if kind is Kind.EXPONENTIAL and not force_numeric:
         residual = abs(_newton_step(kind, excess, log_rho)[1])
-        return AdjustmentResult(
-            excess / mean, SolveMethod.CLOSED_FORM, 0, residual, params.p / (params.lam * mean)
-        )
+        return AdjustmentResult(excess / mean, SolveMethod.CLOSED_FORM, 0, residual)
 
     # 1 - c1 a <= phi(a) <= min(1/a, 1 - c1 a + c2 a^2) brackets the root
     c1, c2 = PHI_SERIES[kind][:2]
@@ -231,8 +220,7 @@ def solve_adjustment_coefficient(
     if residual > tol:
         raise ConvergenceError(f"root polish stalled: residual {residual} exceeds tol {tol}")
     r = min(math.exp(s) / mean, params.lam / params.p)  # r* < lam/p, up to rounding
-    theta = math.exp(log_laplace(params.packet, r))
-    return AdjustmentResult(r, SolveMethod.NUMERIC, iterations, residual, theta)
+    return AdjustmentResult(r, SolveMethod.NUMERIC, iterations, residual)
 
 
 def outage_bound(r_star: float, u0: float) -> float:
@@ -329,15 +317,13 @@ def ladder_height_density_poisson(
 
 def tilted_ladder_mean_poisson(params: SystemParams, r_star: float) -> float:
     """Mean of the tilted ladder-height law: ``1 / (lam/p - r*)``, or inf."""
-    delta = _ladder_mass(params, r_star, "tilted ladder mean") * params.lam / params.p
+    # lam / p first: theta * lam keeps only a few bits at a subnormal lam
+    delta = _ladder_mass(params, r_star, "tilted ladder mean") * (params.lam / params.p)
     return 1.0 / delta if delta > 0.0 else math.inf
 
 
 def solve_renewal_equation(
-    f_h: np.ndarray | Callable[[np.ndarray], np.ndarray],
-    theta: float,
-    step: float,
-    u_max: float | None = None,
+    f_h: Callable[[np.ndarray], np.ndarray], theta: float, step: float, u_max: float
 ) -> np.ndarray:
     """Solve the defective renewal equation for ``phi = 1 - psi``.
 
@@ -348,19 +334,18 @@ def solve_renewal_equation(
     power-series division in O(n log n) for n grid steps.
 
     Args:
-        f_h: ladder-height density, either already tabulated on the grid or
-            a vectorized callable to tabulate.
+        f_h: ladder-height density, a vectorized callable tabulated once on
+            the grid.
         theta: total (defective) mass of the ladder-height law, in [0, 1].
         step: grid spacing.
-        u_max: grid endpoint; required when ``f_h`` is a callable, optional
-            (consistency-checked) for tabulated input.
+        u_max: grid endpoint.
 
     Returns:
-        ``phi`` tabulated on the same grid.
+        ``phi`` tabulated on the grid.
 
     Raises:
-        GridError: if ``step`` does not tile ``u_max`` within 1e-9, or the
-            tabulated input has the wrong length.
+        GridError: if ``step`` does not tile ``u_max`` within 1e-9, or
+            ``f_h`` returns the wrong shape.
         ValueError: if ``f_h`` is not finite, is negative, or has more mass
             than ``theta`` beyond the step tolerance.
     """
@@ -369,38 +354,21 @@ def solve_renewal_equation(
         raise GridError(f"step must be positive and finite, got {step!r}")
     if not 0.0 <= theta <= 1.0:
         raise PreconditionError(f"theta must be a probability, got {theta!r}")
-
-    if callable(f_h):
-        if u_max is None:
-            raise GridError("u_max is required when f_h is a callable")
-        n = _grid_points(u_max, step)
-        f = np.asarray(f_h(np.arange(n + 1) * step), dtype=float)
-        if f.shape != (n + 1,):
-            raise GridError(f"f_h returned shape {f.shape}, grid needs ({n + 1},)")
-    else:
-        f = np.asarray(f_h, dtype=float)
-        if f.ndim != 1 or f.size < 1:
-            raise GridError("tabulated f_h must be a nonempty 1-d array")
-        if u_max is not None:
-            n = _grid_points(u_max, step)
-            if f.size != n + 1:
-                raise GridError(
-                    f"tabulated f_h has {f.size} points, grid needs {n + 1}"
-                )
-        n = f.size - 1
-
+    n = _grid_points(u_max, step)
+    f = np.asarray(f_h(np.arange(n + 1) * step), dtype=float)
+    if f.shape != (n + 1,):
+        raise GridError(f"f_h returned shape {f.shape}, grid needs ({n + 1},)")
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         raise ValueError(f"f_h is not finite at index {bad[0]}: {f[bad[0]]!r}")
     if np.any(f < 0.0):
         raise ValueError("f_h must be nonnegative")
-    if n >= 1:
-        mass = float(np.trapezoid(f, dx=step))
-        if mass > theta + step:
-            raise ValueError(
-                f"discrete mass {mass} of f_h exceeds theta = {theta} "
-                f"beyond the step tolerance"
-            )
+    mass = float(np.trapezoid(f, dx=step))
+    if mass > theta + step:
+        raise ValueError(
+            f"discrete mass {mass} of f_h exceeds theta = {theta} "
+            f"beyond the step tolerance"
+        )
 
     phi = np.empty(n + 1)
     phi[0] = 1.0 - theta
@@ -415,8 +383,6 @@ def solve_renewal_equation(
     # mod z^n.  Newton doubling g <- g (2 - A g) inverts A, each pass
     # correcting the coefficients [m, 2m) from two cyclic FFT products of
     # length 2m, O(n log n) in all (Brent & Kung 1978).
-    if n == 0:
-        return phi
     rfft, irfft = np.fft.rfft, np.fft.irfft
     a = -step * f[:n]
     a[0] = denom

@@ -41,9 +41,9 @@ from .errors import (
 from .simulate import (
     EstimateWithCI,
     _check_protocol,
-    _estimate_outage_curves,
     _integer,
     estimate_eventual_outage,
+    estimate_outage_curves,
 )
 
 __all__ = [
@@ -151,13 +151,13 @@ def run_analyze(params: SystemParams) -> dict:
     rho < 1 report adds the stationary empty fraction and outage-duration
     quantiles.
     """
-    verdict = utilization(params)
+    rho = params.rho
     report: dict = {
         "params": _params_report(params),
-        "rho": verdict.rho,
-        "verdict": verdict.status.value,
+        "rho": rho,
+        "verdict": utilization(params).value,
     }
-    if verdict.rho > 1.0:
+    if rho > 1.0:
         adj = solve_adjustment_coefficient(params)
         r = adj.r_star
         report["adjustment_coefficient"] = {
@@ -179,7 +179,7 @@ def run_analyze(params: SystemParams) -> dict:
         }
     else:
         report["psi_exact"] = 1.0
-        if verdict.rho < 1.0:
+        if rho < 1.0:
             report["stationary_outage"] = stationary_outage(params)
             report["outage_duration_quantiles"] = {
                 str(q): -math.log(1.0 - q) / params.lam for q in (0.5, 0.9, 0.99)
@@ -229,21 +229,21 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     queue, and each trial walks once for all the column's u0.  A failure
     there is shared by every column, so it is raised as it is.
     """
-    columns = []  # ((dist, rho), params at u0 = 0, analytic fields per u0)
+    columns = []  # (params at u0 = 0, analytic fields per u0)
     for dist_text in spec.dist_list:
         packet = parse_distribution_spec(dist_text)
         for rho in spec.rho_list:
             with _named_column(dist_text, rho):
-                columns.append(((dist_text, rho), *_analytic_column(spec, packet, rho)))
+                columns.append(_analytic_column(spec, packet, rho))
     if spec.trials == 0:
-        return [_row(spec, head, None) for _, _, heads in columns for head in heads]
-    curves = _estimate_outage_curves(
-        [base for _, base, _ in columns], spec.horizon, spec.trials, spec.seed,
+        return [_row(spec, head, None) for _, heads in columns for head in heads]
+    curves = estimate_outage_curves(
+        [base for base, _ in columns], spec.horizon, spec.trials, spec.seed,
         spec.u0_grid, spec.workers, spec.ci_method,
     )
     return [
         _row(spec, head, est)
-        for (_, _, heads), curve in zip(columns, curves)
+        for (_, heads), curve in zip(columns, curves)
         for head, est in zip(heads, curve)
     ]
 

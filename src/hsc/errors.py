@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "PreconditionError",
+    "ConvergenceError",
+    "GridError",
+    "ParseError",
+]
+
 
 class DomainError(ValueError):
     """A transform (MGF, CGF) was evaluated outside its domain of finiteness."""

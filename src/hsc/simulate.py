@@ -65,7 +65,7 @@ __all__ = [
     "LindleyStats",
     "trial_rng",
     "simulate_first_passage",
-    "estimate_outage_curve",
+    "estimate_outage_curves",
     "estimate_eventual_outage",
     "collect_ladder_samples",
     "estimate_phi_from_max",
@@ -83,6 +83,9 @@ _TIE_RTOL = 1e-9
 # per trial where an uncapped horizon hangs.  The figures need 1.3e3.  It
 # caps the steps of a ladder walk and of a battery recursion run alike.
 _MAX_ARRIVALS = 1e8
+# Cap on the (trial, u0) cells counted at once, about 17 bytes each, so the
+# count takes about 4.5 MB whatever the size of the u0 grid.
+_COUNT_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -331,9 +334,10 @@ def _count_range(
         [_max_deficit(columns, horizon, _keyed_rng(key), u0_sorted) for key in _trial_keys(seed, lo, hi)]
     )  # (trial, column)
     counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
-    for start in range(0, len(deficits), EVENT_BLOCK):  # caps the (trial, u0) arrays
+    rows = max(1, _COUNT_CELLS // u0s.size)  # trials per (trial, u0) array
+    for start in range(0, len(deficits), rows):
         for k, params in enumerate(columns):
-            d = deficits[start : start + EVENT_BLOCK, k, None]
+            d = deficits[start : start + rows, k, None]
             hit = u0s <= d
             for t, j in np.argwhere(np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))):
                 events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
@@ -366,7 +370,7 @@ def _estimate(
     return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
 
 
-def _estimate_outage_curves(
+def estimate_outage_curves(
     columns: list[SystemParams],
     horizon: float,
     trials: int,
@@ -375,13 +379,15 @@ def _estimate_outage_curves(
     workers: int | None = None,
     ci_method: str = "normal",
 ) -> list[list[EstimateWithCI]]:
-    """:func:`estimate_outage_curve` for each of ``columns``, in order.
+    """:func:`estimate_eventual_outage` for each of ``columns`` and each u0 in ``u0_grid``.
 
-    Every column uses the same trial streams, and the columns of one packet
-    law walk each trial together.  With ``workers > 1`` the trials are split
-    into that many chunks, and every (packet law, chunk) task goes on the
-    queue of one pool, so no worker waits at a column boundary.  Once a task
-    raises, the tasks not yet started are cancelled.
+    Returns one curve per column, in order, each with one estimate per u0
+    (``params.u0`` unused).  Every column uses the same trial streams, the
+    columns of one packet law walk each trial together, and each trial walks
+    once for the whole grid.  With ``workers > 1`` the trials are split into
+    that many chunks, and every (packet law, chunk) task goes on the queue
+    of one pool opened for this call, so no worker waits at a column
+    boundary.  Once a task raises, the tasks not yet started are cancelled.
     """
     trials = _integer("trials", trials, 1)
     horizon = _check_protocol(horizon, u0_grid, workers, ci_method)
@@ -416,27 +422,6 @@ def _estimate_outage_curves(
     ]
 
 
-def estimate_outage_curve(
-    params: SystemParams,
-    horizon: float,
-    trials: int,
-    seed: int,
-    u0_grid: list[float],
-    workers: int | None = None,
-    ci_method: str = "normal",
-) -> list[EstimateWithCI]:
-    """:func:`estimate_eventual_outage` for every u0 in ``u0_grid`` (``params.u0`` unused).
-
-    Each trial walks once for the whole grid.  With ``workers > 1`` the
-    trials are split into that many chunks, run on a pool opened for this
-    call and their counts summed.
-    """
-    (curve,) = _estimate_outage_curves(
-        [params], horizon, trials, seed, u0_grid, workers, ci_method
-    )
-    return curve
-
-
 def estimate_eventual_outage(
     params: SystemParams,
     horizon: float,
@@ -456,8 +441,8 @@ def estimate_eventual_outage(
         ci_method: ``"normal"`` (clamped normal approximation, default) or
             ``"wilson"`` for a score interval that behaves near 0 and 1.
     """
-    (est,) = estimate_outage_curve(
-        params, horizon, trials, seed, [params.u0], workers, ci_method
+    ((est,),) = estimate_outage_curves(
+        [params], horizon, trials, seed, [params.u0], workers, ci_method
     )
     return est
 
@@ -530,7 +515,6 @@ def simulate_lindley(
     steps: int,
     burn_in: int,
     events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
-    require_stationary: bool = True,
 ) -> LindleyStats:
     """Iterate ``W_{n+1} = max(0, W_n + packet_n - p * gap_n)`` from W_0 = u0.
 
@@ -543,18 +527,14 @@ def simulate_lindley(
 
     Raises:
         PreconditionError: unless ``steps > burn_in >= 0`` are integers;
-            when ``steps`` exceeds 1e8, before any draw; when ``rho >= 1``
-            and ``require_stationary`` is set, since there is no stationary
-            regime to sample; or when the stream ends before any
-            post-burn-in step.
+            when ``steps`` exceeds 1e8, before any draw; when ``rho >= 1``,
+            since there is no stationary regime to sample; or when the
+            stream ends before any post-burn-in step.
     """
     burn_in = _integer("burn_in", burn_in, 0)
     steps = _walk_length("steps", steps, burn_in + 1)
-    if require_stationary and params.rho >= 1.0:
-        raise PreconditionError(
-            f"no stationary regime at rho = {params.rho} >= 1; "
-            "pass require_stationary=False to run anyway"
-        )
+    if params.rho >= 1.0:
+        raise PreconditionError(f"no stationary regime at rho = {params.rho} >= 1")
     p = params.p
     w = params.u0
     events = iter(events)

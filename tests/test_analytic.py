@@ -7,6 +7,7 @@ under test.
 """
 import math
 import time
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -131,9 +132,9 @@ class TestSustainability:
         ],
     )
     def test_threshold(self, lam, expected):
-        verdict = utilization(mm1(lam=lam))
-        assert verdict.status is expected
-        assert verdict.rho == pytest.approx(lam)
+        params = mm1(lam=lam)
+        assert utilization(params) is expected
+        assert params.rho == pytest.approx(lam)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -255,10 +256,9 @@ class TestAgainstMpmath:
             res = solve_adjustment_coefficient(params, force_numeric=force)
             assert abs(res.r_star - r_ref) <= 1e-10 * r_ref
             floor = 1e-300 if theta_ref < 1e-300 else 0.0
-            assert abs(res.theta - theta_ref) <= 1e-10 * theta_ref + floor
-            # the checks on a caller's r* accept the solver's own
-            psi = eventual_outage_poisson_exact(params, res.r_star)
-            assert psi == pytest.approx(res.theta, rel=1e-14, abs=1e-300)
+            # the checks on a caller's r* accept the solver's own; u0 = 0
+            theta = eventual_outage_poisson_exact(params, res.r_star)
+            assert abs(theta - theta_ref) <= 1e-10 * theta_ref + floor
             assert tilted_ladder_mean_poisson(params, res.r_star) > 0.0
             assert ladder_height_density_poisson(params, res.r_star, 0.0) >= 0.0
 
@@ -270,7 +270,8 @@ class TestAgainstMpmath:
         r_ref, theta_ref = adjustment(kind.value, 2.0, params.lam, 1e300)
         res = solve_adjustment_coefficient(params, force_numeric=True)
         assert abs(res.r_star - r_ref) <= 1e-10 * r_ref
-        assert abs(res.theta - theta_ref) <= 1e-10 * theta_ref + 1e-300
+        theta = eventual_outage_poisson_exact(params, res.r_star)
+        assert abs(theta - theta_ref) <= 1e-10 * theta_ref + 1e-300
 
     @pytest.mark.parametrize("kind", list(Kind))
     def test_caller_check_is_relative_near_rho_one(self, kind):
@@ -284,7 +285,7 @@ class TestAgainstMpmath:
         params = SystemParams(1e3, DET1, 1.0, u0=3.0)
         res = solve_adjustment_coefficient(params)
         assert res.r_star == pytest.approx(params.lam / params.p, rel=1e-15)
-        assert res.theta == 0.0
+        assert eventual_outage_poisson_exact(replace(params, u0=0.0), res.r_star) == 0.0
         assert eventual_outage_poisson_exact(params, res.r_star) == 0.0
         mu = tilted_ladder_mean_poisson(params, res.r_star)
         assert mu == math.inf
@@ -423,18 +424,6 @@ class TestLadderAndRenewal:
         u = np.arange(phi.size) * step
         assert np.max(np.abs(phi - (1.0 - theta * np.exp(-r * u)))) < 1e-4
 
-    def test_renewal_tabulated_equals_callable(self):
-        p = mm1()
-        r, theta = 0.1, 1.0 - 0.1 / 1.1
-        step = 0.05
-        grid = np.arange(0.0, 4.0 + step / 2, step)
-        f = ladder_height_density_poisson(p, r, grid)
-        a = solve_renewal_equation(f, theta, step)
-        b = solve_renewal_equation(
-            lambda x: ladder_height_density_poisson(p, r, x), theta, step, u_max=4.0
-        )
-        assert np.array_equal(a, b)
-
     def test_renewal_monotone_and_bounded(self):
         p = mm1()
         theta = 1.0 - 0.1 / 1.1
@@ -449,10 +438,6 @@ class TestLadderAndRenewal:
         with pytest.raises(GridError):
             solve_renewal_equation(lambda x: x * 0, 0.5, 0.3, u_max=1.0)
         with pytest.raises(GridError):
-            solve_renewal_equation(lambda x: x * 0, 0.5, 0.1)  # u_max missing
-        with pytest.raises(GridError):
-            solve_renewal_equation(np.zeros(5), 0.5, 0.1, u_max=1.0)  # wrong length
-        with pytest.raises(GridError):
             solve_renewal_equation(lambda x: x * 0, 0.5, -0.1, u_max=1.0)
         for short in (lambda x: 0.1 + 0 * x[:5], lambda x: 0.1):  # not one value per grid point
             with pytest.raises(GridError, match="grid needs"):
@@ -460,29 +445,30 @@ class TestLadderAndRenewal:
 
     def test_renewal_kernel_validation(self):
         with pytest.raises(ValueError):
-            solve_renewal_equation(np.array([0.1, -0.2, 0.1]), 0.5, 0.1)
+            solve_renewal_equation(lambda _: np.array([0.1, -0.2, 0.1]), 0.5, 0.1, u_max=0.2)
         with pytest.raises(ValueError):
             # mass way above theta
-            solve_renewal_equation(np.full(11, 2.0), 0.1, 0.5)
+            solve_renewal_equation(lambda _: np.full(11, 2.0), 0.1, 0.5, u_max=5.0)
         with pytest.raises(PreconditionError):
-            solve_renewal_equation(np.zeros(3), 1.5, 0.1)
+            solve_renewal_equation(lambda _: np.zeros(3), 1.5, 0.1, u_max=0.2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_renewal_rejects_non_finite_kernels(self, bad):
         f = np.array([0.1, 0.1, bad, 0.1])
         with pytest.raises(ValueError, match="not finite at index 2"):
-            solve_renewal_equation(f, 0.5, 0.1)
+            solve_renewal_equation(lambda _: f, 0.5, 0.1, u_max=0.3)
         with pytest.raises(ValueError, match="not finite at index 2"):
             solve_renewal_equation(lambda x: np.where(x == 0.2, bad, 0.1), 0.5, 0.1, u_max=0.3)
 
     @pytest.mark.parametrize("rho", [1.1, 1.0 + 1e-6, 1.0 + 1e-9])
     def test_renewal_equals_the_march_on_ladder_densities(self, rho):
         params = mm1(lam=rho)
-        fit = solve_adjustment_coefficient(params)
+        r_star = solve_adjustment_coefficient(params).r_star
+        theta = eventual_outage_poisson_exact(params, r_star)
         for step, u_max in ((0.01, 10.0), (1e-3, 10.0)):  # the second is c04's grid
-            f = ladder_height_density_poisson(params, fit.r_star, np.arange(round(u_max / step) + 1) * step)
-            phi = solve_renewal_equation(f, fit.theta, step)
-            ref = renewal_march(f, fit.theta, step)
+            f = ladder_height_density_poisson(params, r_star, np.arange(round(u_max / step) + 1) * step)
+            phi = solve_renewal_equation(lambda _: f, theta, step, u_max)
+            ref = renewal_march(f, theta, step)
             assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 1000, 4097])
@@ -492,12 +478,9 @@ class TestLadderAndRenewal:
         for mass in (0.3, 0.9, 1.0 - 1e-6):
             f = rng.random(n + 1)
             f *= mass / np.trapezoid(f, dx=step)
-            phi = solve_renewal_equation(f, mass, step)
+            phi = solve_renewal_equation(lambda _: f, mass, step, n * step)
             ref = renewal_march(f, mass, step)
             assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref)), mass
-
-    def test_renewal_n_zero_is_the_anchor(self):
-        assert solve_renewal_equation(np.array([0.7]), 0.25, 0.1).tolist() == [0.75]
 
     def test_renewal_large_grid_is_fast_and_accurate(self):
         params = mm1()

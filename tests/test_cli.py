@@ -105,10 +105,18 @@ class TestSimulateReport:
         # r* p underflows to 0 here; the defect r* / (lam / p) is 1 - theta
         point = SystemParams(1e-323, parse_distribution_spec("exp:mean=1.1525273304157484e+157"),
                              8.610802159813937e-167)
-        theta = solve_adjustment_coefficient(point).theta
+        theta = point.p / (point.lam * point.packet.mean)  # exp packets
         assert run_analyze(point)["psi_exact"] == theta
         report = run_simulate(point, 20, 10.0, 1)
         assert (report["psi_exact"], report["psi_bound"]) == (theta, 1.0)
+
+    def test_subnormal_rate_keeps_the_asymptotic_digits(self):
+        # the asymptotic form is exact for exp packets; theta * lam keeps a
+        # bit or two at this lam, theta * (lam / p) keeps them all
+        point = SystemParams(1e-323, parse_distribution_spec("exp:mean=1.1525273304157484e+157"),
+                             8.610802159813937e-167)
+        report = run_analyze(point)
+        assert report["psi_asymptotic"] == pytest.approx(report["psi_exact"], rel=1e-12)
 
 
 class TestSweep:
@@ -760,6 +768,16 @@ class TestPublicSurface:
         ]
         assert missing == []
         assert [name for name in hsc.__all__ if not hasattr(hsc, name)] == []
+
+    def test_package_exports_each_module_name_once(self):
+        # hsc star-imports these modules; a name in two lists would let one
+        # import shadow the other
+        modules = [importlib.import_module(f"hsc.{m}") for m in ("errors", "distributions", "analytic", "simulate")]
+        names = ["__version__", *(name for module in modules for name in module.__all__)]
+        assert sorted(hsc.__all__) == sorted(names)
+        assert len(set(hsc.__all__)) == len(hsc.__all__)
+        for module in modules:
+            assert all(getattr(hsc, name) is getattr(module, name) for name in module.__all__)
 
 
 class TestVersion:

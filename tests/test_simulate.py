@@ -5,6 +5,7 @@ import bisect
 import itertools
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -23,6 +24,7 @@ from hsc import (
     SystemParams,
     collect_ladder_samples,
     estimate_eventual_outage,
+    estimate_outage_curves,
     estimate_phi_from_max,
     poisson_events,
     sample_block,
@@ -38,7 +40,6 @@ from hsc.simulate import (
     _ladder_kernel,
     _max_deficit,
     _trial_keys,
-    estimate_outage_curve,
 )
 import kernel_oracle
 from kernel_oracle import (
@@ -339,15 +340,6 @@ class TestLindley:
             simulate_lindley(
                 mm1(lam=1.2), 10, 0, scripted_events([(1.0, 1.0)] * 10)
             )
-        # explicit opt-out runs fine
-        stats = simulate_lindley(
-            mm1(lam=1.2),
-            10,
-            0,
-            scripted_events([(1.0, 1.0)] * 10),
-            require_stationary=False,
-        )
-        assert 0.0 <= stats.time_empty_fraction <= 1.0
 
     def test_step_burnin_validation(self):
         with pytest.raises(PreconditionError):
@@ -527,12 +519,12 @@ class TestEstimatorDeterminism:
     def test_non_integral_workers_rejected(self, workers):
         # the ValueError of workers < 1, which the CLI maps to exit code 2
         with pytest.raises(ValueError, match="workers must be an integer") as err:
-            estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0], workers=workers)
+            estimate_outage_curves([mm1()], 10.0, 5, 1, [1.0], workers=workers)
         assert type(err.value) is ValueError
 
     def test_integral_float_workers_accepted(self):
-        curve = estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0], workers=1.0)
-        assert curve == estimate_outage_curve(mm1(), 10.0, 5, 1, [1.0])
+        curve = estimate_outage_curves([mm1()], 10.0, 5, 1, [1.0], workers=1.0)[0]
+        assert curve == estimate_outage_curves([mm1()], 10.0, 5, 1, [1.0])[0]
 
     def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
         # the trials still split into one chunk per worker asked for
@@ -548,11 +540,11 @@ class TestEstimatorDeterminism:
             return count(columns, horizon, seed, u0_grid, lo, hi)
 
         grid = [0.0, 2.0, 5.0]
-        serial = estimate_outage_curve(mm1(), 200.0, 50, 7, grid)
+        serial = estimate_outage_curves([mm1()], 200.0, 50, 7, grid)[0]
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording_pool)
         monkeypatch.setattr(simulate, "_count_range", recording_count)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        assert estimate_outage_curve(mm1(), 200.0, 50, 7, grid, workers=1000) == serial
+        assert estimate_outage_curves([mm1()], 200.0, 50, 7, grid, workers=1000)[0] == serial
         assert sizes == [2]
         assert sorted(chunks) == [(k, k + 1) for k in range(50)]
 
@@ -568,7 +560,7 @@ class TestOutageCurve:
         for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
             for lam in (0.9, 1.1):
                 params = SystemParams(lam=lam, packet=packet, p=1.0)
-                curve = estimate_outage_curve(params, 400.0, 25, 6, grid)
+                curve = estimate_outage_curves([params], 400.0, 25, 6, grid)[0]
                 for u0, est in zip(grid, curve):
                     scalar = sum(
                         simulate_first_passage(
@@ -726,12 +718,13 @@ class TestOutageCurve:
         _count_range([mm1(lam=1.1)], 1000.0, 7, [30.0], 0, 400)
         assert len(calls) / 400 <= 1.1
 
-    def test_chunk_counts_match_scalar_across_row_blocks(self):
+    def test_chunk_counts_match_scalar_across_row_blocks(self, monkeypatch):
         # 1100 trials span two 1024-row blocks of the (trial, u0) comparison;
         # one u0 ties trial 1050 exactly, so the replay must find that trial
         params = mm1()
         tie = max_deficit_full_blocks(params, 30.0, trial_rng(3, 1050))
         grid = [0.0, 4.0, tie]
+        monkeypatch.setattr(simulate, "_COUNT_CELLS", 1024 * len(grid))
         expect = [
             sum(
                 simulate_first_passage(
@@ -744,6 +737,18 @@ class TestOutageCurve:
             for u0 in grid
         ]
         assert _count_range([params], 30.0, 3, grid, 0, 1100) == [expect]
+
+    def test_counting_memory_does_not_grow_with_the_grid(self):
+        # 1024 trials against 10 000 u0 took 175 MB when a block of 1024
+        # trials met the whole grid at once
+        grid = np.linspace(0.0, 10.0, 10_000).tolist()
+        tracemalloc.start()
+        try:
+            estimate_outage_curves([mm1()], 5.0, 1024, 3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_failed_column_cancels_the_queued_tasks(self, monkeypatch):
         # one worker: the first task fails, the second blocks until shutdown
@@ -769,7 +774,7 @@ class TestOutageCurve:
         # one packet law per column, so one task per (column, chunk)
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
         with pytest.raises(RuntimeError):
-            simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
+            estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
         assert len(ran) <= 2  # of six tasks
 
     @pytest.mark.parametrize("workers", [None, 1])
@@ -779,18 +784,18 @@ class TestOutageCurve:
 
         grid = [0.0, 3.0]
         columns = [mm1(), SystemParams(1.2, DET1, 1.0)]
-        expect = [estimate_outage_curve(c, 100.0, 30, 2, grid) for c in columns]
+        expect = [estimate_outage_curves([c], 100.0, 30, 2, grid)[0] for c in columns]
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
-        assert simulate._estimate_outage_curves(columns, 100.0, 30, 2, grid, workers) == expect
+        assert estimate_outage_curves(columns, 100.0, 30, 2, grid, workers) == expect
 
     def test_curve_arguments_are_checked_at_the_call(self):
         columns = [mm1()]
         with pytest.raises(PreconditionError):
-            simulate._estimate_outage_curves(columns, math.inf, 10, 0, [0.0])
+            estimate_outage_curves(columns, math.inf, 10, 0, [0.0])
         with pytest.raises(ValueError):
-            simulate._estimate_outage_curves(columns, 50.0, 10, 0, [-1.0])
+            estimate_outage_curves(columns, 50.0, 10, 0, [-1.0])
         with pytest.raises(ValueError):
-            simulate._estimate_outage_curves(columns, 50.0, 10, 0, [0.0], ci_method="x")
+            estimate_outage_curves(columns, 50.0, 10, 0, [0.0], ci_method="x")
 
     def test_u0_at_max_deficit_is_decided_by_scalar(self, monkeypatch):
         params = mm1()
@@ -944,14 +949,14 @@ class TestSharedWalk:
             SystemParams(1.05, UNIF1, 1.0),
         ]
         grid = [0.0, 4.0, 10.0]
-        expect = [estimate_outage_curve(c, 300.0, 40, 5, grid) for c in columns]
+        expect = [estimate_outage_curves([c], 300.0, 40, 5, grid)[0] for c in columns]
         groups = []
         count = simulate._count_range
         monkeypatch.setattr(
             simulate, "_count_range", lambda cols, *args: groups.append(cols) or count(cols, *args)
         )
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", ThreadPoolExecutor)
-        curves = list(simulate._estimate_outage_curves(columns, 300.0, 40, 5, grid, workers))
+        curves = list(estimate_outage_curves(columns, 300.0, 40, 5, grid, workers))
         assert curves == expect
         assert len(groups) == 3 * workers  # one task per (group, chunk)
         for group in ([columns[0], columns[2]], [columns[1]], [columns[3]]):
