@@ -289,13 +289,17 @@ def asymptotic_outage(
 def required_initial_energy(r_star: float, epsilon: float) -> float:
     """Smallest ``u0`` whose exponential bound meets target ``epsilon``.
 
-    Inverts ``exp(-r* u0) = epsilon``: ``u0 = log(1/epsilon) / r*``.
+    Inverts ``exp(-r* u0) = epsilon``: ``u0 = log(1/epsilon) / r*``, or
+    raises :class:`DomainError` where that overflows (at a subnormal ``r*``).
     """
     if not r_star > 0.0:
         raise PreconditionError(f"r_star must be positive, got {r_star!r}")
     if not 0.0 < epsilon <= 1.0:
         raise PreconditionError(f"epsilon must be in (0, 1], got {epsilon!r}")
-    return math.log(1.0 / epsilon) / r_star
+    u0 = math.log(1.0 / epsilon) / r_star
+    if not math.isfinite(u0):
+        raise DomainError(f"log(1/{epsilon!r}) / r* overflows at r* = {r_star!r}")
+    return u0
 
 
 def ladder_height_density_poisson(

@@ -96,7 +96,7 @@ class SweepSpec:
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
         _integer("trials", self.trials, 0, ValueError)
         # checked here as well as by the Monte-Carlo call, which trials = 0 skips
-        _check_protocol(self.horizon, self.u0_grid, self.workers, self.ci_method)
+        _check_protocol(self.horizon, self.u0_grid, self.seed, self.workers, self.ci_method)
 
 
 @dataclass(frozen=True)

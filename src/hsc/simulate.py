@@ -27,9 +27,9 @@ Both add the offset ``s`` to scalars, not to the block: rounding is
 monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 > 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
 (``rho < 1`` regime) is scalar.  Trial ``i`` of a run seeded with ``seed``
-walks its own stream ``trial_rng(seed, i)``; the kernels build its generator
-from its Philox key, derived for a whole chunk of trials in one vectorized
-pass (:func:`_trial_keys`) and equal to numpy's seed-sequence spawn key.  So
+walks its own stream ``trial_rng(seed, i)``, ``Philox(seed).jumped(i)``: one
+key per run and one counter stretch of 2**128 per trial.  The kernels set
+one generator to each trial's counter in turn (:func:`_trial_streams`).  So
 counts are bit-identical in any trial order or worker count.
 
 The columns (``rho``) of one packet law share each trial's draws and both
@@ -52,7 +52,6 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .analytic import SystemParams
 from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, sample_block
@@ -131,72 +130,33 @@ class LindleyStats:
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent reconstructible stream for trial ``index`` of run ``seed``."""
-    seed = int(seed)
-    index = int(index)
-    if seed < 0 or index < 0:
-        raise ValueError("seed and trial index must be nonnegative")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+    """Independent reconstructible stream for trial ``index`` of run ``seed``.
 
-
-# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_WORD = 0xFFFFFFFF
-
-
-def _trial_keys(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Philox keys of ``trial_rng(seed, i)`` for ``i`` in ``[lo, hi)``, shape ``(hi - lo, 2)``.
-
-    Row ``i - lo`` equals ``SeedSequence(entropy=seed, spawn_key=(i,))
-    .generate_state(2, np.uint64)``.  For ``seed < 2**128`` and ``i < 2**32``
-    that sequence's entropy is the seed zero-padded to four pool words plus
-    one spawn word.  So its pool starts as ``SeedSequence(seed).pool``, after
-    16 hash steps, and the spawn word is hashed into each of the four pool
-    words; the key is ``generate_state`` of that pool.  Other seeds and
-    indices go through ``SeedSequence`` one trial at a time.
+    It draws as ``Philox(seed).jumped(index)``: the run's Philox key, counting
+    from ``index * 2**128``.  The seed is any nonnegative integer and the
+    index an integer in ``[0, 2**128)``.
     """
-    seed, lo, hi = int(seed), int(lo), int(hi)
-    if seed < 0 or lo < 0:
-        raise ValueError("seed and trial index must be nonnegative")
-    if seed >= 2**128 or hi > 2**32:
-        keys = [
-            np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
-            for i in range(lo, hi)
-        ]
-        return np.array(keys, dtype=np.uint64).reshape(-1, 2)
-    spawn = np.arange(lo, hi, dtype=np.uint32)
-    hash_a = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _WORD
-    hash_b = _INIT_B
-    words = []
-    for word in np.random.SeedSequence(seed).pool.tolist():
-        value = spawn ^ hash_a  # hashmix(spawn word)
-        hash_a = hash_a * _MULT_A & _WORD
-        value *= hash_a
-        value ^= value >> 16
-        value = (_MIX_MULT_L * word & _WORD) - _MIX_MULT_R * value  # mix(pool word, it)
-        value ^= value >> 16
-        value ^= hash_b  # generate_state
-        hash_b = hash_b * _MULT_B & _WORD
-        value *= hash_b
-        value ^= value >> 16
-        words.append(value.astype(np.uint64))
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+    (rng,) = _trial_streams(seed, index, index + 1)
+    return rng
 
 
-class _Key(ISeedSequence):
-    # Hands a precomputed key to Philox, which asks for generate_state(2, uint64).
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.key
-
-
-def _keyed_rng(key: np.ndarray) -> np.random.Generator:
-    # The generator trial_rng builds for the trial whose key this is.
-    return np.random.Generator(np.random.Philox(_Key(key)))
+def _trial_streams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    # trial_rng(seed, i) for i in [lo, hi), as one generator set to each
+    # trial's counter in turn: use each before taking the next.  A trial
+    # draws at most about 2e8 values (the 1e8-arrival cap), 5e7 counter
+    # steps, far below the 2**128 between two trials.
+    seed = _integer("seed", seed, 0, ValueError)
+    lo = _integer("trial index", lo, 0, ValueError)
+    if not hi <= 2**128:  # past it, jumped(i) wraps round to jumped(i - 2**128)
+        raise ValueError(f"a trial index must be below 2**128, got {hi - 1}")
+    bits = np.random.Philox(seed)
+    rng = np.random.Generator(bits)
+    state = bits.state  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
+    counter = state["state"]["counter"]  # words [0, 0, i mod 2**64, i >> 64]
+    for i in range(lo, hi):
+        counter[3], counter[2] = divmod(i, 2**64)
+        bits.state = state
+        yield rng
 
 
 def _finite_horizon(horizon: float) -> float:
@@ -207,7 +167,8 @@ def _finite_horizon(horizon: float) -> float:
 
 
 def _integer(name: str, value: int, least: int, error: type[ValueError] = PreconditionError) -> int:
-    if not (float(value).is_integer() and value >= least):
+    # an int is integral as it is; float() would overflow past 2**1024
+    if not (value >= least and (isinstance(value, int) or float(value).is_integer())):
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -220,7 +181,7 @@ def _walk_length(name: str, value: int, least: int) -> int:
 
 
 def _check_protocol(
-    horizon: float, u0_grid: list[float], workers: int | None, ci_method: str
+    horizon: float, u0_grid: list[float], seed: int, workers: int | None, ci_method: str
 ) -> float:
     """Check the Monte-Carlo arguments a sweep shares; return the horizon as a float.
 
@@ -232,6 +193,7 @@ def _check_protocol(
             f"the u0 grid must be nonempty and every u0 must be nonnegative and finite, got {u0_grid}"
         )
     horizon = _finite_horizon(horizon)
+    _integer("seed", seed, 0, ValueError)
     if workers is not None:
         _integer("workers", workers, 1, ValueError)
     if ci_method not in ("normal", "wilson"):
@@ -331,7 +293,7 @@ def _count_range(
     u0s = np.asarray(u0_grid, dtype=float)
     u0_sorted = sorted(u0s.tolist())
     deficits = np.array(
-        [_max_deficit(columns, horizon, _keyed_rng(key), u0_sorted) for key in _trial_keys(seed, lo, hi)]
+        [_max_deficit(columns, horizon, rng, u0_sorted) for rng in _trial_streams(seed, lo, hi)]
     )  # (trial, column)
     counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
     rows = max(1, _COUNT_CELLS // u0s.size)  # trials per (trial, u0) array
@@ -390,7 +352,7 @@ def estimate_outage_curves(
     boundary.  Once a task raises, the tasks not yet started are cancelled.
     """
     trials = _integer("trials", trials, 1)
-    horizon = _check_protocol(horizon, u0_grid, workers, ci_method)
+    horizon = _check_protocol(horizon, u0_grid, seed, workers, ci_method)
     arrivals = max(params.lam for params in columns) * horizon
     if not arrivals <= _MAX_ARRIVALS:
         raise PreconditionError(
@@ -497,8 +459,7 @@ def collect_ladder_samples(
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)
     return [
-        _ladder_kernel(params, max_steps, _keyed_rng(key), stop_drawdown)
-        for key in _trial_keys(seed, 0, walks)
+        _ladder_kernel(params, max_steps, rng, stop_drawdown) for rng in _trial_streams(seed, 0, walks)
     ]
 
 

@@ -396,6 +396,9 @@ class TestOutageFormulas:
             required_initial_energy(0.1, 0.0)
         with pytest.raises(PreconditionError):
             required_initial_energy(-1.0, 0.5)
+        # log(10) / 1e-312 overflows: a typed error, never an inf
+        with pytest.raises(DomainError, match="overflows"):
+            required_initial_energy(1e-312, 0.1)
 
 
 class TestLadderAndRenewal:

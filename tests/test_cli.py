@@ -385,6 +385,23 @@ class TestMainEntry:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--trials", "0", "--seed", "-1", "--u0-grid", "0", "--rho", "1.1"],
+        ["reproduce", "--figure", "5", "--trials", "0", "--seed", "-3"],
+    ])
+    def test_negative_seed_exits_2_even_without_trials(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_required_energy_exits_3(self, capsys):
+        # r* = 1.00006808034e-312 here, so log(1/eps) / r* overflows
+        argv = ["analyze", "--lam", "1.000000000001e-300", "--packet", "exp:mean=1e300",
+                "--p", "1", "--u0", "5"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err
+
     def test_simulate_stdout(self, capsys):
         code = main(
             ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--u0", "3",
@@ -845,15 +862,15 @@ class TestReproduce:
         assert len(list((tmp_path / "all").iterdir())) == 8
 
     def test_golden_csv_digests(self, tmp_path, capsys):
-        # sha256 of CSVs written before the walk summed gaps and packets as
-        # two running sums; they pin the bytes across kernel rewrites
+        # sha256 of CSVs on the Philox(seed).jumped(i) trial streams of 0.4.0;
+        # they pin the bytes across kernel rewrites
         assert main(["reproduce", "--figure", "all", "--seed", "42", "--trials", "300",
                      "--horizon", "200", "--out", str(tmp_path)]) == 0
         golden = {
-            "figure2.csv": "fa69a6c2df641274d643e0db9156347741b39a2aac1b68d99fd29efc7fedb78b",
-            "figure3.csv": "302b4fcb56cf2ff381d240722dff1361dbb615af3ca14ca22d6ece7033ddffa8",
-            "figure4.csv": "83a1e50b73d8a5efc361d31bd5dc83529d96f9a69324101cfe96bd7dfca607e9",
-            "figure5.csv": "1a81259343d35ecfcf9fbfe539d05b2e881b8d0981b5c69322adf5b5f9f0c471",
+            "figure2.csv": "9fa0ba8de33899952620261941a4a2cdb21d3ef457f08715e92c82daf5b23fbc",
+            "figure3.csv": "314f60b383a598570ea84e56c2146b2040f004f4d5f1acc74091444d56f84b8a",
+            "figure4.csv": "00c05c0ebd902fe5244ee4a57273579f96d548b037c97de9cfa3b12a68014fc6",
+            "figure5.csv": "aba4e347c2200ab110184086cb9d4c208dd21c82356d07f213f6bda6d459a354",
         }
         for name, digest in golden.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -863,7 +880,7 @@ class TestReproduce:
             trials=400, horizon=1000.0, seed=5,
         )
         digest = hashlib.sha256(rows_to_csv(run_sweep(spec)).encode("utf-8")).hexdigest()
-        assert digest == "bed93ab75834f3a0d0f46b97ba3b0f65c5a92f013b6349a141667cf6c01c0d05"
+        assert digest == "ae0ce20d020fb8def2dc3075d8f30b6e186b0925a1444703e5f8f5ae9797a2a0"
 
     @pytest.mark.parametrize(
         "figure,trials,horizon,seed",

@@ -36,10 +36,9 @@ from hsc import (
 import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
-    _keyed_rng,
     _ladder_kernel,
     _max_deficit,
-    _trial_keys,
+    _trial_streams,
 )
 import kernel_oracle
 from kernel_oracle import (
@@ -255,10 +254,10 @@ class TestLadderScripted:
                     assert _ladder_kernel(params, max_steps, trial_rng(8, i), stop) == expect
 
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
-        # trial 46 of seed 17 at rho 1.02 first rises above zero at step 1065
+        # trial 227 of seed 17 at rho 1.02 first rises above zero at step 2560
         params = SystemParams(lam=1.02, packet=EXP1, p=1.0)
-        a = _ladder_kernel(params, 5000, trial_rng(17, 46))
-        b = simulate_ladder(params, 5000, poisson_events(params.lam, params.packet, trial_rng(17, 46)))
+        a = _ladder_kernel(params, 5000, trial_rng(17, 227))
+        b = simulate_ladder(params, 5000, poisson_events(params.lam, params.packet, trial_rng(17, 227)))
         assert b.first_ladder_epoch > EVENT_BLOCK
         assert a.first_ladder_epoch == b.first_ladder_epoch
         assert a.first_ladder_height == pytest.approx(b.first_ladder_height, rel=1e-9)
@@ -437,6 +436,21 @@ class TestEstimatorDeterminism:
         serial = estimate_eventual_outage(p, 300.0, 600, seed=8, workers=1)
         parallel = estimate_eventual_outage(p, 300.0, 600, seed=8, workers=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 1.7])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        p = mm1(u0=5.0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_eventual_outage(p, 100.0, 200, seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            collect_ladder_samples(p, 3, 10, seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            trial_rng(seed, 0)
+
+    def test_a_seed_past_the_float_range_is_accepted(self):
+        seed = 10**400
+        assert trial_rng(seed, 3).random() == next(_trial_streams(seed, 3, 4)).random()
+        assert estimate_eventual_outage(mm1(u0=5.0), 50.0, 4, seed).seed == seed
 
     def test_trial_streams_are_independent_and_stable(self):
         a0 = trial_rng(4, 0).random(6)
@@ -818,16 +832,16 @@ class TestOutageCurve:
         assert tried > 0 and len(replays) == tried
 
     def test_exact_tie_follows_scalar(self):
-        # det packets: trial 128 ends with a ramp capped at the horizon whose
+        # det packets: trial 127 ends with a ramp capped at the horizon whose
         # deficit p * H - A_J = 80 - 46 is exactly 34.0.  The scalar's running
         # time rounds past H and sees no outage; block arithmetic sees one.
         params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
-        assert _max_deficit([params], 40.0, trial_rng(8, 128), [34.0]) == [34.0]
-        assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 128)) == 34.0
-        events = poisson_events(1.0, DET1, trial_rng(8, 128))
+        assert _max_deficit([params], 40.0, trial_rng(8, 127), [34.0]) == [34.0]
+        assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 127)) == 34.0
+        events = poisson_events(1.0, DET1, trial_rng(8, 127))
         scalar = simulate_first_passage(params, 40.0, events).outage
-        assert _first_passage_kernel(params, 40.0, trial_rng(8, 128)).outage != scalar
-        assert _count_range([params], 40.0, 8, [34.0], 128, 129) == [[int(scalar)]]
+        assert _first_passage_kernel(params, 40.0, trial_rng(8, 127)).outage != scalar
+        assert _count_range([params], 40.0, 8, [34.0], 127, 128) == [[int(scalar)]]
 
 
 BITS = 200  # every draw here is a multiple of 2**-BITS
@@ -963,46 +977,46 @@ class TestSharedWalk:
             assert groups.count(group) == workers
 
 
-class TestTrialKeys:
-    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127)
+class TestTrialStreams:
+    SEEDS = (0, 1, 2**32, 2**64 + 3, 2**200)
+    INDICES = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
 
     @staticmethod
-    def spawn_key(seed, i):
-        return np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+    def jumped(seed, i):
+        return np.random.Generator(np.random.Philox(seed).jumped(i))
 
-    def test_keys_equal_seed_sequence_keys(self):
-        for seed in self.SEEDS:
-            keys = _trial_keys(seed, 0, 5000)
-            assert keys.shape == (5000, 2) and keys.dtype == np.uint64
-            assert np.array_equal(keys, [self.spawn_key(seed, i) for i in range(5000)])
-            for i in (0, 1, 2**31, 2**32 - 1):
-                assert np.array_equal(_trial_keys(seed, i, i + 1), [self.spawn_key(seed, i)])
+    def test_trial_rng_draws_equal_the_jumped_philox(self):
+        for seed, i in itertools.product(self.SEEDS, self.INDICES + (2**128 - 1,)):
+            got, ref = trial_rng(seed, i), self.jumped(seed, i)
+            for draw in ("standard_exponential", "random", "standard_normal"):
+                assert np.array_equal(getattr(got, draw)(3000), getattr(ref, draw)(3000))
 
-    def test_keyed_generator_draws_equal_trial_rng(self):
-        # the first three 1024-pair blocks of an event stream
+    def test_kernel_streams_draw_equal_the_jumped_philox(self):
+        # the first three 1024-pair blocks of an event stream, trial by trial
+        # through one repositioned generator (trial_rng is one such trial)
         pairs = 3 * EVENT_BLOCK
-        for seed, i in ((3, 0), (3, 77), (2**64 + 3, 2**31)):
-            for packet in (EXP1, DistributionSpec(Kind.UNIFORM, 1.0)):
-                keyed = _keyed_rng(_trial_keys(seed, i, i + 1)[0])
-                got = itertools.islice(poisson_events(1.1, packet, keyed), pairs)
-                ref = itertools.islice(poisson_events(1.1, packet, trial_rng(seed, i)), pairs)
-                assert list(got) == list(ref)
+        for seed, lo in itertools.product(self.SEEDS, self.INDICES):
+            for packet in (EXP1, UNIF1):
+                streams = _trial_streams(seed, lo, lo + 2)
+                for i, rng in enumerate(streams, lo):
+                    got = itertools.islice(poisson_events(1.1, packet, rng), pairs)
+                    ref = itertools.islice(poisson_events(1.1, packet, self.jumped(seed, i)), pairs)
+                    assert list(got) == list(ref)
+                assert i == lo + 1
 
-    def test_fallback_is_exact_on_both_sides_of_each_boundary(self):
-        for seed in (2**128 - 1, 2**128):
-            for i in (2**32 - 1, 2**32):
-                assert np.array_equal(_trial_keys(seed, i, i + 1), [self.spawn_key(seed, i)])
-            lo = 2**32 - 2
-            assert np.array_equal(
-                _trial_keys(seed, lo, lo + 4), [self.spawn_key(seed, i) for i in range(lo, lo + 4)]
-            )
+    def test_a_trial_leaves_nothing_buffered_for_the_next(self):
+        # a 32-bit draw keeps half a word back; the next trial must not see it
+        rngs = _trial_streams(7, 0, 2)
+        next(rngs).integers(0, 10, 3, dtype=np.uint32)
+        assert np.array_equal(next(rngs).integers(0, 10, 3, dtype=np.uint32),
+                              self.jumped(7, 1).integers(0, 10, 3, dtype=np.uint32))
 
-    def test_negative_seed_or_index_raises_like_trial_rng(self):
-        for seed, lo in ((-1, 0), (0, -1)):
-            with pytest.raises(ValueError):
-                trial_rng(seed, lo)
-            with pytest.raises(ValueError):
-                _trial_keys(seed, lo, lo + 2)
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (0, 2**128), (1.5, 0)])
+    def test_bad_seed_or_index_raises(self, seed, index):
+        with pytest.raises(ValueError):
+            trial_rng(seed, index)
+        with pytest.raises(ValueError):
+            list(_trial_streams(seed, index, index + 1))
 
 
 class TestStatisticalSanity:
