@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -130,6 +131,8 @@ def step_cgf(params: SystemParams, r: float) -> float:
 
     ``K(r) = -log(1 - p*r/lam) + log E[e^{-r X}]``; finite for
     ``p*r < lam`` (and, for exponential packets, ``r > -1/mean``).
+    Raises :class:`DomainError` outside that range or where ``K(r)`` is
+    not a finite double.
     """
     r = float(r)
     if params.p * r >= params.lam:
@@ -137,7 +140,12 @@ def step_cgf(params: SystemParams, r: float) -> float:
             f"step CGF diverges at r={r}: requires p*r < lam "
             f"({params.p}*{r} >= {params.lam})"
         )
-    return -math.log1p(-params.p * r / params.lam) + log_laplace(params.packet, r)
+    x = -params.p * r / params.lam
+    if x < math.inf:
+        log1p_x = math.log1p(x)
+    else:  # r < 0 and a tiny lam: log1p(x) is log(x) to the last bit
+        log1p_x = math.log(params.p) + math.log(-r) - math.log(params.lam)
+    return log_laplace(params.packet, r) - log1p_x  # finite where log_laplace is
 
 
 def _rho_minus_one(params: SystemParams) -> float:
@@ -273,7 +281,9 @@ def asymptotic_outage(
     ``mu_tilde`` the mean of its exponentially tilted, proper version.  Pass
     the defect itself, not ``1 - theta``, which cancels as rho -> 1: with
     Poisson arrivals it is ``r* p / lam``, and the formula then equals
-    :func:`eventual_outage_poisson_exact`.
+    :func:`eventual_outage_poisson_exact`.  Where ``r* mu_tilde`` or a
+    factor leaves the double range the value is formed from logs; it
+    raises :class:`DomainError` where the value is not a finite double.
     """
     if not 0.0 < defect <= 1.0:
         raise PreconditionError(f"defect must be in (0, 1], got {defect!r}")
@@ -283,22 +293,31 @@ def asymptotic_outage(
         raise PreconditionError(f"mu_tilde must be positive, got {mu_tilde!r}")
     if u0 < 0.0:
         raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
-    return defect / (r_star * mu_tilde) * math.exp(-r_star * u0)
+    scale = r_star * mu_tilde
+    if scale >= sys.float_info.min:  # a normal double, so defect / scale is finite
+        psi = defect / scale * math.exp(-r_star * u0)
+        if psi > 0.0:
+            return psi
+    # scale or the exponential left the double range: form psi from logs
+    log_psi = math.log(defect) - math.log(r_star) - math.log(mu_tilde) - r_star * u0
+    if not log_psi < math.log(sys.float_info.max):  # also catches nan
+        raise DomainError(f"asymptotic outage e^{log_psi} is not a finite double")
+    return math.exp(log_psi)
 
 
 def required_initial_energy(r_star: float, epsilon: float) -> float:
     """Smallest ``u0`` whose exponential bound meets target ``epsilon``.
 
-    Inverts ``exp(-r* u0) = epsilon``: ``u0 = log(1/epsilon) / r*``, or
+    Inverts ``exp(-r* u0) = epsilon``: ``u0 = -log(epsilon) / r*``, or
     raises :class:`DomainError` where that overflows (at a subnormal ``r*``).
     """
     if not r_star > 0.0:
         raise PreconditionError(f"r_star must be positive, got {r_star!r}")
     if not 0.0 < epsilon <= 1.0:
         raise PreconditionError(f"epsilon must be in (0, 1], got {epsilon!r}")
-    u0 = math.log(1.0 / epsilon) / r_star
+    u0 = abs(math.log(epsilon)) / r_star  # abs, not minus: 0.0 at epsilon = 1
     if not math.isfinite(u0):
-        raise DomainError(f"log(1/{epsilon!r}) / r* overflows at r* = {r_star!r}")
+        raise DomainError(f"-log({epsilon!r}) / r* overflows at r* = {r_star!r}")
     return u0
 
 

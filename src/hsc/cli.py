@@ -13,10 +13,8 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
 
 from . import __version__
 from .analytic import (
@@ -30,7 +28,7 @@ from .analytic import (
     tilted_ladder_mean_poisson,
     utilization,
 )
-from .distributions import DistributionSpec, parse_distribution_spec
+from .distributions import parse_distribution_spec
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -39,7 +37,6 @@ from .errors import (
     PreconditionError,
 )
 from .simulate import (
-    EstimateWithCI,
     _check_protocol,
     _integer,
     estimate_eventual_outage,
@@ -229,53 +226,38 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     queue, and each trial walks once for all the column's u0.  A failure
     there is shared by every column, so it is raised as it is.
     """
-    columns = []  # (params at u0 = 0, analytic fields per u0)
+    columns = []  # (params at u0 = 0, rho, r*, theta); r* and theta are None for rho <= 1
     for dist_text in spec.dist_list:
         packet = parse_distribution_spec(dist_text)
         for rho in spec.rho_list:
-            with _named_column(dist_text, rho):
-                columns.append(_analytic_column(spec, packet, rho))
+            try:
+                base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
+                r_star = theta = None
+                if rho > 1.0:
+                    r_star = solve_adjustment_coefficient(base).r_star
+                    theta = eventual_outage_poisson_exact(base, r_star)  # checks r*; u0 = 0
+            except Exception as exc:
+                # keep the type, and so the exit code; name the column
+                exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
+                raise
+            columns.append((base, float(rho), r_star, theta))
     if spec.trials == 0:
-        return [_row(spec, head, None) for _, heads in columns for head in heads]
-    curves = estimate_outage_curves(
-        [base for base, _ in columns], spec.horizon, spec.trials, spec.seed,
-        spec.u0_grid, spec.workers, spec.ci_method,
-    )
+        curves = [[None] * len(spec.u0_grid)] * len(columns)
+    else:
+        curves = estimate_outage_curves(
+            [column[0] for column in columns], spec.horizon, spec.trials, spec.seed,
+            spec.u0_grid, spec.workers, spec.ci_method,
+        )
     return [
-        _row(spec, head, est)
-        for (_, heads), curve in zip(columns, curves)
-        for head, est in zip(heads, curve)
-    ]
-
-
-def _row(spec: SweepSpec, head: tuple, est: EstimateWithCI | None) -> ResultRow:
-    # head holds the fields from dist to psi_bound; est fills psi_mc, ci_lo, ci_hi
-    mc = (None, None, None) if est is None else (est.estimate, est.ci95_lo, est.ci95_hi)
-    return ResultRow(*head, *mc, spec.trials, spec.horizon, spec.seed)
-
-
-@contextmanager
-def _named_column(dist_text: str, rho: float) -> Iterator[None]:
-    try:
-        yield
-    except Exception as exc:
-        # keep the type, and so the exit code; name the column
-        exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
-        raise
-
-
-def _analytic_column(
-    spec: SweepSpec, packet: DistributionSpec, rho: float
-) -> tuple[SystemParams, list[tuple]]:
-    base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
-    name = (packet.spec_string(), float(rho))
-    if not rho > 1.0:
-        return base, [(*name, float(u0), None, 1.0, None) for u0 in spec.u0_grid]
-    r_star = solve_adjustment_coefficient(base).r_star
-    theta = eventual_outage_poisson_exact(base, r_star)  # checks r*; theta at u0 = 0
-    return base, [
-        (*name, float(u0), r_star, theta * math.exp(-r_star * u0), outage_bound(r_star, u0))
-        for u0 in spec.u0_grid
+        ResultRow(
+            base.packet.spec_string(), rho, float(u0), r_star,
+            1.0 if r_star is None else theta * math.exp(-r_star * u0),
+            None if r_star is None else outage_bound(r_star, u0),
+            *((None,) * 3 if est is None else (est.estimate, est.ci95_lo, est.ci95_hi)),
+            spec.trials, spec.horizon, spec.seed,
+        )
+        for (base, rho, r_star, theta), curve in zip(columns, curves)
+        for u0, est in zip(spec.u0_grid, curve)
     ]
 
 

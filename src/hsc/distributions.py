@@ -133,22 +133,30 @@ def log_laplace(spec: DistributionSpec, r: float) -> float:
     """``log E[e^{-r X}]`` of the packet law, finite where the transform
     itself under- or overflows.
 
-    Exponential packets need ``r > -1/mean``; otherwise a
-    :class:`DomainError` is raised.
+    Exponential packets need ``r > -1/mean``.  A :class:`DomainError` is
+    raised there, and where the value is not a finite double.
     """
-    a = float(r) * spec.mean
+    r = float(r)
+    a = r * spec.mean
     if spec.kind is Kind.EXPONENTIAL:
         if a <= -1.0:
             raise DomainError(
                 f"E[e^(-rX)] of exponential packets diverges at r={r} "
                 f"(requires r > -1/mean = {-1.0 / spec.mean})"
             )
-        return -math.log1p(a)
+        # where r*mean overflows, log1p(a) is log(a) to the last bit
+        return -math.log1p(a) if a < math.inf else -(math.log(r) + math.log(spec.mean))
     if spec.kind is Kind.DETERMINISTIC:
+        if math.isinf(a):
+            raise DomainError(f"log E[e^(-rX)] = -r*mean at r={r} is not a finite double")
         return -a
     # uniform: E e^{-bU} = (1 - e^{-b}) / b for U ~ Unif(0, 1) and b = 2a,
     # with e^{-b} factored out for b < 0; expm1 keeps it exact as b -> 0
     b = abs(2.0 * a)
+    if b == math.inf:  # the value is -log b for r > 0, and b - log b > 1.8e308 for r < 0
+        if r < 0.0:
+            raise DomainError(f"log E[e^(-rX)] at r={r} is not a finite double")
+        return -(math.log(2.0) + math.log(r) + math.log(spec.mean))
     return 0.0 if b == 0.0 else math.log(-math.expm1(-b) / b) + max(-2.0 * a, 0.0)
 
 

@@ -14,8 +14,8 @@ import mpmath as mp
 DPS = 60
 
 
-def _log_laplace(kind: str, mean, r):
-    # log E[e^{-r X}] for exp, det and unif on (0, 2 mean)
+def log_laplace(kind: str, mean, r):
+    """``log E[e^{-r X}]`` for exp, det and unif on (0, 2 mean), at the caller's precision."""
     if kind == "exp":
         return -mp.log1p(r * mean)
     if kind == "det":
@@ -31,7 +31,7 @@ def adjustment(kind: str, mean: float, lam: float, p: float) -> tuple[mp.mpf, mp
         log_beta = mp.log(beta)
 
         def cgf_at(t):  # K(beta - e^t): negative on (0, r*), positive above
-            return log_beta - t + _log_laplace(kind, mean, beta - mp.exp(t))
+            return log_beta - t + log_laplace(kind, mean, beta - mp.exp(t))
 
         r_lo = beta / 2
         while cgf_at(mp.log(beta - r_lo)) >= 0:
