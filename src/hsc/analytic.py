@@ -282,8 +282,9 @@ def asymptotic_outage(
     the defect itself, not ``1 - theta``, which cancels as rho -> 1: with
     Poisson arrivals it is ``r* p / lam``, and the formula then equals
     :func:`eventual_outage_poisson_exact`.  Where ``r* mu_tilde`` or a
-    factor leaves the double range the value is formed from logs; it
-    raises :class:`DomainError` where the value is not a finite double.
+    factor leaves the double range, or ``exp(-r* u0)`` is subnormal and
+    multiplied by more than 1, the value is formed from logs; it raises
+    :class:`DomainError` where the value is not a finite double.
     """
     if not 0.0 < defect <= 1.0:
         raise PreconditionError(f"defect must be in (0, 1], got {defect!r}")
@@ -295,8 +296,10 @@ def asymptotic_outage(
         raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
     scale = r_star * mu_tilde
     if scale >= sys.float_info.min:  # a normal double, so defect / scale is finite
-        psi = defect / scale * math.exp(-r_star * u0)
-        if psi > 0.0:
+        ratio, tail = defect / scale, math.exp(-r_star * u0)
+        psi = ratio * tail
+        # a subnormal tail has lost digits that a ratio above 1 would bring back
+        if psi > 0.0 and (tail >= sys.float_info.min or ratio <= 1.0):
             return psi
     # scale or the exponential left the double range: form psi from logs
     log_psi = math.log(defect) - math.log(r_star) - math.log(mu_tilde) - r_star * u0

@@ -28,9 +28,10 @@ monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 > 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
 (``rho < 1`` regime) is scalar.  Trial ``i`` of a run seeded with ``seed``
 walks its own stream ``trial_rng(seed, i)``, ``Philox(seed).jumped(i)``: one
-key per run and one counter stretch of 2**128 per trial.  The kernels set
-one generator to each trial's counter in turn (:func:`_trial_streams`).  So
-counts are bit-identical in any trial order or worker count.
+key per run and one counter stretch of 2**128 per trial.  The kernels set a
+generator to each trial's counter (:func:`_trial_states`) rather than build
+one per trial.  So counts are bit-identical in any trial order or worker
+count.
 
 The columns (``rho``) of one packet law share each trial's draws and both
 running sums: arrival times are ``1 / lam`` times ``cumsum(units)``, and the
@@ -39,13 +40,26 @@ once, up to the longest horizon cut among the columns still walking (a
 shorter draw is the prefix of a longer one).  Each column keeps its own
 offset, cut and stop rule, and the trial ends when all have stopped.  A
 sweep puts one task per (packet law, trial chunk) on one pool queue.
+
+The deficit walk takes up to ``_ROWS`` trials a block at a time, one row of
+a buffer each.  Per trial it does what the stream order needs: it sets the
+trial's generator (a trial keeps its own until it ends, so no state is saved
+or restored between blocks), draws the block's units into its row, finds
+each live column's cut once the batch has summed the rows, and draws the
+packets up to the largest cut into a second row, zeroing the rest.  Per
+batch it sums the unit rows and the packet rows (one row-wise ``cumsum``
+each) and, for each column, forms the walk with one multiply and one
+subtract over all rows, fixes each cut row's last ramp, masks its tail and
+takes the row maxima; then it updates each (trial, column) running maximum,
+offset and stop rule.  Elementwise IEEE operations and sequential row sums
+give every ``D_i`` bit for bit as a walk of one trial at a time does, so
+counts and CSV bytes do not depend on the batching.
 """
 from __future__ import annotations
 
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -85,6 +99,12 @@ _MAX_ARRIVALS = 1e8
 # Cap on the (trial, u0) cells counted at once, about 17 bytes each, so the
 # count takes about 4.5 MB whatever the size of the u0 grid.
 _COUNT_CELLS = 2**18
+# Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
+# arrays of 128 KB each.
+_ROWS = 16
+# Generators the batched walk has finished with, for later calls to reuse:
+# building one takes about 20 us, reading a state out of one 3 us.
+_SPARE_RNGS: list[np.random.Generator] = []
 
 
 @dataclass(frozen=True)
@@ -140,22 +160,36 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return rng
 
 
-def _trial_streams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    # trial_rng(seed, i) for i in [lo, hi), as one generator set to each
-    # trial's counter in turn: use each before taking the next.  A trial
-    # draws at most about 2e8 values (the 1e8-arrival cap), 5e7 counter
-    # steps, far below the 2**128 between two trials.
+def _trial_states(seed: int, lo: int, hi: int) -> Iterator[dict]:
+    # The state of trial_rng(seed, i) before its first draw, for i in [lo,
+    # hi): one dict, set to each trial's counter in turn.  A trial draws at
+    # most about 2e8 values (the 1e8-arrival cap), 5e7 counter steps, far
+    # below the 2**128 between two trials.
     seed = _integer("seed", seed, 0, ValueError)
     lo = _integer("trial index", lo, 0, ValueError)
     if not hi <= 2**128:  # past it, jumped(i) wraps round to jumped(i - 2**128)
         raise ValueError(f"a trial index must be below 2**128, got {hi - 1}")
-    bits = np.random.Philox(seed)
-    rng = np.random.Generator(bits)
-    state = bits.state  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
+    state = np.random.Philox(seed).state  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
     counter = state["state"]["counter"]  # words [0, 0, i mod 2**64, i >> 64]
     for i in range(lo, hi):
         counter[3], counter[2] = divmod(i, 2**64)
-        bits.state = state
+        yield state
+
+
+def _spare_rng() -> np.random.Generator:
+    # A generator whose state the caller sets before any draw.
+    try:
+        return _SPARE_RNGS.pop()
+    except IndexError:
+        return np.random.Generator(np.random.Philox(0))
+
+
+def _trial_streams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    # trial_rng(seed, i) for i in [lo, hi), as one generator set to each
+    # trial's state in turn: use each before taking the next.
+    rng = _spare_rng()
+    for state in _trial_states(seed, lo, hi):
+        rng.bit_generator.state = state
         yield rng
 
 
@@ -238,51 +272,109 @@ def simulate_first_passage(
     return TrialOutcome(False, None, seen)
 
 
-def _max_deficit(
-    columns: list[SystemParams], horizon: float, rng: np.random.Generator, u0_sorted: list[float]
-) -> list[float]:
-    # D_i of the module docstring for each column, or a running maximum that
-    # decides each of u0_sorted alike: a column stops at a block end once no
-    # u0 lies above its maximum yet within reach of its p * H - A (plus the
-    # tie band), or at its first ramp reaching the horizon.
+class _Walk:
+    # One trial's walk for each column: the running maximum, the walk after
+    # the previous block and the arrival time after it, the block's steps (0
+    # once the column has stopped), and the trial's own generator.
+    __slots__ = ("index", "best", "s", "t", "steps", "rng")
+
+    def __init__(self, index: int, width: int, rng: np.random.Generator):
+        self.index = index
+        self.best = [-math.inf] * width
+        self.s = [0.0] * width
+        self.t = [0.0] * width
+        self.steps = [EVENT_BLOCK] * width
+        self.rng = rng
+
+
+def _steps_to(horizon: float, units: np.ndarray, t: float, scale: float, lam: float) -> int:
+    # The least n with t + scale * units[n - 1] >= horizon, given that n =
+    # EVENT_BLOCK qualifies: the sums rise with units, so the exact test
+    # moves a guess taken from units alone to the first step that passes.
+    n = min(int(units.searchsorted((horizon - t) * lam)), EVENT_BLOCK - 1) + 1
+    while n > 1 and t + scale * float(units[n - 2]) >= horizon:
+        n -= 1
+    while t + scale * float(units[n - 1]) < horizon:
+        n += 1
+    return n
+
+
+def _max_deficits(
+    columns: list[SystemParams], horizon: float, seed: int, lo: int, hi: int, u0_sorted: list[float]
+) -> np.ndarray:
+    # D_i of the module docstring for trials [lo, hi) and each column, as a
+    # (trial, column) array, or a running maximum that decides each of
+    # u0_sorted alike: a column stops at a block end once no u0 lies above its
+    # maximum yet within reach of its p * H - A (plus the tie band), or at its
+    # first ramp reaching the horizon.  Up to _ROWS trials walk a block as one
+    # batch, one row each; trials that go on share the next batch with new
+    # ones.  Each trial keeps its generator, which sits after its units while
+    # the batch sums them and after its packets while the batch walks them.
+    width = len(columns)
     scales = [1.0 / params.lam for params in columns]
     rates = [params.p / params.lam for params in columns]
-    best = [-math.inf] * len(columns)
-    s = [0.0] * len(columns)  # the walk after the previous block
-    t = [0.0] * len(columns)  # and the arrival time after it
-    live = list(range(len(columns)))
-    units, walk = np.empty(EVENT_BLOCK), np.empty(EVENT_BLOCK)
-    while live:
-        rng.standard_exponential(out=units)
-        units.cumsum(out=units)
-        cuts = []
-        for k in live:
-            n, end = EVENT_BLOCK, t[k] + scales[k] * float(units[-1])
-            if end >= horizon:  # cut at the first ramp reaching H
-                ends = t[k] + scales[k] * units
-                n = int(np.searchsorted(ends, horizon)) + 1
-                end = float(ends[n - 1])
-            t[k] = end
-            cuts.append(n)
-        packets = sample_block(columns[0].packet, rng, max(cuts))
-        packets.cumsum(out=packets)
+    deficits = np.empty((hi - lo, width))
+    rows = min(_ROWS, hi - lo)
+    units, packets, walk = np.empty((3, rows, EVENT_BLOCK))
+    states = _trial_states(seed, lo, hi)
+    start, walking = lo, []  # the next trial to start, trials that go on
+    while walking or start < hi:
+        batch = walking + [None] * min(rows - len(walking), hi - start)
+        for r, trial in enumerate(batch):
+            if trial is None:
+                trial = batch[r] = _Walk(start, width, _spare_rng())
+                trial.rng.bit_generator.state = next(states)
+                start += 1
+            trial.rng.standard_exponential(out=units[r])
+        m = len(batch)
+        u, pk, x = units[:m], packets[:m], walk[:m]
+        u.cumsum(axis=1, out=u)
+        for r, (trial, total) in enumerate(zip(batch, u[:, -1].tolist())):
+            t, steps = trial.t, trial.steps
+            for k, n in enumerate(steps):
+                if n:
+                    end = t[k] + scales[k] * total
+                    if end >= horizon:  # cut at the first ramp reaching H
+                        n = steps[k] = _steps_to(horizon, u[r], t[k], scales[k], columns[k].lam)
+                        end = t[k] + scales[k] * float(u[r, n - 1])
+                    t[k] = end
+            n = max(steps)
+            pk[r, :n] = sample_block(columns[0].packet, trial.rng, n)
+            if n < EVENT_BLOCK:
+                pk[r, n:] = 0.0
+        pk.cumsum(axis=1, out=pk)
+        for k, params in enumerate(columns):
+            p = params.p
+            # cells past a cut are masked below; for tiny lam they can overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(u, rates[k], out=x)
+                x -= pk
+            for r, trial in enumerate(batch):
+                n, t = trial.steps[k], trial.t[k]
+                if n and t >= horizon:  # the column's last ramp, cut at H
+                    x[r, n - 1] -= p * (t - horizon)
+                    x[r, n:] = -math.inf
+            tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
+            for r, trial in enumerate(batch):
+                if trial.steps[k]:
+                    t, s = trial.t[k], trial.s[k]
+                    best = trial.best[k] = max(trial.best[k], s + tops[r])
+                    if t >= horizon:
+                        trial.steps[k] = 0
+                        continue
+                    s = trial.s[k] = s + lasts[r]
+                    bound = s + p * (horizon - t)  # p * H - A caps later deficits
+                    j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
+                    if not (j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound):
+                        trial.steps[k] = 0
         walking = []
-        for k, n in zip(live, cuts):
-            x = np.multiply(units[:n], rates[k], out=walk[:n])
-            x -= packets[:n]
-            p = columns[k].p
-            if t[k] >= horizon:  # the column's last ramp, cut at H
-                x[-1] -= p * (t[k] - horizon)
-            best[k] = max(best[k], s[k] + float(x.max()))
-            s[k] += float(x[-1])
-            bound = s[k] + p * (horizon - t[k])  # p * H - A caps later deficits
-            j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
-            if t[k] < horizon and j < len(u0_sorted) and (
-                u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound
-            ):
-                walking.append(k)
-        live = walking
-    return best
+        for trial in batch:
+            if any(trial.steps):
+                walking.append(trial)
+            else:
+                deficits[trial.index - lo] = trial.best
+                _SPARE_RNGS.append(trial.rng)
+    return deficits
 
 
 def _count_range(
@@ -291,10 +383,7 @@ def _count_range(
     # Outages of trials [lo, hi) for each column (one packet law) and u0;
     # near ties go to the scalar simulator, one (trial, column, u0) at a time.
     u0s = np.asarray(u0_grid, dtype=float)
-    u0_sorted = sorted(u0s.tolist())
-    deficits = np.array(
-        [_max_deficit(columns, horizon, rng, u0_sorted) for rng in _trial_streams(seed, lo, hi)]
-    )  # (trial, column)
+    deficits = _max_deficits(columns, horizon, seed, lo, hi, sorted(u0s.tolist()))
     counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
     rows = max(1, _COUNT_CELLS // u0s.size)  # trials per (trial, u0) array
     for start in range(0, len(deficits), rows):
@@ -369,11 +458,14 @@ def estimate_outage_curves(
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     with ExitStack() as stack:
-        # one task per chunk as asked, but no more processes than CPUs: under
-        # fork the pool starts every process at the first submit
-        run = map if chunks == 1 else stack.enter_context(
-            ProcessPoolExecutor(min(chunks, os.cpu_count() or 1))
-        ).map
+        run = map
+        if chunks > 1:
+            # imported here: it takes about a tenth of `import hsc.cli`
+            from concurrent.futures import ProcessPoolExecutor
+
+            # one task per chunk as asked, but no more processes than CPUs:
+            # under fork the pool starts every process at the first submit
+            run = stack.enter_context(ProcessPoolExecutor(min(chunks, os.cpu_count() or 1))).map
         counts = list(run(_count_range, *zip(*tasks)))  # (task, column of its law, u0)
     outages: dict[int, list[int]] = {}  # column -> its counts over all chunks
     for g, ks in enumerate(groups.values()):

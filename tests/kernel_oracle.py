@@ -7,7 +7,10 @@ it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
 full-block max-deficit walk, in the library's block arithmetic, draws every
 block's packets in full and always walks to the horizon, where the library's
 walk draws its final block's packets only up to the horizon and stops once
-every u0 is decided.  The sawtooth recorder lists the breakpoints of the
+every u0 is decided.  The per-trial max-deficit walk does what the
+library's walk does, draws and stop rule included, one trial at a time with
+one generator, where the library walks a batch of trials together, each on
+its own generator.  The sawtooth recorder lists the breakpoints of the
 trajectory whose troughs :func:`hsc.simulate_first_passage` scans, and the
 Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
 accumulates.  The scalar ladder walk reads the stream one pair at a
@@ -20,6 +23,7 @@ where the library slices the stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import islice
 from typing import Iterable, Iterator
@@ -81,6 +85,53 @@ def _first_passage_kernel(
         seen += EVENT_BLOCK
         level = float(troughs[-1])
         t0 = float(t0 + cum_gaps[-1])
+
+
+def _max_deficit(
+    columns: list[SystemParams], horizon: float, rng: np.random.Generator, u0_sorted: list[float]
+) -> list[float]:
+    # D_i of the hsc.simulate docstring for each column, or a running maximum
+    # that decides each of u0_sorted alike: a column stops at a block end once
+    # no u0 lies above its maximum yet within reach of its p * H - A (plus the
+    # tie band), or at its first ramp reaching the horizon.
+    scales = [1.0 / params.lam for params in columns]
+    rates = [params.p / params.lam for params in columns]
+    best = [-math.inf] * len(columns)
+    s = [0.0] * len(columns)  # the walk after the previous block
+    t = [0.0] * len(columns)  # and the arrival time after it
+    live = list(range(len(columns)))
+    units, walk = np.empty(EVENT_BLOCK), np.empty(EVENT_BLOCK)
+    while live:
+        rng.standard_exponential(out=units)
+        units.cumsum(out=units)
+        cuts = []
+        for k in live:
+            n, end = EVENT_BLOCK, t[k] + scales[k] * float(units[-1])
+            if end >= horizon:  # cut at the first ramp reaching H
+                ends = t[k] + scales[k] * units
+                n = int(np.searchsorted(ends, horizon)) + 1
+                end = float(ends[n - 1])
+            t[k] = end
+            cuts.append(n)
+        packets = sample_block(columns[0].packet, rng, max(cuts))
+        packets.cumsum(out=packets)
+        walking = []
+        for k, n in zip(live, cuts):
+            x = np.multiply(units[:n], rates[k], out=walk[:n])
+            x -= packets[:n]
+            p = columns[k].p
+            if t[k] >= horizon:  # the column's last ramp, cut at H
+                x[-1] -= p * (t[k] - horizon)
+            best[k] = max(best[k], s[k] + float(x.max()))
+            s[k] += float(x[-1])
+            bound = s[k] + p * (horizon - t[k])  # p * H - A caps later deficits
+            j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
+            if t[k] < horizon and j < len(u0_sorted) and (
+                u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound
+            ):
+                walking.append(k)
+        live = walking
+    return best
 
 
 def max_deficit_full_blocks(

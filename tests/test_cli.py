@@ -1,6 +1,7 @@
 """CLI surface: report contents, CSV contract, config merging, exit codes,
 and figure reproduction plumbing."""
 import ast
+import concurrent.futures
 import hashlib
 import importlib
 import io
@@ -218,7 +219,7 @@ class TestSweep:
             return solve(params)
 
         monkeypatch.setattr(cli, "solve_adjustment_coefficient", second_fails)
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", lambda *a: started.append(a))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a: started.append(a))
         monkeypatch.setattr(simulate, "_count_range", lambda *a: started.append(a))
         for workers in (1, 2):
             solved.clear()
@@ -272,7 +273,7 @@ class TestSweep:
             return count(columns, *args)
 
         monkeypatch.setattr(simulate, "_count_range", det_fails)
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         spec = SweepSpec(
             u0_grid=[0.0, 5.0], rho_list=[1.1, 1.3],
             dist_list=["exp:mean=1.0", "det:mean=1.0", "unif:mean=1.0"],
@@ -759,6 +760,19 @@ class TestImports:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_loads_no_process_pool(self):
+        # a sweep imports it only when it splits its trials into chunks
+        src = str(Path(hsc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, hsc.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestPublicSurface:

@@ -118,6 +118,13 @@ class TestWhereAProductLeavesTheDoubleRange:
             expected = mp.mpf(1e300) * mp.exp(-mp.mpf(920.0))
         _close(asymptotic_outage(1.0, 1.0, 1e-300, 920.0), expected)
 
+    def test_asymptotic_outage_where_the_exponential_is_subnormal(self):
+        # e^{-740} = 4.2e-322 keeps 10 bits, which the factor 1e300 would
+        # carry into a normal result: 4.1996e-22 where the value is 4.1887e-22
+        with mp.workdps(DPS):
+            expected = mp.mpf(1e300) * mp.exp(-mp.mpf(740.0))
+        _close(asymptotic_outage(1.0, 1.0, 1e-300, 740.0), expected)
+
     def test_asymptotic_outage_beyond_the_largest_double_raises(self):
         # the value is 1e320
         with pytest.raises(DomainError):

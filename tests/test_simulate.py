@@ -2,10 +2,13 @@
 and agreement between the scalar simulators and the vectorized kernels.
 """
 import bisect
+import concurrent.futures
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -37,7 +40,7 @@ import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
     _ladder_kernel,
-    _max_deficit,
+    _max_deficits,
     _trial_streams,
 )
 import kernel_oracle
@@ -57,6 +60,11 @@ UNIF1 = DistributionSpec(Kind.UNIFORM, 1.0)
 
 def mm1(u0=0.0, lam=1.1):
     return SystemParams(lam=lam, packet=EXP1, p=1.0, u0=u0)
+
+
+def walk_trial(columns, horizon, seed, i, u0_sorted):
+    """The batched walk's row for trial ``i`` alone, one value per column."""
+    return _max_deficits(columns, horizon, seed, i, i + 1, u0_sorted)[0].tolist()
 
 
 pair_lists = st.lists(
@@ -555,7 +563,7 @@ class TestEstimatorDeterminism:
 
         grid = [0.0, 2.0, 5.0]
         serial = estimate_outage_curves([mm1()], 200.0, 50, 7, grid)[0]
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         monkeypatch.setattr(simulate, "_count_range", recording_count)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         assert estimate_outage_curves([mm1()], 200.0, 50, 7, grid, workers=1000)[0] == serial
@@ -594,10 +602,10 @@ class TestOutageCurve:
             params = mm1(lam=lam)
             for i in range(20):
                 full = max_deficit_full_blocks(params, 5000.0, trial_rng(2, i))
-                (first,) = _max_deficit([params], 5000.0, trial_rng(2, i), [])
-                assert _max_deficit([params], 5000.0, trial_rng(2, i), [full]) == [full]
+                (first,) = walk_trial([params], 5000.0, 2, i, [])
+                assert walk_trial([params], 5000.0, 2, i, [full]) == [full]
                 for grid in ([first + 0.5], [50.0], [120.0], sorted([0.0, first + 0.5, 50.0, 120.0])):
-                    (stopped,) = _max_deficit([params], 5000.0, trial_rng(2, i), grid)
+                    (stopped,) = walk_trial([params], 5000.0, 2, i, grid)
                     assert first <= stopped <= full
                     assert [u0 <= stopped for u0 in grid] == [u0 <= full for u0 in grid]
 
@@ -628,7 +636,7 @@ class TestOutageCurve:
                         n.clear()
                     ref = max_deficit_full_blocks(params, horizon, trial_rng(9, i))
                     grid = [float(np.nextafter(ref, math.inf))]
-                    (got,) = _max_deficit([params], horizon, trial_rng(9, i), grid)
+                    (got,) = walk_trial([params], horizon, 9, i, grid)
                     assert got == ref, (packet, lam, i)
                     kernel, full = drawn[simulate], drawn[kernel_oracle]
                     assert kernel[:-1] == full[: len(kernel) - 1] and len(kernel) <= len(full)
@@ -662,7 +670,7 @@ class TestOutageCurve:
                         ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
                         for grid in ([], [ref], [float(np.nextafter(ref, math.inf))]):
                             drawn.clear()
-                            (got,) = _max_deficit([params], horizon, trial_rng(6, i), grid)
+                            (got,) = walk_trial([params], horizon, 6, i, grid)
                             assert got == ref, (packet, i, j, horizon, grid)
                             assert drawn == sizes[: len(drawn)] and drawn, (packet, i, j, horizon)
 
@@ -682,7 +690,7 @@ class TestOutageCurve:
                 ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
                 drawn.clear()
                 grid = [float(np.nextafter(ref, math.inf))]
-                assert _max_deficit([params], horizon, trial_rng(6, i), grid) == [ref]
+                assert walk_trial([params], horizon, 6, i, grid) == [ref]
                 assert drawn in ([EVENT_BLOCK], [EVENT_BLOCK, 1]), (packet, i)
                 walked += drawn == [EVENT_BLOCK, 1]
         assert walked >= 15
@@ -717,7 +725,7 @@ class TestOutageCurve:
             tried += 1
             for grid, walks_on in (([bound], True), ([bound + 0.5 * band], True), ([bound + 2 * band], False)):
                 blocks.clear()
-                _max_deficit([params], horizon, trial_rng(5, i), grid)
+                walk_trial([params], horizon, 5, i, grid)
                 assert (len(blocks) > 1) == walks_on, (i, grid)
                 expect = count_outages_full_walk(params, horizon, 5, grid, i, i + 1)
                 assert _count_range([params], horizon, 5, grid, i, i + 1) == [expect]
@@ -784,7 +792,7 @@ class TestOutageCurve:
                 super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "_count_range", count)
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", OneThread)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThread)
         # one packet law per column, so one task per (column, chunk)
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
         with pytest.raises(RuntimeError):
@@ -799,7 +807,7 @@ class TestOutageCurve:
         grid = [0.0, 3.0]
         columns = [mm1(), SystemParams(1.2, DET1, 1.0)]
         expect = [estimate_outage_curves([c], 100.0, 30, 2, grid)[0] for c in columns]
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert estimate_outage_curves(columns, 100.0, 30, 2, grid, workers) == expect
 
     def test_curve_arguments_are_checked_at_the_call(self):
@@ -836,7 +844,7 @@ class TestOutageCurve:
         # deficit p * H - A_J = 80 - 46 is exactly 34.0.  The scalar's running
         # time rounds past H and sees no outage; block arithmetic sees one.
         params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
-        assert _max_deficit([params], 40.0, trial_rng(8, 127), [34.0]) == [34.0]
+        assert walk_trial([params], 40.0, 8, 127, [34.0]) == [34.0]
         assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 127)) == 34.0
         events = poisson_events(1.0, DET1, trial_rng(8, 127))
         scalar = simulate_first_passage(params, 40.0, events).outage
@@ -881,7 +889,7 @@ class TestWalkRounding:
                 params = SystemParams(lam=rho, packet=packet, p=1.0)
                 for horizon in (1e3, 1e4, 1e5):
                     exact = exact_max_deficit(params, horizon, trial_rng(21, 2))
-                    (got,) = _max_deficit([params], horizon, trial_rng(21, 2), [float(exact)])
+                    (got,) = walk_trial([params], horizon, 21, 2, [float(exact)])
                     worst = max(worst, abs(Fraction(got) - exact) / (1 + abs(exact)))
         assert worst <= 1e-11 <= simulate._TIE_RTOL / 100
 
@@ -901,13 +909,13 @@ class TestSharedWalk:
         full = [max_deficit_full_blocks(c, horizon, trial_rng(seed, i)) for c in columns]
         grids = [[]] + [[d] for d in full] + [[float(np.nextafter(d, math.inf))] for d in full]
         for grid in grids:
-            got = _max_deficit(columns, horizon, trial_rng(seed, i), grid)
-            single = [_max_deficit([c], horizon, trial_rng(seed, i), grid)[0] for c in columns]
+            got = walk_trial(columns, horizon, seed, i, grid)
+            single = [walk_trial([c], horizon, seed, i, grid)[0] for c in columns]
             assert got == single, (horizon, i, grid)
             for d, g in zip(full, got):
                 assert [u0 <= g for u0 in grid] == [u0 <= d for u0 in grid]
         for k, d in enumerate(full):  # a u0 one ulp above D_i walks that column to the end
-            assert _max_deficit(columns, horizon, trial_rng(seed, i), grids[-len(full) + k])[k] == d
+            assert walk_trial(columns, horizon, seed, i, grids[-len(full) + k])[k] == d
 
     def test_group_equals_single_column_walks(self):
         # H = 1e4 takes several blocks at every rho here
@@ -969,12 +977,96 @@ class TestSharedWalk:
         monkeypatch.setattr(
             simulate, "_count_range", lambda cols, *args: groups.append(cols) or count(cols, *args)
         )
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         curves = list(estimate_outage_curves(columns, 300.0, 40, 5, grid, workers))
         assert curves == expect
         assert len(groups) == 3 * workers  # one task per (group, chunk)
         for group in ([columns[0], columns[2]], [columns[1]], [columns[3]]):
             assert groups.count(group) == workers
+
+
+class TestBatchedWalk:
+    """The batched walk against the per-trial oracle, bit for bit."""
+
+    COLUMN_SETS = ([1.1], [1.1, 1.2, 1.3], [0.9, 1.02, 1.1, 1.3])
+    GRIDS = ([], [30.0], [float(u) for u in range(0, 41, 2)])
+
+    @staticmethod
+    def oracle(columns, horizon, seed, lo, hi, grid):
+        return np.array(
+            [kernel_oracle._max_deficit(columns, horizon, trial_rng(seed, i), grid) for i in range(lo, hi)]
+        )
+
+    @staticmethod
+    def assert_bits_equal(got, expect):
+        assert got.shape == expect.shape
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    @pytest.mark.parametrize("horizon", [20.0, 1000.0])
+    def test_rows_equal_the_per_trial_oracle(self, packet, horizon):
+        # one trial; a range across two batch edges, where trials that walk
+        # on share batches with new ones; a chunk starting past a batch
+        rows = simulate._ROWS
+        ranges = ((0, 1), (5, 5 + 2 * rows + 3), (3 * rows + 1, 4 * rows + 6))
+        for rhos in self.COLUMN_SETS:
+            columns = [SystemParams(lam=rho, packet=packet, p=1.0) for rho in rhos]
+            for grid in self.GRIDS:
+                for lo, hi in ranges:
+                    got = _max_deficits(columns, horizon, 3, lo, hi, grid)
+                    self.assert_bits_equal(got, self.oracle(columns, horizon, 3, lo, hi, grid))
+
+    def test_threads_sharing_spare_generators_keep_every_count(self, monkeypatch):
+        # more threads than cores, switching often: a generator handed to two
+        # trials at once would move one trial's stream and change its count
+        columns = [SystemParams(lam, packet, 1.0) for packet in (EXP1, UNIF1) for lam in (1.02, 1.1)]
+        grid = [0.0, 5.0, 30.0]
+        serial = estimate_outage_curves(columns, 3000.0, 96, 4, grid)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate_outage_curves(columns, 3000.0, 96, 4, grid, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_steps_to_the_horizon_end_at_the_first_ramp_reaching_it(self):
+        # H at an arrival time and one ulp either side: a guess from the
+        # units alone misses by a step both ways, and the exact test mends it
+        rng = np.random.default_rng(0)
+        low = high = 0
+        for _ in range(300):
+            units = np.cumsum(rng.standard_exponential(EVENT_BLOCK))
+            lam = float(rng.choice([1.1, 0.3, 3.7, 1e-3, 1.02, 1.0 / 3.0]))
+            t = float(rng.uniform(0.0, 5000.0))
+            ends = t + 1.0 / lam * units
+            for j in rng.integers(0, EVENT_BLOCK, 4).tolist():
+                for horizon in (np.nextafter(ends[j], 0.0), ends[j], np.nextafter(ends[j], math.inf)):
+                    horizon = float(horizon)
+                    if not t < horizon <= ends[-1]:
+                        continue
+                    steps = int(np.searchsorted(ends, horizon)) + 1
+                    assert simulate._steps_to(horizon, units, t, 1.0 / lam, lam) == steps
+                    guess = int(units.searchsorted((horizon - t) * lam)) + 1
+                    low += guess < steps
+                    high += guess > steps
+        assert low and high
+
+    def test_tiny_rate_warns_nowhere_and_equals_the_oracle(self):
+        # at lam = 1e-306 the first ramp passes H = 5, and units * p / lam
+        # overflows in the cells past that cut, which the walk masks; the
+        # second column walks its whole block beside it
+        grid = [0.0, 1.0]
+        for columns in ([SystemParams(1e-306, EXP1, 1.0)],
+                        [SystemParams(1e-306, UNIF1, 1.0), SystemParams(0.5, UNIF1, 1.0)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _max_deficits(columns, 5.0, 1, 0, 20, grid)
+            with np.errstate(over="ignore"):  # the oracle forms t + units / lam at every step
+                expect = self.oracle(columns, 5.0, 1, 0, 20, grid)
+            self.assert_bits_equal(got, expect)
 
 
 class TestTrialStreams:
