@@ -222,9 +222,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     leaves those columns empty.  Each (dist, rho) column solves ``r*`` once,
     and every column is solved before any Monte-Carlo starts; a failed
     solve aborts the sweep naming its column.  Then one Monte-Carlo call
-    returns the curves of all columns: their trial chunks go on one pool
-    queue, and each trial walks once for all the column's u0.  A failure
-    there is shared by every column, so it is raised as it is.
+    returns the curves of all columns: their trial chunks go on the queue of
+    the process's worker pool (opened by the first call that needs it, kept
+    until interpreter exit), and each trial walks once for all the column's
+    u0.  A failure there is shared by every column, so it is raised as it is.
     """
     columns = []  # (params at u0 = 0, rho, r*, theta); r* and theta are None for rho <= 1
     for dist_text in spec.dist_list:

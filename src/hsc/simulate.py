@@ -41,6 +41,15 @@ shorter draw is the prefix of a longer one).  Each column keeps its own
 offset, cut and stop rule, and the trial ends when all have stopped.  A
 sweep puts one task per (packet law, trial chunk) on one pool queue.
 
+The process keeps one worker pool and reuses it across calls.  The first
+call with more than one chunk opens it, with ``min(chunks, cpu_count)``
+workers.  A call that needs another size replaces it, and so does a call
+that finds it broken (a worker died), which then runs its tasks once more
+on the new pool.  The old pool is shut down, its threads joined, before the
+new one forks.  The pool closes at interpreter exit.  A forked child opens
+its own, under a new lock, rather than queue on one whose threads it has
+not got.
+
 The deficit walk takes up to ``_ROWS`` trials a block at a time, one row of
 a buffer each.  Per trial it does what the stream order needs: it sets the
 trial's generator (a trial keeps its own until it ends, so no state is saved
@@ -59,11 +68,11 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_right
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -105,6 +114,23 @@ _ROWS = 16
 # Generators the batched walk has finished with, for later calls to reuse:
 # building one takes about 20 us, reading a state out of one 3 us.
 _SPARE_RNGS: list[np.random.Generator] = []
+# The worker pool, {pid: (size, pool)}, and the lock held while a caller
+# gets, replaces or submits to it.  Keyed by the process that opened it: a
+# forked child keeps its parent's entry (dropping it there would run the
+# pool's finalizer on locks copied mid-fork) and opens its own.  The child
+# gets a new lock, since a fork taken while another thread held this one
+# copies it held.
+_POOLS: dict[int, tuple] = {}
+_POOL_LOCK = threading.Lock()
+
+
+def _new_pool_lock() -> None:
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, as is fork
+    os.register_at_fork(after_in_child=_new_pool_lock)
 
 
 @dataclass(frozen=True)
@@ -421,6 +447,41 @@ def _estimate(
     return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
 
 
+def _close_pool() -> None:
+    # caller holds _POOL_LOCK; wait=True joins the pool's threads, since from
+    # Python 3.12 on os.fork warns while threads are alive
+    held = _POOLS.pop(os.getpid(), None)
+    if held is not None:
+        held[1].shutdown(wait=True)
+
+
+def _pool_map(fn: Callable, size: int, *iterables: Iterable) -> list:
+    """``list(map(fn, *iterables))`` on the process's pool of ``size`` workers."""
+    # imported here: it takes about a tenth of `import hsc.cli`
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    broken = None  # the pool that broke under this call, which then runs once more
+    while True:
+        try:
+            with _POOL_LOCK:
+                held = _POOLS.get(os.getpid())
+                if held is not None and (held[0] != size or held is broken):
+                    _close_pool()
+                    held = None
+                if held is None:
+                    held = _POOLS[os.getpid()] = (size, ProcessPoolExecutor(size))
+                # map submits every task now, so a pool that another caller
+                # replaces runs them to the end first; once a task raises, its
+                # iterator cancels the tasks not yet started
+                results = held[1].map(fn, *iterables)
+            return list(results)
+        except BrokenProcessPool:
+            if broken is not None:
+                raise
+            broken = held
+
+
 def estimate_outage_curves(
     columns: list[SystemParams],
     horizon: float,
@@ -437,8 +498,11 @@ def estimate_outage_curves(
     columns of one packet law walk each trial together, and each trial walks
     once for the whole grid.  With ``workers > 1`` the trials are split into
     that many chunks, and every (packet law, chunk) task goes on the queue
-    of one pool opened for this call, so no worker waits at a column
-    boundary.  Once a task raises, the tasks not yet started are cancelled.
+    of the process's worker pool, so no worker waits at a column boundary.
+    The pool has ``min(chunks, cpu_count)`` workers; the first such call
+    opens it, later calls of the same size reuse it, and one of another
+    size or one that finds it broken replaces it.  It closes at interpreter
+    exit.  Once a task raises, the tasks not yet started are cancelled.
     """
     trials = _integer("trials", trials, 1)
     horizon = _check_protocol(horizon, u0_grid, seed, workers, ci_method)
@@ -457,16 +521,13 @@ def estimate_outage_curves(
         for ks in groups.values()
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    with ExitStack() as stack:
-        run = map
-        if chunks > 1:
-            # imported here: it takes about a tenth of `import hsc.cli`
-            from concurrent.futures import ProcessPoolExecutor
-
-            # one task per chunk as asked, but no more processes than CPUs:
-            # under fork the pool starts every process at the first submit
-            run = stack.enter_context(ProcessPoolExecutor(min(chunks, os.cpu_count() or 1))).map
-        counts = list(run(_count_range, *zip(*tasks)))  # (task, column of its law, u0)
+    if chunks > 1:
+        # one task per chunk as asked, but no more processes than CPUs:
+        # under fork the pool starts every process at its first submit
+        counts = _pool_map(_count_range, min(chunks, os.cpu_count() or 1), *zip(*tasks))
+    else:
+        counts = list(map(_count_range, *zip(*tasks)))
+    # counts: (task, column of its law, u0)
     outages: dict[int, list[int]] = {}  # column -> its counts over all chunks
     for g, ks in enumerate(groups.values()):
         outages.update(zip(ks, np.sum(counts[g * chunks : (g + 1) * chunks], axis=0).tolist()))

@@ -208,6 +208,7 @@ class TestSweep:
         assert code == 3
         assert "rho=1.3" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("fresh_pool")
     def test_every_column_is_solved_before_monte_carlo(self, monkeypatch):
         solve = cli.solve_adjustment_coefficient
         solved, started = [], []
@@ -262,6 +263,7 @@ class TestSweep:
         for workers in (2, 3):
             assert run_sweep(SweepSpec(**grids, workers=workers)) == serial
 
+    @pytest.mark.usefixtures("fresh_pool")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_walk_reaches_the_caller_as_it_is(self, monkeypatch, capsys, workers):
         # a walk failure is shared by every column, so no column is named

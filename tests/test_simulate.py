@@ -4,7 +4,11 @@ and agreement between the scalar simulators and the vectorized kernels.
 import bisect
 import concurrent.futures
 import itertools
+import json
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -12,6 +16,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,6 +553,7 @@ class TestEstimatorDeterminism:
         curve = estimate_outage_curves([mm1()], 10.0, 5, 1, [1.0], workers=1.0)[0]
         assert curve == estimate_outage_curves([mm1()], 10.0, 5, 1, [1.0])[0]
 
+    @pytest.mark.usefixtures("fresh_pool")
     def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
         # the trials still split into one chunk per worker asked for
         sizes, chunks = [], []
@@ -772,6 +778,7 @@ class TestOutageCurve:
             tracemalloc.stop()
         assert peak < 50e6
 
+    @pytest.mark.usefixtures("fresh_pool")
     def test_failed_column_cancels_the_queued_tasks(self, monkeypatch):
         # one worker: the first task fails, the second blocks until shutdown
         ran, gate = [], threading.Event()
@@ -797,8 +804,12 @@ class TestOutageCurve:
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
         with pytest.raises(RuntimeError):
             estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
+        # the shutdown releases the blocked task and runs every task not cancelled
+        with simulate._POOL_LOCK:
+            simulate._close_pool()
         assert len(ran) <= 2  # of six tasks
 
+    @pytest.mark.usefixtures("fresh_pool")
     @pytest.mark.parametrize("workers", [None, 1])
     def test_one_chunk_builds_no_pool(self, monkeypatch, workers):
         def no_pool(*args):
@@ -809,6 +820,7 @@ class TestOutageCurve:
         expect = [estimate_outage_curves([c], 100.0, 30, 2, grid)[0] for c in columns]
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert estimate_outage_curves(columns, 100.0, 30, 2, grid, workers) == expect
+        assert simulate._POOLS == {}
 
     def test_curve_arguments_are_checked_at_the_call(self):
         columns = [mm1()]
@@ -850,6 +862,105 @@ class TestOutageCurve:
         scalar = simulate_first_passage(params, 40.0, events).outage
         assert _first_passage_kernel(params, 40.0, trial_rng(8, 127)).outage != scalar
         assert _count_range([params], 40.0, 8, [34.0], 127, 128) == [[int(scalar)]]
+
+
+@pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="reads /proc")
+class TestWorkerPool:
+    """The process's one worker pool, each case in a fresh interpreter."""
+
+    PRELUDE = (
+        "import json, multiprocessing, os, signal, sys\n"
+        "from hsc import DistributionSpec, Kind, SystemParams, estimate_outage_curves\n"
+        "columns = [SystemParams(lam, DistributionSpec(kind, 1.0), 1.0)\n"
+        "           for kind in (Kind.EXPONENTIAL, Kind.DETERMINISTIC) for lam in (1.1, 1.3)]\n"
+        "def curves(workers=None):\n"
+        "    return estimate_outage_curves(columns, 200.0, 40, 3, [0.0, 5.0], workers)\n"
+        "def pids():\n"
+        "    return sorted(p.pid for p in multiprocessing.active_children())\n"
+        "serial = curves()\n"
+    )
+
+    def run(self, code):
+        # the script asserts its counts against `serial` and prints its pids;
+        # on a timeout its whole session goes, workers and forked children too
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        with subprocess.Popen(
+            [sys.executable, "-c", self.PRELUDE + code], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        ) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        assert proc.returncode == 0, err
+        return json.loads(out)
+
+    def test_one_pool_serves_every_call_and_ends_with_the_process(self):
+        served = self.run(
+            "seen = []\n"
+            "for _ in range(2):\n"
+            "    assert curves(2) == serial\n"
+            "    seen.append(pids())\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert served[0] == served[1]
+        assert len(served[0]) == min(2, os.cpu_count() or 1)
+        assert not any(Path(f"/proc/{pid}").exists() for pid in served[0])
+
+    def test_a_killed_worker_costs_one_new_pool(self):
+        # the call after the kill gets the serial counts from a new pool, and
+        # later calls reuse that pool rather than fail on the broken one
+        served = self.run(
+            "assert curves(2) == serial\n"
+            "seen = [pids()]\n"
+            "os.kill(seen[0][0], signal.SIGKILL)\n"
+            "for _ in range(2):\n"
+            "    assert curves(2) == serial\n"
+            "    seen.append(pids())\n"
+            "print(json.dumps(seen))\n"
+        )
+        killed, after, later = served
+        assert after == later
+        assert len(after) == len(killed)
+        assert set(after).isdisjoint(killed)
+
+    def test_a_forked_child_opens_its_own_pool(self):
+        # the parent's pool threads do not exist in the child, so queueing
+        # on that pool would wait forever; sys.exit lets the child join its own
+        assert self.run(
+            "assert curves(2) == serial\n"
+            "child = os.fork()\n"
+            "if child == 0:\n"
+            "    sys.exit(0 if curves(2) == serial else 1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0\n"
+            "assert curves(2) == serial\n"
+            "print(json.dumps(pids()))\n"
+        )
+
+    def test_a_child_forked_while_another_thread_holds_the_lock_opens_its_pool(self):
+        # the child's copy of a held lock stays held unless it gets a new one
+        assert self.run(
+            "import threading\n"
+            "from hsc import simulate\n"
+            "held, release = threading.Event(), threading.Event()\n"
+            "def hold():\n"
+            "    with simulate._POOL_LOCK:\n"
+            "        held.set()\n"
+            "        release.wait()\n"
+            "holder = threading.Thread(target=hold)\n"
+            "holder.start()\n"
+            "held.wait()\n"
+            "child = os.fork()\n"
+            "if child == 0:\n"
+            "    sys.exit(0 if curves(2) == serial else 1)\n"
+            "release.set()\n"
+            "holder.join()\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0\n"
+            "assert curves(2) == serial\n"
+            "print(json.dumps(pids()))\n"
+        )
 
 
 BITS = 200  # every draw here is a multiple of 2**-BITS
@@ -961,6 +1072,7 @@ class TestSharedWalk:
         monkeypatch.undo()
         assert counts == [_count_range([c], 1000.0, 7, [30.0], 0, 400)[0] for c in columns]
 
+    @pytest.mark.usefixtures("fresh_pool")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_interleaved_families_yield_in_column_order(self, monkeypatch, workers):
         # exp, det, exp, unif: the two exp columns form one group
@@ -1016,6 +1128,7 @@ class TestBatchedWalk:
                     got = _max_deficits(columns, horizon, 3, lo, hi, grid)
                     self.assert_bits_equal(got, self.oracle(columns, horizon, 3, lo, hi, grid))
 
+    @pytest.mark.usefixtures("fresh_pool")
     def test_threads_sharing_spare_generators_keep_every_count(self, monkeypatch):
         # more threads than cores, switching often: a generator handed to two
         # trials at once would move one trial's stream and change its count
