@@ -204,8 +204,8 @@ def run_simulate(
         "stderr": est.stderr,
         "ci95": [est.ci95_lo, est.ci95_hi],
         "trials": est.trials,
-        "horizon": est.horizon,
-        "seed": est.seed,
+        "horizon": float(horizon),
+        "seed": int(seed),
     }
     analytic = run_analyze(params)
     report.update((key, analytic[key]) for key in ("psi_exact", "psi_bound") if key in analytic)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "sample_block",
     "log_laplace",
     "poisson_events",
-    "scripted_events",
     "EVENT_BLOCK",
 ]
 
@@ -215,14 +214,3 @@ def poisson_events(
         packets = sample_block(packet, rng, EVENT_BLOCK)
         yield from zip(gaps.tolist(), packets.tolist())
 
-
-def scripted_events(
-    pairs: Iterable[tuple[float, float]]
-) -> Iterator[tuple[float, float]]:
-    """Finite, hand-written event stream for tests; validates positivity."""
-    for i, (gap, packet) in enumerate(pairs):
-        if not gap > 0.0:
-            raise ValueError(f"gap #{i} must be positive, got {gap!r}")
-        if not packet > 0.0:
-            raise ValueError(f"packet #{i} must be positive, got {packet!r}")
-        yield float(gap), float(packet)

@@ -13,7 +13,8 @@ walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, with two functionals:
   delivered up to and including it).  From any ``u0`` the trial has an
   outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
   counts a whole ``u0`` grid; near ties go to the scalar first-passage
-  simulator, which solves the exact ramp-crossing instant.  In a block the
+  simulator, which sums the same stream in exact integer arithmetic and so
+  decides an outage exactly at ``tau == H``.  In a block the
   walk is ``s + (p / lam) * cumsum(units) - cumsum(packets)``: ``units``
   are the block's standard exponentials and ``s`` the walk at its start.
   Packets are nonnegative, so after a block no later deficit exceeds ``p *
@@ -138,7 +139,7 @@ class TrialOutcome:
     """Result of one first-passage trial."""
 
     outage: bool
-    tau: float | None  # exact crossing instant, present iff outage
+    tau: float | None  # the double nearest the crossing instant, present iff outage
     arrivals_observed: int
 
 
@@ -161,8 +162,6 @@ class EstimateWithCI:
     ci95_lo: float
     ci95_hi: float
     trials: int
-    horizon: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,6 @@ class LindleyStats:
     time_empty_fraction: float
     arrival_empty_fraction: float
     steps: int
-    burn_in: int
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -266,36 +264,43 @@ def simulate_first_passage(
     horizon: float,
     events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
 ) -> TrialOutcome:
-    """Run one trial until outage or until simulated time passes ``horizon``.
+    """Run one trial until its outage is decided at ``horizon``.
 
     The surplus jumps by the packet size at each arrival and ramps down at
-    rate ``p`` in between; a trough at or below zero is an outage and the
-    crossing instant is solved exactly on the ramp.  A finite scripted
-    stream that runs dry leaves the surplus on a final unbroken ramp.
-    ``horizon`` must be finite, since an endless stream at ``rho > 1`` may
-    never produce an outage.
+    rate ``p`` in between, so after arrival ``j`` it is ``u0 + A_j - p t``
+    and reaches zero at ``tau = (u0 + A_J) / p``.  The walk stops at arrival
+    ``J`` once its ramp reaches zero by the next arrival (``p T_{J+1} >= u0
+    + A_J``), once that arrival is at or past ``horizon``, or when a finite
+    stream runs dry; it is an outage iff ``u0 + A_J <= p * horizon``.  Every sum is exact (integers in units of 2**-1074) and
+    ``tau`` is the double nearest the exact instant.  A gap is clamped at
+    the horizon, which ends the walk as an infinite one would, and after an
+    infinite packet no outage can follow.  ``horizon`` must be finite, since
+    an endless stream at ``rho > 1`` may never produce an outage.
     """
     horizon = _finite_horizon(horizon)
-    p = params.p
-    t = 0.0  # arrival instant of the pair being consumed
-    level = params.u0  # surplus just before that arrival
+    pn, pd = params.p.as_integer_ratio()
+    supply = pd * _units(params.u0)  # pd (u0 + A_j)
+    drain = 0  # pn T_{j+1}
+    limit = pn * _units(horizon)  # pn H
     seen = 0
     for gap, packet in events:
         seen += 1
-        post = level + packet
-        level = post - p * gap  # trough at the next arrival instant
-        if level <= 0.0:
-            tau = t + post / p
-            if tau <= horizon:
-                return TrialOutcome(True, tau, seen)
+        if packet == math.inf:
             return TrialOutcome(False, None, seen)
-        t += gap
-        if t >= horizon:
-            return TrialOutcome(False, None, seen)
-    tau = t + level / p
-    if tau <= horizon:
-        return TrialOutcome(True, tau, seen)
-    return TrialOutcome(False, None, seen)
+        supply += pd * _units(packet)
+        drain += pn * _units(min(gap, horizon))
+        if drain >= min(supply, limit):
+            break
+    if supply > limit:
+        return TrialOutcome(False, None, seen)
+    return TrialOutcome(True, supply / (pn << 1074), seen)
+
+
+def _units(x: float) -> int:
+    # a finite double as an integer multiple of 2**-1074, the spacing of
+    # the subnormals, which divides every double's spacing
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
 
 
 class _Walk:
@@ -425,9 +430,7 @@ def _count_range(
     return counts.tolist()
 
 
-def _estimate(
-    outages: int, trials: int, horizon: float, seed: int, ci_method: str
-) -> EstimateWithCI:
+def _estimate(outages: int, trials: int, ci_method: str) -> EstimateWithCI:
     est = outages / trials
     stderr = math.sqrt(est * (1.0 - est) / trials)
     if ci_method == "normal":
@@ -444,7 +447,7 @@ def _estimate(
         )
         lo = max(0.0, center - half)
         hi = min(1.0, center + half)
-    return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
+    return EstimateWithCI(est, stderr, lo, hi, trials)
 
 
 def _close_pool() -> None:
@@ -532,7 +535,7 @@ def estimate_outage_curves(
     for g, ks in enumerate(groups.values()):
         outages.update(zip(ks, np.sum(counts[g * chunks : (g + 1) * chunks], axis=0).tolist()))
     return [
-        [_estimate(n, trials, horizon, seed, ci_method) for n in outages[k]]
+        [_estimate(n, trials, ci_method) for n in outages[k]]
         for k in range(len(columns))
     ]
 
@@ -676,6 +679,5 @@ def simulate_lindley(
         time_empty_fraction=empty_time / total_time,
         arrival_empty_fraction=empty_arrivals / counted,
         steps=burn_in + counted,
-        burn_in=burn_in,
     )
 

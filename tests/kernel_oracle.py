@@ -1,18 +1,23 @@
 """Kernels the library used before, kept as references for the tests.
 
-The per-point first-passage kernel replays :func:`hsc.simulate_first_passage`
-over the same block draws as :func:`hsc.poisson_events` for one initial
-energy ``params.u0``; the tests compare it with the scalar simulator and use
-it to rebuild sweeps the old way, one walk per ``(trial, u0)``.  The
-full-block max-deficit walk, in the library's block arithmetic, draws every
-block's packets in full and always walks to the horizon, where the library's
-walk draws its final block's packets only up to the horizon and stops once
-every u0 is decided.  The per-trial max-deficit walk does what the
+The per-point first-passage kernel is a float replay of the exact scalar
+:func:`hsc.simulate_first_passage` over the same block draws as
+:func:`hsc.poisson_events` for one initial energy ``params.u0``: it sums
+times and troughs in floats, so it can miss an outage at ``tau == H``
+exactly, where the scalar cannot.  The tests compare it with the scalar
+away from such ties and use it to rebuild sweeps the old way, one walk per
+``(trial, u0)``.
+
+The full-block max-deficit walk, in the library's block arithmetic, draws
+every block's packets in full and always walks to the horizon, where the
+library's walk draws its final block's packets only up to the horizon and
+stops once every u0 is decided.  The per-trial max-deficit walk does what the
 library's walk does, draws and stop rule included, one trial at a time with
 one generator, where the library walks a batch of trials together, each on
 its own generator.  The sawtooth recorder lists the breakpoints of the
-trajectory whose troughs :func:`hsc.simulate_first_passage` scans, and the
-Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
+trajectory whose troughs :func:`hsc.simulate_first_passage` scans,
+:func:`scripted_events` feeds the scalar simulators hand-written pairs, and
+the Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
 accumulates.  The scalar ladder walk reads the stream one pair at a
 time, and the block ladder walk forms each block's walk in full, where the
 library adds the block-start offset to scalars.  The renewal march
@@ -56,8 +61,9 @@ from hsc.simulate import (
 def _first_passage_kernel(
     params: SystemParams, horizon: float, rng: np.random.Generator
 ) -> TrialOutcome:
-    # Vectorized replay of simulate_first_passage over poisson_events(rng):
-    # identical block draws, crossing predicate, and stopping order.
+    # Vectorized float replay of simulate_first_passage over
+    # poisson_events(rng): identical block draws and stopping order, with the
+    # crossing predicate and tau in float arithmetic.
     p = params.p
     scale = 1.0 / params.lam
     t0 = 0.0
@@ -157,6 +163,18 @@ def max_deficit_full_blocks(
         best = max(best, s0 + float(deficits.max()))
         s0 += float(deficits[-1])
         t0 = float(ends[-1])
+
+
+def scripted_events(
+    pairs: Iterable[tuple[float, float]]
+) -> Iterator[tuple[float, float]]:
+    """Finite, hand-written event stream for tests; validates positivity."""
+    for i, (gap, packet) in enumerate(pairs):
+        if not gap > 0.0:
+            raise ValueError(f"gap #{i} must be positive, got {gap!r}")
+        if not packet > 0.0:
+            raise ValueError(f"packet #{i} must be positive, got {packet!r}")
+        yield float(gap), float(packet)
 
 
 def record_path(
@@ -310,7 +328,7 @@ def _old_path_estimate(params, horizon, trials, seed, ci_method):
         )
         lo = max(0.0, center - half)
         hi = min(1.0, center + half)
-    return EstimateWithCI(est, stderr, lo, hi, trials, horizon, int(seed))
+    return EstimateWithCI(est, stderr, lo, hi, trials)
 
 
 def old_path_sweep(spec):
@@ -387,5 +405,4 @@ def lindley_loop(params, steps, burn_in, events):
         time_empty_fraction=empty_time / total_time,
         arrival_empty_fraction=empty_arrivals / counted,
         steps=n,
-        burn_in=burn_in,
     )

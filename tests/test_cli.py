@@ -414,6 +414,14 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 9 and report["trials"] == 50
 
+    def test_simulate_with_infinite_packets_exits_0(self, capsys):
+        # exp packets of mean 1e308 draw inf; such a trial's D_i is -inf, which
+        # the tie band sends to the scalar simulator
+        argv = ["simulate", "--lam", "1e-300", "--packet", "exp:mean=1e308", "--horizon", "5",
+                "--trials", "50"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["psi_mc"] == 0.0
+
     def test_config_merge_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -650,7 +658,9 @@ _VALID = {  # dest -> argv values
     "u0_grid": ["0:2:6", "0,1.5,4", "3", "0:0.5:2"],
     "figure": ["2", "3", "4", "5", "all"],
     "trials": ["0", "1", "3"],
-    "horizon": ["5", "20"],
+    # every lam the pools form is at least 4e-7 (1e-3 * 1e-3 / 2.5), so a
+    # horizon from 2.5e14 up exceeds the 1e8-arrival cap before any walk
+    "horizon": ["5", "20", "1e-300", "1e15", "1e300"],
     "seed": ["0", "1", "7"],
     "workers": ["1"],
     "ci": ["normal", "wilson"],
@@ -734,7 +744,7 @@ class TestMainFuzz:
                 config = data.draw(st.sampled_from([config, list(config.values())]))
         if command != "analyze":
             argv += ["--trials", data.draw(st.sampled_from(["0", "1", "3"]))]
-            argv += ["--horizon", data.draw(st.sampled_from(["5", "20"]))]
+            argv += ["--horizon", data.draw(st.sampled_from(_VALID["horizon"]))]
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             if config is not None:

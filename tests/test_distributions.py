@@ -17,9 +17,9 @@ from hsc import (
     parse_distribution_spec,
     poisson_events,
     sample_block,
-    scripted_events,
 )
 from hsc.distributions import PHI_SERIES
+from kernel_oracle import scripted_events
 
 means = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 kinds = st.sampled_from(list(Kind))

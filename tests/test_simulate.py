@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsc import (
@@ -36,11 +36,11 @@ from hsc import (
     estimate_phi_from_max,
     poisson_events,
     sample_block,
-    scripted_events,
     simulate_first_passage,
     simulate_lindley,
     trial_rng,
 )
+from hsc.cli import run_simulate
 import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
@@ -55,6 +55,7 @@ from kernel_oracle import (
     lindley_path,
     max_deficit_full_blocks,
     record_path,
+    scripted_events,
     simulate_ladder,
 )
 
@@ -97,9 +98,24 @@ class TestFirstPassageScripted:
         assert out.tau is None
 
     def test_trough_exactly_zero_counts(self):
-        out = simulate_first_passage(mm1(u0=1.0), 10.0, scripted_events([(2.0, 1.0)]))
+        # the ramp from 2 reaches zero at the second arrival, t = 2 < H = 5,
+        # which ends the walk before its packet lifts u0 + A past p * H
+        out = simulate_first_passage(mm1(u0=1.0), 5.0, scripted_events([(2.0, 1.0), (1.0, 5.0)]))
         assert out.outage is True
         assert out.tau == 2.0
+
+    def test_an_infinite_gap_ends_the_walk_as_the_horizon_does(self):
+        # 1 / lam overflows at a subnormal lam; the ramp from 3 runs to H
+        params = SystemParams(lam=5e-324, packet=EXP1, p=0.37)
+        assert next(poisson_events(params.lam, EXP1, trial_rng(0, 0)))[0] == math.inf
+        out = simulate_first_passage(params, 10.0, scripted_events([(math.inf, 3.0)]))
+        assert (out.outage, out.tau) == (True, 3.0 / 0.37)
+        assert not simulate_first_passage(params, 8.0, scripted_events([(math.inf, 3.0)])).outage
+
+    def test_no_outage_follows_an_infinite_packet(self):
+        # exp packets of mean near 1e308 draw inf
+        out = simulate_first_passage(mm1(), 10.0, scripted_events([(1.0, math.inf), (1.0, 1.0)]))
+        assert (out.outage, out.tau, out.arrivals_observed) == (False, None, 1)
 
     def test_zero_drift_stream_never_crosses(self):
         events = scripted_events(itertools.repeat((1.0, 1.0)))
@@ -118,25 +134,27 @@ class TestFirstPassageScripted:
             simulate_first_passage(mm1(), 0.0, scripted_events([(1.0, 1.0)]))
 
     @given(pairs=pair_lists, u0=st.floats(min_value=0.0, max_value=20.0))
+    @example(pairs=[(1.0, 1.0), (1.0, 1.0)], u0=2.2250738585e-313)  # fl(u0 + 1) - 1 == 0
     @settings(max_examples=120)
     def test_tau_matches_prefix_sum_computation(self, pairs, u0):
-        # independent reconstruction: troughs are u0 - cumsum(p*gap - packet)
-        p = 1.0
+        # independent reconstruction in exact arithmetic: troughs are
+        # u0 - cumsum(p*gap - packet)
+        p = 1
         params = SystemParams(lam=1.0, packet=EXP1, p=p, u0=u0)
-        gaps = np.array([g for g, _ in pairs])
-        packets = np.array([x for _, x in pairs])
-        arrivals = np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
-        posts = u0 + np.cumsum(packets) - p * arrivals
-        troughs = posts - p * gaps
-        hit = np.flatnonzero(troughs <= 0.0)
-        if hit.size:
-            j = int(hit[0])
+        gaps = [Fraction(g) for g, _ in pairs]
+        packets = [Fraction(x) for _, x in pairs]
+        arrivals = [0, *itertools.accumulate(gaps)][:-1]
+        posts = [Fraction(u0) + a - p * t for a, t in zip(itertools.accumulate(packets), arrivals)]
+        troughs = [post - p * gap for post, gap in zip(posts, gaps)]
+        hit = [j for j, trough in enumerate(troughs) if trough <= 0]
+        if hit:
+            j = hit[0]
             expected_tau = arrivals[j] + posts[j] / p
         else:  # final unbroken ramp after the stream runs dry
             expected_tau = (arrivals[-1] + gaps[-1]) + troughs[-1] / p
         out = simulate_first_passage(params, 1e9, scripted_events(pairs))
         assert out.outage is True
-        assert out.tau == pytest.approx(float(expected_tau), rel=1e-12, abs=1e-12)
+        assert out.tau == float(expected_tau)
 
 
 class TestRecordPath:
@@ -463,7 +481,7 @@ class TestEstimatorDeterminism:
     def test_a_seed_past_the_float_range_is_accepted(self):
         seed = 10**400
         assert trial_rng(seed, 3).random() == next(_trial_streams(seed, 3, 4)).random()
-        assert estimate_eventual_outage(mm1(u0=5.0), 50.0, 4, seed).seed == seed
+        assert run_simulate(mm1(u0=5.0), 4, 50.0, seed)["seed"] == seed
 
     def test_trial_streams_are_independent_and_stable(self):
         a0 = trial_rng(4, 0).random(6)
@@ -851,17 +869,28 @@ class TestOutageCurve:
             assert _count_range([params], 300.0, 3, [deficit], i, i + 1) == [[int(expect)]]
         assert tried > 0 and len(replays) == tried
 
-    def test_exact_tie_follows_scalar(self):
+    def test_exact_tie_counts_as_an_outage(self):
         # det packets: trial 127 ends with a ramp capped at the horizon whose
-        # deficit p * H - A_J = 80 - 46 is exactly 34.0.  The scalar's running
-        # time rounds past H and sees no outage; block arithmetic sees one.
+        # deficit p * H - A_J = 80 - 46 is exactly 34.0, so the surplus
+        # reaches zero at tau = (34 + 46) / 2 = 40.0 = H.  A running time
+        # summed in floats rounds past H here and misses the outage.
         params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
         assert walk_trial([params], 40.0, 8, 127, [34.0]) == [34.0]
         assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 127)) == 34.0
-        events = poisson_events(1.0, DET1, trial_rng(8, 127))
-        scalar = simulate_first_passage(params, 40.0, events).outage
-        assert _first_passage_kernel(params, 40.0, trial_rng(8, 127)).outage != scalar
-        assert _count_range([params], 40.0, 8, [34.0], 127, 128) == [[int(scalar)]]
+        assert exact_max_deficit(params, 40.0, trial_rng(8, 127)) == 34
+        out = simulate_first_passage(params, 40.0, poisson_events(1.0, DET1, trial_rng(8, 127)))
+        assert out.outage is True
+        assert out.tau == 40.0
+        assert _count_range([params], 40.0, 8, [34.0], 127, 128) == [[1]]
+
+    def test_outage_at_the_horizon_of_a_benchmark_trial_counts(self):
+        # det, rho 1.02, seed 292, trial 6: p * H - A_J = 1000 - 970 = 30 = u0
+        params = SystemParams(lam=1.02, packet=DET1, p=1.0, u0=30.0)
+        assert exact_max_deficit(params, 1000.0, trial_rng(292, 6)) == 30
+        out = simulate_first_passage(params, 1000.0, poisson_events(1.02, DET1, trial_rng(292, 6)))
+        assert out.outage is True
+        assert out.tau == 1000.0
+        assert _count_range([params], 1000.0, 292, [30.0], 6, 7) == [[1]]
 
 
 @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="reads /proc")
@@ -1003,6 +1032,28 @@ class TestWalkRounding:
                     (got,) = walk_trial([params], horizon, 21, 2, [float(exact)])
                     worst = max(worst, abs(Fraction(got) - exact) / (1 + abs(exact)))
         assert worst <= 1e-11 <= simulate._TIE_RTOL / 100
+
+
+class TestExactFirstPassage:
+    def test_outage_iff_u0_is_at_most_the_exact_deficit(self):
+        # u0 at D_i itself (rounded to a double) and on the integer lattice
+        # next to it, where det packets put exact ties at p * H - A_J
+        ties = outages = 0
+        for packet in (EXP1, DET1, UNIF1):
+            for p in (1.0, 2.0, 0.37):
+                params = SystemParams(lam=0.9 * p, packet=packet, p=p)
+                for horizon in (20.0, 200.0, 1000.0):
+                    for i in range(6):
+                        deficit = exact_max_deficit(params, horizon, trial_rng(5, i))
+                        for u0 in {float(deficit), math.floor(deficit), math.floor(deficit) + 1.0}:
+                            if u0 < 0.0:
+                                continue
+                            events = poisson_events(params.lam, packet, trial_rng(5, i))
+                            out = simulate_first_passage(replace(params, u0=u0), horizon, events)
+                            assert out.outage == (u0 <= deficit), (packet, p, horizon, i, u0)
+                            ties += u0 == deficit
+                            outages += out.outage
+        assert ties > 0 and 0 < outages
 
 
 class TestSharedWalk:
