@@ -12,7 +12,7 @@ The package exports the ``__all__`` names of :mod:`hsc.errors`,
 """
 from __future__ import annotations
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 from . import analytic, distributions, errors, simulate
 from .errors import *  # noqa: F401,F403

@@ -91,9 +91,15 @@ class SweepSpec:
             raise ValueError("sweep grids must be nonempty")
         if any(not rho > 0.0 for rho in self.rho_list):
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
-        _integer("trials", self.trials, 0, ValueError)
+        trials = _integer("trials", self.trials, 0, ValueError)
         # checked here as well as by the Monte-Carlo call, which trials = 0 skips
-        _check_protocol(self.horizon, self.u0_grid, self.seed, self.workers, self.ci_method)
+        horizon = _check_protocol(self.horizon, self.u0_grid, self.seed, self.workers, self.ci_method)
+        # kept as checked, so that equal values write equal bytes whatever their types
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "u0_grid", [float(u0) for u0 in self.u0_grid])
+        object.__setattr__(self, "rho_list", [float(rho) for rho in self.rho_list])
 
 
 @dataclass(frozen=True)
@@ -117,20 +123,10 @@ class ResultRow:
 CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
 
 
-def _fmt(value: float | int | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 def rows_to_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(_fmt(v) for v in vars(r).values()))  # fields in CSV order
+    for r in rows:  # fields in CSV order; str of a float is its shortest round-trip repr
+        lines.append(",".join("" if v is None else str(v) for v in vars(r).values()))
     return "\n".join(lines) + "\n"
 
 
@@ -207,8 +203,13 @@ def run_simulate(
         "horizon": float(horizon),
         "seed": int(seed),
     }
-    analytic = run_analyze(params)
-    report.update((key, analytic[key]) for key in ("psi_exact", "psi_bound") if key in analytic)
+    # as run_analyze reports them, without the rest of its report
+    if params.rho > 1.0:
+        r = solve_adjustment_coefficient(params).r_star
+        report["psi_exact"] = eventual_outage_poisson_exact(params, r)
+        report["psi_bound"] = outage_bound(r, params.u0)
+    else:
+        report["psi_exact"] = 1.0
     return report
 
 
@@ -241,7 +242,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 # keep the type, and so the exit code; name the column
                 exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
                 raise
-            columns.append((base, float(rho), r_star, theta))
+            columns.append((base, rho, r_star, theta))
     if spec.trials == 0:
         curves = [[None] * len(spec.u0_grid)] * len(columns)
     else:
@@ -251,7 +252,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         )
     return [
         ResultRow(
-            base.packet.spec_string(), rho, float(u0), r_star,
+            base.packet.spec_string(), rho, u0, r_star,
             1.0 if r_star is None else theta * math.exp(-r_star * u0),
             None if r_star is None else outage_bound(r_star, u0),
             *((None,) * 3 if est is None else (est.estimate, est.ci95_lo, est.ci95_hi)),
@@ -301,11 +302,11 @@ def run_reproduce(
             "params": {
                 "p": 1.0,
                 "dists": dists,
-                "trials": trials,
-                "horizon": horizon,
+                "trials": spec.trials,
+                "horizon": spec.horizon,
             },
             "grids": {"u0": spec.u0_grid, "rho": spec.rho_list},
-            "seed": seed,
+            "seed": spec.seed,
             "tool_version": __version__,
         }
         manifest_path = out / f"figure{figure}.manifest.json"

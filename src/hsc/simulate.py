@@ -3,10 +3,12 @@
 Every engine reads one event-stream convention: ``(gap, packet)`` pairs,
 the first packet at time zero, drawn in blocks of ``EVENT_BLOCK`` gaps
 (``1 / lam`` times ``standard_exponential()``, bit for bit) and then as many
-packets, the final block's packets only up to the horizon or step limit.
-The scalar simulators read it through :func:`hsc.distributions.poisson_events`;
-the vectorized kernels draw the same blocks and read them as one random
-walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, with two functionals:
+packets.  The scalar simulators and the tie replays read it through
+:func:`hsc.distributions.poisson_events`, which always draws whole blocks.
+The vectorized kernels draw the same blocks, a final block's packets only
+up to the horizon or step limit (a prefix of the same draws), and read them
+as one random walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, with two
+functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
@@ -29,10 +31,11 @@ monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 > 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
 (``rho < 1`` regime) is scalar.  Trial ``i`` of a run seeded with ``seed``
 walks its own stream ``trial_rng(seed, i)``, ``Philox(seed).jumped(i)``: one
-key per run and one counter stretch of 2**128 per trial.  The kernels set a
-generator to each trial's counter (:func:`_trial_states`) rather than build
-one per trial.  So counts are bit-identical in any trial order or worker
-count.
+key per run and one counter stretch of 2**128 per trial.  Each trial's
+generator comes from :func:`_trial_rngs`, which sets a spare one to the
+trial's counter rather than build one per trial; both kernels give theirs
+back when the trial ends.  So counts are bit-identical in any trial order or
+worker count.
 
 The columns (``rho``) of one packet law share each trial's draws and both
 running sums: arrival times are ``1 / lam`` times ``cumsum(units)``, and the
@@ -47,12 +50,13 @@ call with more than one chunk opens it, with ``min(chunks, cpu_count)``
 workers.  A call that needs another size replaces it, and so does a call
 that finds it broken (a worker died), which then runs its tasks once more
 on the new pool.  The old pool is shut down, its threads joined, before the
-new one forks.  The pool closes at interpreter exit.  A forked child opens
+new one forks.  An ``atexit`` hook closes the pool at interpreter exit,
+before the modules its threads use are torn down.  A forked child opens
 its own, under a new lock, rather than queue on one whose threads it has
 not got.
 
 The deficit walk takes up to ``_ROWS`` trials a block at a time, one row of
-a buffer each.  Per trial it does what the stream order needs: it sets the
+a buffer each.  Per trial it does what the stream order needs: it takes the
 trial's generator (a trial keeps its own until it ends, so no state is saved
 or restored between blocks), draws the block's units into its row, finds
 each live column's cut once the batch has summed the rows, and draws the
@@ -67,6 +71,7 @@ counts and CSV bytes do not depend on the batching.
 """
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import threading
@@ -112,8 +117,8 @@ _COUNT_CELLS = 2**18
 # Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
 # arrays of 128 KB each.
 _ROWS = 16
-# Generators the batched walk has finished with, for later calls to reuse:
-# building one takes about 20 us, reading a state out of one 3 us.
+# Generators the vectorized walks have finished with, for _trial_rngs to hand
+# out again: building one takes about 20 us, reading a state out of one 3 us.
 _SPARE_RNGS: list[np.random.Generator] = []
 # The worker pool, {pid: (size, pool)}, and the lock held while a caller
 # gets, replaces or submits to it.  Keyed by the process that opened it: a
@@ -180,13 +185,13 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     from ``index * 2**128``.  The seed is any nonnegative integer and the
     index an integer in ``[0, 2**128)``.
     """
-    (rng,) = _trial_streams(seed, index, index + 1)
-    return rng
+    return next(_trial_rngs(seed, index, index + 1))
 
 
-def _trial_states(seed: int, lo: int, hi: int) -> Iterator[dict]:
-    # The state of trial_rng(seed, i) before its first draw, for i in [lo,
-    # hi): one dict, set to each trial's counter in turn.  A trial draws at
+def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    # trial_rng(seed, i) for i in [lo, hi): a spare generator, or a new one
+    # if there is none, set to the trial's state before its first draw.  A
+    # caller done with one may put it back on _SPARE_RNGS.  A trial draws at
     # most about 2e8 values (the 1e8-arrival cap), 5e7 counter steps, far
     # below the 2**128 between two trials.
     seed = _integer("seed", seed, 0, ValueError)
@@ -196,23 +201,11 @@ def _trial_states(seed: int, lo: int, hi: int) -> Iterator[dict]:
     state = np.random.Philox(seed).state  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
     counter = state["state"]["counter"]  # words [0, 0, i mod 2**64, i >> 64]
     for i in range(lo, hi):
+        try:  # not check-then-act: another thread may pop between the two
+            rng = _SPARE_RNGS.pop()
+        except IndexError:
+            rng = np.random.Generator(np.random.Philox(0))
         counter[3], counter[2] = divmod(i, 2**64)
-        yield state
-
-
-def _spare_rng() -> np.random.Generator:
-    # A generator whose state the caller sets before any draw.
-    try:
-        return _SPARE_RNGS.pop()
-    except IndexError:
-        return np.random.Generator(np.random.Philox(0))
-
-
-def _trial_streams(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    # trial_rng(seed, i) for i in [lo, hi), as one generator set to each
-    # trial's state in turn: use each before taking the next.
-    rng = _spare_rng()
-    for state in _trial_states(seed, lo, hi):
         rng.bit_generator.state = state
         yield rng
 
@@ -347,14 +340,13 @@ def _max_deficits(
     deficits = np.empty((hi - lo, width))
     rows = min(_ROWS, hi - lo)
     units, packets, walk = np.empty((3, rows, EVENT_BLOCK))
-    states = _trial_states(seed, lo, hi)
+    rngs = _trial_rngs(seed, lo, hi)
     start, walking = lo, []  # the next trial to start, trials that go on
     while walking or start < hi:
         batch = walking + [None] * min(rows - len(walking), hi - start)
         for r, trial in enumerate(batch):
             if trial is None:
-                trial = batch[r] = _Walk(start, width, _spare_rng())
-                trial.rng.bit_generator.state = next(states)
+                trial = batch[r] = _Walk(start, width, next(rngs))
                 start += 1
             trial.rng.standard_exponential(out=units[r])
         m = len(batch)
@@ -456,6 +448,17 @@ def _close_pool() -> None:
     held = _POOLS.pop(os.getpid(), None)
     if held is not None:
         held[1].shutdown(wait=True)
+
+
+def _shutdown_pool() -> None:
+    # Registered at import, so it runs at interpreter exit while the modules
+    # the pool's threads use are still there; once they are torn down, the
+    # executor's own weakref callback fails on them.
+    with _POOL_LOCK:
+        _close_pool()
+
+
+atexit.register(_shutdown_pool)
 
 
 def _pool_map(fn: Callable, size: int, *iterables: Iterable) -> list:
@@ -614,9 +617,11 @@ def collect_ladder_samples(
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)
-    return [
-        _ladder_kernel(params, max_steps, rng, stop_drawdown) for rng in _trial_streams(seed, 0, walks)
-    ]
+    samples = []
+    for rng in _trial_rngs(seed, 0, walks):
+        samples.append(_ladder_kernel(params, max_steps, rng, stop_drawdown))
+        _SPARE_RNGS.append(rng)
+    return samples
 
 
 def estimate_phi_from_max(samples: list[LadderSample], u0: float) -> float:

@@ -10,11 +10,6 @@ def fresh_pool():
     A test that patches ``concurrent.futures.ProcessPoolExecutor`` so sees
     its own pool built, and leaves neither that pool nor a real one behind.
     """
-
-    def close():
-        with simulate._POOL_LOCK:
-            simulate._close_pool()
-
-    close()
+    simulate._shutdown_pool()
     yield
-    close()
+    simulate._shutdown_pool()

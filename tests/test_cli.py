@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -413,6 +414,16 @@ class TestMainEntry:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 9 and report["trials"] == 50
+
+    def test_simulate_reports_no_required_energy(self, capsys):
+        # r* is subnormal here, so analyze's required_u0 overflows and exits 3;
+        # simulate reports psi_exact and psi_bound only
+        argv = ["simulate", "--lam", "1.0000000001e-300", "--packet", "exp:mean=1e300",
+                "--p", "1", "--horizon", "1e300", "--trials", "20"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report)[-2:] == ["psi_exact", "psi_bound"]
+        assert report["psi_exact"] == 0.9999999998999999
 
     def test_simulate_with_infinite_packets_exits_0(self, capsys):
         # exp packets of mean 1e308 draw inf; such a trial's D_i is -inf, which
@@ -853,6 +864,17 @@ class TestReproduce:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_reproduce(7, tmp_path, trials=0, horizon=10.0, seed=1)
+
+    def test_equal_inputs_write_equal_bytes_whatever_their_type(self, tmp_path):
+        # ints, floats and numpy scalars of one value are one sweep
+        plain = SweepSpec([0.0, 2.0], [1.1], ["exp:mean=1.0"], trials=5, horizon=200.0, seed=3)
+        typed = SweepSpec([np.int64(0), 2], [np.float64(1.1)], ["exp:mean=1.0"],
+                          trials=np.int64(5), horizon=200, seed=np.int64(3))
+        assert rows_to_csv(run_sweep(typed)) == rows_to_csv(run_sweep(plain))
+        a = run_reproduce(5, tmp_path / "a", trials=5, horizon=200.0, seed=3)
+        b = run_reproduce(5, tmp_path / "b", trials=np.int64(5), horizon=200, seed=np.int64(3))
+        for key in ("csv", "manifest"):
+            assert a[key].read_bytes() == b[key].read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = run_reproduce(2, tmp_path / "a", trials=40, horizon=50.0, seed=6)

@@ -46,7 +46,7 @@ from hsc.simulate import (
     _count_range,
     _ladder_kernel,
     _max_deficits,
-    _trial_streams,
+    _trial_rngs,
 )
 import kernel_oracle
 from kernel_oracle import (
@@ -312,6 +312,12 @@ class TestLadderScripted:
             expect = [_ladder_kernel(params, 2500, trial_rng(12, i), stop) for i in range(40)]
             assert collect_ladder_samples(params, 40, 2500, 12, stop) == expect
 
+    def test_walks_give_their_generators_back(self):
+        simulate._SPARE_RNGS.append(trial_rng(0, 0))  # so that one kept away shows
+        spare = len(simulate._SPARE_RNGS)
+        collect_ladder_samples(mm1(), 5, 100, 3)
+        assert len(simulate._SPARE_RNGS) == spare
+
     def test_stop_drawdown_only_prunes_decided_walks(self):
         params = mm1()
         full = collect_ladder_samples(params, 150, 20000, 5)
@@ -480,7 +486,7 @@ class TestEstimatorDeterminism:
 
     def test_a_seed_past_the_float_range_is_accepted(self):
         seed = 10**400
-        assert trial_rng(seed, 3).random() == next(_trial_streams(seed, 3, 4)).random()
+        assert trial_rng(seed, 3).random() == next(_trial_rngs(seed, 3, 4)).random()
         assert run_simulate(mm1(u0=5.0), 4, 50.0, seed)["seed"] == seed
 
     def test_trial_streams_are_independent_and_stable(self):
@@ -823,8 +829,7 @@ class TestOutageCurve:
         with pytest.raises(RuntimeError):
             estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
         # the shutdown releases the blocked task and runs every task not cancelled
-        with simulate._POOL_LOCK:
-            simulate._close_pool()
+        simulate._shutdown_pool()
         assert len(ran) <= 2  # of six tasks
 
     @pytest.mark.usefixtures("fresh_pool")
@@ -1249,11 +1254,11 @@ class TestTrialStreams:
 
     def test_kernel_streams_draw_equal_the_jumped_philox(self):
         # the first three 1024-pair blocks of an event stream, trial by trial
-        # through one repositioned generator (trial_rng is one such trial)
+        # as _trial_rngs hands them out (trial_rng is one such trial)
         pairs = 3 * EVENT_BLOCK
         for seed, lo in itertools.product(self.SEEDS, self.INDICES):
             for packet in (EXP1, UNIF1):
-                streams = _trial_streams(seed, lo, lo + 2)
+                streams = _trial_rngs(seed, lo, lo + 2)
                 for i, rng in enumerate(streams, lo):
                     got = itertools.islice(poisson_events(1.1, packet, rng), pairs)
                     ref = itertools.islice(poisson_events(1.1, packet, self.jumped(seed, i)), pairs)
@@ -1261,18 +1266,37 @@ class TestTrialStreams:
                 assert i == lo + 1
 
     def test_a_trial_leaves_nothing_buffered_for_the_next(self):
-        # a 32-bit draw keeps half a word back; the next trial must not see it
-        rngs = _trial_streams(7, 0, 2)
-        next(rngs).integers(0, 10, 3, dtype=np.uint32)
-        assert np.array_equal(next(rngs).integers(0, 10, 3, dtype=np.uint32),
-                              self.jumped(7, 1).integers(0, 10, 3, dtype=np.uint32))
+        # a 32-bit draw keeps half a word back; the next trial must not see it,
+        # though it gets the same generator back from the spares
+        rngs = _trial_rngs(7, 0, 2)
+        first = next(rngs)
+        first.integers(2**32, dtype=np.uint32)
+        assert first.bit_generator.state["has_uint32"] == 1
+        simulate._SPARE_RNGS.append(first)
+        second = next(rngs)
+        assert second is first
+        assert np.array_equal(second.integers(2**32, size=3, dtype=np.uint32),
+                              self.jumped(7, 1).integers(2**32, size=3, dtype=np.uint32))
+
+    def test_a_spare_taken_after_a_check_is_no_error(self, monkeypatch):
+        # another thread can take the last spare between a length check and
+        # the pop; this list plays that thread whenever its length is read
+        class Contended(list):
+            def __len__(self):
+                n = super().__len__()
+                if n:
+                    self.pop()
+                return n
+
+        monkeypatch.setattr(simulate, "_SPARE_RNGS", Contended([trial_rng(0, 0)]))
+        assert np.array_equal(trial_rng(5, 2).random(4), self.jumped(5, 2).random(4))
 
     @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (0, 2**128), (1.5, 0)])
     def test_bad_seed_or_index_raises(self, seed, index):
         with pytest.raises(ValueError):
             trial_rng(seed, index)
         with pytest.raises(ValueError):
-            list(_trial_streams(seed, index, index + 1))
+            list(_trial_rngs(seed, index, index + 1))
 
 
 class TestStatisticalSanity:
