@@ -278,6 +278,7 @@ def run_reproduce(
     figure 5 compares the three families at rho = 1.1.  Output bytes are a
     pure function of (figure, trials, horizon, seed).
     """
+    figure = _integer("figure", figure, 0, ValueError)  # 5.0 and np.int64(5) write figure5
     if figure not in _FIGURES:
         raise ValueError(f"figure must be one of {sorted(_FIGURES)}, got {figure!r}")
     dists, rhos = _FIGURES[figure]

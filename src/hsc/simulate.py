@@ -17,12 +17,15 @@ functionals:
   counts a whole ``u0`` grid; near ties go to the scalar first-passage
   simulator, which sums the same stream in exact integer arithmetic and so
   decides an outage exactly at ``tau == H``.  In a block the
-  walk is ``s + (p / lam) * cumsum(units) - cumsum(packets)``: ``units``
-  are the block's standard exponentials and ``s`` the walk at its start.
-  Packets are nonnegative, so after a block no later deficit exceeds ``p *
-  H - A``; the walk stops at the first block end where no grid ``u0`` lies
-  above its running maximum and within reach of that bound, tie band
-  included.
+  walk is ``s + (p / lam) * min(cumsum(units), lam * H - U) -
+  cumsum(packets)``: ``units`` are the block's standard exponentials, ``U``
+  the sum of the earlier blocks' units (``lam`` times the arrival time) and
+  ``s`` the walk at the block's start.  The ``min`` clamps each ramp at the
+  horizon before the multiply, so past it only packets are subtracted and
+  nothing overflows.  Packets are nonnegative, so after a block no later
+  deficit exceeds ``p * H - A``; the walk stops at the first block end
+  where no grid ``u0`` lies above its running maximum and within reach of
+  that bound, tie band included.
 * the first ascending ladder point and the running maximum of a walk
   truncated at ``max_steps``, summed as ``s + cumsum(p * gap - packet)``.
 
@@ -38,12 +41,14 @@ back when the trial ends.  So counts are bit-identical in any trial order or
 worker count.
 
 The columns (``rho``) of one packet law share each trial's draws and both
-running sums: arrival times are ``1 / lam`` times ``cumsum(units)``, and the
+running sums: time is counted in units, ``cumsum(units)``, which each column
+scales by its own ``p / lam`` and clamps at its own ``lam * H``, and the
 energy delivered does not depend on ``rho``.  A block's packets are drawn
-once, up to the longest horizon cut among the columns still walking (a
-shorter draw is the prefix of a longer one).  Each column keeps its own
-offset, cut and stop rule, and the trial ends when all have stopped.  A
-sweep puts one task per (packet law, trial chunk) on one pool queue.
+once, up to the first unit sum reaching the farthest ``lam * H`` among the
+columns still walking (a shorter draw is the prefix of a longer one).  Each
+column keeps its own offset and stop rule, and the trial ends when all have
+stopped.  A sweep puts one task per (packet law, trial chunk) on one pool
+queue.
 
 The process keeps one worker pool and reuses it across calls.  The first
 call with more than one chunk opens it, with ``min(chunks, cpu_count)``
@@ -58,16 +63,16 @@ not got.
 The deficit walk takes up to ``_ROWS`` trials a block at a time, one row of
 a buffer each.  Per trial it does what the stream order needs: it takes the
 trial's generator (a trial keeps its own until it ends, so no state is saved
-or restored between blocks), draws the block's units into its row, finds
-each live column's cut once the batch has summed the rows, and draws the
-packets up to the largest cut into a second row, zeroing the rest.  Per
-batch it sums the unit rows and the packet rows (one row-wise ``cumsum``
-each) and, for each column, forms the walk with one multiply and one
-subtract over all rows, fixes each cut row's last ramp, masks its tail and
-takes the row maxima; then it updates each (trial, column) running maximum,
-offset and stop rule.  Elementwise IEEE operations and sequential row sums
-give every ``D_i`` bit for bit as a walk of one trial at a time does, so
-counts and CSV bytes do not depend on the batching.
+or restored between blocks), draws the block's units into its row and,
+once the batch has summed the rows, draws the packets up to the farthest
+live column's horizon into a second row, zeroing the rest.  Per batch it
+sums the unit rows and the packet rows (one row-wise ``cumsum`` each) and,
+for each column, forms the walk with one clamp, one multiply and one
+subtract over all rows and takes the row maxima; then it updates each
+(trial, column) running maximum, offset and stop rule.  Elementwise IEEE
+operations and sequential row sums give every ``D_i`` bit for bit as a walk
+of one trial at a time does, so counts and CSV bytes do not depend on the
+batching.
 """
 from __future__ import annotations
 
@@ -77,7 +82,7 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -102,8 +107,9 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Relative gap between u0 and D_i within which the scalar simulator decides.
-# The walk's block sums are within 6.6e-13 of D_i in exact arithmetic
-# (3 families, rho 0.9 to 1.3, horizons to 1e5), well inside the band.
+# The walk's block sums are within 3.9e-13 of D_i in exact arithmetic
+# (3 families, rho 0.9 to 1.3, horizons 1e3 to 1e5, 20 trials each), well
+# inside the band.
 _TIE_RTOL = 1e-9
 # Cap on lam * H, the expected arrivals per trial.  A trial with no outage
 # walks until p * H - A falls below every u0, about lam * H / rho arrivals
@@ -297,30 +303,19 @@ def _units(x: float) -> int:
 
 
 class _Walk:
-    # One trial's walk for each column: the running maximum, the walk after
-    # the previous block and the arrival time after it, the block's steps (0
-    # once the column has stopped), and the trial's own generator.
-    __slots__ = ("index", "best", "s", "t", "steps", "rng")
+    # One trial's walk: its unit sum before the block (lam times the arrival
+    # time, shared by the columns), for each column the running maximum, the
+    # walk after the previous block and whether it still walks, and the
+    # trial's own generator.
+    __slots__ = ("index", "units", "best", "s", "live", "rng")
 
     def __init__(self, index: int, width: int, rng: np.random.Generator):
         self.index = index
+        self.units = 0.0
         self.best = [-math.inf] * width
         self.s = [0.0] * width
-        self.t = [0.0] * width
-        self.steps = [EVENT_BLOCK] * width
+        self.live = [True] * width
         self.rng = rng
-
-
-def _steps_to(horizon: float, units: np.ndarray, t: float, scale: float, lam: float) -> int:
-    # The least n with t + scale * units[n - 1] >= horizon, given that n =
-    # EVENT_BLOCK qualifies: the sums rise with units, so the exact test
-    # moves a guess taken from units alone to the first step that passes.
-    n = min(int(units.searchsorted((horizon - t) * lam)), EVENT_BLOCK - 1) + 1
-    while n > 1 and t + scale * float(units[n - 2]) >= horizon:
-        n -= 1
-    while t + scale * float(units[n - 1]) < horizon:
-        n += 1
-    return n
 
 
 def _max_deficits(
@@ -329,14 +324,16 @@ def _max_deficits(
     # D_i of the module docstring for trials [lo, hi) and each column, as a
     # (trial, column) array, or a running maximum that decides each of
     # u0_sorted alike: a column stops at a block end once no u0 lies above its
-    # maximum yet within reach of its p * H - A (plus the tie band), or at its
-    # first ramp reaching the horizon.  Up to _ROWS trials walk a block as one
-    # batch, one row each; trials that go on share the next batch with new
-    # ones.  Each trial keeps its generator, which sits after its units while
-    # the batch sums them and after its packets while the batch walks them.
+    # maximum yet within reach of its p * H - A (plus the tie band), or in the
+    # block where its ramps reach the horizon.  Up to _ROWS trials walk a block
+    # as one batch, one row each; trials that go on share the next batch with
+    # new ones.  Each trial keeps its generator, which sits after its units
+    # while the batch sums them and after its packets while the batch walks
+    # them.
     width = len(columns)
-    scales = [1.0 / params.lam for params in columns]
+    reach = [params.lam * horizon for params in columns]  # the horizon in units
     rates = [params.p / params.lam for params in columns]
+    least = math.ulp(0.0)
     deficits = np.empty((hi - lo, width))
     rows = min(_ROWS, hi - lo)
     units, packets, walk = np.empty((3, rows, EVENT_BLOCK))
@@ -352,47 +349,44 @@ def _max_deficits(
         m = len(batch)
         u, pk, x = units[:m], packets[:m], walk[:m]
         u.cumsum(axis=1, out=u)
-        for r, (trial, total) in enumerate(zip(batch, u[:, -1].tolist())):
-            t, steps = trial.t, trial.steps
-            for k, n in enumerate(steps):
-                if n:
-                    end = t[k] + scales[k] * total
-                    if end >= horizon:  # cut at the first ramp reaching H
-                        n = steps[k] = _steps_to(horizon, u[r], t[k], scales[k], columns[k].lam)
-                        end = t[k] + scales[k] * float(u[r, n - 1])
-                    t[k] = end
-            n = max(steps)
+        ends = u[:, -1].tolist()
+        for r, (trial, end) in enumerate(zip(batch, ends)):
+            # packets up to the first ramp reaching the farthest live horizon
+            far = max(compress(reach, trial.live)) - trial.units
+            n = int(u[r].searchsorted(far)) + 1 if end >= far else EVENT_BLOCK
             pk[r, :n] = sample_block(columns[0].packet, trial.rng, n)
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
         pk.cumsum(axis=1, out=pk)
-        for k, params in enumerate(columns):
-            p = params.p
-            # cells past a cut are masked below; for tiny lam they can overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(u, rates[k], out=x)
-                x -= pk
-            for r, trial in enumerate(batch):
-                n, t = trial.steps[k], trial.t[k]
-                if n and t >= horizon:  # the column's last ramp, cut at H
-                    x[r, n - 1] -= p * (t - horizon)
-                    x[r, n:] = -math.inf
+        done = np.array([[trial.units] for trial in batch])
+        for k, rate in enumerate(rates):
+            # each ramp clamped at the horizon: (p / lam) * min(U, lam * H) - A.
+            # A room is at least the least double, so that a stopped column's
+            # room, below zero, times a large rate cannot overflow, nor a room
+            # of zero times an overflowed rate make a nan.
+            room = np.maximum(reach[k] - done, least)
+            rooms = room.ravel().tolist()
+            np.minimum(u, room, out=x)
+            x *= rate
+            x -= pk
             tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
             for r, trial in enumerate(batch):
-                if trial.steps[k]:
-                    t, s = trial.t[k], trial.s[k]
+                if trial.live[k]:
+                    s = trial.s[k]
                     best = trial.best[k] = max(trial.best[k], s + tops[r])
-                    if t >= horizon:
-                        trial.steps[k] = 0
+                    left = rooms[r] - ends[r]  # the units from the block end to H
+                    if left <= 0.0:  # a ramp of this block reached the horizon
+                        trial.live[k] = False
                         continue
                     s = trial.s[k] = s + lasts[r]
-                    bound = s + p * (horizon - t)  # p * H - A caps later deficits
+                    bound = s + rate * left  # p * H - A caps later deficits
                     j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
                     if not (j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound):
-                        trial.steps[k] = 0
+                        trial.live[k] = False
         walking = []
-        for trial in batch:
-            if any(trial.steps):
+        for trial, end in zip(batch, ends):
+            if any(trial.live):
+                trial.units += end
                 walking.append(trial)
             else:
                 deficits[trial.index - lo] = trial.best
@@ -403,8 +397,11 @@ def _max_deficits(
 def _count_range(
     columns: list[SystemParams], horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
 ) -> list[list[int]]:
-    # Outages of trials [lo, hi) for each column (one packet law) and u0;
-    # near ties go to the scalar simulator, one (trial, column, u0) at a time.
+    # Outages of trials [lo, hi) for each column (one packet law) and u0.  The
+    # scalar simulator decides, one (trial, column, u0) at a time, each u0
+    # near a tie and every u0 of a D_i that is not finite (+inf where p / lam
+    # overflows, -inf where the first packet is infinite): there the band
+    # test reads inf <= inf.
     u0s = np.asarray(u0_grid, dtype=float)
     deficits = _max_deficits(columns, horizon, seed, lo, hi, sorted(u0s.tolist()))
     counts = np.zeros((len(columns), u0s.size), dtype=np.int64)

@@ -99,43 +99,38 @@ def _max_deficit(
     # D_i of the hsc.simulate docstring for each column, or a running maximum
     # that decides each of u0_sorted alike: a column stops at a block end once
     # no u0 lies above its maximum yet within reach of its p * H - A (plus the
-    # tie band), or at its first ramp reaching the horizon.
-    scales = [1.0 / params.lam for params in columns]
+    # tie band), or in the block where its ramps reach the horizon.
+    reach = [params.lam * horizon for params in columns]
     rates = [params.p / params.lam for params in columns]
     best = [-math.inf] * len(columns)
     s = [0.0] * len(columns)  # the walk after the previous block
-    t = [0.0] * len(columns)  # and the arrival time after it
+    done = 0.0  # the unit sum before the block
     live = list(range(len(columns)))
     units, walk = np.empty(EVENT_BLOCK), np.empty(EVENT_BLOCK)
     while live:
         rng.standard_exponential(out=units)
         units.cumsum(out=units)
-        cuts = []
-        for k in live:
-            n, end = EVENT_BLOCK, t[k] + scales[k] * float(units[-1])
-            if end >= horizon:  # cut at the first ramp reaching H
-                ends = t[k] + scales[k] * units
-                n = int(np.searchsorted(ends, horizon)) + 1
-                end = float(ends[n - 1])
-            t[k] = end
-            cuts.append(n)
-        packets = sample_block(columns[0].packet, rng, max(cuts))
+        far = max(reach[k] for k in live) - done
+        n = min(int(np.searchsorted(units, far)) + 1, EVENT_BLOCK)
+        packets = np.zeros(EVENT_BLOCK)
+        packets[:n] = sample_block(columns[0].packet, rng, n)
         packets.cumsum(out=packets)
         walking = []
-        for k, n in zip(live, cuts):
-            x = np.multiply(units[:n], rates[k], out=walk[:n])
-            x -= packets[:n]
-            p = columns[k].p
-            if t[k] >= horizon:  # the column's last ramp, cut at H
-                x[-1] -= p * (t[k] - horizon)
+        for k in live:
+            room = max(reach[k] - done, math.ulp(0.0))
+            x = np.minimum(units, room, out=walk)
+            x *= rates[k]
+            x -= packets
             best[k] = max(best[k], s[k] + float(x.max()))
+            left = room - float(units[-1])
+            if left <= 0.0:  # a ramp of this block reached the horizon
+                continue
             s[k] += float(x[-1])
-            bound = s[k] + p * (horizon - t[k])  # p * H - A caps later deficits
+            bound = s[k] + rates[k] * left  # p * H - A caps later deficits
             j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
-            if t[k] < horizon and j < len(u0_sorted) and (
-                u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound
-            ):
+            if j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound:
                 walking.append(k)
+        done += float(units[-1])
         live = walking
     return best
 
@@ -144,25 +139,21 @@ def max_deficit_full_blocks(
     params: SystemParams, horizon: float, rng: np.random.Generator
 ) -> float:
     # D_i walked to the horizon, every block drawn in full: unit gaps, then
-    # all EVENT_BLOCK packets, each block walked as (p / lam) * cumsum(units)
-    # - cumsum(packets) on top of the walk at its start.
-    p = params.p
-    scale = 1.0 / params.lam
-    t0 = 0.0
-    s0 = 0.0
+    # all EVENT_BLOCK packets, each block walked as (p / lam) * min(units,
+    # lam * H - done) - cumsum(packets) on top of the walk at its start.
+    reach, rate = params.lam * horizon, params.p / params.lam
+    done = s0 = 0.0
     best = -math.inf
     while True:
         units = np.cumsum(rng.standard_exponential(EVENT_BLOCK))
         packets = np.cumsum(sample_block(params.packet, rng, EVENT_BLOCK))
-        deficits = p / params.lam * units - packets
-        ends = t0 + scale * units
-        last = int(np.searchsorted(ends, horizon))
-        if last < EVENT_BLOCK:
-            deficits[last] -= p * (ends[last] - horizon)
-            return max(best, s0 + float(deficits[: last + 1].max()))
+        room = max(reach - done, math.ulp(0.0))
+        deficits = rate * np.minimum(units, room) - packets
         best = max(best, s0 + float(deficits.max()))
+        if room <= float(units[-1]):
+            return best
         s0 += float(deficits[-1])
-        t0 = float(ends[-1])
+        done += float(units[-1])
 
 
 def scripted_events(

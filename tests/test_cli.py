@@ -876,6 +876,17 @@ class TestReproduce:
         for key in ("csv", "manifest"):
             assert a[key].read_bytes() == b[key].read_bytes()
 
+    def test_an_integral_figure_of_any_type_writes_the_same_files(self, tmp_path):
+        # 5.0 wrote figure5.0.csv, and np.int64(5) a manifest json could not encode
+        written = []
+        for figure in (5, 5.0, np.int64(5)):
+            paths = run_reproduce(figure, tmp_path / str(figure), trials=3, horizon=20.0, seed=1)
+            assert [path.name for path in paths.values()] == ["figure5.csv", "figure5.manifest.json"]
+            written.append([path.read_bytes() for path in paths.values()])
+        assert written[0] == written[1] == written[2]
+        with pytest.raises(ValueError, match="figure must be an integer"):
+            run_reproduce(5.5, tmp_path, trials=0, horizon=10.0, seed=1)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = run_reproduce(2, tmp_path / "a", trials=40, horizon=50.0, seed=6)
         b = run_reproduce(2, tmp_path / "b", trials=40, horizon=50.0, seed=6)

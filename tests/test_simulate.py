@@ -678,8 +678,8 @@ class TestOutageCurve:
     def test_horizon_at_a_block_end_arrival(self, monkeypatch):
         # H at T_1023 or T_1024 (the arrival after the first block's last gap),
         # and one ulp either side: the walk takes the steps up to the first
-        # ramp reaching H, so one ulp past T_1024 its second block is one step
-        # (drawn only if the first block leaves a u0 undecided)
+        # unit sum U_j reaching lam * H, so past U_1024 its second block is one
+        # step (drawn only if the first block leaves a u0 undecided)
         drawn = []
         monkeypatch.setattr(
             simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
@@ -687,15 +687,13 @@ class TestOutageCurve:
         for packet in (EXP1, DET1):
             params = SystemParams(lam=1.1, packet=packet, p=1.0)
             for i in range(10):
-                units = trial_rng(6, i).standard_exponential(EVENT_BLOCK)
-                ends = 1.0 / params.lam * np.cumsum(units)
+                units = np.cumsum(trial_rng(6, i).standard_exponential(EVENT_BLOCK))
+                ends = 1.0 / params.lam * units
                 for j in (EVENT_BLOCK - 2, EVENT_BLOCK - 1):
                     arrival = float(ends[j])
-                    for horizon, steps in (
-                        (float(np.nextafter(arrival, 0.0)), j + 1),
-                        (arrival, j + 1),
-                        (float(np.nextafter(arrival, math.inf)), j + 2),
-                    ):
+                    for horizon in (float(np.nextafter(arrival, 0.0)), arrival,
+                                    float(np.nextafter(arrival, math.inf))):
+                        steps = int(units.searchsorted(params.lam * horizon)) + 1
                         sizes = [min(steps, EVENT_BLOCK)] + [1] * (steps > EVENT_BLOCK)
                         ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
                         for grid in ([], [ref], [float(np.nextafter(ref, math.inf))]):
@@ -1038,6 +1036,18 @@ class TestWalkRounding:
                     worst = max(worst, abs(Fraction(got) - exact) / (1 + abs(exact)))
         assert worst <= 1e-11 <= simulate._TIE_RTOL / 100
 
+    @pytest.mark.parametrize("lam", [1e-8, 1e-12, 1e-20])
+    def test_deficits_where_lam_h_is_small(self, lam):
+        # the first ramp passes H = 5, so D_i = p * H - A_0; a ramp cut by
+        # subtracting p * (T_1 - H) from p * T_1 loses the packet when lam * H
+        # is small
+        for packet in (EXP1, DET1, UNIF1):
+            params = SystemParams(lam=lam, packet=packet, p=1.0)
+            for i in range(20):
+                exact = exact_max_deficit(params, 5.0, trial_rng(3, i))
+                (got,) = walk_trial([params], 5.0, 3, i, [])
+                assert abs(Fraction(got) - exact) <= simulate._TIE_RTOL / 100 * (1 + abs(exact))
+
 
 class TestExactFirstPassage:
     def test_outage_iff_u0_is_at_most_the_exact_deficit(self):
@@ -1201,27 +1211,46 @@ class TestBatchedWalk:
             sys.setswitchinterval(interval)
         assert threaded == serial
 
-    def test_steps_to_the_horizon_end_at_the_first_ramp_reaching_it(self):
-        # H at an arrival time and one ulp either side: a guess from the
-        # units alone misses by a step both ways, and the exact test mends it
+    def test_horizon_at_a_unit_sum_cuts_the_walk_there(self, monkeypatch):
+        # lam * H at a unit sum U_j of the first or second block, and one ulp
+        # either side: the walk clamps the ramps from about U_j on, draws j + 1
+        # or j + 2 of that block's packets, and gives D_i bit for bit as the
+        # oracle does and within a hundredth of the tie band of exact D_i
+        drawn = []
+        monkeypatch.setattr(
+            simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
+        )
         rng = np.random.default_rng(0)
-        low = high = 0
-        for _ in range(300):
-            units = np.cumsum(rng.standard_exponential(EVENT_BLOCK))
+        cuts = [0, 0]  # walks that drew the cut block, by block
+        for i in range(40):
+            packet = (EXP1, DET1, UNIF1)[i % 3]
             lam = float(rng.choice([1.1, 0.3, 3.7, 1e-3, 1.02, 1.0 / 3.0]))
-            t = float(rng.uniform(0.0, 5000.0))
-            ends = t + 1.0 / lam * units
-            for j in rng.integers(0, EVENT_BLOCK, 4).tolist():
-                for horizon in (np.nextafter(ends[j], 0.0), ends[j], np.nextafter(ends[j], math.inf)):
-                    horizon = float(horizon)
-                    if not t < horizon <= ends[-1]:
-                        continue
-                    steps = int(np.searchsorted(ends, horizon)) + 1
-                    assert simulate._steps_to(horizon, units, t, 1.0 / lam, lam) == steps
-                    guess = int(units.searchsorted((horizon - t) * lam)) + 1
-                    low += guess < steps
-                    high += guess > steps
-        assert low and high
+            params = SystemParams(lam, packet, 1.0)
+            stream = trial_rng(7, i)
+            first = np.cumsum(stream.standard_exponential(EVENT_BLOCK))
+            sample_block(packet, stream, EVENT_BLOCK)
+            second = float(first[-1]) + np.cumsum(stream.standard_exponential(EVENT_BLOCK))
+            block = i % 2
+            j = int(rng.integers(1, EVENT_BLOCK - 1))
+            at = float((first, second)[block][j])
+            for reach in (float(np.nextafter(at, 0.0)), at, float(np.nextafter(at, math.inf))):
+                horizon = reach / lam
+                while lam * horizon < reach:
+                    horizon = float(np.nextafter(horizon, math.inf))
+                while lam * horizon > reach:
+                    horizon = float(np.nextafter(horizon, 0.0))
+                if lam * horizon != reach:
+                    continue  # no double H has fl(lam * H) == reach
+                exact = exact_max_deficit(params, horizon, trial_rng(7, i))
+                grid = [float(exact)]
+                drawn.clear()
+                (got,) = walk_trial([params], horizon, 7, i, grid)
+                assert [got] == kernel_oracle._max_deficit([params], horizon, trial_rng(7, i), grid)
+                assert abs(Fraction(got) - exact) <= simulate._TIE_RTOL / 100 * (1 + abs(exact))
+                if len(drawn) == block + 1:
+                    assert drawn[-1] in (j + 1, j + 2), (i, lam, j, reach, drawn)
+                    cuts[block] += 1
+        assert min(cuts) >= 15
 
     def test_tiny_rate_warns_nowhere_and_equals_the_oracle(self):
         # at lam = 1e-306 the first ramp passes H = 5, and units * p / lam
@@ -1236,6 +1265,57 @@ class TestBatchedWalk:
             with np.errstate(over="ignore"):  # the oracle forms t + units / lam at every step
                 expect = self.oracle(columns, 5.0, 1, 0, 20, grid)
             self.assert_bits_equal(got, expect)
+
+
+def scalar_counts(params, horizon, seed, grid, trials):
+    """Outages of trials ``[0, trials)`` for each u0, by the exact scalar."""
+    return [
+        sum(
+            simulate_first_passage(
+                replace(params, u0=u0),
+                horizon,
+                poisson_events(params.lam, params.packet, trial_rng(seed, i)),
+            ).outage
+            for i in range(trials)
+        )
+        for u0 in grid
+    ]
+
+
+class TestTinyRates:
+    """Counts where lam * H is small or p / lam leaves the double range."""
+
+    GRID = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 4.9]
+
+    @pytest.mark.parametrize("lam", [1e-20, 1e-300])
+    def test_counts_equal_the_scalar_where_lam_h_is_small(self, lam):
+        for packet in (EXP1, DET1, UNIF1):
+            params = SystemParams(lam=lam, packet=packet, p=1.0)
+            (curve,) = estimate_outage_curves([params], 5.0, 200, 1, self.GRID)
+            counts = [round(est.estimate * 200) for est in curve]
+            assert counts == scalar_counts(params, 5.0, 1, self.GRID, 200), packet
+
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    @pytest.mark.parametrize("horizon", [0.5, 5.0])
+    def test_subnormal_rates_warn_nowhere_and_go_to_the_scalar(self, lam, horizon):
+        # p / lam overflows, so D_i is +inf and every u0 goes to the scalar;
+        # at lam = 5e-324 and H = 0.5, lam * H underflows to zero as well
+        for packet in (EXP1, DET1, UNIF1):
+            params = SystemParams(lam=lam, packet=packet, p=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (counts,) = _count_range([params], horizon, 1, self.GRID, 0, 50)
+            assert counts == scalar_counts(params, horizon, 1, self.GRID, 50), packet
+
+    def test_a_column_stopped_beside_a_long_walk_warns_nowhere(self):
+        # lam 1e-306 stops in the first block while lam 1.5 (drifting down,
+        # below every u0) walks on for three; the stopped column's lam * H - U
+        # falls to about -U, which times p / lam = 1e306 would overflow
+        columns = [SystemParams(1e-306, EXP1, 1.0), SystemParams(1.5, EXP1, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _count_range(columns, 2000.0, 1, self.GRID, 0, 10)
+        assert counts == [scalar_counts(c, 2000.0, 1, self.GRID, 10) for c in columns]
 
 
 class TestTrialStreams:
