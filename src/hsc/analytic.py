@@ -39,12 +39,13 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .distributions import PHI_SERIES, DistributionSpec, Kind, log_laplace, log_phi
 from .errors import ConvergenceError, DomainError, GridError, PreconditionError
+
+if TYPE_CHECKING:  # numpy loads in the two functions that use it, not with hsc.cli
+    import numpy as np
 
 __all__ = [
     "Sustainability",
@@ -332,6 +333,8 @@ def ladder_height_density_poisson(
     For Poisson arrivals: ``(lam/p - r*) exp(-lam x / p)`` on ``x >= 0``,
     with total mass ``theta = 1 - r* p / lam < 1``.
     """
+    import numpy as np
+
     theta = _ladder_mass(params, r_star, "ladder density form")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
@@ -375,6 +378,8 @@ def solve_renewal_equation(
         ValueError: if ``f_h`` is not finite, is negative, or has more mass
             than ``theta`` beyond the step tolerance.
     """
+    import numpy as np
+
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise GridError(f"step must be positive and finite, got {step!r}")
@@ -450,3 +455,41 @@ def stationary_outage(params: SystemParams) -> float:
         )
     return 1.0 - rho
 
+
+# Checks of the Monte-Carlo arguments, here rather than in hsc.simulate so
+# that hsc.cli checks a sweep without loading numpy.
+
+
+def _finite_horizon(horizon: float) -> float:
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
+    return horizon
+
+
+def _integer(name: str, value: int, least: int, error: type[ValueError] = PreconditionError) -> int:
+    # an int is integral as it is; float() would overflow past 2**1024
+    if not (value >= least and (isinstance(value, int) or float(value).is_integer())):
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_protocol(
+    horizon: float, u0_grid: list[float], seed: int, workers: int | None, ci_method: str
+) -> float:
+    """Check the Monte-Carlo arguments a sweep shares; return the horizon as a float.
+
+    The CLI maps the horizon's :class:`PreconditionError` to exit code 3 and
+    the ``ValueError`` of the others to exit code 2.
+    """
+    if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
+        raise ValueError(
+            f"the u0 grid must be nonempty and every u0 must be nonnegative and finite, got {u0_grid}"
+        )
+    horizon = _finite_horizon(horizon)
+    _integer("seed", seed, 0, ValueError)
+    if workers is not None:
+        _integer("workers", workers, 1, ValueError)
+    if ci_method not in ("normal", "wilson"):
+        raise ValueError(f"unknown ci_method {ci_method!r}")
+    return horizon

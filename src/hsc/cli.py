@@ -19,6 +19,8 @@ from pathlib import Path
 from . import __version__
 from .analytic import (
     SystemParams,
+    _check_protocol,
+    _integer,
     eventual_outage_poisson_exact,
     outage_bound,
     required_initial_energy,
@@ -35,12 +37,6 @@ from .errors import (
     GridError,
     ParseError,
     PreconditionError,
-)
-from .simulate import (
-    _check_protocol,
-    _integer,
-    estimate_eventual_outage,
-    estimate_outage_curves,
 )
 
 __all__ = [
@@ -123,6 +119,17 @@ class ResultRow:
 CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
 
 
+def __getattr__(name: str):
+    # PEP 562.  The functions here import the Monte-Carlo entry points when
+    # they call them, since hsc.simulate loads numpy, which analyze does not
+    # need; a lookup from outside, as cli.estimate_outage_curves, lands here.
+    if name in ("estimate_eventual_outage", "estimate_outage_curves"):
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def rows_to_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:  # fields in CSV order; str of a float is its shortest round-trip repr
@@ -189,6 +196,8 @@ def run_simulate(
     ci_method: str = "normal",
 ) -> dict:
     """Monte-Carlo outage estimate for one parameter point, as a dict."""
+    from .simulate import estimate_eventual_outage
+
     trials = _integer("trials", trials, 1, ValueError)  # exit code 2, as for sweep
     est = estimate_eventual_outage(
         params, horizon, trials, seed, workers=workers, ci_method=ci_method
@@ -246,6 +255,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     if spec.trials == 0:
         curves = [[None] * len(spec.u0_grid)] * len(columns)
     else:
+        from .simulate import estimate_outage_curves
+
         curves = estimate_outage_curves(
             [column[0] for column in columns], spec.horizon, spec.trials, spec.seed,
             spec.u0_grid, spec.workers, spec.ci_method,

@@ -18,11 +18,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, ParseError
+
+if TYPE_CHECKING:  # numpy loads with hsc.simulate, not with hsc.cli
+    import numpy as np
 
 __all__ = [
     "Kind",
@@ -124,6 +125,8 @@ def sample_block(
     if spec.kind is Kind.EXPONENTIAL:
         return rng.exponential(spec.mean, n)
     if spec.kind is Kind.DETERMINISTIC:
+        import numpy as np
+
         return np.full(n, spec.mean)
     return rng.uniform(0.0, 2.0 * spec.mean, n)
 

@@ -87,7 +87,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .analytic import SystemParams
+from .analytic import SystemParams, _check_protocol, _finite_horizon, _integer
 from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, sample_block
 from .errors import PreconditionError
 
@@ -216,46 +216,11 @@ def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _finite_horizon(horizon: float) -> float:
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise PreconditionError(f"horizon must be positive and finite, got {horizon!r}")
-    return horizon
-
-
-def _integer(name: str, value: int, least: int, error: type[ValueError] = PreconditionError) -> int:
-    # an int is integral as it is; float() would overflow past 2**1024
-    if not (value >= least and (isinstance(value, int) or float(value).is_integer())):
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def _walk_length(name: str, value: int, least: int) -> int:
     value = _integer(name, value, least)
     if value > _MAX_ARRIVALS:
         raise PreconditionError(f"{name} = {value} exceeds {_MAX_ARRIVALS:g} steps")
     return value
-
-
-def _check_protocol(
-    horizon: float, u0_grid: list[float], seed: int, workers: int | None, ci_method: str
-) -> float:
-    """Check the Monte-Carlo arguments a sweep shares; return the horizon as a float.
-
-    The CLI maps the horizon's :class:`PreconditionError` to exit code 3 and
-    the ``ValueError`` of the others to exit code 2.
-    """
-    if not u0_grid or not all(0.0 <= u0 < math.inf for u0 in u0_grid):
-        raise ValueError(
-            f"the u0 grid must be nonempty and every u0 must be nonnegative and finite, got {u0_grid}"
-        )
-    horizon = _finite_horizon(horizon)
-    _integer("seed", seed, 0, ValueError)
-    if workers is not None:
-        _integer("workers", workers, 1, ValueError)
-    if ci_method not in ("normal", "wilson"):
-        raise ValueError(f"unknown ci_method {ci_method!r}")
-    return horizon
 
 
 def simulate_first_passage(
@@ -363,12 +328,15 @@ def _max_deficits(
             # each ramp clamped at the horizon: (p / lam) * min(U, lam * H) - A.
             # A room is at least the least double, so that a stopped column's
             # room, below zero, times a large rate cannot overflow, nor a room
-            # of zero times an overflowed rate make a nan.
+            # of zero times an overflowed rate make a nan.  Where p / lam
+            # overflows every cell is +inf, packets or not (an infinite packet
+            # sum would make inf - inf a nan), and the scalar decides.
             room = np.maximum(reach[k] - done, least)
             rooms = room.ravel().tolist()
             np.minimum(u, room, out=x)
             x *= rate
-            x -= pk
+            if rate < math.inf:
+                x -= pk
             tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
             for r, trial in enumerate(batch):
                 if trial.live[k]:

@@ -775,27 +775,46 @@ class TestMainFuzz:
 
 
 class TestImports:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def fresh(code):
+        """The stdout of ``code`` run in a fresh interpreter on this hsc."""
         src = str(Path(hsc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, hsc.cli; print('scipy' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.fresh("import sys, hsc.cli; print('scipy' in sys.modules)") == "False"
 
     def test_cli_import_loads_no_process_pool(self):
         # a sweep imports it only when it splits its trials into chunks
-        src = str(Path(hsc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
             "import sys, hsc.cli; "
             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert self.fresh(code) == "[]"
+
+    def test_analyze_loads_no_numpy_until_a_monte_carlo_name_is_used(self):
+        # hsc.simulate, and numpy with it, loads at the first lookup of one of
+        # its names; the package's names are then simulate's own objects
+        code = (
+            "import sys, io, contextlib\n"
+            "import hsc\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from hsc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['analyze', '--lam', '1.1', '--packet', 'exp:mean=1.0', '--u0', '5'])\n"
+            "assert code == 0 and 'numpy' not in sys.modules\n"
+            "from hsc import estimate_outage_curves\n"
+            "import hsc.cli\n"
+            "assert estimate_outage_curves is hsc.simulate.estimate_outage_curves\n"
+            "assert hsc.cli.estimate_eventual_outage is hsc.simulate.estimate_eventual_outage\n"
+            "assert all(getattr(hsc, name) is getattr(hsc.simulate, name) for name in hsc.simulate.__all__)\n"
+            "print('numpy' in sys.modules)\n"
         )
-        assert out.stdout.strip() == "[]"
+        assert self.fresh(code) == "True"
 
 
 class TestPublicSurface:

@@ -901,7 +901,7 @@ class TestWorkerPool:
     """The process's one worker pool, each case in a fresh interpreter."""
 
     PRELUDE = (
-        "import json, multiprocessing, os, signal, sys\n"
+        "import json, multiprocessing, os, signal, sys, time\n"
         "from hsc import DistributionSpec, Kind, SystemParams, estimate_outage_curves\n"
         "columns = [SystemParams(lam, DistributionSpec(kind, 1.0), 1.0)\n"
         "           for kind in (Kind.EXPONENTIAL, Kind.DETERMINISTIC) for lam in (1.1, 1.3)]\n"
@@ -948,6 +948,10 @@ class TestWorkerPool:
             "assert curves(2) == serial\n"
             "seen = [pids()]\n"
             "os.kill(seen[0][0], signal.SIGKILL)\n"
+            # until it is reaped, the killed worker stays among the children
+            "deadline = time.monotonic() + 30\n"
+            "while seen[0][0] in pids() and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n"
             "for _ in range(2):\n"
             "    assert curves(2) == serial\n"
             "    seen.append(pids())\n"
@@ -1253,18 +1257,19 @@ class TestBatchedWalk:
         assert min(cuts) >= 15
 
     def test_tiny_rate_warns_nowhere_and_equals_the_oracle(self):
-        # at lam = 1e-306 the first ramp passes H = 5, and units * p / lam
-        # overflows in the cells past that cut, which the walk masks; the
-        # second column walks its whole block beside it
+        # at lam = 1e-306, lam * H = 5e-306 lies below the first unit sum, so
+        # the clamp holds every ramp at the horizon before the multiply by
+        # p / lam = 1e306, and no cell overflows; once the column stops, its
+        # room is the least double, whose product with p / lam is finite. The
+        # second column walks its whole block beside it. The oracle, in the
+        # same arithmetic, warns nowhere either
         grid = [0.0, 1.0]
         for columns in ([SystemParams(1e-306, EXP1, 1.0)],
                         [SystemParams(1e-306, UNIF1, 1.0), SystemParams(0.5, UNIF1, 1.0)]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _max_deficits(columns, 5.0, 1, 0, 20, grid)
-            with np.errstate(over="ignore"):  # the oracle forms t + units / lam at every step
-                expect = self.oracle(columns, 5.0, 1, 0, 20, grid)
-            self.assert_bits_equal(got, expect)
+            self.assert_bits_equal(got, self.oracle(columns, 5.0, 1, 0, 20, grid))
 
 
 def scalar_counts(params, horizon, seed, grid, trials):
@@ -1316,6 +1321,19 @@ class TestTinyRates:
             warnings.simplefilter("error")
             counts = _count_range(columns, 2000.0, 1, self.GRID, 0, 10)
         assert counts == [scalar_counts(c, 2000.0, 1, self.GRID, 10) for c in columns]
+
+    def test_an_overflowed_rate_beside_infinite_packet_sums_warns_nowhere(self):
+        # p / lam is inf and a packet sum of means 1e308 overflows to inf, so
+        # the walk's inf - inf would be a nan; every cell stays +inf instead
+        # and the scalar decides
+        params = SystemParams(1e-310, DistributionSpec(Kind.EXPONENTIAL, 1e308), 1.0)
+        grid = [0.0, 1.0, 4.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _count_range([params], 5.0, 1, grid, 0, 200)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle sums and subtracts infs
+            expect = count_outages_full_walk(params, 5.0, 1, grid, 0, 200)
+        assert counts == [expect] == [[0, 0, 0]]
 
 
 class TestTrialStreams:
