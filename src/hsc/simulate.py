@@ -5,10 +5,16 @@ the first packet at time zero, drawn in blocks of ``EVENT_BLOCK`` gaps
 (``1 / lam`` times ``standard_exponential()``, bit for bit) and then as many
 packets.  The scalar simulators and the tie replays read it through
 :func:`hsc.distributions.poisson_events`, which always draws whole blocks.
-The vectorized kernels draw the same blocks, a final block's packets only
-up to the horizon or step limit (a prefix of the same draws), and read them
-as one random walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``, with two
-functionals:
+The vectorized walk draws the same blocks, a final block's packets only
+up to the horizon or the step cap (a prefix of the same draws), and reads
+them as one random walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``.  In a
+block it is ``s + (p / lam) * min(cumsum(units), R) - cumsum(packets)``:
+``units`` are the block's standard exponentials, ``s`` the walk at the
+block's start and ``R`` its room, the horizon in units, ``lam * H - U``
+(``U`` is the earlier blocks' unit sum, ``lam`` times the arrival time), or
+in a ladder walk's last block the unit sum of its last step.  The ``min``
+clamps each ramp there before the multiply, so past it only packets are
+subtracted (none past a step cap) and nothing overflows.  Its functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
@@ -16,29 +22,26 @@ functionals:
   outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
   counts a whole ``u0`` grid; near ties go to the scalar first-passage
   simulator, which sums the same stream in exact integer arithmetic and so
-  decides an outage exactly at ``tau == H``.  In a block the
-  walk is ``s + (p / lam) * min(cumsum(units), lam * H - U) -
-  cumsum(packets)``: ``units`` are the block's standard exponentials, ``U``
-  the sum of the earlier blocks' units (``lam`` times the arrival time) and
-  ``s`` the walk at the block's start.  The ``min`` clamps each ramp at the
-  horizon before the multiply, so past it only packets are subtracted and
-  nothing overflows.  Packets are nonnegative, so after a block no later
-  deficit exceeds ``p * H - A``; the walk stops at the first block end
-  where no grid ``u0`` lies above its running maximum and within reach of
-  that bound, tie band included.
-* the first ascending ladder point and the running maximum of a walk
-  truncated at ``max_steps``, summed as ``s + cumsum(p * gap - packet)``.
+  decides an outage exactly at ``tau == H``.  Packets are nonnegative, so
+  after a block no later deficit exceeds ``p * H - A``; the walk stops at
+  the first block end where no grid ``u0`` lies above its running maximum
+  and within reach of that bound, tie band included.
+* the first ascending ladder point (the first ``S_n > 0``) and the running
+  maximum (``S_0 = 0`` included) of a walk with no horizon, truncated at
+  ``max_steps``, which may stop at a block end a given drawdown below it.
 
-Both add the offset ``s`` to scalars, not to the block: rounding is
+The offset ``s`` is added to scalars, not to the block: rounding is
 monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 > 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
-(``rho < 1`` regime) is scalar.  Trial ``i`` of a run seeded with ``seed``
-walks its own stream ``trial_rng(seed, i)``, ``Philox(seed).jumped(i)``: one
-key per run and one counter stretch of 2**128 per trial.  Each trial's
-generator comes from :func:`_trial_rngs`, which sets a spare one to the
-trial's counter rather than build one per trial; both kernels give theirs
-back when the trial ends.  So counts are bit-identical in any trial order or
-worker count.
+(``rho < 1`` regime) is the walk reflected at zero; it stays a scalar loop
+over a caller's event stream, its interface, since a block form decides a
+level of exactly zero in other floats and so agrees only to a tolerance.
+Trial ``i`` of a run seeded with ``seed`` walks its own stream
+``trial_rng(seed, i)``, ``Philox(seed).jumped(i)``: one key per run and one
+counter stretch of 2**128 per trial.  Each trial's generator comes from
+:func:`_trial_rngs`, which sets a spare one to the trial's counter rather
+than build one per trial, and the walk gives it back when the trial ends.
+So counts are bit-identical in any trial order or worker count.
 
 The columns (``rho``) of one packet law share each trial's draws and both
 running sums: time is counted in units, ``cumsum(units)``, which each column
@@ -60,19 +63,18 @@ before the modules its threads use are torn down.  A forked child opens
 its own, under a new lock, rather than queue on one whose threads it has
 not got.
 
-The deficit walk takes up to ``_ROWS`` trials a block at a time, one row of
-a buffer each.  Per trial it does what the stream order needs: it takes the
-trial's generator (a trial keeps its own until it ends, so no state is saved
-or restored between blocks), draws the block's units into its row and,
-once the batch has summed the rows, draws the packets up to the farthest
-live column's horizon into a second row, zeroing the rest.  Per batch it
-sums the unit rows and the packet rows (one row-wise ``cumsum`` each) and,
-for each column, forms the walk with one clamp, one multiply and one
-subtract over all rows and takes the row maxima; then it updates each
-(trial, column) running maximum, offset and stop rule.  Elementwise IEEE
-operations and sequential row sums give every ``D_i`` bit for bit as a walk
-of one trial at a time does, so counts and CSV bytes do not depend on the
-batching.
+The walk takes up to ``_ROWS`` trials a block at a time, one row of a
+buffer each.  Per trial it does what the stream order needs: it takes the
+trial's generator (kept until the trial ends, so no state is saved or
+restored between blocks), draws the block's units into its row and, once
+the batch has summed the rows, the packets up to the farthest live horizon
+or the step cap into a second row, zeroing the rest.  Per batch it takes one
+row-wise ``cumsum`` of each buffer and, per column, one clamp (none where no
+ramp reaches its room), one multiply, one subtract and the row maxima; then
+it updates each (trial, column) maximum, offset and stop rule, and a ladder
+walk's first ladder point.  Elementwise IEEE operations and sequential row
+sums give every functional bit for bit as walking one trial at a time does,
+so counts and CSV bytes do not depend on the batching.
 """
 from __future__ import annotations
 
@@ -158,10 +160,13 @@ class TrialOutcome:
 class LadderSample:
     """First ascending ladder point (if any) and running maximum of one walk."""
 
-    terminated: bool  # no ladder point observed within the truncated walk
     max_shortfall: float  # running maximum of the walk (worst energy deficit)
     first_ladder_epoch: int | None
     first_ladder_height: float | None
+
+    @property
+    def terminated(self) -> bool:  # no ladder point observed within the truncated walk
+        return self.first_ladder_epoch is None
 
 
 @dataclass(frozen=True)
@@ -268,38 +273,39 @@ def _units(x: float) -> int:
 
 
 class _Walk:
-    # One trial's walk: its unit sum before the block (lam times the arrival
-    # time, shared by the columns), for each column the running maximum, the
-    # walk after the previous block and whether it still walks, and the
-    # trial's own generator.
-    __slots__ = ("index", "units", "best", "s", "live", "rng")
+    # One trial's walk: its steps and unit sum before the block, shared by the
+    # columns; per column the running maximum, the walk after the previous
+    # block and whether it still walks; its first ladder point; its generator.
+    __slots__ = ("index", "steps", "units", "best", "s", "live", "epoch", "height", "rng")
 
-    def __init__(self, index: int, width: int, rng: np.random.Generator):
+    def __init__(self, index: int, width: int, rng: np.random.Generator, best: float):
         self.index = index
+        self.steps = 0
         self.units = 0.0
-        self.best = [-math.inf] * width
+        self.best = [best] * width
         self.s = [0.0] * width
         self.live = [True] * width
+        self.epoch = self.height = None
         self.rng = rng
 
 
-def _max_deficits(
-    columns: list[SystemParams], horizon: float, seed: int, lo: int, hi: int, u0_sorted: list[float]
-) -> np.ndarray:
-    # D_i of the module docstring for trials [lo, hi) and each column, as a
-    # (trial, column) array, or a running maximum that decides each of
-    # u0_sorted alike: a column stops at a block end once no u0 lies above its
-    # maximum yet within reach of its p * H - A (plus the tie band), or in the
-    # block where its ramps reach the horizon.  Up to _ROWS trials walk a block
-    # as one batch, one row each; trials that go on share the next batch with
-    # new ones.  Each trial keeps its generator, which sits after its units
-    # while the batch sums them and after its packets while the batch walks
-    # them.
+def _walk_blocks(
+    columns: list[SystemParams], horizon: float, seed: int, lo: int, hi: int,
+    u0_sorted: list[float] | None, max_steps: float = math.inf, drawdown: float = math.inf,
+) -> Iterator[_Walk]:
+    # The walks of trials [lo, hi), each yielded once all its columns stop.
+    # A deficit walk (u0_sorted given) stops a column at a block end once no
+    # u0 lies above its maximum yet within reach of its p * H - A (plus the
+    # tie band); a ladder walk (u0_sorted None, one column, no horizon) once
+    # it sits drawdown below its maximum.  Either stops in the block where its
+    # ramps reach their room: the horizon, or a ladder walk's max_steps-th
+    # step, whose unit sum clamps the rest of the block flat.
+    ladder = u0_sorted is None
+    origin = 0.0 if ladder else -math.inf  # a ladder walk's maximum counts S_0 = 0
     width = len(columns)
     reach = [params.lam * horizon for params in columns]  # the horizon in units
     rates = [params.p / params.lam for params in columns]
     least = math.ulp(0.0)
-    deficits = np.empty((hi - lo, width))
     rows = min(_ROWS, hi - lo)
     units, packets, walk = np.empty((3, rows, EVENT_BLOCK))
     rngs = _trial_rngs(seed, lo, hi)
@@ -308,57 +314,78 @@ def _max_deficits(
         batch = walking + [None] * min(rows - len(walking), hi - start)
         for r, trial in enumerate(batch):
             if trial is None:
-                trial = batch[r] = _Walk(start, width, next(rngs))
+                trial = batch[r] = _Walk(start, width, next(rngs), origin)
                 start += 1
             trial.rng.standard_exponential(out=units[r])
         m = len(batch)
         u, pk, x = units[:m], packets[:m], walk[:m]
         u.cumsum(axis=1, out=u)
         ends = u[:, -1].tolist()
+        caps = []  # (row, units of its last step) where a step cap falls in this block
         for r, (trial, end) in enumerate(zip(batch, ends)):
             # packets up to the first ramp reaching the farthest live horizon
             far = max(compress(reach, trial.live)) - trial.units
             n = int(u[r].searchsorted(far)) + 1 if end >= far else EVENT_BLOCK
+            if max_steps - trial.steps <= n:
+                n = max_steps - trial.steps
+                caps.append((r, float(u[r, n - 1])))
             pk[r, :n] = sample_block(columns[0].packet, trial.rng, n)
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
-        pk.cumsum(axis=1, out=pk)
+        with np.errstate(over="ignore"):  # a sum past the doubles is +inf, below every bound
+            pk.cumsum(axis=1, out=pk)
         done = np.array([[trial.units] for trial in batch])
         for k, rate in enumerate(rates):
-            # each ramp clamped at the horizon: (p / lam) * min(U, lam * H) - A.
-            # A room is at least the least double, so that a stopped column's
-            # room, below zero, times a large rate cannot overflow, nor a room
-            # of zero times an overflowed rate make a nan.  Where p / lam
-            # overflows every cell is +inf, packets or not (an infinite packet
-            # sum would make inf - inf a nan), and the scalar decides.
+            # (p / lam) * min(U, R) - A, each room at least the least double: a
+            # stopped column's room, below zero, times a large rate cannot
+            # overflow, nor a room of zero times an overflowed rate make a nan.
+            # Where p / lam overflows every cell is +inf (not inf - inf, a nan).
             room = np.maximum(reach[k] - done, least)
+            for r, cap in caps:  # a walk with a step cap has no horizon
+                room[r] = cap
             rooms = room.ravel().tolist()
-            np.minimum(u, room, out=x)
-            x *= rate
+            clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
+            np.multiply(np.minimum(u, room, out=x) if clamped else u, rate, out=x)
             if rate < math.inf:
                 x -= pk
             tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
             for r, trial in enumerate(batch):
                 if trial.live[k]:
                     s = trial.s[k]
-                    best = trial.best[k] = max(trial.best[k], s + tops[r])
-                    left = rooms[r] - ends[r]  # the units from the block end to H
-                    if left <= 0.0:  # a ramp of this block reached the horizon
+                    top = s + tops[r]
+                    if ladder and trial.epoch is None and top > 0.0:
+                        first = int(np.argmax(x[r] > -s))
+                        trial.epoch, trial.height = trial.steps + first + 1, s + float(x[r, first])
+                    best = trial.best[k] = max(trial.best[k], top)
+                    left = rooms[r] - ends[r]  # the units from the block end to the room's
+                    if left <= 0.0:  # a ramp of this block reached its room
                         trial.live[k] = False
                         continue
                     s = trial.s[k] = s + lasts[r]
-                    bound = s + rate * left  # p * H - A caps later deficits
-                    j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
-                    if not (j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound):
-                        trial.live[k] = False
+                    if ladder:
+                        trial.live[k] = best - s < drawdown
+                    else:
+                        bound = s + rate * left  # p * H - A caps later deficits
+                        j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
+                        trial.live[k] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound
         walking = []
         for trial, end in zip(batch, ends):
             if any(trial.live):
+                trial.steps += EVENT_BLOCK
                 trial.units += end
                 walking.append(trial)
             else:
-                deficits[trial.index - lo] = trial.best
                 _SPARE_RNGS.append(trial.rng)
+                yield trial
+
+
+def _max_deficits(
+    columns: list[SystemParams], horizon: float, seed: int, lo: int, hi: int, u0_sorted: list[float]
+) -> np.ndarray:
+    # The deficit walks' running maxima, as a (trial, column) array
+    deficits = np.empty((hi - lo, len(columns)))
+    for trial in _walk_blocks(columns, horizon, seed, lo, hi, u0_sorted):
+        deficits[trial.index - lo] = trial.best
     return deficits
 
 
@@ -378,7 +405,9 @@ def _count_range(
         for k, params in enumerate(columns):
             d = deficits[start : start + rows, k, None]
             hit = u0s <= d
-            for t, j in np.argwhere(np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))):
+            with np.errstate(over="ignore"):  # a gap past the doubles is no tie
+                near = np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))
+            for t, j in np.argwhere(near):
                 events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
                 hit[t, j] = simulate_first_passage(
                     replace(params, u0=float(u0s[j])), horizon, events
@@ -533,39 +562,6 @@ def estimate_eventual_outage(
     return est
 
 
-def _ladder_kernel(
-    params: SystemParams,
-    max_steps: int,
-    rng: np.random.Generator,
-    stop_drawdown: float | None = None,
-) -> LadderSample:
-    # First ladder point and running maximum of S_n, over the draws of
-    # poisson_events(rng), a block at a time.
-    # stop_drawdown ends the run once the walk sits that far below its
-    # running maximum: with drift down, the probability that either recorded
-    # statistic could still change is at most exp(-r* drawdown).
-    scale = 1.0 / params.lam
-    s = s_max = 0.0
-    epoch = height = None
-    gaps = np.empty(EVENT_BLOCK)
-    for done in range(0, max_steps, EVENT_BLOCK):
-        rng.standard_exponential(out=gaps)
-        x = gaps[: max_steps - done]
-        x *= scale
-        x *= params.p
-        x -= sample_block(params.packet, rng, x.size)
-        x.cumsum(out=x)  # the walk is s + x
-        top = s + float(x.max())
-        if epoch is None and top > 0.0:
-            first = int(np.argmax(x > -s))
-            epoch, height = done + first + 1, s + float(x[first])
-        s_max = max(s_max, top)
-        s += float(x[-1])
-        if stop_drawdown is not None and s_max - s >= stop_drawdown:
-            break
-    return LadderSample(epoch is None, s_max, epoch, height)
-
-
 def collect_ladder_samples(
     params: SystemParams,
     walks: int,
@@ -575,17 +571,20 @@ def collect_ladder_samples(
 ) -> list[LadderSample]:
     """Run ``walks`` independent truncated ladder walks on per-walk streams.
 
-    ``stop_drawdown`` (optional) trades an error bounded by
-    ``exp(-r* stop_drawdown)`` per walk for a large speedup; pass e.g.
-    ``30 / r*`` to keep that error below 1e-13.  ``max_steps`` above 1e8
-    raises :class:`PreconditionError` before any draw.
+    ``stop_drawdown`` (optional) ends a walk at a block end that far below
+    its running maximum, trading an error bounded by ``exp(-r*
+    stop_drawdown)`` per walk for a large speedup; pass e.g. ``30 / r*`` to
+    keep that error below 1e-13.  One that is not positive (``inf`` never
+    stops) and ``max_steps`` above 1e8 raise :class:`PreconditionError`
+    before any draw.
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)
-    samples = []
-    for rng in _trial_rngs(seed, 0, walks):
-        samples.append(_ladder_kernel(params, max_steps, rng, stop_drawdown))
-        _SPARE_RNGS.append(rng)
+    if not (stop_drawdown is None or stop_drawdown > 0.0):
+        raise PreconditionError(f"stop_drawdown must be positive or None, got {stop_drawdown!r}")
+    samples = [None] * walks
+    for trial in _walk_blocks([params], math.inf, seed, 0, walks, None, max_steps, stop_drawdown or math.inf):
+        samples[trial.index] = LadderSample(trial.best[0], trial.epoch, trial.height)
     return samples
 
 

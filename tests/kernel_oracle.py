@@ -19,8 +19,12 @@ trajectory whose troughs :func:`hsc.simulate_first_passage` scans,
 :func:`scripted_events` feeds the scalar simulators hand-written pairs, and
 the Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
 accumulates.  The scalar ladder walk reads the stream one pair at a
-time, and the block ladder walk forms each block's walk in full, where the
-library adds the block-start offset to scalars.  The renewal march
+time.  The per-walk ladder kernel, which the library used up to 0.5.1, walks
+one trial at a time as ``s + cumsum(p * gap - packet)``, where the library
+sums units and packets apart.  The full-block ladder walk does the library's
+unit arithmetic, but draws every block in full, cuts the walk at the step
+cap and forms each block's walk in full, where the library clamps its last
+block at the cap and adds the block-start offset to scalars.  The renewal march
 solves the trapezoid rows one dot product at a time, where the library
 divides power series; the Lindley loop tests the step index on every pair,
 where the library slices the stream.
@@ -242,7 +246,7 @@ def simulate_ladder(
 
     Records the first epoch at which the walk becomes strictly positive
     (the first ascending ladder point) and the running maximum, both
-    truncated at ``max_steps``.  The scalar oracle of ``_ladder_kernel``.
+    truncated at ``max_steps``.  The scalar oracle of the ladder walks.
     """
     max_steps = _integer("max_steps", max_steps, 1)
     p = params.p
@@ -260,17 +264,54 @@ def simulate_ladder(
             s_max = s
         if n >= max_steps:
             break
-    return LadderSample(epoch is None, s_max, epoch, height)
+    return LadderSample(s_max, epoch, height)
+
+
+def _ladder_kernel(
+    params: SystemParams,
+    max_steps: int,
+    rng: np.random.Generator,
+    stop_drawdown: float | None = None,
+) -> LadderSample:
+    # First ladder point and running maximum of S_n, over the draws of
+    # poisson_events(rng), a block at a time.
+    # stop_drawdown ends the run once the walk sits that far below its
+    # running maximum: with drift down, the probability that either recorded
+    # statistic could still change is at most exp(-r* drawdown).
+    scale = 1.0 / params.lam
+    s = s_max = 0.0
+    epoch = height = None
+    gaps = np.empty(EVENT_BLOCK)
+    for done in range(0, max_steps, EVENT_BLOCK):
+        rng.standard_exponential(out=gaps)
+        x = gaps[: max_steps - done]
+        x *= scale
+        x *= params.p
+        x -= sample_block(params.packet, rng, x.size)
+        x.cumsum(out=x)  # the walk is s + x
+        top = s + float(x.max())
+        if epoch is None and top > 0.0:
+            first = int(np.argmax(x > -s))
+            epoch, height = done + first + 1, s + float(x[first])
+        s_max = max(s_max, top)
+        s += float(x[-1])
+        if stop_drawdown is not None and s_max - s >= stop_drawdown:
+            break
+    return LadderSample(s_max, epoch, height)
 
 
 def ladder_blocks(params, max_steps, rng, stop_drawdown=None):
-    """``_ladder_kernel`` with each block's walk ``s + cumsum(p * gap - packet)``
-    formed in full, gaps drawn as ``poisson_events`` draws them."""
+    """The ladder walk in the library's unit arithmetic, every block drawn in
+    full: unit gaps, then all EVENT_BLOCK packets, each block's walk formed as
+    ``s + ((p / lam) * cumsum(units) - cumsum(packets))`` and cut at
+    ``max_steps``, where the library clamps its last block's units."""
+    rate = params.p / params.lam
     s = s_max = 0.0
     epoch = height = None
     for done in range(0, max_steps, EVENT_BLOCK):
-        gaps = rng.exponential(1.0 / params.lam, EVENT_BLOCK)[: max_steps - done]
-        walk = s + np.cumsum(params.p * gaps - sample_block(params.packet, rng, gaps.size))
+        units = np.cumsum(rng.standard_exponential(EVENT_BLOCK))
+        packets = np.cumsum(sample_block(params.packet, rng, EVENT_BLOCK))
+        walk = s + (rate * units - packets)[: max_steps - done]
         rises = np.flatnonzero(walk > 0.0)
         if epoch is None and rises.size:
             epoch, height = done + int(rises[0]) + 1, float(walk[rises[0]])
@@ -278,7 +319,7 @@ def ladder_blocks(params, max_steps, rng, stop_drawdown=None):
         s = float(walk[-1])
         if stop_drawdown is not None and s_max - s >= stop_drawdown:
             break
-    return LadderSample(epoch is None, s_max, epoch, height)
+    return LadderSample(s_max, epoch, height)
 
 
 def count_outages_full_walk(params, horizon, seed, u0_grid, lo, hi):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hsc import (
@@ -44,7 +44,6 @@ from hsc.cli import run_simulate
 import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
-    _ladder_kernel,
     _max_deficits,
     _trial_rngs,
 )
@@ -250,7 +249,7 @@ class TestLadderScripted:
         def walk(*args):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(simulate, "_ladder_kernel", walk)
+        monkeypatch.setattr(simulate, "_walk_blocks", walk)
         with pytest.raises(PreconditionError, match="max_steps"):
             collect_ladder_samples(mm1(), 1, 10**11, 1)
         with pytest.raises(AssertionError, match="walked"):  # the cap itself walks
@@ -261,33 +260,94 @@ class TestLadderScripted:
         with pytest.raises(PreconditionError, match="walks must be an integer"):
             collect_ladder_samples(mm1(), walks, 10, 1)
 
+    @pytest.mark.parametrize("stop_drawdown", [0, 0.0, -1.0, math.nan, -math.inf])
+    def test_stop_drawdown_must_be_positive(self, monkeypatch, stop_drawdown):
+        # 0 and -1 used to cut every walk after its first block, and nan
+        # never stopped one
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(simulate, "_walk_blocks", walk)
+        with pytest.raises(PreconditionError, match="stop_drawdown"):
+            collect_ladder_samples(mm1(), 3, 100, 1, stop_drawdown)
+
+    def test_an_infinite_stop_drawdown_never_stops(self):
+        params = SystemParams(1.01, EXP1, 1.0)
+        unstopped = collect_ladder_samples(params, 40, 3000, 3)
+        assert collect_ladder_samples(params, 40, 3000, 3, math.inf) == unstopped
+        assert collect_ladder_samples(params, 40, 3000, 3, 1e-300) != unstopped
+
     def test_kernel_matches_scalar_walk(self):
         params = mm1()
-        for max_steps, i in itertools.product((3000, 1, 1024, 1025, 2048), range(20)):
-            a = _ladder_kernel(params, max_steps, trial_rng(17, i))
-            b = simulate_ladder(
-                params, max_steps, poisson_events(params.lam, params.packet, trial_rng(17, i))
-            )
-            assert a.terminated == b.terminated
-            assert a.first_ladder_epoch == b.first_ladder_epoch
-            assert a.max_shortfall == pytest.approx(b.max_shortfall, rel=1e-9)
-            if a.first_ladder_height is not None:
-                assert a.first_ladder_height == pytest.approx(
-                    b.first_ladder_height, rel=1e-9
+        for max_steps in (3000, 1, 1024, 1025, 2048):
+            walks = collect_ladder_samples(params, 20, max_steps, 17)
+            for i, a in enumerate(walks):
+                b = simulate_ladder(
+                    params, max_steps, poisson_events(params.lam, params.packet, trial_rng(17, i))
                 )
+                assert a.terminated == b.terminated
+                assert a.first_ladder_epoch == b.first_ladder_epoch
+                assert a.max_shortfall == pytest.approx(b.max_shortfall, rel=1e-9)
+                if a.first_ladder_height is not None:
+                    assert a.first_ladder_height == pytest.approx(
+                        b.first_ladder_height, rel=1e-9
+                    )
+
+    @staticmethod
+    def bits(sample):
+        """A sample's epoch and the bits of its two floats (nan for no height)."""
+        height = math.nan if sample.first_ladder_height is None else sample.first_ladder_height
+        floats = np.array([sample.max_shortfall, height]).view(np.uint64).tolist()
+        return sample.first_ladder_epoch, floats
+
+    def assert_equals_the_block_walk(self, params, walks, max_steps, seed, stop):
+        got = collect_ladder_samples(params, walks, max_steps, seed, stop)
+        expect = [kernel_oracle.ladder_blocks(params, max_steps, trial_rng(seed, i), stop) for i in range(walks)]
+        assert [self.bits(a) for a in got] == [self.bits(b) for b in expect]
+        return expect
 
     def test_kernel_equals_the_block_walk_bit_for_bit(self):
         for packet in (EXP1, DET1, UNIF1):
             for rho in (0.9, 1.0, 1.1):
                 params = SystemParams(lam=0.7 * rho, packet=packet, p=0.7)
-                for max_steps, stop, i in itertools.product((1, 1023, 1025, 3000), (None, 20.0), range(4)):
-                    expect = kernel_oracle.ladder_blocks(params, max_steps, trial_rng(8, i), stop)
-                    assert _ladder_kernel(params, max_steps, trial_rng(8, i), stop) == expect
+                for max_steps, stop in itertools.product((1, 1023, 1024, 1025, 3000), (None, 20.0)):
+                    self.assert_equals_the_block_walk(params, 17, max_steps, 8, stop)
+
+    @pytest.mark.parametrize("walks", [1, 15, 16, 17, 40])
+    def test_batches_of_any_size_mix_stopped_and_capped_walks(self, walks):
+        # at rho 1 a drawdown of 40 stops some of the first 15 walks at the
+        # end of their first block, some at the end of their second, and lets
+        # the rest reach the cap of 2500 steps in their third
+        params = SystemParams(lam=1.0, packet=EXP1, p=1.0)
+        self.assert_equals_the_block_walk(params, walks, 2500, 4, 40.0)
+        ends = set()
+        for i in range(min(walks, 15)):
+            events = poisson_events(params.lam, params.packet, trial_rng(4, i))
+            pairs = np.array(list(itertools.islice(events, 2500)))
+            walk = np.cumsum(params.p * pairs[:, 0] - pairs[:, 1])
+            peak = np.maximum.accumulate(np.maximum(walk, 0.0))
+            ends.add(next((e for e in (1024, 2048) if peak[e - 1] - walk[e - 1] >= 40.0), 2500))
+        assert ends == ({2500} if walks == 1 else {1024, 2048, 2500})
+
+    def test_kernel_matches_the_gap_walk(self):
+        # the per-walk kernel of 0.5.1 sums p * gap - packet, so its floats
+        # differ in the last bits; its ladder epochs and stops do not
+        for packet in (EXP1, DET1, UNIF1):
+            for rho in (0.9, 1.0, 1.1, 1.2):
+                params = SystemParams(lam=0.7 * rho, packet=packet, p=0.7)
+                for max_steps, stop in itertools.product((1, 1024, 1025, 3000), (None, 20.0)):
+                    got = collect_ladder_samples(params, 20, max_steps, 9, stop)
+                    for i, a in enumerate(got):
+                        b = kernel_oracle._ladder_kernel(params, max_steps, trial_rng(9, i), stop)
+                        assert a.first_ladder_epoch == b.first_ladder_epoch
+                        assert abs(a.max_shortfall - b.max_shortfall) <= 1e-11 * (1.0 + abs(b.max_shortfall))
+                        if b.first_ladder_height is not None:
+                            assert a.first_ladder_height == pytest.approx(b.first_ladder_height, rel=1e-9)
 
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
         # trial 227 of seed 17 at rho 1.02 first rises above zero at step 2560
         params = SystemParams(lam=1.02, packet=EXP1, p=1.0)
-        a = _ladder_kernel(params, 5000, trial_rng(17, 227))
+        a = collect_ladder_samples(params, 228, 5000, 17)[227]
         b = simulate_ladder(params, 5000, poisson_events(params.lam, params.packet, trial_rng(17, 227)))
         assert b.first_ladder_epoch > EVENT_BLOCK
         assert a.first_ladder_epoch == b.first_ladder_epoch
@@ -298,8 +358,7 @@ class TestLadderScripted:
         # 3000 steps' three blocks, the one cut at max_steps
         for packet in (EXP1, DistributionSpec(Kind.UNIFORM, 1.0)):
             params = SystemParams(lam=0.9, packet=packet, p=1.0)
-            for i in range(10):
-                a = _ladder_kernel(params, 3000, trial_rng(17, i))
+            for i, a in enumerate(collect_ladder_samples(params, 10, 3000, 17)):
                 events = poisson_events(params.lam, params.packet, trial_rng(17, i))
                 pairs = np.array(list(itertools.islice(events, 3000)))
                 walk = np.cumsum(params.p * pairs[:, 0] - pairs[:, 1])
@@ -309,7 +368,7 @@ class TestLadderScripted:
     def test_walks_use_the_trial_streams(self):
         params = mm1()
         for stop in (None, 40.0):
-            expect = [_ladder_kernel(params, 2500, trial_rng(12, i), stop) for i in range(40)]
+            expect = [kernel_oracle.ladder_blocks(params, 2500, trial_rng(12, i), stop) for i in range(40)]
             assert collect_ladder_samples(params, 40, 2500, 12, stop) == expect
 
     def test_walks_give_their_generators_back(self):
@@ -330,10 +389,11 @@ class TestLadderScripted:
 class TestPhiFromMax:
     def test_counting(self):
         samples = [
-            LadderSample(True, 0.0, None, None),
-            LadderSample(False, 0.5, 2, 0.5),
-            LadderSample(False, 2.0, 1, 2.0),
+            LadderSample(0.0, None, None),
+            LadderSample(0.5, 2, 0.5),
+            LadderSample(2.0, 1, 2.0),
         ]
+        assert [s.terminated for s in samples] == [True, False, False]
         assert estimate_phi_from_max(samples, 1.0) == pytest.approx(2.0 / 3.0)
         assert estimate_phi_from_max(samples, math.inf) == 1.0
         assert estimate_phi_from_max(samples, 0.0) == pytest.approx(1.0 / 3.0)
@@ -1334,6 +1394,54 @@ class TestTinyRates:
         with np.errstate(over="ignore", invalid="ignore"):  # the oracle sums and subtracts infs
             expect = count_outages_full_walk(params, 5.0, 1, grid, 0, 200)
         assert counts == [expect] == [[0, 0, 0]]
+
+
+@st.composite
+def walk_cases(draw):
+    """Columns of one packet law, a horizon, a seed and a u0 grid: means and
+    ``p`` log-uniform in 1e+-300 (exp means up to 1.7e308, where packets and
+    packet sums overflow), rho in [0.1, 10], ``lam * H`` at most 2e3 for the
+    fastest column, and the grid {0, pH, pH/2, pH 1e-3, a fraction of pH}."""
+    kind = draw(st.sampled_from(Kind))
+    top = math.log10(1.7e308) if kind is Kind.EXPONENTIAL else 300.0
+    mean = min(10.0 ** draw(st.floats(-300.0, top)), 1.7e308)
+    p = 10.0 ** draw(st.floats(-300.0, 300.0))
+    rhos = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3))
+    lams = [rho * p / mean for rho in rhos]
+    assume(all(0.0 < lam < math.inf for lam in lams))
+    horizon = 10.0 ** draw(st.floats(-3.0, math.log10(2e3))) / max(lams)
+    ph = p * horizon
+    assume(0.0 < horizon < math.inf and ph < math.inf)
+    grid = [0.0, ph, ph / 2.0, ph * 1e-3, ph * draw(st.floats(0.0, 1.0))]
+    packet = DistributionSpec(kind, mean)
+    columns = [SystemParams(lam, packet, p) for lam in lams]
+    return columns, horizon, draw(st.integers(0, 2**64)), grid
+
+
+class TestCountsEqualTheScalar:
+    """Every count of the walk is the exact scalar's decision, summed over
+    (trial, u0), with no tolerance, over the whole double range."""
+
+    TRIALS = 4
+
+    @given(walk_cases())
+    # packet sums of mean 1e308 overflow in the first block, and u0 - D_i
+    # overflows in the tie-band test: both warned under "error" up to 0.5.1
+    @example(([SystemParams(1e-308, DistributionSpec(Kind.EXPONENTIAL, 1e308), 1.0)], 1e308, 0,
+              [0.0, 1e308, 5e307, 1e305, 0.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_the_scalar(self, case):
+        columns, horizon, seed, grid = case
+        counts = _count_range(columns, horizon, seed, grid, 0, self.TRIALS)
+        assert counts == [scalar_counts(c, horizon, seed, grid, self.TRIALS) for c in columns]
+
+    @given(walk_cases())
+    @settings(max_examples=2, deadline=None)
+    def test_pooled_counts_equal_the_scalar(self, case):
+        columns, horizon, seed, grid = case
+        curves = estimate_outage_curves(columns, horizon, self.TRIALS, seed, grid, workers=2)
+        counts = [[round(est.estimate * self.TRIALS) for est in curve] for curve in curves]
+        assert counts == [scalar_counts(c, horizon, seed, grid, self.TRIALS) for c in columns]
 
 
 class TestTrialStreams:
