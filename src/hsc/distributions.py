@@ -119,16 +119,39 @@ def parse_distribution_spec(text: str) -> DistributionSpec:
 
 
 def sample_block(
-    spec: DistributionSpec, rng: np.random.Generator, n: int
+    spec: DistributionSpec, rng: np.random.Generator, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Draw ``n`` packet sizes as one vectorized call (one stream advance)."""
-    if spec.kind is Kind.EXPONENTIAL:
-        return rng.exponential(spec.mean, n)
-    if spec.kind is Kind.DETERMINISTIC:
+    """Draw ``n`` packet sizes as one vectorized call (one stream advance).
+
+    They fill ``out`` (``n`` doubles) if it is given, else a new array.  The
+    draws are numpy's ``exponential(mean)`` and ``uniform(0, 2 * mean)``, bit
+    for bit; where ``2 * mean`` overflows, a packet past the largest double
+    is ``+inf``.
+    """
+    if out is None:
         import numpy as np
 
-        return np.full(n, spec.mean)
-    return rng.uniform(0.0, 2.0 * spec.mean, n)
+        out = np.empty(n)
+    if spec.kind is Kind.DETERMINISTIC:
+        out.fill(spec.mean)
+        return out
+    if spec.kind is Kind.EXPONENTIAL:
+        rng.standard_exponential(out=out)
+        scale = spec.mean
+    else:
+        rng.random(out=out)
+        scale = 2.0 * spec.mean
+        if scale == math.inf:
+            out *= 2.0  # exact, as the draws are below 1
+            scale = spec.mean
+    if scale * 64.0 < math.inf:  # numpy's standard exponentials are below 45
+        out *= scale
+    else:
+        import numpy as np
+
+        with np.errstate(over="ignore"):  # a packet past the doubles is +inf
+            out *= scale
+    return out
 
 
 def log_laplace(spec: DistributionSpec, r: float) -> float:

@@ -50,8 +50,13 @@ energy delivered does not depend on ``rho``.  A block's packets are drawn
 once, up to the first unit sum reaching the farthest ``lam * H`` among the
 columns still walking (a shorter draw is the prefix of a longer one).  Each
 column keeps its own offset and stop rule, and the trial ends when all have
-stopped.  A sweep puts one task per (packet law, trial chunk) on one pool
-queue.
+stopped.  The packet laws of a call share each trial's first block of units
+too: where a call has more than one, that block is drawn and summed once,
+for runs of ``_RUN`` trials at a time, before any packet.  The first law
+walks on from the trial's generator, each later one from a generator set to
+the state it had just after those units, so each law reads the stream it
+would read alone.  A sweep puts one task per trial chunk, holding every
+column, on one pool queue.
 
 The process keeps one worker pool and reuses it across calls.  The first
 call with more than one chunk opens it, with ``min(chunks, cpu_count)``
@@ -66,10 +71,11 @@ not got.
 The walk takes up to ``_ROWS`` trials a block at a time, one row of a
 buffer each.  Per trial it does what the stream order needs: it takes the
 trial's generator (kept until the trial ends, so no state is saved or
-restored between blocks), draws the block's units into its row and, once
-the batch has summed the rows, the packets up to the farthest live horizon
-or the step cap into a second row, zeroing the rest.  Per batch it takes one
-row-wise ``cumsum`` of each buffer and, per column, one clamp (none where no
+restored between blocks), draws the block's units into its row (or copies
+a summed first block from its run) and, once the batch has summed the rows,
+draws the packets up to the farthest live horizon or the step cap straight
+into a second row, zeroing the rest.  Per batch it takes one row-wise
+``cumsum`` of each buffer and, per column, one clamp (none where no
 ramp reaches its room), one multiply, one subtract and the row maxima; then
 it updates each (trial, column) maximum, offset and stop rule, and a ladder
 walk's first ladder point.  Elementwise IEEE operations and sequential row
@@ -83,8 +89,9 @@ import math
 import os
 import threading
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -125,8 +132,11 @@ _COUNT_CELLS = 2**18
 # Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
 # arrays of 128 KB each.
 _ROWS = 16
-# Generators the vectorized walks have finished with, for _trial_rngs to hand
-# out again: building one takes about 20 us, reading a state out of one 3 us.
+# Trials whose first unit blocks are drawn and summed as one 2 MB array when a
+# call walks more than one packet law, which each law then walks from.
+_RUN = 256
+# Generators the vectorized walks have finished with, for _restored to hand
+# out again: building one takes about 20 us, setting its state 1 us.
 _SPARE_RNGS: list[np.random.Generator] = []
 # The worker pool, {pid: (size, pool)}, and the lock held while a caller
 # gets, replaces or submits to it.  Keyed by the process that opened it: a
@@ -200,25 +210,59 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    # trial_rng(seed, i) for i in [lo, hi): a spare generator, or a new one
-    # if there is none, set to the trial's state before its first draw.  A
-    # caller done with one may put it back on _SPARE_RNGS.  A trial draws at
-    # most about 2e8 values (the 1e8-arrival cap), 5e7 counter steps, far
-    # below the 2**128 between two trials.
+    # trial_rng(seed, i) for i in [lo, hi): a spare generator set to the
+    # trial's state before its first draw.  A trial draws at most about 2e8
+    # values (the 1e8-arrival cap), 5e7 counter steps, far below the 2**128
+    # between two trials.
     seed = _integer("seed", seed, 0, ValueError)
     lo = _integer("trial index", lo, 0, ValueError)
     if not hi <= 2**128:  # past it, jumped(i) wraps round to jumped(i - 2**128)
         raise ValueError(f"a trial index must be below 2**128, got {hi - 1}")
-    state = np.random.Philox(seed).state  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
+    state = _list_state(np.random.Philox(seed))  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
     counter = state["state"]["counter"]  # words [0, 0, i mod 2**64, i >> 64]
-    for i in range(lo, hi):
+
+    def states() -> Iterator[dict]:
+        for i in range(lo, hi):
+            counter[3], counter[2] = divmod(i, 2**64)
+            yield state
+
+    return _restored(states())
+
+
+def _restored(states: Iterable[dict]) -> Iterator[np.random.Generator]:
+    # a generator set to each state in turn: a spare one, or a new one if
+    # there is none.  A caller done with one may put it back on _SPARE_RNGS.
+    for state in states:
         try:  # not check-then-act: another thread may pop between the two
             rng = _SPARE_RNGS.pop()
         except IndexError:
             rng = np.random.Generator(np.random.Philox(0))
-        counter[3], counter[2] = divmod(i, 2**64)
         rng.bit_generator.state = state
         yield rng
+
+
+def _list_state(bit_generator: np.random.Philox) -> dict:
+    # its state with the words as lists, which the setter reads in about 1 us
+    # against 2.5 us from arrays
+    state = bit_generator.state
+    words = state["state"]
+    words["counter"], words["key"] = words["counter"].tolist(), words["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    return state
+
+
+def _first_blocks(seed: int, lo: int, hi: int) -> Iterator[tuple[range, list, np.ndarray]]:
+    # Trials [lo, hi) in runs of up to _RUN: their indices, their generators
+    # and their first blocks of unit sums, a row each of one array, drawn and
+    # summed before any packet, so each generator is just past its units
+    rngs = _trial_rngs(seed, lo, hi)
+    for start in range(lo, hi, _RUN):
+        run = list(islice(rngs, _RUN))
+        first = np.empty((len(run), EVENT_BLOCK))
+        for rng, row in zip(run, first):
+            rng.standard_exponential(out=row)
+        first.cumsum(axis=1, out=first)
+        yield range(start, start + len(run)), run, first
 
 
 def _walk_length(name: str, value: int, least: int) -> int:
@@ -290,10 +334,15 @@ class _Walk:
 
 
 def _walk_blocks(
-    columns: list[SystemParams], horizon: float, seed: int, lo: int, hi: int,
+    columns: list[SystemParams], horizon: float,
+    starts: Iterable[tuple[int, np.random.Generator, np.ndarray | None]],
     u0_sorted: list[float] | None, max_steps: float = math.inf, drawdown: float = math.inf,
 ) -> Iterator[_Walk]:
-    # The walks of trials [lo, hi), each yielded once all its columns stop.
+    # The walks of the trials in starts, each yielded once all its columns
+    # stop.  A start is a trial's index, its generator and either its first
+    # block of unit sums, the generator just past that block's units
+    # (_first_blocks), or None, for a first block to draw here; one walk's
+    # starts are all of one kind.
     # A deficit walk (u0_sorted given) stops a column at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
     # tie band); a ladder walk (u0_sorted None, one column, no horizon) once
@@ -306,20 +355,25 @@ def _walk_blocks(
     reach = [params.lam * horizon for params in columns]  # the horizon in units
     rates = [params.p / params.lam for params in columns]
     least = math.ulp(0.0)
-    rows = min(_ROWS, hi - lo)
-    units, packets, walk = np.empty((3, rows, EVENT_BLOCK))
-    rngs = _trial_rngs(seed, lo, hi)
-    start, walking = lo, []  # the next trial to start, trials that go on
-    while walking or start < hi:
-        batch = walking + [None] * min(rows - len(walking), hi - start)
+    units, packets, walk = np.empty((3, _ROWS, EVENT_BLOCK))
+    starts = iter(starts)
+    batch: list[_Walk] = []  # trials that go on, then new ones
+    while True:
+        drawn = len(batch)  # rows whose units are drawn here, then summed
         for r, trial in enumerate(batch):
-            if trial is None:
-                trial = batch[r] = _Walk(start, width, next(rngs), origin)
-                start += 1
             trial.rng.standard_exponential(out=units[r])
+        for index, rng, row in islice(starts, _ROWS - len(batch)):
+            if row is None:
+                rng.standard_exponential(out=units[drawn])
+                drawn += 1
+            else:
+                units[len(batch)] = row
+            batch.append(_Walk(index, width, rng, origin))
+        if not batch:
+            return
+        units[:drawn].cumsum(axis=1, out=units[:drawn])
         m = len(batch)
         u, pk, x = units[:m], packets[:m], walk[:m]
-        u.cumsum(axis=1, out=u)
         ends = u[:, -1].tolist()
         caps = []  # (row, units of its last step) where a step cap falls in this block
         for r, (trial, end) in enumerate(zip(batch, ends)):
@@ -329,7 +383,7 @@ def _walk_blocks(
             if max_steps - trial.steps <= n:
                 n = max_steps - trial.steps
                 caps.append((r, float(u[r, n - 1])))
-            pk[r, :n] = sample_block(columns[0].packet, trial.rng, n)
+            sample_block(columns[0].packet, trial.rng, n, pk[r, :n])
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
         with np.errstate(over="ignore"):  # a sum past the doubles is +inf, below every bound
@@ -345,7 +399,8 @@ def _walk_blocks(
                 room[r] = cap
             rooms = room.ravel().tolist()
             clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
-            np.multiply(np.minimum(u, room, out=x) if clamped else u, rate, out=x)
+            with np.errstate(over="ignore") if ladder else nullcontext():  # a ladder ramp past the doubles is +inf
+                np.multiply(np.minimum(u, room, out=x) if clamped else u, rate, out=x)
             if rate < math.inf:
                 x -= pk
             tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
@@ -377,26 +432,47 @@ def _walk_blocks(
             else:
                 _SPARE_RNGS.append(trial.rng)
                 yield trial
+        batch = walking
 
 
 def _max_deficits(
     columns: list[SystemParams], horizon: float, seed: int, lo: int, hi: int, u0_sorted: list[float]
 ) -> np.ndarray:
-    # The deficit walks' running maxima, as a (trial, column) array
-    deficits = np.empty((hi - lo, len(columns)))
-    for trial in _walk_blocks(columns, horizon, seed, lo, hi, u0_sorted):
-        deficits[trial.index - lo] = trial.best
-    return deficits
+    # The deficit walks' running maxima, as a (trial, column) array.  The
+    # packet laws share each trial's first block of units, drawn and summed
+    # once: the first law walks on from the trial's generator, each later one
+    # from a generator set to the state it had after those units.  One law
+    # alone draws its first blocks in the walk, as a ladder walk does.
+    laws: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns, in order
+    for k, params in enumerate(columns):
+        laws.setdefault(params.packet, []).append(k)
+    order = [k for ks in laws.values() for k in ks]
+    deficits = np.empty((hi - lo, len(columns)))  # its columns in that order
+    if len(laws) == 1:
+        runs = [(range(lo, hi), _trial_rngs(seed, lo, hi), repeat(None))]
+    else:
+        runs = _first_blocks(seed, lo, hi)
+    for indices, rngs, first in runs:
+        states = [_list_state(rng.bit_generator) for rng in rngs] if len(laws) > 1 else []
+        end = 0
+        for ks in laws.values():
+            cols = slice(end, end + len(ks))
+            end += len(ks)
+            starts = zip(indices, rngs, first)
+            for trial in _walk_blocks([columns[k] for k in ks], horizon, starts, u0_sorted):
+                deficits[trial.index - lo, cols] = trial.best
+            rngs = _restored(states)
+    return deficits[:, np.argsort(order)]
 
 
 def _count_range(
     columns: list[SystemParams], horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
 ) -> list[list[int]]:
-    # Outages of trials [lo, hi) for each column (one packet law) and u0.  The
-    # scalar simulator decides, one (trial, column, u0) at a time, each u0
-    # near a tie and every u0 of a D_i that is not finite (+inf where p / lam
-    # overflows, -inf where the first packet is infinite): there the band
-    # test reads inf <= inf.
+    # Outages of trials [lo, hi) for each column and u0.  The scalar simulator
+    # decides, one (trial, column, u0) at a time on the column's own packet
+    # law, each u0 near a tie and every u0 of a D_i that is not finite (+inf
+    # where p / lam overflows, -inf where the first packet is infinite):
+    # there the band test reads inf <= inf.
     u0s = np.asarray(u0_grid, dtype=float)
     deficits = _max_deficits(columns, horizon, seed, lo, hi, sorted(u0s.tolist()))
     counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
@@ -495,10 +571,11 @@ def estimate_outage_curves(
 
     Returns one curve per column, in order, each with one estimate per u0
     (``params.u0`` unused).  Every column uses the same trial streams, the
-    columns of one packet law walk each trial together, and each trial walks
-    once for the whole grid.  With ``workers > 1`` the trials are split into
-    that many chunks, and every (packet law, chunk) task goes on the queue
-    of the process's worker pool, so no worker waits at a column boundary.
+    columns of one packet law walk each trial together, every law walks from
+    the trial's one first block of units, and each trial walks once for the
+    whole grid.  With ``workers > 1`` the trials are split into that many
+    chunks, whose sizes differ by at most one, and one task per chunk,
+    holding every column, goes on the queue of the process's worker pool.
     The pool has ``min(chunks, cpu_count)`` workers; the first such call
     opens it, later calls of the same size reuse it, and one of another
     size or one that finds it broken replaces it.  It closes at interpreter
@@ -512,28 +589,18 @@ def estimate_outage_curves(
             f"lam * horizon = {arrivals} expected arrivals per trial exceeds {_MAX_ARRIVALS:g}"
         )
     chunks = 1 if workers is None else min(int(workers), trials)
-    groups: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns, in order
-    for k, params in enumerate(columns):
-        groups.setdefault(params.packet, []).append(k)
     bounds = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
-    tasks = [
-        ([columns[k] for k in ks], horizon, seed, u0_grid, lo, hi)
-        for ks in groups.values()
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    tasks = [(columns, horizon, seed, u0_grid, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if chunks > 1:
         # one task per chunk as asked, but no more processes than CPUs:
         # under fork the pool starts every process at its first submit
         counts = _pool_map(_count_range, min(chunks, os.cpu_count() or 1), *zip(*tasks))
     else:
         counts = list(map(_count_range, *zip(*tasks)))
-    # counts: (task, column of its law, u0)
-    outages: dict[int, list[int]] = {}  # column -> its counts over all chunks
-    for g, ks in enumerate(groups.values()):
-        outages.update(zip(ks, np.sum(counts[g * chunks : (g + 1) * chunks], axis=0).tolist()))
+    # counts: (chunk, column, u0)
     return [
-        [_estimate(n, trials, ci_method) for n in outages[k]]
-        for k in range(len(columns))
+        [_estimate(n, trials, ci_method) for n in curve]
+        for curve in np.sum(counts, axis=0).tolist()
     ]
 
 
@@ -576,14 +643,17 @@ def collect_ladder_samples(
     stop_drawdown)`` per walk for a large speedup; pass e.g. ``30 / r*`` to
     keep that error below 1e-13.  One that is not positive (``inf`` never
     stops) and ``max_steps`` above 1e8 raise :class:`PreconditionError`
-    before any draw.
+    before any draw.  No horizon clamps a ladder walk's ramps, so where ``p /
+    lam`` times a unit sum leaves the doubles the walk reads ``+inf`` there:
+    its ``max_shortfall`` is ``+inf``, as is a ladder height at such a step.
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)
     if not (stop_drawdown is None or stop_drawdown > 0.0):
         raise PreconditionError(f"stop_drawdown must be positive or None, got {stop_drawdown!r}")
     samples = [None] * walks
-    for trial in _walk_blocks([params], math.inf, seed, 0, walks, None, max_steps, stop_drawdown or math.inf):
+    starts = zip(range(walks), _trial_rngs(seed, 0, walks), repeat(None))
+    for trial in _walk_blocks([params], math.inf, starts, None, max_steps, stop_drawdown or math.inf):
         samples[trial.index] = LadderSample(trial.best[0], trial.epoch, trial.height)
     return samples
 

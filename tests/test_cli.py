@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -270,8 +271,8 @@ class TestSweep:
         # a walk failure is shared by every column, so no column is named
         count = simulate._count_range
 
-        def det_fails(columns, *args):
-            if columns[0].packet.kind.value == "det":
+        def det_fails(columns, *args):  # a task holds every column of its trial chunk
+            if any(params.packet.kind.value == "det" for params in columns):
                 raise ConvergenceError("walk failed")
             return count(columns, *args)
 
@@ -431,6 +432,16 @@ class TestMainEntry:
         argv = ["simulate", "--lam", "1e-300", "--packet", "exp:mean=1e308", "--horizon", "5",
                 "--trials", "50"]
         assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["psi_mc"] == 0.0
+
+    def test_simulate_with_uniform_packets_past_the_doubles_exits_0(self, capsys):
+        # 2 * mean overflows, where numpy's uniform raised OverflowError (exit
+        # 1); a packet past the largest double is inf, as exp's are above
+        argv = ["simulate", "--lam", "1e-300", "--packet", "unif:mean=1e308", "--horizon", "5",
+                "--trials", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["psi_mc"] == 0.0
 
     def test_config_merge_and_flag_override(self, tmp_path, capsys):

@@ -177,3 +177,57 @@ class TestEventSources:
             list(scripted_events([(0.0, 1.0)]))
         with pytest.raises(ValueError):
             list(scripted_events([(1.0, -2.0)]))
+
+
+def philox_words(rng):
+    """A Philox generator's state as plain values, for equality."""
+    state = rng.bit_generator.state
+    words = state["state"]
+    return [words["counter"].tolist(), words["key"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
+
+
+class TestSampleBlockInPlace:
+    """Packets drawn into a given row equal the allocating draw."""
+
+    CASES = [(kind, mean) for kind in Kind for mean in (1e-300, 1.0, 1e300)] + [
+        (Kind.EXPONENTIAL, 1e308)  # about a sixth of the packets pass the largest double
+    ]
+
+    @pytest.mark.parametrize("kind, mean", CASES)
+    def test_out_equals_the_allocating_draw(self, kind, mean):
+        spec = DistributionSpec(kind, mean)
+        a, b = (np.random.Generator(np.random.Philox(11)) for _ in range(2))
+        expect = sample_block(spec, a, EVENT_BLOCK)
+        row = np.full((2, EVENT_BLOCK + 5), np.nan)[1, 3:-2]  # a strided parent, a contiguous row
+        got = sample_block(spec, b, EVENT_BLOCK, row)
+        assert got is row
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert philox_words(a) == philox_words(b)
+
+    @pytest.mark.parametrize("kind, mean", CASES)
+    def test_draws_equal_numpy_scaled_draws(self, kind, mean):
+        spec = DistributionSpec(kind, mean)
+        a, b = (np.random.Generator(np.random.Philox(12)) for _ in range(2))
+        got = sample_block(spec, a, 5000)
+        with np.errstate(over="ignore"):  # numpy's scalar loop overflows to inf with no warning
+            expect = {
+                Kind.EXPONENTIAL: lambda: b.exponential(mean, 5000),
+                Kind.UNIFORM: lambda: b.uniform(0.0, 2.0 * mean, 5000),
+                Kind.DETERMINISTIC: lambda: np.full(5000, mean),
+            }[kind]()
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert philox_words(a) == philox_words(b)
+
+    def test_uniform_packets_past_the_largest_double_are_infinite(self):
+        # 2 * mean overflows, where numpy's uniform(0, 2 * mean) raises
+        # OverflowError; the packets are (2 U) * mean, +inf past the doubles
+        spec = DistributionSpec(Kind.UNIFORM, 1e308)
+        a, b = (np.random.Generator(np.random.Philox(13)) for _ in range(2))
+        got = sample_block(spec, a, EVENT_BLOCK)
+        twice = 2.0 * b.random(EVENT_BLOCK)
+        with np.errstate(over="ignore"):
+            expect = twice * 1e308
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert 0 < np.isinf(got).sum() < EVENT_BLOCK
+        assert np.all(got[twice < 1.7] < math.inf)

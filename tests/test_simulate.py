@@ -377,6 +377,21 @@ class TestLadderScripted:
         collect_ladder_samples(mm1(), 5, 100, 3)
         assert len(simulate._SPARE_RNGS) == spare
 
+    def test_a_ramp_past_the_doubles_reads_inf(self):
+        # p / lam = 1e308 times a unit sum above 1.8 leaves the doubles, as no
+        # horizon clamps a ladder walk: its running maximum is +inf, as is a
+        # ladder height there, and no warning is raised
+        params = SystemParams(1e-308, DistributionSpec(Kind.EXPONENTIAL, 1e-300), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = collect_ladder_samples(params, 3, 3000, 1)
+        assert [a.max_shortfall for a in got] == [math.inf] * 3
+        with np.errstate(over="ignore"):
+            expect = [kernel_oracle.ladder_blocks(params, 3000, trial_rng(1, i), None) for i in range(3)]
+        assert [self.bits(a) for a in got] == [self.bits(b) for b in expect]
+        assert [a.first_ladder_epoch for a in got] == [1] * 3
+        assert math.inf in [a.first_ladder_height for a in got]
+
     def test_stop_drawdown_only_prunes_decided_walks(self):
         params = mm1()
         full = collect_ladder_samples(params, 150, 20000, 5)
@@ -706,9 +721,9 @@ class TestOutageCurve:
         drawn = {}
 
         def counting(module):
-            def sample(spec, rng, n):
+            def sample(spec, rng, n, out=None):
                 drawn[module].append(n)
-                return sample_block(spec, rng, n)
+                return sample_block(spec, rng, n, out)
 
             drawn[module] = []
             monkeypatch.setattr(module, "sample_block", sample)
@@ -863,6 +878,7 @@ class TestOutageCurve:
     @pytest.mark.usefixtures("fresh_pool")
     def test_failed_column_cancels_the_queued_tasks(self, monkeypatch):
         # one worker: the first task fails, the second blocks until shutdown
+        # and the third is cancelled
         ran, gate = [], threading.Event()
 
         def count(*args):
@@ -882,13 +898,13 @@ class TestOutageCurve:
 
         monkeypatch.setattr(simulate, "_count_range", count)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThread)
-        # one packet law per column, so one task per (column, chunk)
+        # one task per trial chunk, each holding every column
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
         with pytest.raises(RuntimeError):
-            estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 2)
+            estimate_outage_curves(columns, 50.0, 10, 0, [0.0], 3)
         # the shutdown releases the blocked task and runs every task not cancelled
         simulate._shutdown_pool()
-        assert len(ran) <= 2  # of six tasks
+        assert len(ran) <= 2  # of three tasks
 
     @pytest.mark.usefixtures("fresh_pool")
     @pytest.mark.parametrize("workers", [None, 1])
@@ -1205,7 +1221,8 @@ class TestSharedWalk:
     @pytest.mark.usefixtures("fresh_pool")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_interleaved_families_yield_in_column_order(self, monkeypatch, workers):
-        # exp, det, exp, unif: the two exp columns form one group
+        # exp, det, exp, unif: the two exp columns walk together, and every
+        # law of a trial chunk is one task
         columns = [
             SystemParams(1.1, EXP1, 1.0),
             SystemParams(1.2, DET1, 1.0),
@@ -1214,17 +1231,57 @@ class TestSharedWalk:
         ]
         grid = [0.0, 4.0, 10.0]
         expect = [estimate_outage_curves([c], 300.0, 40, 5, grid)[0] for c in columns]
-        groups = []
+        tasks = []
         count = simulate._count_range
         monkeypatch.setattr(
-            simulate, "_count_range", lambda cols, *args: groups.append(cols) or count(cols, *args)
+            simulate, "_count_range", lambda cols, *args: tasks.append((cols, args[-2:])) or count(cols, *args)
         )
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         curves = list(estimate_outage_curves(columns, 300.0, 40, 5, grid, workers))
         assert curves == expect
-        assert len(groups) == 3 * workers  # one task per (group, chunk)
-        for group in ([columns[0], columns[2]], [columns[1]], [columns[3]]):
-            assert groups.count(group) == workers
+        chunks = [(0, 40)] if workers == 1 else [(0, 20), (20, 40)]
+        assert sorted(tasks) == [(columns, chunk) for chunk in chunks]  # one task per chunk
+
+
+class TestSharedFirstBlock:
+    """The packet laws of a call walk from each trial's one first unit block."""
+
+    # interleaved laws, each at its own lam (rho 1.1 and 0.9 at means 0.5, 2
+    # and 1.3); exp packets of mean 1e308 are infinite about a sixth of the time
+    COLUMNS = [
+        SystemParams(2.2, DistributionSpec(Kind.EXPONENTIAL, 0.5), 1.0),
+        SystemParams(0.55, DistributionSpec(Kind.DETERMINISTIC, 2.0), 1.0),
+        SystemParams(1.1e-308, DistributionSpec(Kind.EXPONENTIAL, 1e308), 1.0),
+        SystemParams(1.8, DistributionSpec(Kind.EXPONENTIAL, 0.5), 1.0),
+        SystemParams(1.1 / 1.3, DistributionSpec(Kind.UNIFORM, 1.3), 1.0),
+        SystemParams(0.45, DistributionSpec(Kind.DETERMINISTIC, 2.0), 1.0),
+    ]
+    GRID = [0.0, 5.0, 30.0]
+
+    @pytest.mark.parametrize("horizon", [20.0, 1000.0])
+    def test_laws_equal_their_own_walks_bit_for_bit(self, horizon):
+        # one trial; a range across batches; one across the first-block runs
+        assert simulate._RUN == 256 and simulate._ROWS == 16
+        for lo, hi in ((0, 1), (5, 40), (250, 530)):
+            got = _max_deficits(self.COLUMNS, horizon, 3, lo, hi, self.GRID)
+            expect = np.empty_like(got)
+            for packet in {c.packet for c in self.COLUMNS}:
+                ks = [k for k, c in enumerate(self.COLUMNS) if c.packet == packet]
+                expect[:, ks] = _max_deficits([self.COLUMNS[k] for k in ks], horizon, 3, lo, hi, self.GRID)
+            assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), (lo, hi)
+        # D_i is -inf where the first packet is infinite
+        assert np.isneginf(got[:, 2]).any() and np.isfinite(got[:, 2]).any()
+
+    def test_walks_give_their_generators_back(self):
+        _max_deficits(self.COLUMNS, 1000.0, 3, 0, 300, self.GRID)
+        spare = len(simulate._SPARE_RNGS)
+        _max_deficits(self.COLUMNS, 1000.0, 3, 0, 300, self.GRID)
+        assert len(simulate._SPARE_RNGS) == spare
+
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_pooled_curves_equal_the_serial_curves(self):
+        serial = estimate_outage_curves(self.COLUMNS, 1000.0, 300, 4, self.GRID)
+        assert estimate_outage_curves(self.COLUMNS, 1000.0, 300, 4, self.GRID, workers=2) == serial
 
 
 class TestBatchedWalk:
@@ -1382,6 +1439,19 @@ class TestTinyRates:
             counts = _count_range(columns, 2000.0, 1, self.GRID, 0, 10)
         assert counts == [scalar_counts(c, 2000.0, 1, self.GRID, 10) for c in columns]
 
+    def test_uniform_packets_past_the_doubles_warn_nowhere(self):
+        # 2 * mean overflows, so the packets past the largest double are inf:
+        # such a trial's D_i is -inf and the scalar decides, as for exp's
+        params = SystemParams(1e-300, DistributionSpec(Kind.UNIFORM, 1e308), 1.0)
+        grid = [0.0, 1.0, 4.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (curve,) = estimate_outage_curves([params], 5.0, 50, 1, grid)
+            ladder = collect_ladder_samples(params, 20, 3000, 1)
+            scalar = scalar_counts(params, 5.0, 1, grid, 50)
+        assert [round(est.estimate * 50) for est in curve] == scalar
+        assert all(0.0 <= a.max_shortfall < math.inf for a in ladder)
+
     def test_an_overflowed_rate_beside_infinite_packet_sums_warns_nowhere(self):
         # p / lam is inf and a packet sum of means 1e308 overflows to inf, so
         # the walk's inf - inf would be a nan; every cell stays +inf instead
@@ -1457,6 +1527,16 @@ class TestTrialStreams:
             got, ref = trial_rng(seed, i), self.jumped(seed, i)
             for draw in ("standard_exponential", "random", "standard_normal"):
                 assert np.array_equal(getattr(got, draw)(3000), getattr(ref, draw)(3000))
+
+    @pytest.mark.parametrize("index", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
+    def test_trial_generators_equal_the_jumped_philox_at_word_edges(self, index):
+        # the counter's two high words, i mod 2**64 and i >> 64, are set from
+        # Python ints: at each word's edge the state is Philox(seed).jumped(i)
+        for seed in (3, 2**64 + 3):
+            (got,) = _trial_rngs(seed, index, index + 1)
+            ref = self.jumped(seed, index)
+            assert str(got.bit_generator.state) == str(ref.bit_generator.state)
+            assert np.array_equal(got.standard_exponential(3000), ref.standard_exponential(3000))
 
     def test_kernel_streams_draw_equal_the_jumped_philox(self):
         # the first three 1024-pair blocks of an event stream, trial by trial
