@@ -125,32 +125,36 @@ def sample_block(
 
     They fill ``out`` (``n`` doubles) if it is given, else a new array.  The
     draws are numpy's ``exponential(mean)`` and ``uniform(0, 2 * mean)``, bit
-    for bit; where ``2 * mean`` overflows, a packet past the largest double
-    is ``+inf``.
+    for bit; a packet past the largest double (``2 * mean`` itself may
+    overflow) is ``+inf``.
     """
-    if out is None:
-        import numpy as np
+    import numpy as np
 
+    if out is None:
         out = np.empty(n)
     if spec.kind is Kind.DETERMINISTIC:
         out.fill(spec.mean)
         return out
     if spec.kind is Kind.EXPONENTIAL:
         rng.standard_exponential(out=out)
-        scale = spec.mean
+        factor = 1.0
     else:
         rng.random(out=out)
-        scale = 2.0 * spec.mean
-        if scale == math.inf:
-            out *= 2.0  # exact, as the draws are below 1
-            scale = spec.mean
-    if scale * 64.0 < math.inf:  # numpy's standard exponentials are below 45
-        out *= scale
+        factor = 2.0  # numpy's uniform(0, 2 * mean) is (2 * mean) * u
+    # Below mean 2**1018 no packet overflows: the uniforms are below 1, numpy's
+    # standard exponentials below 7.7 + 53 log 2 < 45 (a ziggurat tail draw is
+    # r - log1p(-u), r = 7.697 and u < 1 on a 2**-53 grid, in
+    # random_standard_exponential of numpy/random/src/distributions/
+    # distributions.c).  Past it a packet may overflow, to +inf, and so may
+    # 2 * mean: there (2 u) * mean, the same product rounded once, is taken.
+    # The errstate costs more than a block's multiply, so it is taken only
+    # there.
+    if spec.mean < 2.0**1018:
+        out *= factor * spec.mean
     else:
-        import numpy as np
-
-        with np.errstate(over="ignore"):  # a packet past the doubles is +inf
-            out *= scale
+        with np.errstate(over="ignore"):
+            out *= factor  # exact
+            out *= spec.mean
     return out
 
 

@@ -51,12 +51,12 @@ once, up to the first unit sum reaching the farthest ``lam * H`` among the
 columns still walking (a shorter draw is the prefix of a longer one).  Each
 column keeps its own offset and stop rule, and the trial ends when all have
 stopped.  The packet laws of a call share each trial's first block of units
-too: where a call has more than one, that block is drawn and summed once,
-for runs of ``_RUN`` trials at a time, before any packet.  The first law
-walks on from the trial's generator, each later one from a generator set to
-the state it had just after those units, so each law reads the stream it
-would read alone.  A sweep puts one task per trial chunk, holding every
-column, on one pool queue.
+too: that block is drawn and summed once, for runs of ``_RUN`` trials at a
+time, before any packet.  The first law walks on from the trial's
+generator, each later one from a generator set to the state it had just
+after those units, so each law reads the stream it would read alone.  A
+sweep puts one task per trial chunk, holding every column, on one pool
+queue.
 
 The process keeps one worker pool and reuses it across calls.  The first
 call with more than one chunk opens it, with ``min(chunks, cpu_count)``
@@ -71,8 +71,8 @@ not got.
 The walk takes up to ``_ROWS`` trials a block at a time, one row of a
 buffer each.  Per trial it does what the stream order needs: it takes the
 trial's generator (kept until the trial ends, so no state is saved or
-restored between blocks), draws the block's units into its row (or copies
-a summed first block from its run) and, once the batch has summed the rows,
+restored between blocks), draws the block's units into its row (the first
+block comes summed from its run) and, once the batch has summed the rows,
 draws the packets up to the farthest live horizon or the step cap straight
 into a second row, zeroing the rest.  Per batch it takes one row-wise
 ``cumsum`` of each buffer and, per column, one clamp (none where no
@@ -91,7 +91,7 @@ import threading
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -132,9 +132,11 @@ _COUNT_CELLS = 2**18
 # Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
 # arrays of 128 KB each.
 _ROWS = 16
-# Trials whose first unit blocks are drawn and summed as one 2 MB array when a
-# call walks more than one packet law, which each law then walks from.
-_RUN = 256
+# Trials whose first unit blocks are drawn and summed as one 512 KB array, which
+# each packet law of a call then walks from.  Each run starts one walk per law,
+# whose batch drains at the run's end: runs of _ROWS trials cost about 7 % more
+# per trial on short walks, runs of 256 no less than these.
+_RUN = 64
 # Generators the vectorized walks have finished with, for _restored to hand
 # out again: building one takes about 20 us, setting its state 1 us.
 _SPARE_RNGS: list[np.random.Generator] = []
@@ -254,11 +256,14 @@ def _list_state(bit_generator: np.random.Philox) -> dict:
 def _first_blocks(seed: int, lo: int, hi: int) -> Iterator[tuple[range, list, np.ndarray]]:
     # Trials [lo, hi) in runs of up to _RUN: their indices, their generators
     # and their first blocks of unit sums, a row each of one array, drawn and
-    # summed before any packet, so each generator is just past its units
+    # summed before any packet, so each generator is just past its units.
+    # Every run reuses one array, so a run's rows hold until the next is
+    # drawn; a new array per run cost a page fault per 4 KB of it.
     rngs = _trial_rngs(seed, lo, hi)
+    runs = np.empty((min(_RUN, hi - lo), EVENT_BLOCK))
     for start in range(lo, hi, _RUN):
         run = list(islice(rngs, _RUN))
-        first = np.empty((len(run), EVENT_BLOCK))
+        first = runs[: len(run)]
         for rng, row in zip(run, first):
             rng.standard_exponential(out=row)
         first.cumsum(axis=1, out=first)
@@ -335,14 +340,12 @@ class _Walk:
 
 def _walk_blocks(
     columns: list[SystemParams], horizon: float,
-    starts: Iterable[tuple[int, np.random.Generator, np.ndarray | None]],
+    starts: Iterable[tuple[int, np.random.Generator, np.ndarray]],
     u0_sorted: list[float] | None, max_steps: float = math.inf, drawdown: float = math.inf,
 ) -> Iterator[_Walk]:
     # The walks of the trials in starts, each yielded once all its columns
-    # stop.  A start is a trial's index, its generator and either its first
-    # block of unit sums, the generator just past that block's units
-    # (_first_blocks), or None, for a first block to draw here; one walk's
-    # starts are all of one kind.
+    # stop.  A start is a trial's index, its generator just past its first
+    # block of units and that block's unit sums (_first_blocks).
     # A deficit walk (u0_sorted given) stops a column at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
     # tie band); a ladder walk (u0_sorted None, one column, no horizon) once
@@ -359,19 +362,15 @@ def _walk_blocks(
     starts = iter(starts)
     batch: list[_Walk] = []  # trials that go on, then new ones
     while True:
-        drawn = len(batch)  # rows whose units are drawn here, then summed
+        m = len(batch)
         for r, trial in enumerate(batch):
             trial.rng.standard_exponential(out=units[r])
-        for index, rng, row in islice(starts, _ROWS - len(batch)):
-            if row is None:
-                rng.standard_exponential(out=units[drawn])
-                drawn += 1
-            else:
-                units[len(batch)] = row
+        units[:m].cumsum(axis=1, out=units[:m])
+        for index, rng, row in islice(starts, _ROWS - m):
+            units[len(batch)] = row
             batch.append(_Walk(index, width, rng, origin))
         if not batch:
             return
-        units[:drawn].cumsum(axis=1, out=units[:drawn])
         m = len(batch)
         u, pk, x = units[:m], packets[:m], walk[:m]
         ends = u[:, -1].tolist()
@@ -441,19 +440,14 @@ def _max_deficits(
     # The deficit walks' running maxima, as a (trial, column) array.  The
     # packet laws share each trial's first block of units, drawn and summed
     # once: the first law walks on from the trial's generator, each later one
-    # from a generator set to the state it had after those units.  One law
-    # alone draws its first blocks in the walk, as a ladder walk does.
+    # from a generator set to the state it had after those units.
     laws: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns, in order
     for k, params in enumerate(columns):
         laws.setdefault(params.packet, []).append(k)
     order = [k for ks in laws.values() for k in ks]
     deficits = np.empty((hi - lo, len(columns)))  # its columns in that order
-    if len(laws) == 1:
-        runs = [(range(lo, hi), _trial_rngs(seed, lo, hi), repeat(None))]
-    else:
-        runs = _first_blocks(seed, lo, hi)
-    for indices, rngs, first in runs:
-        states = [_list_state(rng.bit_generator) for rng in rngs] if len(laws) > 1 else []
+    for indices, rngs, first in _first_blocks(seed, lo, hi):
+        states = [_list_state(rng.bit_generator) for rng in rngs] if len(laws) > 1 else []  # for later laws
         end = 0
         for ks in laws.values():
             cols = slice(end, end + len(ks))
@@ -652,7 +646,7 @@ def collect_ladder_samples(
     if not (stop_drawdown is None or stop_drawdown > 0.0):
         raise PreconditionError(f"stop_drawdown must be positive or None, got {stop_drawdown!r}")
     samples = [None] * walks
-    starts = zip(range(walks), _trial_rngs(seed, 0, walks), repeat(None))
+    starts = (start for run in _first_blocks(seed, 0, walks) for start in zip(*run))
     for trial in _walk_blocks([params], math.inf, starts, None, max_steps, stop_drawdown or math.inf):
         samples[trial.index] = LadderSample(trial.best[0], trial.epoch, trial.height)
     return samples

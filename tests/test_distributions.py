@@ -190,7 +190,13 @@ def philox_words(rng):
 class TestSampleBlockInPlace:
     """Packets drawn into a given row equal the allocating draw."""
 
-    CASES = [(kind, mean) for kind in Kind for mean in (1e-300, 1.0, 1e300)] + [
+    # a subnormal mean; the last mean scaled with no errstate and the first
+    # scaled under one
+    CASES = [
+        (kind, mean)
+        for kind in Kind
+        for mean in (3e-320, 1e-300, 1.0, 1e300, math.nextafter(2.0**1018, 0.0), 2.0**1018)
+    ] + [
         (Kind.EXPONENTIAL, 1e308)  # about a sixth of the packets pass the largest double
     ]
 

@@ -313,11 +313,12 @@ class TestLadderScripted:
                 for max_steps, stop in itertools.product((1, 1023, 1024, 1025, 3000), (None, 20.0)):
                     self.assert_equals_the_block_walk(params, 17, max_steps, 8, stop)
 
-    @pytest.mark.parametrize("walks", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("walks", [1, 15, 16, 17, 40, 150])
     def test_batches_of_any_size_mix_stopped_and_capped_walks(self, walks):
         # at rho 1 a drawdown of 40 stops some of the first 15 walks at the
         # end of their first block, some at the end of their second, and lets
-        # the rest reach the cap of 2500 steps in their third
+        # the rest reach the cap of 2500 steps in their third; 150 walks take
+        # their first blocks from three runs of the one run array
         params = SystemParams(lam=1.0, packet=EXP1, p=1.0)
         self.assert_equals_the_block_walk(params, walks, 2500, 4, 40.0)
         ends = set()
@@ -1261,7 +1262,7 @@ class TestSharedFirstBlock:
     @pytest.mark.parametrize("horizon", [20.0, 1000.0])
     def test_laws_equal_their_own_walks_bit_for_bit(self, horizon):
         # one trial; a range across batches; one across the first-block runs
-        assert simulate._RUN == 256 and simulate._ROWS == 16
+        assert simulate._RUN == 64 and simulate._ROWS == 16
         for lo, hi in ((0, 1), (5, 40), (250, 530)):
             got = _max_deficits(self.COLUMNS, horizon, 3, lo, hi, self.GRID)
             expect = np.empty_like(got)
