@@ -174,10 +174,10 @@ def _rho_minus_one(params: SystemParams) -> float:
 
 def _newton_step(kind: Kind, a: float, log_rho: float) -> tuple[float, float]:
     # g = log phi(a) + log rho, zero at a = r* mean, and the Newton step
-    # g / (dg / d log a), which estimates the relative error of a
+    # g / (dg / d log a), which estimates the relative error of a (inf where the slope underflows)
     value, slope = log_phi(kind, a)
     g = value + log_rho
-    return g, g / slope
+    return g, g / slope if slope else math.inf
 
 
 def solve_adjustment_coefficient(
@@ -201,35 +201,38 @@ def solve_adjustment_coefficient(
 
     Raises:
         PreconditionError: if ``rho <= 1`` (no positive root exists).
-        DomainError: if ``rho > 1e307`` or ``lam/p`` overflows.
+        DomainError: if ``rho > 1e307``, ``lam/p`` overflows or ``r*`` underflows.
         ConvergenceError: if ``residual > tol``, or after 100 steps.
     """
     excess = _rho_minus_one(params)
     log_rho = math.log1p(excess)
     mean, kind = params.packet.mean, params.packet.kind
     if kind is Kind.EXPONENTIAL and not force_numeric:
+        a, method, iterations = excess, SolveMethod.CLOSED_FORM, 0
         residual = abs(_newton_step(kind, excess, log_rho)[1])
-        return AdjustmentResult(excess / mean, SolveMethod.CLOSED_FORM, 0, residual)
-
-    # 1 - c1 a <= phi(a) <= min(1/a, 1 - c1 a + c2 a^2) brackets the root
-    c1, c2 = PHI_SERIES[kind][:2]
-    x = -math.expm1(-log_rho)  # 1 - 1/rho
-    disc = c1 * c1 - 4.0 * c2 * x
-    lo, s = math.log(x / c1), log_rho
-    if disc >= 0.0:
-        s = min(s, math.log(2.0 * x / (c1 + math.sqrt(disc))))
-    for iterations in range(1, 101):
-        g, step = _newton_step(kind, math.exp(s), log_rho)
-        if g >= 0.0 or step <= 1e-15 * max(1.0, abs(s)):
-            break  # at the root, up to rounding
-        s = s - step if s - step > lo else 0.5 * (lo + s)
     else:
-        raise ConvergenceError("adjustment coefficient did not converge in 100 steps")
-    residual = abs(step)
-    if residual > tol:
-        raise ConvergenceError(f"root polish stalled: residual {residual} exceeds tol {tol}")
-    r = min(math.exp(s) / mean, params.lam / params.p)  # r* < lam/p, up to rounding
-    return AdjustmentResult(r, SolveMethod.NUMERIC, iterations, residual)
+        # 1 - c1 a <= phi(a) <= min(1/a, 1 - c1 a + c2 a^2) brackets the root
+        c1, c2 = PHI_SERIES[kind][:2]
+        x = -math.expm1(-log_rho)  # 1 - 1/rho
+        disc = c1 * c1 - 4.0 * c2 * x
+        lo, s = math.log(x / c1), log_rho
+        if disc >= 0.0:
+            s = min(s, math.log(2.0 * x / (c1 + math.sqrt(disc))))
+        for iterations in range(1, 101):
+            g, step = _newton_step(kind, math.exp(s), log_rho)
+            if g >= 0.0 or step <= 1e-15 * max(1.0, abs(s)):
+                break  # at the root, up to rounding
+            s = s - step if s - step > lo else 0.5 * (lo + s)
+        else:
+            raise ConvergenceError("adjustment coefficient did not converge in 100 steps")
+        residual = abs(step)
+        if residual > tol:
+            raise ConvergenceError(f"root polish stalled: residual {residual} exceeds tol {tol}")
+        a, method = math.exp(s), SolveMethod.NUMERIC
+    r = min(a / mean, params.lam / params.p)  # r* < lam/p, up to rounding
+    if not r > 0.0:
+        raise DomainError(f"r* = {a!r} / {mean!r} underflows to 0")
+    return AdjustmentResult(r, method, iterations, residual)
 
 
 def outage_bound(r_star: float, u0: float) -> float:
@@ -246,6 +249,8 @@ def _ladder_mass(params: SystemParams, r_star: float, what: str) -> float:
     # round to lam/p (det, rho >~ 37)
     if params.rho <= 1.0:
         raise PreconditionError(f"{what} requires rho > 1, got rho = {params.rho}")
+    if params.lam / params.p == math.inf:  # as the solver, whose r* the caller passes
+        raise DomainError(f"{what}: lam / p = {params.lam!r} / {params.p!r} overflows")
     if not (r_star * params.packet.mean > 0.0 and r_star <= params.lam / params.p):
         raise PreconditionError(f"r_star must lie in (0, lam/p], got {r_star!r}")
     return math.exp(log_laplace(params.packet, r_star))
@@ -260,6 +265,7 @@ def eventual_outage_poisson_exact(params: SystemParams, r_star: float) -> float:
 
     Raises:
         PreconditionError: if ``rho <= 1`` or ``r_star`` is inconsistent.
+        DomainError: if ``lam/p`` overflows, as in the solver.
     """
     theta = _ladder_mass(params, r_star, "exact formula")
     log_rho = math.log1p(_rho_minus_one(params))
@@ -340,7 +346,8 @@ def ladder_height_density_poisson(
     if np.any(arr < 0.0):
         raise PreconditionError("ladder heights are nonnegative; x must be >= 0")
     beta = params.lam / params.p
-    out = theta * beta * np.exp(-beta * arr)
+    with np.errstate(over="ignore"):  # -beta x past the doubles is -inf, whose exp is the density's 0
+        out = theta * beta * np.exp(-beta * arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -373,10 +380,11 @@ def solve_renewal_equation(
         ``phi`` tabulated on the grid.
 
     Raises:
-        GridError: if ``step`` does not tile ``u_max`` within 1e-9, or
-            ``f_h`` returns the wrong shape.
-        ValueError: if ``f_h`` is not finite, is negative, or has more mass
-            than ``theta`` beyond the step tolerance.
+        GridError: if ``step`` does not tile ``u_max`` within 1e-9, is too
+            coarse for ``f_h`` (its discrete mass exceeds ``theta``, or the
+            solution leaves [0, 1], by more than ``step``), or ``f_h``
+            returns the wrong shape.
+        PreconditionError: if ``f_h`` is not finite or is negative.
     """
     import numpy as np
 
@@ -391,12 +399,13 @@ def solve_renewal_equation(
         raise GridError(f"f_h returned shape {f.shape}, grid needs ({n + 1},)")
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
-        raise ValueError(f"f_h is not finite at index {bad[0]}: {f[bad[0]]!r}")
+        raise PreconditionError(f"f_h is not finite at index {bad[0]}: {f[bad[0]]!r}")
     if np.any(f < 0.0):
-        raise ValueError("f_h must be nonnegative")
-    mass = float(np.trapezoid(f, dx=step))
+        raise PreconditionError("f_h must be nonnegative")
+    with np.errstate(over="ignore"):  # a mass past the doubles is inf: too coarse a step
+        mass = float(np.trapezoid(f, dx=step))
     if mass > theta + step:
-        raise ValueError(
+        raise GridError(
             f"discrete mass {mass} of f_h exceeds theta = {theta} "
             f"beyond the step tolerance"
         )
@@ -419,13 +428,17 @@ def solve_renewal_equation(
     a[0] = denom
     g = np.array([1.0 / denom])
     m = 1
-    while m < n:
-        size = 2 * m
-        ag = irfft(rfft(a[:size], size) * rfft(g, size), size)  # A g: 1 below z^m
-        g = np.concatenate([g, -irfft(rfft(g, size) * rfft(ag[m:], size), size)[:m]])
-        m = size
-    b = (1.0 - theta) + step * f[1:] * (0.5 * phi[0])
-    phi[1:] = irfft(rfft(b, 2 * m) * rfft(g[:n], 2 * m), 2 * m)[:n]
+    with np.errstate(over="ignore", invalid="ignore"):  # a series past the doubles fails the check below
+        while m < n:
+            size = 2 * m
+            ag = irfft(rfft(a[:size], size) * rfft(g, size), size)  # A g: 1 below z^m
+            g = np.concatenate([g, -irfft(rfft(g, size) * rfft(ag[m:], size), size)[:m]])
+            m = size
+        b = (1.0 - theta) + step * f[1:] * (0.5 * phi[0])
+        phi[1:] = irfft(rfft(b, 2 * m) * rfft(g[:n], 2 * m), 2 * m)[:n]
+    # a step too coarse for f_h makes the trapezoid rows grow without bound
+    if not np.all((-step <= phi) & (phi <= 1.0 + step)):
+        raise GridError(f"step {step} too coarse for f_h: the solution leaves [0, 1] by more than the step")
     return phi
 
 
@@ -433,7 +446,7 @@ def _grid_points(u_max: float, step: float) -> int:
     u_max = float(u_max)
     if not (math.isfinite(u_max) and u_max > 0.0):
         raise GridError(f"u_max must be positive and finite, got {u_max!r}")
-    n = round(u_max / step)
+    n = round(u_max / step) if u_max / step < math.inf else 0  # round(inf) raises OverflowError
     if n < 1 or abs(n * step - u_max) > 1e-9:
         raise GridError(
             f"step {step} does not tile [0, {u_max}] within 1e-9"

@@ -10,7 +10,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """A transform (MGF, CGF) was evaluated outside its domain of finiteness."""
+    """A transform or a walk was taken outside its domain of finiteness: its value leaves the doubles."""
 
 
 class PreconditionError(ValueError):

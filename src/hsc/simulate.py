@@ -14,7 +14,11 @@ block's start and ``R`` its room, the horizon in units, ``lam * H - U``
 (``U`` is the earlier blocks' unit sum, ``lam`` times the arrival time), or
 in a ladder walk's last block the unit sum of its last step.  The ``min``
 clamps each ramp there before the multiply, so past it only packets are
-subtracted (none past a step cap) and nothing overflows.  Its functionals:
+subtracted (none past a step cap).  A packet sum past the doubles ends the
+walk below every bound; a row maximum not below +inf (a ramp past the
+doubles, or ``inf - inf``) makes a deficit walk's ``D_i`` +inf, for the
+exact scalar to decide, and a ladder walk raise :class:`DomainError`.
+Its functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
@@ -33,7 +37,9 @@ subtracted (none past a step cap) and nothing overflows.  Its functionals:
 The offset ``s`` is added to scalars, not to the block: rounding is
 monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 > 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
-(``rho < 1`` regime) is the walk reflected at zero; it stays a scalar loop
+(``rho < 1`` regime) is the walk reflected at zero, kept in time units,
+``v = W / p``: one subtraction ``v + packet / p - gap`` gives the next
+level, or the idle time before the next arrival.  It stays a scalar loop
 over a caller's event stream, its interface, since a block form decides a
 level of exactly zero in other floats and so agrees only to a tolerance.
 Trial ``i`` of a run seeded with ``seed`` walks its own stream
@@ -58,15 +64,11 @@ after those units, so each law reads the stream it would read alone.  A
 sweep puts one task per trial chunk, holding every column, on one pool
 queue.
 
-The process keeps one worker pool and reuses it across calls.  The first
-call with more than one chunk opens it, with ``min(chunks, cpu_count)``
-workers.  A call that needs another size replaces it, and so does a call
-that finds it broken (a worker died), which then runs its tasks once more
-on the new pool.  The old pool is shut down, its threads joined, before the
-new one forks.  An ``atexit`` hook closes the pool at interpreter exit,
-before the modules its threads use are torn down.  A forked child opens
-its own, under a new lock, rather than queue on one whose threads it has
-not got.
+The process keeps one worker pool and reuses it across calls; see
+:func:`estimate_outage_curves` for when it opens, is replaced and closes.
+A call that finds it broken (a worker died) runs its tasks once more on a
+new one, and the old pool is shut down, its threads joined, before the new
+one forks.
 
 The walk takes up to ``_ROWS`` trials a block at a time, one row of a
 buffer each.  Per trial it does what the stream order needs: it takes the
@@ -89,7 +91,6 @@ import math
 import os
 import threading
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress, islice
 from typing import Callable, Iterable, Iterator
@@ -98,7 +99,7 @@ import numpy as np
 
 from .analytic import SystemParams, _check_protocol, _finite_horizon, _integer
 from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, sample_block
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "TrialOutcome",
@@ -115,10 +116,10 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# Relative gap between u0 and D_i within which the scalar simulator decides.
-# The walk's block sums are within 3.9e-13 of D_i in exact arithmetic
-# (3 families, rho 0.9 to 1.3, horizons 1e3 to 1e5, 20 trials each), well
-# inside the band.
+# The scalar simulator decides where |u0 - D_i| <= _TIE_RTOL * (p / lam + |D_i|),
+# a band that scales with the walk.  The walk's block sums are within 3.9e-13
+# of D_i in exact arithmetic (3 families, rho 0.9 to 1.3, horizons 1e3 to 1e5,
+# 20 trials each, p / lam near 1), well inside it.
 _TIE_RTOL = 1e-9
 # Cap on lam * H, the expected arrivals per trial.  A trial with no outage
 # walks until p * H - A falls below every u0, about lam * H / rho arrivals
@@ -385,43 +386,44 @@ def _walk_blocks(
             sample_block(columns[0].packet, trial.rng, n, pk[r, :n])
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
-        with np.errstate(over="ignore"):  # a sum past the doubles is +inf, below every bound
-            pk.cumsum(axis=1, out=pk)
         done = np.array([[trial.units] for trial in batch])
-        for k, rate in enumerate(rates):
-            # (p / lam) * min(U, R) - A, each room at least the least double: a
-            # stopped column's room, below zero, times a large rate cannot
-            # overflow, nor a room of zero times an overflowed rate make a nan.
-            # Where p / lam overflows every cell is +inf (not inf - inf, a nan).
-            room = np.maximum(reach[k] - done, least)
-            for r, cap in caps:  # a walk with a step cap has no horizon
-                room[r] = cap
-            rooms = room.ravel().tolist()
-            clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
-            with np.errstate(over="ignore") if ladder else nullcontext():  # a ladder ramp past the doubles is +inf
+        with np.errstate(over="ignore", invalid="ignore"):  # the rule below takes an inf or a nan
+            pk.cumsum(axis=1, out=pk)  # a sum past the doubles ends below every bound
+            for k, rate in enumerate(rates):
+                # (p / lam) * min(U, R) - A, each room at least the least double,
+                # as the oracles form it: where lam * H underflows to 0 a ramp
+                # is then the least double times p / lam, not 0.
+                room = np.maximum(reach[k] - done, least)
+                for r, cap in caps:  # a walk with a step cap has no horizon
+                    room[r] = cap
+                rooms = room.ravel().tolist()
+                clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
                 np.multiply(np.minimum(u, room, out=x) if clamped else u, rate, out=x)
-            if rate < math.inf:
                 x -= pk
-            tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
-            for r, trial in enumerate(batch):
-                if trial.live[k]:
-                    s = trial.s[k]
-                    top = s + tops[r]
-                    if ladder and trial.epoch is None and top > 0.0:
-                        first = int(np.argmax(x[r] > -s))
-                        trial.epoch, trial.height = trial.steps + first + 1, s + float(x[r, first])
-                    best = trial.best[k] = max(trial.best[k], top)
-                    left = rooms[r] - ends[r]  # the units from the block end to the room's
-                    if left <= 0.0:  # a ramp of this block reached its room
-                        trial.live[k] = False
-                        continue
-                    s = trial.s[k] = s + lasts[r]
-                    if ladder:
-                        trial.live[k] = best - s < drawdown
-                    else:
-                        bound = s + rate * left  # p * H - A caps later deficits
-                        j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
-                        trial.live[k] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound
+                tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
+                for r, trial in enumerate(batch):
+                    if trial.live[k]:
+                        s = trial.s[k]
+                        top = s + tops[r]
+                        if not top < math.inf:  # an overflowed ramp, or inf - inf
+                            if ladder:  # which has no exact fallback
+                                raise DomainError(f"ladder walk {trial.index} leaves the doubles at p / lam = {rate!r}")
+                            top = math.inf  # so no u0 is left above it, and the scalar decides each
+                        if ladder and trial.epoch is None and top > 0.0:
+                            first = int(np.argmax(x[r] > -s))
+                            trial.epoch, trial.height = trial.steps + first + 1, s + float(x[r, first])
+                        best = trial.best[k] = max(trial.best[k], top)
+                        left = rooms[r] - ends[r]  # the units from the block end to the room's
+                        if left <= 0.0:  # a ramp of this block reached its room
+                            trial.live[k] = False
+                            continue
+                        s = trial.s[k] = s + lasts[r]
+                        if ladder:
+                            trial.live[k] = best - s < drawdown
+                        else:
+                            bound = s + rate * left  # p * H - A caps later deficits
+                            j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
+                            trial.live[k] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (rate + abs(bound)) <= bound
         walking = []
         for trial, end in zip(batch, ends):
             if any(trial.live):
@@ -465,7 +467,7 @@ def _count_range(
     # Outages of trials [lo, hi) for each column and u0.  The scalar simulator
     # decides, one (trial, column, u0) at a time on the column's own packet
     # law, each u0 near a tie and every u0 of a D_i that is not finite (+inf
-    # where p / lam overflows, -inf where the first packet is infinite):
+    # where the walk leaves the doubles, -inf where the first packet is infinite):
     # there the band test reads inf <= inf.
     u0s = np.asarray(u0_grid, dtype=float)
     deficits = _max_deficits(columns, horizon, seed, lo, hi, sorted(u0s.tolist()))
@@ -476,7 +478,7 @@ def _count_range(
             d = deficits[start : start + rows, k, None]
             hit = u0s <= d
             with np.errstate(over="ignore"):  # a gap past the doubles is no tie
-                near = np.abs(u0s - d) <= _TIE_RTOL * (1.0 + np.abs(d))
+                near = np.abs(u0s - d) <= _TIE_RTOL * (params.p / params.lam + np.abs(d))
             for t, j in np.argwhere(near):
                 events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
                 hit[t, j] = simulate_first_passage(
@@ -527,7 +529,7 @@ atexit.register(_shutdown_pool)
 
 def _pool_map(fn: Callable, size: int, *iterables: Iterable) -> list:
     """``list(map(fn, *iterables))`` on the process's pool of ``size`` workers."""
-    # imported here: it takes about a tenth of `import hsc.cli`
+    # imported here, as only a pooled call needs it
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -637,9 +639,9 @@ def collect_ladder_samples(
     stop_drawdown)`` per walk for a large speedup; pass e.g. ``30 / r*`` to
     keep that error below 1e-13.  One that is not positive (``inf`` never
     stops) and ``max_steps`` above 1e8 raise :class:`PreconditionError`
-    before any draw.  No horizon clamps a ladder walk's ramps, so where ``p /
-    lam`` times a unit sum leaves the doubles the walk reads ``+inf`` there:
-    its ``max_shortfall`` is ``+inf``, as is a ladder height at such a step.
+    before any draw.  No horizon clamps a ladder walk's ramps: where ``p /
+    lam`` times a unit sum leaves the doubles, alone or less a packet sum
+    that does too, it raises :class:`DomainError`.
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)
@@ -666,12 +668,13 @@ def simulate_lindley(
     burn_in: int,
     events: Iterator[tuple[float, float]] | Iterable[tuple[float, float]],
 ) -> LindleyStats:
-    """Iterate ``W_{n+1} = max(0, W_n + packet_n - p * gap_n)`` from W_0 = u0.
+    """Iterate ``v_{n+1} = max(0, v_n + packet_n / p - gap_n)`` from v_0 = u0 / p.
 
-    Post-burn-in accounting: ``arrival_empty_fraction`` is the share of
-    produced levels that are exactly zero; ``time_empty_fraction`` is the
-    share of elapsed time the store spends empty, where the interval after
-    arrival ``n`` contributes ``max(0, gap_n - (W_n + packet_n) / p)``.
+    ``v = W / p`` is the battery level in time units, the time the store
+    takes to empty.  Post-burn-in accounting: ``arrival_empty_fraction`` is
+    the share of produced levels that are zero; ``time_empty_fraction`` is
+    the share of elapsed time the store spends empty, where the interval
+    after arrival ``n`` contributes ``max(0, gap_n - v_n - packet_n / p)``.
     The returned ``steps`` counts the pairs consumed, fewer than asked if
     the stream runs dry.
 
@@ -680,37 +683,36 @@ def simulate_lindley(
             when ``steps`` exceeds 1e8, before any draw; when ``rho >= 1``,
             since there is no stationary regime to sample; or when the
             stream ends before any post-burn-in step.
+        DomainError: where a level or the elapsed time leaves the doubles.
     """
     burn_in = _integer("burn_in", burn_in, 0)
     steps = _walk_length("steps", steps, burn_in + 1)
     if params.rho >= 1.0:
         raise PreconditionError(f"no stationary regime at rho = {params.rho} >= 1")
     p = params.p
-    w = params.u0
+    v = params.u0 / p
     events = iter(events)
     for gap, packet in islice(events, burn_in):
-        w_next = w + packet - p * gap
-        w = w_next if w_next > 0.0 else 0.0
+        v = v + packet / p - gap
+        if v <= 0.0:
+            v = 0.0
     counted = 0
     empty_arrivals = 0
     empty_time = 0.0
     total_time = 0.0
     for counted, (gap, packet) in enumerate(islice(events, steps - burn_in), 1):
         total_time += gap
-        idle = gap - (w + packet) / p
-        if idle > 0.0:
-            empty_time += idle
-        w_next = w + packet - p * gap
-        if w_next > 0.0:
-            w = w_next
-        else:
-            w = 0.0
+        v = v + packet / p - gap
+        if v <= 0.0:  # the store was empty for -v before this arrival
+            empty_time -= v
+            v = 0.0
             empty_arrivals += 1
     if counted == 0 or total_time <= 0.0:
         raise PreconditionError("event stream ended before any post-burn-in step")
+    if not (v < math.inf and total_time < math.inf):  # a level past the doubles stays inf, or becomes nan
+        raise DomainError(f"a battery level or the elapsed time leaves the doubles at p = {p!r}")
     return LindleyStats(
         time_empty_fraction=empty_time / total_time,
         arrival_empty_fraction=empty_arrivals / counted,
         steps=burn_in + counted,
     )
-

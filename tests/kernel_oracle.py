@@ -132,7 +132,7 @@ def _max_deficit(
             s[k] += float(x[-1])
             bound = s[k] + rates[k] * left  # p * H - A caps later deficits
             j = bisect_right(u0_sorted, best[k])  # first u0 the walk has not reached
-            if j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (1.0 + abs(bound)) <= bound:
+            if j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (rates[k] + abs(bound)) <= bound:
                 walking.append(k)
         done += float(units[-1])
         live = walking
@@ -329,7 +329,7 @@ def count_outages_full_walk(params, horizon, seed, u0_grid, lo, hi):
     for i in range(lo, hi):
         deficit = max_deficit_full_blocks(params, horizon, trial_rng(seed, i))
         for k, u0 in enumerate(u0_grid):
-            if abs(u0 - deficit) <= _TIE_RTOL * (1.0 + abs(deficit)):
+            if abs(u0 - deficit) <= _TIE_RTOL * (params.p / params.lam + abs(deficit)):
                 events = poisson_events(params.lam, params.packet, trial_rng(seed, i))
                 counts[k] += simulate_first_passage(replace(params, u0=u0), horizon, events).outage
             else:

@@ -1,4 +1,5 @@
 """Packet-law parsing, moments, MGF domain handling, and event streams."""
+import hashlib
 import itertools
 import math
 
@@ -237,3 +238,66 @@ class TestSampleBlockInPlace:
         assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
         assert 0 < np.isinf(got).sum() < EVENT_BLOCK
         assert np.all(got[twice < 1.7] < math.inf)
+
+
+class TestNumpyStream:
+    """numpy's own draws on the trial streams, pinned by digest.
+
+    NEP 19 lets a Generator's distributions change between numpy releases.
+    Every trial of hsc reads ``Philox(seed).jumped(i)`` through
+    ``standard_exponential`` (gaps and exp packets) and ``random`` (unif
+    packets), so a change there moves every ``psi_mc``.  These digests were
+    taken with numpy 2.4.6; where this test fails beside
+    ``test_golden_csv_digests``, numpy's stream moved, not hsc.
+    """
+
+    # (seed, index): SHA-256 of standard_exponential(1024) and then of
+    # random(1024), both drawn in that order from one generator, as
+    # little-endian doubles
+    DIGESTS = {
+        (0, 0): (
+            "ceecb885dda383f3927425f217052101956cb554e0e26975ea09f7cfe1525ddb",
+            "b566f4a5072586d2d8d1dc5a8babe34f2be15d75170ecd04b09aaed3b6734c04",
+        ),
+        (0, 2**64): (
+            "cbffaf1a65e418e1ca795e80cfce9437c9243f67b71f4dea48a621322350ae24",
+            "a08871287b6c895baf14ff76d27f2e9bb6938bf2ece7d6778b9e244e6203a71e",
+        ),
+        (0, 2**128 - 1): (
+            "a1a1c6fb30b539e26d07e469b9444831d4202b4e0d2621f50886c798a4caf79c",
+            "6cf55f5640547a020ef139df1a2572aec53763b08e2bc1fa9b43d57d996e7ed2",
+        ),
+        (42, 0): (
+            "27fd78886faada9ea52269e878246a3ebd866b30f8ace3d5c8100c759045bfdf",
+            "eaacc2c20fdb3b5040d4f8fa19a7da6d01628298b2beb29819a6805d1ed71e3a",
+        ),
+        (42, 2**64): (
+            "0075bbb584bc0efe28a5f2b45aa4cbf2b4ca2cc01fe920ac4564275de25ba4f7",
+            "86fd5fba2a4600dd18423ca7b4ca16062d37671a1d94336d45b49f9823871e02",
+        ),
+        (42, 2**128 - 1): (
+            "75bd116ae8cef6c8bc257a9ba281d12c3f6f1b2b6c115681513ff12405809f27",
+            "c199cbc646e7810d744ac69e5d44f9f2b045e70c9fd343ed483767c77b1e3837",
+        ),
+        (2**64 + 3, 0): (
+            "bb1025a65586778c07511925bcc976ac518263d1ca5bff0c31873446b55730d0",
+            "47acb7181c3a4413d552c0b5a420771e849950bd9ca882eaa19d47d599ff4cf4",
+        ),
+        (2**64 + 3, 2**64): (
+            "1d1231761e97b51ddbe0aed0de20072bfcb248681dc5d0f8190e51547c6141a6",
+            "50da2d1713eae3d4680d2bd24cc4de8ffd0a10ce2f059dca024513b636c3c3a5",
+        ),
+        (2**64 + 3, 2**128 - 1): (
+            "2fd911cd369b8c1e8c36c4f99027511309010964d05b146ab238b2c6f8ae443a",
+            "466cdf83c8d626a5dc715de2a9154e50485e59d0fc5d97eb76d8bedc0bd9e3c4",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed, index", list(DIGESTS))
+    def test_jumped_philox_draws_are_pinned(self, seed, index):
+        rng = np.random.Generator(np.random.Philox(seed).jumped(index))
+        digests = tuple(
+            hashlib.sha256(draw(EVENT_BLOCK).astype("<f8").tobytes()).hexdigest()
+            for draw in (rng.standard_exponential, rng.random)
+        )
+        assert digests == self.DIGESTS[seed, index]

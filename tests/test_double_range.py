@@ -1,31 +1,43 @@
-"""The scalar helpers over the whole range of finite doubles.
+"""The scalar helpers and the closed-form solvers over the whole range of
+finite doubles.
 
 Each call returns a finite value in its documented range, or raises one of
 the ``hsc.errors`` types; never a ``ZeroDivisionError``, an
-``OverflowError``, a plain ``ValueError`` from ``math``, an inf or a nan.
-Where a product leaves the double range the value is checked against a
-60-digit mpmath evaluation that shares no code with hsc.
+``OverflowError``, a plain ``ValueError``, an inf or a nan (the tilted
+ladder mean's documented inf aside), and never a warning, which tier-1
+turns into an error.  Where a product leaves the double range the value is
+checked against a 60-digit mpmath evaluation that shares no code with hsc.
 """
 import math
+from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from mp_reference import DPS, log_laplace as mp_log_laplace
 
 from hsc import (
     DistributionSpec,
     DomainError,
+    GridError,
     Kind,
+    PreconditionError,
     SystemParams,
     asymptotic_outage,
     errors,
+    eventual_outage_poisson_exact,
+    ladder_height_density_poisson,
     log_laplace,
     outage_bound,
     parse_distribution_spec,
     required_initial_energy,
+    solve_adjustment_coefficient,
+    solve_renewal_equation,
+    stationary_outage,
     step_cgf,
+    tilted_ladder_mean_poisson,
 )
 
 HSC_ERRORS = tuple(getattr(errors, name) for name in errors.__all__)
@@ -88,6 +100,135 @@ def test_log_laplace_is_finite_with_the_sign_of_minus_r(kind, mean, r):
 @given(kind=kinds, mean=positive, lam=positive, p=positive, r=finite)
 def test_step_cgf_is_finite(kind, mean, lam, p, r):
     _value_or_typed_error(step_cgf, SystemParams(lam, DistributionSpec(kind, mean), p), r)
+
+
+def _typed(call, *args):
+    """``call(*args)``, or None for an ``hsc.errors`` exception."""
+    try:
+        return call(*args)
+    except HSC_ERRORS:
+        return None
+
+
+@st.composite
+def systems(draw, supercritical=False):
+    """Any positive finite mean, ``lam`` and ``p``; in half the draws, or
+    all if ``supercritical``, ``lam`` is set from a ``rho`` in ``(1, 1e6]``,
+    so that the solvers run."""
+    kind, mean, p = draw(kinds), draw(positive), draw(positive)
+    lam = draw(positive)
+    if supercritical or draw(st.booleans()):
+        lam = draw(st.floats(1.0, 1e6, exclude_min=True)) * p / mean
+        assume(0.0 < lam < math.inf)
+    return SystemParams(lam, DistributionSpec(kind, mean), p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=systems(), r=finite)
+def test_closed_form_outage_is_a_probability(params, r):
+    result = _typed(solve_adjustment_coefficient, params)
+    r_stars = [r] if result is None else [r, result.r_star]
+    if result is not None:
+        assert 0.0 < result.r_star < math.inf
+    for r_star in r_stars:
+        value = _value_or_typed_error(eventual_outage_poisson_exact, params, r_star)
+        assert value is None or 0.0 <= value <= 1.0
+        mean = _typed(tilted_ladder_mean_poisson, params, r_star)
+        assert mean is None or mean > 0.0  # +inf where lam / p - r* rounds to 0
+        density = _typed(ladder_height_density_poisson, params, r_star, np.array([0.0, 1.0, 1e300]))
+        assert density is None or (np.all(density >= 0.0) and np.all(np.isfinite(density)))
+    value = _value_or_typed_error(stationary_outage, params)
+    assert value is None or 0.0 <= value <= 1.0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(params=systems(supercritical=True), n=st.integers(1, 256), step=positive)
+def test_renewal_solution_is_finite(params, n, step):
+    # n grid steps at most: the solver has no cap of its own on the grid
+    u_max = n * step
+    assume(0.0 < u_max < math.inf)
+    result = _typed(solve_adjustment_coefficient, params)
+    theta = None if result is None else _typed(eventual_outage_poisson_exact, params, result.r_star)
+    assume(theta is not None)
+
+    def f_h(x):
+        return ladder_height_density_poisson(params, result.r_star, x)
+
+    phi = _typed(solve_renewal_equation, f_h, theta, step, u_max)
+    assert phi is None or np.all(np.isfinite(phi))
+
+
+class TestWhereTheSolversLeaveTheDoubleRange:
+    """The inputs the properties above found, each fixed."""
+
+    def test_density_where_lam_x_over_p_overflows_is_zero(self):
+        # -beta x overflowed to -inf with a warning; its exp is the density's 0
+        params = SystemParams(179769314.0, DistributionSpec(Kind.EXPONENTIAL, 1.0), 1.0)
+        r_star = solve_adjustment_coefficient(params).r_star
+        assert ladder_height_density_poisson(params, r_star, np.array([1e300])).tolist() == [0.0]
+
+    def test_density_where_lam_over_p_overflows_raises(self):
+        # beta = inf made inf * exp(-inf * 0), a nan, with a warning
+        params = SystemParams(1.0, DistributionSpec(Kind.EXPONENTIAL, 1.0), 5e-324)
+        with pytest.raises(DomainError):
+            ladder_height_density_poisson(params, 1.0, 0.0)
+
+    @pytest.mark.parametrize("step", [1.0, 4.49423283715579e307])
+    def test_renewal_step_too_coarse_for_the_density_raises(self, step):
+        # its discrete mass exceeds theta by more than the step: a plain
+        # ValueError, and at the larger step an overflow warning first
+        params = SystemParams(5.0, DistributionSpec(Kind.EXPONENTIAL, 0.25), 1.0)
+        r_star = solve_adjustment_coefficient(params).r_star
+        theta = eventual_outage_poisson_exact(params, r_star)
+        with pytest.raises(GridError, match="discrete mass"):
+            solve_renewal_equation(
+                lambda x: ladder_height_density_poisson(params, r_star, x), theta, step, step
+            )
+
+
+    @pytest.mark.parametrize("n, step", [(129, 2.0), (64, 1.0), (400, 0.5)])
+    def test_renewal_step_whose_rows_grow_raises(self, n, step):
+        # near rho = 1 the trapezoid rows at these steps grow without bound:
+        # phi (a probability) read up to 37 at step 1 and 5.7 at step 0.5,
+        # and at step 2 the series overflowed with a warning
+        params = SystemParams(1.0, DistributionSpec(Kind.EXPONENTIAL, 1.015625), 1.0)
+        r_star = solve_adjustment_coefficient(params).r_star
+        theta = eventual_outage_poisson_exact(params, r_star)
+        with pytest.raises(GridError, match="leaves"):
+            solve_renewal_equation(
+                lambda x: ladder_height_density_poisson(params, r_star, x), theta, step, n * step
+            )
+
+    def test_renewal_grid_of_more_steps_than_the_doubles_raises(self):
+        # u_max / step overflowed, and round(inf) raised OverflowError
+        with pytest.raises(GridError, match="does not tile"):
+            solve_renewal_equation(lambda x: 0.5 * np.exp(-x), 0.5, 5e-324, 1.0)
+
+    def test_tilted_mean_where_lam_over_p_overflows_raises(self):
+        # theta * lam / p was inf, so the mean read 0.0
+        params = SystemParams(8.98846567431158e307, DistributionSpec(Kind.EXPONENTIAL, 1.0), 0.5)
+        with pytest.raises(DomainError):
+            tilted_ladder_mean_poisson(params, 1.0)
+
+    def test_root_that_underflows_raises(self):
+        # (rho - 1) / mean underflowed: r* read 0.0 with a residual of 0.0
+        params = SystemParams(2.225073858507202e-308, DistributionSpec(Kind.EXPONENTIAL, 8.98846567431158e307), 2.0)
+        with pytest.raises(DomainError, match="underflows"):
+            solve_adjustment_coefficient(params)
+
+    def test_exact_outage_at_a_subnormal_root_raises(self):
+        # the Newton step's slope underflowed to 0: a ZeroDivisionError
+        params = SystemParams(2.0, DistributionSpec(Kind.DETERMINISTIC, 1.0), 1.0)
+        with pytest.raises(PreconditionError, match="not a CGF root"):
+            eventual_outage_poisson_exact(params, 5e-324)
+
+    def test_closed_form_root_is_at_most_lam_over_p(self):
+        # (rho - 1) / mean rounded above lam / p, so the exact formula
+        # rejected the solver's own root
+        params = SystemParams(6.210902637293849e16, DistributionSpec(Kind.EXPONENTIAL, 95.0), 1.0)
+        r_star = solve_adjustment_coefficient(params).r_star
+        assert r_star <= params.lam / params.p
+        assert 0.0 <= eventual_outage_poisson_exact(params, r_star) <= 1.0
 
 
 def _close(value, reference):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hsc import (
     EVENT_BLOCK,
     DistributionSpec,
+    DomainError,
     Kind,
     LadderSample,
     PreconditionError,
@@ -40,7 +41,7 @@ from hsc import (
     simulate_lindley,
     trial_rng,
 )
-from hsc.cli import run_simulate
+from hsc.cli import main, run_simulate
 import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
@@ -378,20 +379,39 @@ class TestLadderScripted:
         collect_ladder_samples(mm1(), 5, 100, 3)
         assert len(simulate._SPARE_RNGS) == spare
 
-    def test_a_ramp_past_the_doubles_reads_inf(self):
+    def test_a_ramp_past_the_doubles_raises(self):
         # p / lam = 1e308 times a unit sum above 1.8 leaves the doubles, as no
-        # horizon clamps a ladder walk: its running maximum is +inf, as is a
-        # ladder height there, and no warning is raised
+        # horizon clamps a ladder walk; up to 0.6.0 its running maximum read
+        # +inf, which can hide a finite one (a ramp rounds to +inf while the
+        # walk, ramp less packets, is still a double)
         params = SystemParams(1e-308, DistributionSpec(Kind.EXPONENTIAL, 1e-300), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = collect_ladder_samples(params, 3, 3000, 1)
-        assert [a.max_shortfall for a in got] == [math.inf] * 3
-        with np.errstate(over="ignore"):
-            expect = [kernel_oracle.ladder_blocks(params, 3000, trial_rng(1, i), None) for i in range(3)]
-        assert [self.bits(a) for a in got] == [self.bits(b) for b in expect]
-        assert [a.first_ladder_epoch for a in got] == [1] * 3
-        assert math.inf in [a.first_ladder_height for a in got]
+            with pytest.raises(DomainError, match="leaves the doubles"):
+                collect_ladder_samples(params, 3, 3000, 1)
+
+    def test_a_ramp_and_a_packet_sum_past_the_doubles_raise(self):
+        # inf - inf made a nan cell: up to 0.6.0 three samples read a
+        # max_shortfall of 0.0, and the walk warned under -W error
+        params = SystemParams(1e-308, DistributionSpec(Kind.EXPONENTIAL, 1e308), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                collect_ladder_samples(params, 3, 3000, 1)
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_a_walk_scaled_past_the_doubles_raises(self, packet):
+        # scaling the means and p by 2**1015 scales every walk exactly, so its
+        # true maxima are finite, but the ramps and packet sums overflow to
+        # inf - inf in every family; at scale 1 the same walks are finite
+        big = 2.0**1015
+        params = SystemParams(1.2, packet, 1.0)
+        scaled = SystemParams(1.2, replace(packet, mean=big), big)
+        assert all(a.max_shortfall < math.inf for a in collect_ladder_samples(params, 40, 3000, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                collect_ladder_samples(scaled, 40, 3000, 9)
 
     def test_stop_drawdown_only_prunes_decided_walks(self):
         params = mm1()
@@ -535,6 +555,79 @@ class TestLindley:
         stats = simulate_lindley(params, len(pairs), burn_in, scripted_events(pairs))
         counted = path[burn_in + 1:]
         assert stats.arrival_empty_fraction == counted.count(0.0) / len(counted)
+
+    @pytest.mark.parametrize("p", [0.3, 0.7, 1.1, 3.0, 10.0 / 3.0])
+    def test_an_arrival_is_empty_exactly_when_its_interval_adds_idle_time(self, p):
+        # one counted step from an empty store, its gap within a few ulps of
+        # the emptying time packet / p: the level and the idle time are one
+        # subtraction, so they agree on every draw.  Up to 0.6.0 they were
+        # two roundings, packet - p * gap and gap - packet / p, which
+        # disagreed in 27 347 of 2 000 000 such draws over these p
+        params = SystemParams(0.5 * p, DET1, p)
+        rng = np.random.default_rng(26)
+        for packet in rng.exponential(1.0, 400).tolist():
+            empties = packet / p
+            for gap in (empties, math.nextafter(empties, 0.0), math.nextafter(empties, math.inf),
+                        empties * (1.0 - 2**-52), empties * (1.0 + 2**-52)):
+                stats = simulate_lindley(params, 1, 0, [(gap, packet)])
+                empty = stats.arrival_empty_fraction == 1.0
+                idle = stats.time_empty_fraction > 0.0
+                # the store may also empty at the arrival itself, with no idle time
+                assert empty == (idle or gap == empties), (packet, gap)
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    @pytest.mark.parametrize("p", [0.3, 3.0, 10.0 / 3.0])
+    def test_equals_the_energy_oracles_to_a_tolerance(self, packet, p):
+        # lindley_loop and lindley_path recurse in energy, W = p v, which the
+        # library does only at p = 1 (test_equals_the_loop_oracle, bit for
+        # bit).  Elsewhere the two round apart: the time fraction within
+        # 1e-12 relative, and the level at a few arrivals may be zero in one
+        # and a rounding residue in the other
+        params = SystemParams(0.8 * p, packet, p, u0=0.5)
+
+        def events():
+            return poisson_events(params.lam, packet, trial_rng(26, 1))
+
+        got = simulate_lindley(params, 20_000, 1000, events())
+        ref = kernel_oracle.lindley_loop(params, 20_000, 1000, events())
+        zeros = lindley_path(params, 20_000, events())[1001:].count(0.0)
+        assert got.steps == ref.steps == 20_000
+        assert got.time_empty_fraction == pytest.approx(ref.time_empty_fraction, rel=1e-12, abs=0.0)
+        assert abs(got.arrival_empty_fraction - ref.arrival_empty_fraction) <= 3 / 19_000
+        assert abs(got.arrival_empty_fraction * 19_000 - zeros) <= 3
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_levels_scaled_by_2_1020_are_bit_identical(self, packet):
+        # packet / p and u0 / p do not move when packets, p and u0 scale by a
+        # power of two.  Up to 0.6.0 both fractions read 0.0 at 2**1020, with
+        # no warning: p * gap overflowed, and so every level was zero
+        def stats(scale):
+            spec = replace(packet, mean=scale)
+            events = poisson_events(0.8, spec, trial_rng(3, 0))
+            return simulate_lindley(SystemParams(0.8, spec, scale), 20_000, 1000, events)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stats(2.0**1020) == stats(1.0)
+
+    def test_packets_past_the_doubles_raise(self):
+        # exp packets of mean 2**1023 overflow to +inf above twice the mean
+        spec = DistributionSpec(Kind.EXPONENTIAL, 2.0**1023)
+        with pytest.raises(DomainError, match="leaves the doubles"):
+            simulate_lindley(SystemParams(0.8, spec, 2.0**1023), 20_000, 1000, poisson_events(0.8, spec, trial_rng(3, 0)))
+
+    @pytest.mark.parametrize(
+        "pairs, burn_in",
+        [
+            ([(1.0, 1.0), (math.inf, 1.0)], 0),  # the elapsed time is +inf
+            ([(1.0, math.inf), (1.0, 1.0)], 1),  # a level of +inf from the burn-in
+            ([(math.inf, math.inf), (1.0, 1.0)], 1),  # inf - inf in the burn-in
+            ([(1.0, 1.0), (1.0, math.inf), (math.inf, 1.0)], 0),  # inf - inf, counted
+        ],
+    )
+    def test_a_level_or_time_past_the_doubles_raises(self, pairs, burn_in):
+        with pytest.raises(DomainError):
+            simulate_lindley(mm1(lam=0.9), len(pairs), burn_in, scripted_events(pairs))
 
 
 class TestEstimatorDeterminism:
@@ -1513,6 +1606,89 @@ class TestCountsEqualTheScalar:
         curves = estimate_outage_curves(columns, horizon, self.TRIALS, seed, grid, workers=2)
         counts = [[round(est.estimate * self.TRIALS) for est in curve] for curve in curves]
         assert counts == [scalar_counts(c, horizon, seed, grid, self.TRIALS) for c in columns]
+
+
+def _scaled(params, k):
+    """``params`` with the packet mean, ``p`` and ``u0`` times ``2**k``."""
+    packet = replace(params.packet, mean=math.ldexp(params.packet.mean, k))
+    return replace(params, packet=packet, p=math.ldexp(params.p, k), u0=math.ldexp(params.u0, k))
+
+
+# a packet law, k in [0, 1023], a mean and p in [1/4, 1], so that both scale
+# to finite doubles, and a seed
+scale_cases = st.tuples(
+    st.sampled_from(Kind), st.integers(0, 1023), st.floats(0.25, 1.0), st.floats(0.25, 1.0), st.integers(0, 2**32)
+)
+
+
+class TestScaledPastTheDoubles:
+    """Scaling every mean, ``p`` and ``u0`` by ``2**k`` scales each walk
+    exactly, up to where it leaves the doubles.  So each functional is
+    unchanged up to that scaling, or raises :class:`DomainError`: the one
+    rule where the block walk leaves the doubles (a deficit walk's ``D_i``
+    is +inf and the exact scalar decides, a ladder walk raises), and the
+    battery recursion's check."""
+
+    def test_the_deficit_walk_through_main_warns_nowhere(self, capsys):
+        # p / lam = 1.5e308 times a unit sum overflows, and exp packets of
+        # mean 1.5e308 are +inf past 1.2 times the mean: up to 0.6.0 the walk
+        # warned of an overflow in multiply, then of inf - inf
+        argv = ["simulate", "--lam", "1", "--packet", "exp:mean=1.5e308", "--p", "1.5e308",
+                "--horizon", "2", "--trials", "20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        params = SystemParams(1.0, DistributionSpec(Kind.EXPONENTIAL, 1.5e308), 1.5e308)
+        expect = scalar_counts(params, 2.0, out["seed"], [out["params"]["u0"]], 20)
+        assert [round(out["psi_mc"] * 20)] == expect
+
+    @given(scale_cases, st.floats(0.3, 3.0), st.floats(0.5, 2000.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_outage_counts_are_unchanged(self, case, rho, arrivals, grid):
+        kind, k, mean, p, seed = case
+        # exp packets are below 45 means (sample_block), so below the largest
+        # double up to k = 1018.  Past it a packet can be +inf, after which
+        # the scalar finds no outage, which need not hold where p * H is past
+        # the doubles too: the scaled model is then another one
+        k = min(k, 1018) if kind is Kind.EXPONENTIAL else k
+        params = SystemParams(rho * p / mean, DistributionSpec(kind, mean), p)
+        horizon = arrivals / params.lam
+        (plain,) = estimate_outage_curves([params], horizon, 4, seed, grid)
+        (scaled,) = estimate_outage_curves([_scaled(params, k)], horizon, 4, seed, [math.ldexp(u0, k) for u0 in grid])
+        assert [est.estimate for est in scaled] == [est.estimate for est in plain]
+
+    @given(scale_cases, st.floats(0.3, 3.0), st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_ladder_maxima_scale_exactly(self, case, rho, max_steps):
+        kind, k, mean, p, seed = case
+        params = SystemParams(rho * p / mean, DistributionSpec(kind, mean), p)
+        plain = collect_ladder_samples(params, 4, max_steps, seed)
+        try:
+            scaled = collect_ladder_samples(_scaled(params, k), 4, max_steps, seed)
+        except DomainError:
+            return
+        for a, b in zip(plain, scaled):
+            assert b.max_shortfall == math.ldexp(a.max_shortfall, k)
+            assert b.first_ladder_epoch == a.first_ladder_epoch
+            if a.first_ladder_height is not None:
+                assert b.first_ladder_height == math.ldexp(a.first_ladder_height, k)
+
+    @given(scale_cases, st.floats(0.1, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_battery_statistics_are_unchanged(self, case, rho):
+        kind, k, mean, p, seed = case
+        params = SystemParams(rho * p / mean, DistributionSpec(kind, mean), p, u0=mean)
+        scaled = _scaled(params, k)
+
+        def stats(params):
+            return simulate_lindley(params, 3000, 100, poisson_events(params.lam, params.packet, trial_rng(seed, 0)))
+
+        try:
+            got = stats(scaled)
+        except DomainError:
+            return
+        assert got == stats(params)
 
 
 class TestTrialStreams:
