@@ -196,8 +196,8 @@ def solve_adjustment_coefficient(
     (p*mean)`` unless ``force_numeric``.
 
     ``residual`` is the last Newton step, an estimate of the relative
-    error of ``r*``.  The outage prefactor ``theta`` is
-    ``eventual_outage_poisson_exact`` at ``u0 = 0``.
+    error of ``r*``, plus ``ulp(r*) / r*`` where ``r*`` is subnormal.  The
+    outage prefactor ``theta`` is ``eventual_outage_poisson_exact`` at ``u0 = 0``.
 
     Raises:
         PreconditionError: if ``rho <= 1`` (no positive root exists).
@@ -229,10 +229,12 @@ def solve_adjustment_coefficient(
         if residual > tol:
             raise ConvergenceError(f"root polish stalled: residual {residual} exceeds tol {tol}")
         a, method = math.exp(s), SolveMethod.NUMERIC
-    r = min(a / mean, params.lam / params.p)  # r* < lam/p, up to rounding
-    if not r > 0.0:
-        raise DomainError(f"r* = {a!r} / {mean!r} underflows to 0")
-    return AdjustmentResult(r, method, iterations, residual)
+    r = a / mean
+    if r < sys.float_info.min:  # subnormal: rounded by up to ulp(r) / r
+        residual += math.ulp(r) / r if r else math.inf
+        if not residual <= tol:
+            raise DomainError(f"r* = {a!r} / {mean!r} underflows: residual {residual} exceeds tol {tol}")
+    return AdjustmentResult(min(r, params.lam / params.p), method, iterations, residual)  # r* < lam/p, up to rounding
 
 
 def outage_bound(r_star: float, u0: float) -> float:
@@ -380,7 +382,7 @@ def solve_renewal_equation(
         ``phi`` tabulated on the grid.
 
     Raises:
-        GridError: if ``step`` does not tile ``u_max`` within 1e-9, is too
+        GridError: if ``step`` does not tile ``u_max`` within 1e-9 in at most 2**22 steps, is too
             coarse for ``f_h`` (its discrete mass exceeds ``theta``, or the
             solution leaves [0, 1], by more than ``step``), or ``f_h``
             returns the wrong shape.
@@ -446,10 +448,10 @@ def _grid_points(u_max: float, step: float) -> int:
     u_max = float(u_max)
     if not (math.isfinite(u_max) and u_max > 0.0):
         raise GridError(f"u_max must be positive and finite, got {u_max!r}")
-    n = round(u_max / step) if u_max / step < math.inf else 0  # round(inf) raises OverflowError
+    n = round(u_max / step) if u_max / step < 2**22 + 0.5 else 0  # 2**22 steps: 340 MB at the solve's peak
     if n < 1 or abs(n * step - u_max) > 1e-9:
         raise GridError(
-            f"step {step} does not tile [0, {u_max}] within 1e-9"
+            f"step {step} does not tile [0, {u_max}] within 1e-9 in 1 to 2**22 steps"
         )
     return n
 

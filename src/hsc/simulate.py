@@ -43,11 +43,11 @@ level, or the idle time before the next arrival.  It stays a scalar loop
 over a caller's event stream, its interface, since a block form decides a
 level of exactly zero in other floats and so agrees only to a tolerance.
 Trial ``i`` of a run seeded with ``seed`` walks its own stream
-``trial_rng(seed, i)``, ``Philox(seed).jumped(i)``: one key per run and one
-counter stretch of 2**128 per trial.  Each trial's generator comes from
-:func:`_trial_rngs`, which sets a spare one to the trial's counter rather
-than build one per trial, and the walk gives it back when the trial ends.
-So counts are bit-identical in any trial order or worker count.
+``trial_rng(seed, i)``, ``PCG64DXSM(seed).jumped(i)``.  Each trial's
+generator comes from :func:`_trial_rngs`, which sets a spare one to the
+trial's state rather than build one per trial, and the walk gives it back
+when the trial ends.  So counts are bit-identical in any trial order or
+worker count.
 
 The columns (``rho``) of one packet law share each trial's draws and both
 running sums: time is counted in units, ``cumsum(units)``, which each column
@@ -117,7 +117,7 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # The scalar simulator decides where |u0 - D_i| <= _TIE_RTOL * (p / lam + |D_i|),
-# a band that scales with the walk.  The walk's block sums are within 3.9e-13
+# a band that scales with the walk.  The walk's block sums are within 4.0e-13
 # of D_i in exact arithmetic (3 families, rho 0.9 to 1.3, horizons 1e3 to 1e5,
 # 20 trials each, p / lam near 1), well inside it.
 _TIE_RTOL = 1e-9
@@ -139,8 +139,11 @@ _ROWS = 16
 # per trial on short walks, runs of 256 no less than these.
 _RUN = 64
 # Generators the vectorized walks have finished with, for _restored to hand
-# out again: building one takes about 20 us, setting its state 1 us.
+# out again: building one takes about 20 us, setting its state 1.6 us.
 _SPARE_RNGS: list[np.random.Generator] = []
+# One jumped() step of PCG64DXSM maps its LCG state s to _JUMP_MUL * s + _JUMP_INC * inc (mod 2**128).
+_JUMP_MUL = 0x06445A8B93F375E9AAC611FA20A2C7E5
+_JUMP_INC = 0x0393F1824EE36CCE04DAFDEFA8C2D67D
 # The worker pool, {pid: (size, pool)}, and the lock held while a caller
 # gets, replaces or submits to it.  Keyed by the process that opened it: a
 # forked child keeps its parent's entry (dropping it there would run the
@@ -205,29 +208,31 @@ class LindleyStats:
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent reconstructible stream for trial ``index`` of run ``seed``.
 
-    It draws as ``Philox(seed).jumped(index)``: the run's Philox key, counting
-    from ``index * 2**128``.  The seed is any nonnegative integer and the
-    index an integer in ``[0, 2**128)``.
+    It draws as ``PCG64DXSM(seed).jumped(index)``.  The seed is any
+    nonnegative integer and the index an integer in ``[0, 2**64)``: a jump is
+    2**128 over the golden ratio, so any two such trials start more than
+    2**63 steps apart on the generator's cycle, and a trial draws at most
+    about 2**28 values (the 1e8-arrival cap).  No two trials' draws overlap.
     """
     return next(_trial_rngs(seed, index, index + 1))
 
 
 def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     # trial_rng(seed, i) for i in [lo, hi): a spare generator set to the
-    # trial's state before its first draw.  A trial draws at most about 2e8
-    # values (the 1e8-arrival cap), 5e7 counter steps, far below the 2**128
-    # between two trials.
+    # trial's state before its first draw.  The run's state is jumped once, to
+    # lo, and then takes one jumped() step per trial, an affine map of the
+    # LCG state.
     seed = _integer("seed", seed, 0, ValueError)
     lo = _integer("trial index", lo, 0, ValueError)
-    if not hi <= 2**128:  # past it, jumped(i) wraps round to jumped(i - 2**128)
-        raise ValueError(f"a trial index must be below 2**128, got {hi - 1}")
-    state = _list_state(np.random.Philox(seed))  # buffer_pos 4, has_uint32 and uinteger 0: nothing buffered
-    counter = state["state"]["counter"]  # words [0, 0, i mod 2**64, i >> 64]
+    if not hi <= 2**64:
+        raise ValueError(f"a trial index must be below 2**64, got {hi - 1}")
+    state = np.random.PCG64DXSM(seed).jumped(lo).state  # has_uint32 and uinteger 0: nothing buffered
+    words = state["state"]
 
     def states() -> Iterator[dict]:
-        for i in range(lo, hi):
-            counter[3], counter[2] = divmod(i, 2**64)
+        for _ in range(lo, hi):
             yield state
+            words["state"] = (_JUMP_MUL * words["state"] + _JUMP_INC * words["inc"]) % 2**128
 
     return _restored(states())
 
@@ -239,19 +244,9 @@ def _restored(states: Iterable[dict]) -> Iterator[np.random.Generator]:
         try:  # not check-then-act: another thread may pop between the two
             rng = _SPARE_RNGS.pop()
         except IndexError:
-            rng = np.random.Generator(np.random.Philox(0))
+            rng = np.random.Generator(np.random.PCG64DXSM(0))
         rng.bit_generator.state = state
         yield rng
-
-
-def _list_state(bit_generator: np.random.Philox) -> dict:
-    # its state with the words as lists, which the setter reads in about 1 us
-    # against 2.5 us from arrays
-    state = bit_generator.state
-    words = state["state"]
-    words["counter"], words["key"] = words["counter"].tolist(), words["key"].tolist()
-    state["buffer"] = state["buffer"].tolist()
-    return state
 
 
 def _first_blocks(seed: int, lo: int, hi: int) -> Iterator[tuple[range, list, np.ndarray]]:
@@ -290,11 +285,13 @@ def simulate_first_passage(
     and reaches zero at ``tau = (u0 + A_J) / p``.  The walk stops at arrival
     ``J`` once its ramp reaches zero by the next arrival (``p T_{J+1} >= u0
     + A_J``), once that arrival is at or past ``horizon``, or when a finite
-    stream runs dry; it is an outage iff ``u0 + A_J <= p * horizon``.  Every sum is exact (integers in units of 2**-1074) and
-    ``tau`` is the double nearest the exact instant.  A gap is clamped at
-    the horizon, which ends the walk as an infinite one would, and after an
-    infinite packet no outage can follow.  ``horizon`` must be finite, since
-    an endless stream at ``rho > 1`` may never produce an outage.
+    stream runs dry; it is an outage iff ``u0 + A_J <= p * horizon``.  Every
+    sum is exact (integers in units of 2**-1074) and ``tau`` is the double
+    nearest the exact instant.  A gap is clamped at the horizon, which ends
+    the walk as an infinite one would.  An infinite packet rules out an
+    outage where ``p * horizon`` is finite, and raises :class:`DomainError`
+    where it is not.  ``horizon`` must be finite, since an endless stream at
+    ``rho > 1`` may never produce an outage.
     """
     horizon = _finite_horizon(horizon)
     pn, pd = params.p.as_integer_ratio()
@@ -305,6 +302,8 @@ def simulate_first_passage(
     for gap, packet in events:
         seen += 1
         if packet == math.inf:
+            if not params.p * horizon < math.inf:  # both past the doubles: no order between them
+                raise DomainError(f"an infinite packet and p * horizon = inf at p = {params.p!r}")
             return TrialOutcome(False, None, seen)
         supply += pd * _units(packet)
         drain += pn * _units(min(gap, horizon))
@@ -449,7 +448,7 @@ def _max_deficits(
     order = [k for ks in laws.values() for k in ks]
     deficits = np.empty((hi - lo, len(columns)))  # its columns in that order
     for indices, rngs, first in _first_blocks(seed, lo, hi):
-        states = [_list_state(rng.bit_generator) for rng in rngs] if len(laws) > 1 else []  # for later laws
+        states = [rng.bit_generator.state for rng in rngs] if len(laws) > 1 else []  # for later laws
         end = 0
         for ks in laws.values():
             cols = slice(end, end + len(ks))

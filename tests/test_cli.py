@@ -951,15 +951,16 @@ class TestReproduce:
         assert len(list((tmp_path / "all").iterdir())) == 8
 
     def test_golden_csv_digests(self, tmp_path, capsys):
-        # sha256 of CSVs on the Philox(seed).jumped(i) trial streams of 0.4.0;
-        # they pin the bytes across kernel rewrites
+        # sha256 of CSVs on the PCG64DXSM(seed).jumped(i) trial streams of
+        # 0.8.0 (0.4.0 to 0.7.0 drew on Philox(seed).jumped(i)); they pin the
+        # bytes across kernel rewrites
         assert main(["reproduce", "--figure", "all", "--seed", "42", "--trials", "300",
                      "--horizon", "200", "--out", str(tmp_path)]) == 0
         golden = {
-            "figure2.csv": "9fa0ba8de33899952620261941a4a2cdb21d3ef457f08715e92c82daf5b23fbc",
-            "figure3.csv": "314f60b383a598570ea84e56c2146b2040f004f4d5f1acc74091444d56f84b8a",
-            "figure4.csv": "00c05c0ebd902fe5244ee4a57273579f96d548b037c97de9cfa3b12a68014fc6",
-            "figure5.csv": "aba4e347c2200ab110184086cb9d4c208dd21c82356d07f213f6bda6d459a354",
+            "figure2.csv": "5d6a3d05eba069db6e5c57147665e61c1926da51e758fb123e489ee67728d84a",
+            "figure3.csv": "a2b9e78e627af66bfe613a3c6aedcf7d3c72e965edccf56a2650b776e8adae8f",
+            "figure4.csv": "72be553b6aae8366be4d76c0731dfc4106a5bb67c47667f54667ddfc8f1db6c8",
+            "figure5.csv": "9cef1e54fd58d52c39c70a1532296a3647b6c18d6534f1204c9b7ed6f516953f",
         }
         for name, digest in golden.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -969,7 +970,7 @@ class TestReproduce:
             trials=400, horizon=1000.0, seed=5,
         )
         digest = hashlib.sha256(rows_to_csv(run_sweep(spec)).encode("utf-8")).hexdigest()
-        assert digest == "ae0ce20d020fb8def2dc3075d8f30b6e186b0925a1444703e5f8f5ae9797a2a0"
+        assert digest == "3ea827064f729ba4343b3e2ea4e40dfe77cc75c666dc02f42255ed2e422c2b89"
 
     @pytest.mark.parametrize(
         "figure,trials,horizon,seed",

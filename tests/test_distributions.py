@@ -180,14 +180,6 @@ class TestEventSources:
             list(scripted_events([(1.0, -2.0)]))
 
 
-def philox_words(rng):
-    """A Philox generator's state as plain values, for equality."""
-    state = rng.bit_generator.state
-    words = state["state"]
-    return [words["counter"].tolist(), words["key"].tolist(), state["buffer"].tolist(),
-            state["buffer_pos"], state["has_uint32"], state["uinteger"]]
-
-
 class TestSampleBlockInPlace:
     """Packets drawn into a given row equal the allocating draw."""
 
@@ -204,18 +196,18 @@ class TestSampleBlockInPlace:
     @pytest.mark.parametrize("kind, mean", CASES)
     def test_out_equals_the_allocating_draw(self, kind, mean):
         spec = DistributionSpec(kind, mean)
-        a, b = (np.random.Generator(np.random.Philox(11)) for _ in range(2))
+        a, b = (np.random.Generator(np.random.PCG64DXSM(11)) for _ in range(2))
         expect = sample_block(spec, a, EVENT_BLOCK)
         row = np.full((2, EVENT_BLOCK + 5), np.nan)[1, 3:-2]  # a strided parent, a contiguous row
         got = sample_block(spec, b, EVENT_BLOCK, row)
         assert got is row
         assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
-        assert philox_words(a) == philox_words(b)
+        assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("kind, mean", CASES)
     def test_draws_equal_numpy_scaled_draws(self, kind, mean):
         spec = DistributionSpec(kind, mean)
-        a, b = (np.random.Generator(np.random.Philox(12)) for _ in range(2))
+        a, b = (np.random.Generator(np.random.PCG64DXSM(12)) for _ in range(2))
         got = sample_block(spec, a, 5000)
         with np.errstate(over="ignore"):  # numpy's scalar loop overflows to inf with no warning
             expect = {
@@ -224,13 +216,13 @@ class TestSampleBlockInPlace:
                 Kind.DETERMINISTIC: lambda: np.full(5000, mean),
             }[kind]()
         assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
-        assert philox_words(a) == philox_words(b)
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_uniform_packets_past_the_largest_double_are_infinite(self):
         # 2 * mean overflows, where numpy's uniform(0, 2 * mean) raises
         # OverflowError; the packets are (2 U) * mean, +inf past the doubles
         spec = DistributionSpec(Kind.UNIFORM, 1e308)
-        a, b = (np.random.Generator(np.random.Philox(13)) for _ in range(2))
+        a, b = (np.random.Generator(np.random.PCG64DXSM(13)) for _ in range(2))
         got = sample_block(spec, a, EVENT_BLOCK)
         twice = 2.0 * b.random(EVENT_BLOCK)
         with np.errstate(over="ignore"):
@@ -244,7 +236,7 @@ class TestNumpyStream:
     """numpy's own draws on the trial streams, pinned by digest.
 
     NEP 19 lets a Generator's distributions change between numpy releases.
-    Every trial of hsc reads ``Philox(seed).jumped(i)`` through
+    Every trial of hsc reads ``PCG64DXSM(seed).jumped(i)`` through
     ``standard_exponential`` (gaps and exp packets) and ``random`` (unif
     packets), so a change there moves every ``psi_mc``.  These digests were
     taken with numpy 2.4.6; where this test fails beside
@@ -256,46 +248,46 @@ class TestNumpyStream:
     # little-endian doubles
     DIGESTS = {
         (0, 0): (
-            "ceecb885dda383f3927425f217052101956cb554e0e26975ea09f7cfe1525ddb",
-            "b566f4a5072586d2d8d1dc5a8babe34f2be15d75170ecd04b09aaed3b6734c04",
+            "607eb210883d833c041ec90854234e249ccdc5469086135592e74cb50dc19217",
+            "257b45aa57ef510399dadd42d91a7739a810c2c4889a6f104c0019866779b180",
         ),
-        (0, 2**64): (
-            "cbffaf1a65e418e1ca795e80cfce9437c9243f67b71f4dea48a621322350ae24",
-            "a08871287b6c895baf14ff76d27f2e9bb6938bf2ece7d6778b9e244e6203a71e",
+        (0, 2**32): (
+            "7e0f50e54a485ab9f5e5fb90279952428563621d3e5193e08cebd60ed015c777",
+            "4a2cf556c9e41cdb037ef8dd2cf8dd4bf6d3d46c933ee0dffa44e29eef20f85b",
         ),
-        (0, 2**128 - 1): (
-            "a1a1c6fb30b539e26d07e469b9444831d4202b4e0d2621f50886c798a4caf79c",
-            "6cf55f5640547a020ef139df1a2572aec53763b08e2bc1fa9b43d57d996e7ed2",
+        (0, 2**64 - 1): (
+            "b300aa03d4bfc20f5c81e81db9c74830303c0a9958f14fbb1b8b9ca6fa25f491",
+            "37a1cc7404f15c903ac8fdf27f8322687440409c89297e794d515edb151a8b6f",
         ),
         (42, 0): (
-            "27fd78886faada9ea52269e878246a3ebd866b30f8ace3d5c8100c759045bfdf",
-            "eaacc2c20fdb3b5040d4f8fa19a7da6d01628298b2beb29819a6805d1ed71e3a",
+            "2c1deae53c8b6d605eda013fda633a50b8a2407b1d0d4334515ec52da2ece2fd",
+            "f6a9a34afa8030f4f971a374bcc5abb2f9ebf5ed04bb2d060345753a0621bcdf",
         ),
-        (42, 2**64): (
-            "0075bbb584bc0efe28a5f2b45aa4cbf2b4ca2cc01fe920ac4564275de25ba4f7",
-            "86fd5fba2a4600dd18423ca7b4ca16062d37671a1d94336d45b49f9823871e02",
+        (42, 2**32): (
+            "d09a84402bde61f7b3b5b5b91eed138fa78e3925af210c554f7d5e47856561a9",
+            "28b2c290f969082d3105ab4528a0f0414a54305643358605125a1f083eb6fe24",
         ),
-        (42, 2**128 - 1): (
-            "75bd116ae8cef6c8bc257a9ba281d12c3f6f1b2b6c115681513ff12405809f27",
-            "c199cbc646e7810d744ac69e5d44f9f2b045e70c9fd343ed483767c77b1e3837",
+        (42, 2**64 - 1): (
+            "4ad96f06f864908b1c02d55061f423dfb780c6f7d46dd55e2e6bc9d7bda5c1d4",
+            "3370635252da0475f4df0c5dd193138df3e096b4c9f80c60de7231799109bc1d",
         ),
         (2**64 + 3, 0): (
-            "bb1025a65586778c07511925bcc976ac518263d1ca5bff0c31873446b55730d0",
-            "47acb7181c3a4413d552c0b5a420771e849950bd9ca882eaa19d47d599ff4cf4",
+            "ec44aaf6715942a1f3aabc026d93fac45d5dc5e0a2f39996704656f4eeead1ef",
+            "b93147b4664470321923e4f401e4f15ecb735c8b7974f85d771b9205ad54de9a",
         ),
-        (2**64 + 3, 2**64): (
-            "1d1231761e97b51ddbe0aed0de20072bfcb248681dc5d0f8190e51547c6141a6",
-            "50da2d1713eae3d4680d2bd24cc4de8ffd0a10ce2f059dca024513b636c3c3a5",
+        (2**64 + 3, 2**32): (
+            "f53769d3497b7885d699282b669f38c24a198adb24e07ecf37ca424253dbc0ca",
+            "3cc417b3f2608fd0127cb6f0e0ccc4d0c7c70ee8e2c8e932595640ec8c0919f3",
         ),
-        (2**64 + 3, 2**128 - 1): (
-            "2fd911cd369b8c1e8c36c4f99027511309010964d05b146ab238b2c6f8ae443a",
-            "466cdf83c8d626a5dc715de2a9154e50485e59d0fc5d97eb76d8bedc0bd9e3c4",
+        (2**64 + 3, 2**64 - 1): (
+            "e45490148ca573161306abbe7b96b96ef216f97576a0fc33c5a20317a1901e8c",
+            "ea84fbff96da5266b88ea3b0b2bc5986eb6b03771ab675b03f6837976f45860b",
         ),
     }
 
     @pytest.mark.parametrize("seed, index", list(DIGESTS))
-    def test_jumped_philox_draws_are_pinned(self, seed, index):
-        rng = np.random.Generator(np.random.Philox(seed).jumped(index))
+    def test_jumped_dxsm_draws_are_pinned(self, seed, index):
+        rng = np.random.Generator(np.random.PCG64DXSM(seed).jumped(index))
         digests = tuple(
             hashlib.sha256(draw(EVENT_BLOCK).astype("<f8").tobytes()).hexdigest()
             for draw in (rng.standard_exponential, rng.random)

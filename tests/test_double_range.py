@@ -204,6 +204,15 @@ class TestWhereTheSolversLeaveTheDoubleRange:
         with pytest.raises(GridError, match="does not tile"):
             solve_renewal_equation(lambda x: 0.5 * np.exp(-x), 0.5, 5e-324, 1.0)
 
+    def test_renewal_grid_past_the_cap_raises_before_f_h(self):
+        # 1e12 grid steps were accepted, and f_h tabulated on all of them
+        def f_h(x):
+            raise AssertionError("f_h was called")
+
+        for step, u_max in ((1e-3, 1e9), (1.0, 2.0**22 + 1)):
+            with pytest.raises(GridError, match=r"2\*\*22"):
+                solve_renewal_equation(f_h, 0.5, step, u_max)
+
     def test_tilted_mean_where_lam_over_p_overflows_raises(self):
         # theta * lam / p was inf, so the mean read 0.0
         params = SystemParams(8.98846567431158e307, DistributionSpec(Kind.EXPONENTIAL, 1.0), 0.5)
@@ -215,6 +224,18 @@ class TestWhereTheSolversLeaveTheDoubleRange:
         params = SystemParams(2.225073858507202e-308, DistributionSpec(Kind.EXPONENTIAL, 8.98846567431158e307), 2.0)
         with pytest.raises(DomainError, match="underflows"):
             solve_adjustment_coefficient(params)
+
+    def test_root_rounded_to_a_subnormal_raises(self):
+        # (rho - 1) / mean rounded to 5e-324 with a residual of 0.0, a root
+        # the exact formula then refused at a relative residual of 0.129
+        params = SystemParams(1.9371740049442323e-308, DistributionSpec(Kind.EXPONENTIAL, 5.162158884270122e307), 1.0)
+        with pytest.raises(DomainError, match="underflows"):
+            solve_adjustment_coefficient(params)
+        # a subnormal root of 1.0000012e-310 is kept, its rounding in the residual
+        params = SystemParams(1.0000000001e-300, DistributionSpec(Kind.EXPONENTIAL, 1e300), 1.0)
+        res = solve_adjustment_coefficient(params)
+        assert res.r_star < 2.2250738585072014e-308
+        assert math.ulp(res.r_star) / res.r_star <= res.residual <= 1e-12
 
     def test_exact_outage_at_a_subnormal_root_raises(self):
         # the Newton step's slope underflowed to 0: a ZeroDivisionError

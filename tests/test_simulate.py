@@ -117,6 +117,14 @@ class TestFirstPassageScripted:
         out = simulate_first_passage(mm1(), 10.0, scripted_events([(1.0, math.inf), (1.0, 1.0)]))
         assert (out.outage, out.tau, out.arrivals_observed) == (False, None, 1)
 
+    def test_an_infinite_packet_where_p_h_leaves_the_doubles_raises(self):
+        # the packet and p * H are both past the doubles, so neither bounds
+        # the other
+        params = SystemParams(lam=1.0, packet=EXP1, p=1e308)
+        with pytest.raises(DomainError, match="infinite packet"):
+            simulate_first_passage(params, 2.0, scripted_events([(1.0, math.inf)]))
+        assert not simulate_first_passage(params, 1.0, scripted_events([(1.0, math.inf)])).outage
+
     def test_zero_drift_stream_never_crosses(self):
         events = scripted_events(itertools.repeat((1.0, 1.0)))
         out = simulate_first_passage(mm1(u0=10.0), 500.0, events)
@@ -316,15 +324,16 @@ class TestLadderScripted:
 
     @pytest.mark.parametrize("walks", [1, 15, 16, 17, 40, 150])
     def test_batches_of_any_size_mix_stopped_and_capped_walks(self, walks):
-        # at rho 1 a drawdown of 40 stops some of the first 15 walks at the
-        # end of their first block, some at the end of their second, and lets
-        # the rest reach the cap of 2500 steps in their third; 150 walks take
-        # their first blocks from three runs of the one run array
+        # at rho 1 a drawdown of 40 stops some of the first 15 walks of seed 1
+        # at the end of their first block, some at the end of their second,
+        # and lets the rest, walk 0 among them, reach the cap of 2500 steps in
+        # their third; 150 walks take their first blocks from three runs of
+        # the one run array
         params = SystemParams(lam=1.0, packet=EXP1, p=1.0)
-        self.assert_equals_the_block_walk(params, walks, 2500, 4, 40.0)
+        self.assert_equals_the_block_walk(params, walks, 2500, 1, 40.0)
         ends = set()
         for i in range(min(walks, 15)):
-            events = poisson_events(params.lam, params.packet, trial_rng(4, i))
+            events = poisson_events(params.lam, params.packet, trial_rng(1, i))
             pairs = np.array(list(itertools.islice(events, 2500)))
             walk = np.cumsum(params.p * pairs[:, 0] - pairs[:, 1])
             peak = np.maximum.accumulate(np.maximum(walk, 0.0))
@@ -347,10 +356,10 @@ class TestLadderScripted:
                             assert a.first_ladder_height == pytest.approx(b.first_ladder_height, rel=1e-9)
 
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
-        # trial 227 of seed 17 at rho 1.02 first rises above zero at step 2560
+        # trial 2 of seed 17 at rho 1.02 first rises above zero at step 3302
         params = SystemParams(lam=1.02, packet=EXP1, p=1.0)
-        a = collect_ladder_samples(params, 228, 5000, 17)[227]
-        b = simulate_ladder(params, 5000, poisson_events(params.lam, params.packet, trial_rng(17, 227)))
+        a = collect_ladder_samples(params, 3, 5000, 17)[2]
+        b = simulate_ladder(params, 5000, poisson_events(params.lam, params.packet, trial_rng(17, 2)))
         assert b.first_ladder_epoch > EVENT_BLOCK
         assert a.first_ladder_epoch == b.first_ladder_epoch
         assert a.first_ladder_height == pytest.approx(b.first_ladder_height, rel=1e-9)
@@ -1043,27 +1052,27 @@ class TestOutageCurve:
         assert tried > 0 and len(replays) == tried
 
     def test_exact_tie_counts_as_an_outage(self):
-        # det packets: trial 127 ends with a ramp capped at the horizon whose
+        # det packets: trial 343 ends with a ramp capped at the horizon whose
         # deficit p * H - A_J = 80 - 46 is exactly 34.0, so the surplus
         # reaches zero at tau = (34 + 46) / 2 = 40.0 = H.  A running time
         # summed in floats rounds past H here and misses the outage.
         params = SystemParams(lam=1.0, packet=DET1, p=2.0, u0=34.0)
-        assert walk_trial([params], 40.0, 8, 127, [34.0]) == [34.0]
-        assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 127)) == 34.0
-        assert exact_max_deficit(params, 40.0, trial_rng(8, 127)) == 34
-        out = simulate_first_passage(params, 40.0, poisson_events(1.0, DET1, trial_rng(8, 127)))
+        assert walk_trial([params], 40.0, 8, 343, [34.0]) == [34.0]
+        assert max_deficit_full_blocks(params, 40.0, trial_rng(8, 343)) == 34.0
+        assert exact_max_deficit(params, 40.0, trial_rng(8, 343)) == 34
+        out = simulate_first_passage(params, 40.0, poisson_events(1.0, DET1, trial_rng(8, 343)))
         assert out.outage is True
         assert out.tau == 40.0
-        assert _count_range([params], 40.0, 8, [34.0], 127, 128) == [[1]]
+        assert _count_range([params], 40.0, 8, [34.0], 343, 344) == [[1]]
 
     def test_outage_at_the_horizon_of_a_benchmark_trial_counts(self):
-        # det, rho 1.02, seed 292, trial 6: p * H - A_J = 1000 - 970 = 30 = u0
+        # det, rho 1.02, seed 292, trial 11909: p * H - A_J = 1000 - 970 = 30 = u0
         params = SystemParams(lam=1.02, packet=DET1, p=1.0, u0=30.0)
-        assert exact_max_deficit(params, 1000.0, trial_rng(292, 6)) == 30
-        out = simulate_first_passage(params, 1000.0, poisson_events(1.02, DET1, trial_rng(292, 6)))
+        assert exact_max_deficit(params, 1000.0, trial_rng(292, 11909)) == 30
+        out = simulate_first_passage(params, 1000.0, poisson_events(1.02, DET1, trial_rng(292, 11909)))
         assert out.outage is True
         assert out.tau == 1000.0
-        assert _count_range([params], 1000.0, 292, [30.0], 6, 7) == [[1]]
+        assert _count_range([params], 1000.0, 292, [30.0], 11909, 11910) == [[1]]
 
 
 @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="reads /proc")
@@ -1546,6 +1555,21 @@ class TestTinyRates:
         assert [round(est.estimate * 50) for est in curve] == scalar
         assert all(0.0 <= a.max_shortfall < math.inf for a in ladder)
 
+    def test_an_infinite_packet_where_p_h_leaves_the_doubles_raises(self, capsys):
+        # up to 0.7.0 the scalar read no outage after an infinite packet, so
+        # every u0 read 0.65 here, where the model scaled by 2**-1023 reads 1.0
+        big = 2.0**1023
+        params = SystemParams(0.5, DistributionSpec(Kind.EXPONENTIAL, big), big)
+        grid = [0.0, 2.0**1022, 0.99 * big]
+        with pytest.raises(DomainError, match="infinite packet"):
+            estimate_outage_curves([params], 100.0, 20, 3, grid)
+        (scaled,) = estimate_outage_curves([SystemParams(0.5, EXP1, 1.0)], 100.0, 20, 3, [0.0, 0.5, 0.99])
+        assert [est.estimate for est in scaled] == [1.0, 1.0, 1.0]
+        argv = ["simulate", "--lam", "0.5", "--packet", f"exp:mean={big!r}", "--p", repr(big),
+                "--horizon", "100", "--trials", "20", "--seed", "3"]
+        assert main(argv) == 3
+        assert "infinite packet" in capsys.readouterr().err
+
     def test_an_overflowed_rate_beside_infinite_packet_sums_warns_nowhere(self):
         # p / lam is inf and a packet sum of means 1e308 overflows to inf, so
         # the walk's inf - inf would be a nan; every cell stays +inf instead
@@ -1630,16 +1654,18 @@ class TestScaledPastTheDoubles:
     battery recursion's check."""
 
     def test_the_deficit_walk_through_main_warns_nowhere(self, capsys):
-        # p / lam = 1.5e308 times a unit sum overflows, and exp packets of
-        # mean 1.5e308 are +inf past 1.2 times the mean: up to 0.6.0 the walk
-        # warned of an overflow in multiply, then of inf - inf
-        argv = ["simulate", "--lam", "1", "--packet", "exp:mean=1.5e308", "--p", "1.5e308",
+        # p / lam = 1.5e308 times a unit sum overflows, and unif packets of
+        # mean 8e307 are finite but their sums pass the largest double within
+        # the horizon in every trial: up to 0.6.0 the walk warned of an
+        # overflow in multiply, then of inf - inf.  (No packet is infinite,
+        # which with p * H past the doubles raises DomainError.)
+        argv = ["simulate", "--lam", "1", "--packet", "unif:mean=8e307", "--p", "1.5e308",
                 "--horizon", "2", "--trials", "20"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 0
         out = json.loads(capsys.readouterr().out)
-        params = SystemParams(1.0, DistributionSpec(Kind.EXPONENTIAL, 1.5e308), 1.5e308)
+        params = SystemParams(1.0, DistributionSpec(Kind.UNIFORM, 8e307), 1.5e308)
         expect = scalar_counts(params, 2.0, out["seed"], [out["params"]["u0"]], 20)
         assert [round(out["psi_mc"] * 20)] == expect
 
@@ -1648,9 +1674,9 @@ class TestScaledPastTheDoubles:
     def test_outage_counts_are_unchanged(self, case, rho, arrivals, grid):
         kind, k, mean, p, seed = case
         # exp packets are below 45 means (sample_block), so below the largest
-        # double up to k = 1018.  Past it a packet can be +inf, after which
-        # the scalar finds no outage, which need not hold where p * H is past
-        # the doubles too: the scaled model is then another one
+        # double up to k = 1018.  Past it a packet can be +inf, which makes
+        # the scaled model another one: after it the scalar finds no outage
+        # where p * H is below the largest double, and raises where it is not
         k = min(k, 1018) if kind is Kind.EXPONENTIAL else k
         params = SystemParams(rho * p / mean, DistributionSpec(kind, mean), p)
         horizon = arrivals / params.lam
@@ -1693,33 +1719,44 @@ class TestScaledPastTheDoubles:
 
 class TestTrialStreams:
     SEEDS = (0, 1, 2**32, 2**64 + 3, 2**200)
-    INDICES = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+    # run and chunk edges: _RUN is 64, and the last index below the bound
+    INDICES = (0, 1, 63, 64, 2**32 - 1, 2**32, 2**64 - 1)
 
     @staticmethod
     def jumped(seed, i):
-        return np.random.Generator(np.random.Philox(seed).jumped(i))
+        return np.random.Generator(np.random.PCG64DXSM(seed).jumped(i))
 
-    def test_trial_rng_draws_equal_the_jumped_philox(self):
-        for seed, i in itertools.product(self.SEEDS, self.INDICES + (2**128 - 1,)):
+    def test_one_jump_is_the_affine_step(self):
+        for seed in self.SEEDS:
+            words = np.random.PCG64DXSM(seed).state["state"]
+            for i in (1, 2, 3):
+                state = (simulate._JUMP_MUL * words["state"] + simulate._JUMP_INC * words["inc"]) % 2**128
+                words = self.jumped(seed, i).bit_generator.state["state"]
+                assert words["state"] == state
+
+    def test_trial_rng_draws_equal_the_jumped_dxsm(self):
+        for seed, i in itertools.product(self.SEEDS, self.INDICES):
             got, ref = trial_rng(seed, i), self.jumped(seed, i)
             for draw in ("standard_exponential", "random", "standard_normal"):
                 assert np.array_equal(getattr(got, draw)(3000), getattr(ref, draw)(3000))
 
-    @pytest.mark.parametrize("index", [0, 1, 2**64 - 1, 2**64, 2**128 - 1])
-    def test_trial_generators_equal_the_jumped_philox_at_word_edges(self, index):
-        # the counter's two high words, i mod 2**64 and i >> 64, are set from
-        # Python ints: at each word's edge the state is Philox(seed).jumped(i)
+    @pytest.mark.parametrize("index", [0, 63, 64, 2**32, 2**64 - 1])
+    def test_trial_generators_equal_the_jumped_dxsm_at_run_and_chunk_edges(self, index):
+        # a range starting there, and one ending there
         for seed in (3, 2**64 + 3):
-            (got,) = _trial_rngs(seed, index, index + 1)
-            ref = self.jumped(seed, index)
-            assert str(got.bit_generator.state) == str(ref.bit_generator.state)
-            assert np.array_equal(got.standard_exponential(3000), ref.standard_exponential(3000))
+            for lo in (index, max(0, index - 2)):
+                for i, got in enumerate(_trial_rngs(seed, lo, index + 1), lo):
+                    ref = self.jumped(seed, i)
+                    assert got.bit_generator.state == ref.bit_generator.state
+                    assert np.array_equal(got.standard_exponential(3000), ref.standard_exponential(3000))
+                assert i == index
 
-    def test_kernel_streams_draw_equal_the_jumped_philox(self):
+    def test_kernel_streams_draw_equal_the_jumped_dxsm(self):
         # the first three 1024-pair blocks of an event stream, trial by trial
         # as _trial_rngs hands them out (trial_rng is one such trial)
         pairs = 3 * EVENT_BLOCK
         for seed, lo in itertools.product(self.SEEDS, self.INDICES):
+            lo = min(lo, 2**64 - 2)
             for packet in (EXP1, UNIF1):
                 streams = _trial_rngs(seed, lo, lo + 2)
                 for i, rng in enumerate(streams, lo):
@@ -1727,6 +1764,26 @@ class TestTrialStreams:
                     ref = itertools.islice(poisson_events(1.1, packet, self.jumped(seed, i)), pairs)
                     assert list(got) == list(ref)
                 assert i == lo + 1
+
+    def test_later_packet_laws_draw_from_the_jumped_streams(self, monkeypatch):
+        # a horizon inside the first block: each law draws one packet block
+        # per trial, in trial order, the later laws from restored states;
+        # 70 trials span two first-block runs and end at the index bound
+        drawn = []
+        monkeypatch.setattr(
+            simulate, "sample_block",
+            lambda spec, rng, *args: drawn.append((spec, rng.bit_generator.state)) or sample_block(spec, rng, *args),
+        )
+        columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
+        lo, hi = 2**64 - 70, 2**64
+        _max_deficits(columns, 5.0, 7, lo, hi, [0.0])
+        expect = []
+        for i in range(lo, hi):
+            ref = self.jumped(7, i)
+            ref.standard_exponential(EVENT_BLOCK)
+            expect.append(ref.bit_generator.state)
+        for packet in (EXP1, DET1, UNIF1):
+            assert [state for spec, state in drawn if spec == packet] == expect
 
     def test_a_trial_leaves_nothing_buffered_for_the_next(self):
         # a 32-bit draw keeps half a word back; the next trial must not see it,
@@ -1754,7 +1811,7 @@ class TestTrialStreams:
         monkeypatch.setattr(simulate, "_SPARE_RNGS", Contended([trial_rng(0, 0)]))
         assert np.array_equal(trial_rng(5, 2).random(4), self.jumped(5, 2).random(4))
 
-    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (0, 2**128), (1.5, 0)])
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (0, 2**64), (1.5, 0)])
     def test_bad_seed_or_index_raises(self, seed, index):
         with pytest.raises(ValueError):
             trial_rng(seed, index)
