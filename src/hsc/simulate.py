@@ -219,9 +219,8 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     # trial_rng(seed, i) for i in [lo, hi): a spare generator set to the
-    # trial's state before its first draw.  The run's state is jumped once, to
-    # lo, and then takes one jumped() step per trial, an affine map of the
-    # LCG state.
+    # trial's state before its first draw.  The run's state is jumped once,
+    # to lo, and then one jump per trial by the affine step of _JUMP_MUL.
     seed = _integer("seed", seed, 0, ValueError)
     lo = _integer("trial index", lo, 0, ValueError)
     if not hi <= 2**64:
