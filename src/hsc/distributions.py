@@ -30,6 +30,8 @@ __all__ = [
     "DistributionSpec",
     "parse_distribution_spec",
     "sample_block",
+    "raw_block",
+    "scale_block",
     "log_laplace",
     "poisson_events",
     "EVENT_BLOCK",
@@ -126,21 +128,36 @@ def sample_block(
     They fill ``out`` (``n`` doubles) if it is given, else a new array.  The
     draws are numpy's ``exponential(mean)`` and ``uniform(0, 2 * mean)``, bit
     for bit; a packet past the largest double (``2 * mean`` itself may
-    overflow) is ``+inf``.
+    overflow) is ``+inf``.  It is :func:`raw_block` and then
+    :func:`scale_block`; the block walk calls the two apart, a raw draw per
+    row and one scale per batch of rows.
     """
     import numpy as np
 
     if out is None:
         out = np.empty(n)
-    if spec.kind is Kind.DETERMINISTIC:
-        out.fill(spec.mean)
-        return out
+    return scale_block(spec, raw_block(spec, rng, out))
+
+
+def raw_block(spec: DistributionSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the law's unscaled draws: standard exponentials,
+    uniforms on [0, 1), or the constant mean.  :func:`scale_block` makes
+    them packet sizes."""
     if spec.kind is Kind.EXPONENTIAL:
         rng.standard_exponential(out=out)
-        factor = 1.0
-    else:
+    elif spec.kind is Kind.UNIFORM:
         rng.random(out=out)
-        factor = 2.0  # numpy's uniform(0, 2 * mean) is (2 * mean) * u
+    else:
+        out.fill(spec.mean)
+    return out
+
+
+def scale_block(spec: DistributionSpec, out: np.ndarray) -> np.ndarray:
+    """Scale the law's raw draws (:func:`raw_block`) in ``out`` to packet
+    sizes, in place; a zero stays zero."""
+    if spec.kind is Kind.DETERMINISTIC:
+        return out
+    factor = 2.0 if spec.kind is Kind.UNIFORM else 1.0  # numpy's uniform(0, 2 * mean) is (2 * mean) * u
     # Below mean 2**1018 no packet overflows: the uniforms are below 1, numpy's
     # standard exponentials below 7.7 + 53 log 2 < 45 (a ziggurat tail draw is
     # r - log1p(-u), r = 7.697 and u < 1 on a 2**-53 grid, in
@@ -148,13 +165,17 @@ def sample_block(
     # distributions.c).  Past it a packet may overflow, to +inf, and so may
     # 2 * mean: there (2 u) * mean, the same product rounded once, is taken.
     # The errstate costs more than a block's multiply, so it is taken only
-    # there.
+    # there; a scale of exactly 1 is no multiply at all.
     if spec.mean < 2.0**1018:
-        out *= factor * spec.mean
-    else:
-        with np.errstate(over="ignore"):
-            out *= factor  # exact
-            out *= spec.mean
+        scale = factor * spec.mean
+        if scale != 1.0:
+            out *= scale
+        return out
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        out *= factor  # exact
+        out *= spec.mean
     return out
 
 

@@ -75,12 +75,15 @@ buffer each.  Per trial it does what the stream order needs: it takes the
 trial's generator (kept until the trial ends, so no state is saved or
 restored between blocks), draws the block's units into its row (the first
 block comes summed from its run) and, once the batch has summed the rows,
-draws the packets up to the farthest live horizon or the step cap straight
-into a second row, zeroing the rest.  Per batch it takes one row-wise
-``cumsum`` of each buffer and, per column, one clamp (none where no
-ramp reaches its room), one multiply, one subtract and the row maxima; then
-it updates each (trial, column) maximum, offset and stop rule, and a ladder
-walk's first ladder point.  Elementwise IEEE operations and sequential row
+draws the law's raw packet values (:func:`~hsc.distributions.raw_block`) up
+to the farthest live horizon or the step cap into its row of a second
+buffer, zeroing the rest.  Per batch it scales that buffer to packet sizes
+with one multiply (none at a scale of exactly 1; a zero stays zero), takes
+one row-wise ``cumsum`` of each buffer and, per column, one clamp (none
+where no ramp reaches its room; the rooms are Python floats until then),
+one multiply, one subtract and the row maxima; then it updates each
+(trial, column) maximum, offset and stop rule, and a ladder walk's first
+ladder point.  Elementwise IEEE operations and sequential row
 sums give every functional bit for bit as walking one trial at a time does,
 so counts and CSV bytes do not depend on the batching.
 """
@@ -98,7 +101,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .analytic import SystemParams, _check_protocol, _finite_horizon, _integer
-from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, sample_block
+from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, raw_block, scale_block
+from .distributions import sample_block  # noqa: F401  (hsc.simulate.sample_block: a traced name)
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -141,7 +145,9 @@ _RUN = 64
 # Generators the vectorized walks have finished with, for _restored to hand
 # out again: building one takes about 20 us, setting its state 1.6 us.
 _SPARE_RNGS: list[np.random.Generator] = []
-# One jumped() step of PCG64DXSM maps its LCG state s to _JUMP_MUL * s + _JUMP_INC * inc (mod 2**128).
+# One jumped() step of PCG64DXSM advances it _JUMP_STEP draws (2**128 over the
+# golden ratio), which maps its LCG state s to _JUMP_MUL * s + _JUMP_INC * inc (mod 2**128).
+_JUMP_STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _JUMP_MUL = 0x06445A8B93F375E9AAC611FA20A2C7E5
 _JUMP_INC = 0x0393F1824EE36CCE04DAFDEFA8C2D67D
 # The worker pool, {pid: (size, pool)}, and the lock held while a caller
@@ -219,13 +225,16 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     # trial_rng(seed, i) for i in [lo, hi): a spare generator set to the
-    # trial's state before its first draw.  The run's state is jumped once,
-    # to lo, and then one jump per trial by the affine step of _JUMP_MUL.
+    # trial's state before its first draw.  The run's state is advanced once,
+    # lo jumps in place (jumped() would build a second generator from fresh
+    # OS entropy), and then one jump per trial by the affine step of _JUMP_MUL.
     seed = _integer("seed", seed, 0, ValueError)
     lo = _integer("trial index", lo, 0, ValueError)
     if not hi <= 2**64:
         raise ValueError(f"a trial index must be below 2**64, got {hi - 1}")
-    state = np.random.PCG64DXSM(seed).jumped(lo).state  # has_uint32 and uinteger 0: nothing buffered
+    bits = np.random.PCG64DXSM(seed)
+    bits.advance(_JUMP_STEP * lo % 2**128)
+    state = bits.state  # has_uint32 and uinteger 0: nothing buffered
     words = state["state"]
 
     def states() -> Iterator[dict]:
@@ -357,6 +366,7 @@ def _walk_blocks(
     reach = [params.lam * horizon for params in columns]  # the horizon in units
     rates = [params.p / params.lam for params in columns]
     least = math.ulp(0.0)
+    packet = columns[0].packet
     units, packets, walk = np.empty((3, _ROWS, EVENT_BLOCK))
     starts = iter(starts)
     batch: list[_Walk] = []  # trials that go on, then new ones
@@ -381,22 +391,21 @@ def _walk_blocks(
             if max_steps - trial.steps <= n:
                 n = max_steps - trial.steps
                 caps.append((r, float(u[r, n - 1])))
-            sample_block(columns[0].packet, trial.rng, n, pk[r, :n])
+            raw_block(packet, trial.rng, pk[r, :n])
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
-        done = np.array([[trial.units] for trial in batch])
+        scale_block(packet, pk)  # the zeros past each row's packets stay zero
         with np.errstate(over="ignore", invalid="ignore"):  # the rule below takes an inf or a nan
             pk.cumsum(axis=1, out=pk)  # a sum past the doubles ends below every bound
             for k, rate in enumerate(rates):
                 # (p / lam) * min(U, R) - A, each room at least the least double,
                 # as the oracles form it: where lam * H underflows to 0 a ramp
                 # is then the least double times p / lam, not 0.
-                room = np.maximum(reach[k] - done, least)
+                rooms = [max(reach[k] - trial.units, least) for trial in batch]
                 for r, cap in caps:  # a walk with a step cap has no horizon
-                    room[r] = cap
-                rooms = room.ravel().tolist()
+                    rooms[r] = cap
                 clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
-                np.multiply(np.minimum(u, room, out=x) if clamped else u, rate, out=x)
+                np.multiply(np.minimum(u, np.array(rooms)[:, None], out=x) if clamped else u, rate, out=x)
                 x -= pk
                 tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
                 for r, trial in enumerate(batch):
@@ -452,9 +461,8 @@ def _max_deficits(
         for ks in laws.values():
             cols = slice(end, end + len(ks))
             end += len(ks)
-            starts = zip(indices, rngs, first)
-            for trial in _walk_blocks([columns[k] for k in ks], horizon, starts, u0_sorted):
-                deficits[trial.index - lo, cols] = trial.best
+            walked = list(_walk_blocks([columns[k] for k in ks], horizon, zip(indices, rngs, first), u0_sorted))
+            deficits[[trial.index - lo for trial in walked], cols] = [trial.best for trial in walked]
             rngs = _restored(states)
     return deficits[:, np.argsort(order)]
 
@@ -575,6 +583,8 @@ def estimate_outage_curves(
     size or one that finds it broken replaces it.  It closes at interpreter
     exit.  Once a task raises, the tasks not yet started are cancelled.
     """
+    if not columns:
+        raise ValueError("columns must hold at least one SystemParams")
     trials = _integer("trials", trials, 1)
     horizon = _check_protocol(horizon, u0_grid, seed, workers, ci_method)
     arrivals = max(params.lam for params in columns) * horizon
@@ -698,13 +708,18 @@ def simulate_lindley(
     empty_arrivals = 0
     empty_time = 0.0
     total_time = 0.0
-    for counted, (gap, packet) in enumerate(islice(events, steps - burn_in), 1):
-        total_time += gap
-        v = v + packet / p - gap
-        if v <= 0.0:  # the store was empty for -v before this arrival
-            empty_time -= v
-            v = 0.0
-            empty_arrivals += 1
+    while counted < steps - burn_in:  # a block of pairs at a time, until the stream runs dry
+        block = list(islice(events, min(steps - burn_in - counted, EVENT_BLOCK)))
+        if not block:
+            break
+        counted += len(block)
+        for gap, packet in block:
+            total_time += gap
+            v = v + packet / p - gap
+            if v <= 0.0:  # the store was empty for -v before this arrival
+                empty_time -= v
+                v = 0.0
+                empty_arrivals += 1
     if counted == 0 or total_time <= 0.0:
         raise PreconditionError("event stream ended before any post-burn-in step")
     if not (v < math.inf and total_time < math.inf):  # a level past the doubles stays inf, or becomes nan

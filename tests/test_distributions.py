@@ -19,7 +19,7 @@ from hsc import (
     poisson_events,
     sample_block,
 )
-from hsc.distributions import PHI_SERIES
+from hsc.distributions import PHI_SERIES, raw_block, scale_block
 from kernel_oracle import scripted_events
 
 means = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
@@ -217,6 +217,24 @@ class TestSampleBlockInPlace:
             }[kind]()
         assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("kind, mean", CASES)
+    def test_rows_drawn_raw_and_scaled_as_one_batch_equal_the_row_draws(self, kind, mean):
+        # the block walk's draw: each row's first n raw values from its own
+        # generator, zeros past them, then one scale of the whole batch
+        spec = DistributionSpec(kind, mean)
+        cuts = (0, 1, EVENT_BLOCK - 1, EVENT_BLOCK)
+        a, b = ([np.random.Generator(np.random.PCG64DXSM(20 + r)) for r in range(len(cuts))] for _ in range(2))
+        batch = np.full((len(cuts), EVENT_BLOCK), np.nan)
+        for rng, row, n in zip(b, batch, cuts):
+            raw_block(spec, rng, row[:n])
+            row[n:] = 0.0
+        assert scale_block(spec, batch) is batch
+        for rng, row, n in zip(a, batch, cuts):
+            expect = sample_block(spec, rng, n)
+            assert row[:n].view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+            assert row[n:].view(np.uint64).tolist() == [0] * (EVENT_BLOCK - n)  # +0.0
+        assert [rng.bit_generator.state for rng in a] == [rng.bit_generator.state for rng in b]
 
     def test_uniform_packets_past_the_largest_double_are_infinite(self):
         # 2 * mean overflows, where numpy's uniform(0, 2 * mean) raises

@@ -42,6 +42,7 @@ from hsc import (
     trial_rng,
 )
 from hsc.cli import main, run_simulate
+from hsc.distributions import raw_block
 import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
@@ -71,6 +72,16 @@ def mm1(u0=0.0, lam=1.1):
 def walk_trial(columns, horizon, seed, i, u0_sorted):
     """The batched walk's row for trial ``i`` alone, one value per column."""
     return _max_deficits(columns, horizon, seed, i, i + 1, u0_sorted)[0].tolist()
+
+
+def watch_rows(monkeypatch, record):
+    """Call ``record(spec, rng, n)`` before each row's packet draw of the walk."""
+
+    def draw(spec, rng, out):
+        record(spec, rng, out.size)
+        return raw_block(spec, rng, out)
+
+    monkeypatch.setattr(simulate, "raw_block", draw)
 
 
 pair_lists = st.lists(
@@ -503,19 +514,22 @@ class TestLindley:
             )
             assert got == ref
 
-    @pytest.mark.parametrize("size", [0, 3, 5, 6, 9])
+    @pytest.mark.parametrize("size", [0, 3, 5, 6, 9, 1029, 2500])
     def test_equals_the_loop_oracle_when_the_stream_runs_dry(self, size):
         # 5 burn-in pairs: the stream ends during burn-in (0, 3), at its
-        # end (5), or during the counted steps (6, 9 of 10)
+        # end (5), or during the counted steps (6, 9 of 10; of 2 * size
+        # steps, at the end of the first block of counted pairs (1029) or
+        # inside the third (2500))
         params = mm1(lam=0.9, u0=0.3)
+        steps = max(10, 2 * size)
         pairs = [(0.5 + 0.25 * (i % 3), 0.2 + 0.5 * (i % 2)) for i in range(size)]
         try:
-            ref = kernel_oracle.lindley_loop(params, 10, 5, scripted_events(pairs))
+            ref = kernel_oracle.lindley_loop(params, steps, 5, scripted_events(pairs))
         except PreconditionError:
             with pytest.raises(PreconditionError, match="ended before"):
-                simulate_lindley(params, 10, 5, scripted_events(pairs))
+                simulate_lindley(params, steps, 5, scripted_events(pairs))
         else:
-            assert simulate_lindley(params, 10, 5, scripted_events(pairs)) == ref
+            assert simulate_lindley(params, steps, 5, scripted_events(pairs)) == ref
             assert ref.steps == size
 
     @pytest.mark.parametrize("steps,burn_in", [(100.7, 10), (100, 10.2), (math.inf, 10), (100, math.nan)])
@@ -744,6 +758,12 @@ class TestEstimatorDeterminism:
             with pytest.raises(ValueError):
                 estimate_eventual_outage(mm1(), 10.0, 10, 0, workers=workers)
 
+    def test_empty_column_list_rejected(self):
+        # a ValueError as for the other arguments, named, before the lam * H cap
+        with pytest.raises(ValueError, match="columns") as err:
+            estimate_outage_curves([], 100.0, 5, 1, [1.0])
+        assert type(err.value) is ValueError
+
     @pytest.mark.parametrize("workers", [1.5, math.inf, math.nan])
     def test_non_integral_workers_rejected(self, workers):
         # the ValueError of workers < 1, which the CLI maps to exit code 2
@@ -821,18 +841,12 @@ class TestOutageCurve:
         # a u0 one ulp above D_i is decided only when no later deficit can
         # reach it (then D_i is already the running maximum) or at the
         # horizon, where the walk's last block is cut short
-        drawn = {}
-
-        def counting(module):
-            def sample(spec, rng, n, out=None):
-                drawn[module].append(n)
-                return sample_block(spec, rng, n, out)
-
-            drawn[module] = []
-            monkeypatch.setattr(module, "sample_block", sample)
-
-        counting(simulate)
-        counting(kernel_oracle)
+        drawn = {simulate: [], kernel_oracle: []}
+        watch_rows(monkeypatch, lambda spec, rng, n: drawn[simulate].append(n))
+        monkeypatch.setattr(
+            kernel_oracle, "sample_block",
+            lambda spec, rng, n, out=None: drawn[kernel_oracle].append(n) or sample_block(spec, rng, n, out),
+        )
         walked = 0
         for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
             for lam, horizon in (
@@ -859,9 +873,7 @@ class TestOutageCurve:
         # unit sum U_j reaching lam * H, so past U_1024 its second block is one
         # step (drawn only if the first block leaves a u0 undecided)
         drawn = []
-        monkeypatch.setattr(
-            simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
-        )
+        watch_rows(monkeypatch, lambda spec, rng, n: drawn.append(n))
         for packet in (EXP1, DET1):
             params = SystemParams(lam=1.1, packet=packet, p=1.0)
             for i in range(10):
@@ -885,9 +897,7 @@ class TestOutageCurve:
         # maximum, so a u0 one ulp above D_i stays undecided until the
         # horizon one ulp past T_1024; the walk then draws a single packet
         drawn, walked = [], 0
-        monkeypatch.setattr(
-            simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
-        )
+        watch_rows(monkeypatch, lambda spec, rng, n: drawn.append(n))
         for packet in (EXP1, DET1, UNIF1):
             params = SystemParams(lam=0.5, packet=packet, p=1.0)
             for i in range(10):
@@ -917,9 +927,7 @@ class TestOutageCurve:
         params = mm1(lam=1.1)
         horizon, p = 2500.0, params.p
         blocks, tried = [], 0
-        monkeypatch.setattr(
-            simulate, "sample_block", lambda *args: blocks.append(args) or sample_block(*args)
-        )
+        watch_rows(monkeypatch, lambda *args: blocks.append(args))
         for i in range(10):
             rng = trial_rng(5, i)
             gaps = rng.exponential(1.0 / params.lam, EVENT_BLOCK)
@@ -940,9 +948,7 @@ class TestOutageCurve:
     def test_walk_stops_once_every_u0_is_decided(self, monkeypatch):
         # rho 1.1, H = 1000: after one block p * H - A is mostly below u0 = 30
         calls = []
-        monkeypatch.setattr(
-            simulate, "sample_block", lambda *args: calls.append(args) or sample_block(*args)
-        )
+        watch_rows(monkeypatch, lambda *args: calls.append(args))
         _count_range([mm1(lam=1.1)], 1000.0, 7, [30.0], 0, 400)
         assert len(calls) / 400 <= 1.1
 
@@ -1312,9 +1318,7 @@ class TestSharedWalk:
         # four columns at rho 1.1, all decided after about one block: one
         # column alone draws about 1.04 blocks per trial here
         calls = []
-        monkeypatch.setattr(
-            simulate, "sample_block", lambda *args: calls.append(args) or sample_block(*args)
-        )
+        watch_rows(monkeypatch, lambda *args: calls.append(args))
         columns = [SystemParams(lam=1.1 * p, packet=EXP1, p=p) for p in (0.25, 0.5, 0.75, 1.0)]
         counts = _count_range(columns, 1000.0, 7, [30.0], 0, 400)
         assert len(calls) / 400 <= 1.1
@@ -1441,9 +1445,7 @@ class TestBatchedWalk:
         # or j + 2 of that block's packets, and gives D_i bit for bit as the
         # oracle does and within a hundredth of the tie band of exact D_i
         drawn = []
-        monkeypatch.setattr(
-            simulate, "sample_block", lambda *args: drawn.append(args[2]) or sample_block(*args)
-        )
+        watch_rows(monkeypatch, lambda spec, rng, n: drawn.append(n))
         rng = np.random.default_rng(0)
         cuts = [0, 0]  # walks that drew the cut block, by block
         for i in range(40):
@@ -1727,12 +1729,16 @@ class TestTrialStreams:
         return np.random.Generator(np.random.PCG64DXSM(seed).jumped(i))
 
     def test_one_jump_is_the_affine_step(self):
+        # and the advance by _JUMP_STEP draws per jump
         for seed in self.SEEDS:
             words = np.random.PCG64DXSM(seed).state["state"]
             for i in (1, 2, 3):
                 state = (simulate._JUMP_MUL * words["state"] + simulate._JUMP_INC * words["inc"]) % 2**128
                 words = self.jumped(seed, i).bit_generator.state["state"]
                 assert words["state"] == state
+                advanced = np.random.PCG64DXSM(seed)
+                advanced.advance(simulate._JUMP_STEP * i)
+                assert advanced.state["state"] == words
 
     def test_trial_rng_draws_equal_the_jumped_dxsm(self):
         for seed, i in itertools.product(self.SEEDS, self.INDICES):
@@ -1770,10 +1776,7 @@ class TestTrialStreams:
         # per trial, in trial order, the later laws from restored states;
         # 70 trials span two first-block runs and end at the index bound
         drawn = []
-        monkeypatch.setattr(
-            simulate, "sample_block",
-            lambda spec, rng, *args: drawn.append((spec, rng.bit_generator.state)) or sample_block(spec, rng, *args),
-        )
+        watch_rows(monkeypatch, lambda spec, rng, n: drawn.append((spec, rng.bit_generator.state)))
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
         lo, hi = 2**64 - 70, 2**64
         _max_deficits(columns, 5.0, 7, lo, hi, [0.0])
