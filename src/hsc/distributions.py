@@ -16,6 +16,7 @@ The first packet of a stream lands at time zero.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -34,6 +35,7 @@ __all__ = [
     "scale_block",
     "log_laplace",
     "poisson_events",
+    "EventStream",
     "EVENT_BLOCK",
 ]
 
@@ -248,20 +250,107 @@ def log_phi(kind: Kind, a: float) -> tuple[float, float]:
     return math.log(l1 / a), m / l1 - 1.0
 
 
-def poisson_events(
-    lam: float, packet: DistributionSpec, rng: np.random.Generator
-) -> Iterator[tuple[float, float]]:
+class EventStream(itertools.chain):
+    """The endless ``(gap, packet)`` stream of :func:`poisson_events`.
+
+    Iterating it yields pairs; :meth:`take` hands out the next ``n`` pairs
+    as two float arrays.  Both read from one position in the stream.  Pairs
+    come from a C-level chain over ``zip``s of each block's lists, so a pair
+    costs what one from a plain generator over the same lists does.
+    """
+
+    __slots__ = ("_blocks",)
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` gaps and packets, as two arrays of ``n`` doubles
+        (none once the stream is closed)."""
+        return self._blocks.take(n)
+
+    def close(self) -> None:
+        """End the stream: it yields no more pairs, and takes none."""
+        self._blocks.close()
+
+
+class _Blocks:
+    # The draws behind an EventStream, one block at a time.  The current
+    # block is held as arrays and as two list iterators, which the chain's
+    # zip reads; the iterators' index is the position in the block, which
+    # take() moves with __setstate__.  `fresh` marks a block that take()
+    # drew but the chain has not been handed yet.
+
+    def __init__(self, scale: float, packet: DistributionSpec, rng: np.random.Generator):
+        self.scale, self.packet, self.rng = scale, packet, rng
+        self.gaps = self.packets = None
+        self.g = self.q = iter([])
+        self.fresh = self.closed = False
+
+    def __iter__(self) -> _Blocks:
+        return self
+
+    def __next__(self) -> Iterator[tuple[float, float]]:  # the chain's next block of pairs
+        if self.closed:
+            raise StopIteration
+        if not self.fresh:
+            self.hold(*self.draw(), 0)
+        self.fresh = False
+        return zip(self.g, self.q)
+
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rng.exponential(self.scale, EVENT_BLOCK), sample_block(self.packet, self.rng, EVENT_BLOCK)
+
+    def hold(self, gaps: np.ndarray, packets: np.ndarray, at: int) -> None:
+        # make (gaps, packets) the current block, its first `at` pairs read
+        self.gaps, self.packets = gaps, packets
+        self.g, self.q = iter(gaps.tolist()), iter(packets.tolist())
+        self.g.__setstate__(at)
+        self.q.__setstate__(at)
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
+        if self.closed:
+            n = 0
+        gaps, packets = np.empty(n), np.empty(n)
+        at = EVENT_BLOCK - self.g.__length_hint__()
+        k = min(n, EVENT_BLOCK - at)
+        if k:  # the rest of the current block first
+            gaps[:k] = self.gaps[at : at + k]
+            packets[:k] = self.packets[at : at + k]
+            self.g.__setstate__(at + k)
+            self.q.__setstate__(at + k)
+        while k < n:
+            block_gaps, block_packets = self.draw()
+            m = min(EVENT_BLOCK, n - k)
+            gaps[k : k + m] = block_gaps[:m]
+            packets[k : k + m] = block_packets[:m]
+            k += m
+            if m < EVENT_BLOCK:  # the chain's pairs go on from here
+                self.hold(block_gaps, block_packets, m)
+                self.fresh = True
+        return gaps, packets
+
+    def close(self) -> None:
+        self.closed = True
+        self.g.__setstate__(EVENT_BLOCK)  # the chain's zip ends with the block
+        self.q.__setstate__(EVENT_BLOCK)
+
+
+def poisson_events(lam: float, packet: DistributionSpec, rng: np.random.Generator) -> EventStream:
     """Endless ``(gap, packet)`` stream with Exp(lam) gaps.
 
-    Draws are made in fixed blocks of :data:`EVENT_BLOCK` (gaps first, then
-    packet sizes) so the simulation kernels can replay the identical stream
-    from the same generator state without going through this generator.
+    Draws are made in fixed blocks of :data:`EVENT_BLOCK` (gaps first,
+    ``rng.exponential(1 / lam, EVENT_BLOCK)``, then as many packet sizes,
+    :func:`sample_block`) so the simulation kernels can replay the
+    identical stream from the same generator state without going through
+    this stream.  A block is drawn when its first pair is read.  The
+    returned :class:`EventStream` also hands out its next pairs as arrays
+    (:meth:`EventStream.take`); pairs and arrays share one position in the
+    stream.  :func:`hsc.simulate_lindley` takes a chunk of arrays at a time
+    and walks it as lockstep lanes, exactly (see :mod:`hsc.simulate`).
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"arrival rate must be positive and finite, got {lam!r}")
-    scale = 1.0 / lam
-    while True:
-        gaps = rng.exponential(scale, EVENT_BLOCK)
-        packets = sample_block(packet, rng, EVENT_BLOCK)
-        yield from zip(gaps.tolist(), packets.tolist())
-
+    blocks = _Blocks(1.0 / lam, packet, rng)
+    stream = EventStream.from_iterable(blocks)
+    stream._blocks = blocks
+    return stream

@@ -39,9 +39,17 @@ monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 > 0`` exactly when ``x_i > -s``.  The battery recursion at arrival epochs
 (``rho < 1`` regime) is the walk reflected at zero, kept in time units,
 ``v = W / p``: one subtraction ``v + packet / p - gap`` gives the next
-level, or the idle time before the next arrival.  It stays a scalar loop
-over a caller's event stream, its interface, since a block form decides a
-level of exactly zero in other floats and so agrees only to a tolerance.
+level, or the idle time before the next arrival.  It reads the caller's
+event stream a chunk at a time as arrays (an
+:class:`~hsc.distributions.EventStream` hands them out, any other iterable
+is converted) and walks a chunk as lanes of consecutive steps in lockstep,
+lane 0 from the carried level and the others from 0.  Rounding is
+monotone, so each step is monotone in the level: a lane started at 0 never
+lies above the true chain, and from the true chain's first zero on it holds
+the same doubles.  Only a lane whose true start is not 0 is walked again,
+from that start up to its first zero, by one sequential ``cumsum``; the
+times are sequential sums too, so every statistic is the scalar loop's, bit
+for bit.
 Trial ``i`` of a run seeded with ``seed`` walks its own stream
 ``trial_rng(seed, i)``, ``PCG64DXSM(seed).jumped(i)``.  Each trial's
 generator comes from :func:`_trial_rngs`, which sets a spare one to the
@@ -95,13 +103,13 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .analytic import SystemParams, _check_protocol, _finite_horizon, _integer
-from .distributions import EVENT_BLOCK, DistributionSpec, poisson_events, raw_block, scale_block
+from .distributions import EVENT_BLOCK, DistributionSpec, EventStream, poisson_events, raw_block, scale_block
 from .distributions import sample_block  # noqa: F401  (hsc.simulate.sample_block: a traced name)
 from .errors import DomainError, PreconditionError
 
@@ -131,6 +139,10 @@ _TIE_RTOL = 1e-9
 # per trial where an uncapped horizon hangs.  The figures need 1.3e3.  It
 # caps the steps of a ladder walk and of a battery recursion run alike.
 _MAX_ARRIVALS = 1e8
+# Pairs the battery recursion reads at a time, about 1 MB of work arrays, and
+# the steps of one of its lockstep lanes (see _lindley_lanes).
+_LINDLEY_CHUNK = 64 * EVENT_BLOCK
+_LANE = 256
 # Cap on the (trial, u0) cells counted at once, about 17 bytes each, so the
 # count takes about 4.5 MB whatever the size of the u0 grid.
 _COUNT_CELLS = 2**18
@@ -684,13 +696,16 @@ def simulate_lindley(
     the share of elapsed time the store spends empty, where the interval
     after arrival ``n`` contributes ``max(0, gap_n - v_n - packet_n / p)``.
     The returned ``steps`` counts the pairs consumed, fewer than asked if
-    the stream runs dry.
+    the stream runs dry.  The stream is read ``_LINDLEY_CHUNK`` pairs at a
+    time, as arrays from an :class:`~hsc.distributions.EventStream` and by
+    converting any other iterable, and never past the ``steps`` pairs used.
 
     Raises:
         PreconditionError: unless ``steps > burn_in >= 0`` are integers;
             when ``steps`` exceeds 1e8, before any draw; when ``rho >= 1``,
-            since there is no stationary regime to sample; or when the
-            stream ends before any post-burn-in step.
+            since there is no stationary regime to sample; when the stream
+            ends before any post-burn-in step; or when no time passes after
+            the burn-in (every counted gap is 0).
         DomainError: where a level or the elapsed time leaves the doubles.
     """
     burn_in = _integer("burn_in", burn_in, 0)
@@ -699,33 +714,105 @@ def simulate_lindley(
         raise PreconditionError(f"no stationary regime at rho = {params.rho} >= 1")
     p = params.p
     v = params.u0 / p
-    events = iter(events)
-    for gap, packet in islice(events, burn_in):
-        v = v + packet / p - gap
-        if v <= 0.0:
-            v = 0.0
-    counted = 0
-    empty_arrivals = 0
-    empty_time = 0.0
-    total_time = 0.0
-    while counted < steps - burn_in:  # a block of pairs at a time, until the stream runs dry
-        block = list(islice(events, min(steps - burn_in - counted, EVENT_BLOCK)))
-        if not block:
-            break
-        counted += len(block)
-        for gap, packet in block:
-            total_time += gap
-            v = v + packet / p - gap
-            if v <= 0.0:  # the store was empty for -v before this arrival
-                empty_time -= v
-                v = 0.0
-                empty_arrivals += 1
-    if counted == 0 or total_time <= 0.0:
+    take = events.take if isinstance(events, EventStream) else _pair_arrays(iter(events))
+    read = empty_arrivals = 0
+    empty_time = total_time = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan level is raised below
+        while read < steps:
+            gaps, packets = take(min(steps - read, _LINDLEY_CHUNK))
+            if not gaps.size:
+                break
+            raw, v = _lindley_lanes(v, gaps, packets, p)
+            lo = max(burn_in - read, 0)  # the chunk's first counted step
+            read += gaps.size
+            raw, gaps = raw[lo:], gaps[lo:]
+            # the store was empty for -raw before an arrival where raw <= 0
+            # (+0.0 elsewhere, which leaves the sum as it is; after a nan
+            # level every level is nan, which is raised below)
+            empty_arrivals += int(np.count_nonzero(raw <= 0.0))
+            empty_time = _running_sum(empty_time, -np.minimum(raw, 0.0))
+            total_time = _running_sum(total_time, gaps)
+    counted = read - burn_in
+    if counted <= 0:
         raise PreconditionError("event stream ended before any post-burn-in step")
+    if total_time <= 0.0:
+        raise PreconditionError(f"no time passes in the {counted} post-burn-in steps: every gap is 0")
     if not (v < math.inf and total_time < math.inf):  # a level past the doubles stays inf, or becomes nan
         raise DomainError(f"a battery level or the elapsed time leaves the doubles at p = {p!r}")
     return LindleyStats(
         time_empty_fraction=empty_time / total_time,
         arrival_empty_fraction=empty_arrivals / counted,
-        steps=burn_in + counted,
+        steps=read,
     )
+
+
+def _pair_arrays(events: Iterator[tuple[float, float]]) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """``take(n)`` for an iterator of pairs: its next ``n`` pairs (fewer if
+    it runs dry) as gap and packet arrays, reading no further."""
+
+    def take(n: int) -> tuple[np.ndarray, np.ndarray]:
+        pairs = list(islice(events, n))
+        flat = np.fromiter(chain.from_iterable(pairs), float)
+        if flat.size != 2 * len(pairs):
+            raise ValueError("each event must be a (gap, packet) pair")
+        return flat[0::2], flat[1::2]
+
+    return take
+
+
+def _lindley_lanes(v: float, gaps: np.ndarray, packets: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """The recursion from level ``v``: each step's level before the clamp,
+    ``fl(fl(v + packet / p) - gap)``, and the level after the last step,
+    the scalar loop's doubles.
+
+    Lanes of ``_LANE`` steps run in lockstep, lane 0 from ``v`` and the
+    others from 0 (see the module docstring).  A lane whose true start is
+    not 0 is walked again as one sequential cumsum of ``[start, q0, -g0,
+    q1, -g1, ...]`` (``q = packet / p``), each window of lanes twice the
+    last, up to its first level at or below 0.  Each lane's row of that
+    interleaved array leads with a slot, 0.0 but where a walk starts, since
+    adding 0.0 leaves a level as it is.
+    """
+    n = gaps.size
+    steps = min(_LANE, n)
+    lanes = -(-n // steps)
+    if lanes * steps > n:  # pad: a step with no gap and no packet leaves the level as it is
+        pad = np.zeros(lanes * steps - n)
+        gaps, packets = np.concatenate((gaps, pad)), np.concatenate((packets, pad))
+    width = 2 * steps + 1
+    x = np.empty((lanes, width))
+    x[:, 0] = 0.0
+    np.divide(packets.reshape(lanes, steps), p, out=x[:, 1::2])
+    np.negative(gaps.reshape(lanes, steps), out=x[:, 2::2])
+    raw = np.empty((lanes, steps))
+    level = np.zeros(lanes)
+    level[0] = v
+    for q, g, r in zip(x[:, 1::2].T, x[:, 2::2].T, raw.T):
+        np.add(level, q, out=r)
+        np.add(r, g, out=r)
+        np.maximum(r, 0.0, out=level)
+    ends = level.tolist()
+    flat_x, flat_raw = x.ravel(), raw.ravel()
+    v, k, w = ends[0], 1, 1  # the true start of lane k, and the next window's lanes
+    while k < lanes:
+        if v == 0.0:  # lane k walked from its true start
+            v, k, w = ends[k], k + 1, 1
+            continue
+        w = min(w, lanes - k)
+        x[k, 0] = v
+        c = flat_x[k * width : (k + w) * width].cumsum().reshape(w, width)[:, 2::2].ravel()
+        zero = c <= 0.0
+        j = int(zero.argmax())
+        if zero[j]:  # the true chain meets the lane's at its first zero
+            flat_raw[k * steps : k * steps + j + 1] = c[: j + 1]
+            k += j // steps + 1
+            v, w = ends[k - 1], 1
+        else:
+            flat_raw[k * steps : (k + w) * steps] = c
+            v, k, w = float(c[-1]), k + w, 2 * w
+    return flat_raw[:n], v
+
+
+def _running_sum(start: float, x: np.ndarray) -> float:
+    """``start + x[0] + x[1] + ...``, added one at a time, as a loop would."""
+    return float(np.concatenate(([start], x)).cumsum()[-1])

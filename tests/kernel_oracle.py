@@ -26,8 +26,16 @@ unit arithmetic, but draws every block in full, cuts the walk at the step
 cap and forms each block's walk in full, where the library clamps its last
 block at the cap and adds the block-start offset to scalars.  The renewal march
 solves the trapezoid rows one dot product at a time, where the library
-divides power series; the Lindley loop tests the step index on every pair,
-where the library slices the stream.
+divides power series.  The Lindley time loop is the battery recursion as
+the library ran it up to 0.8.0, one pair at a time with the level in time
+units: the exact oracle of the library's lanes, which walk a chunk of
+steps as lockstep lanes and walk again, by one cumsum, each lane whose
+true start is not 0 (rounding is monotone, so a lane started at 0 meets
+the true chain at its first zero and holds the same doubles from there).
+The Lindley loop recurses in energy and tests the step index on every
+pair; it equals the library bit for bit only at ``p = 1``.  The event
+generator is :func:`hsc.poisson_events` as a plain generator, before the
+stream kept its place and handed out arrays.
 """
 from __future__ import annotations
 
@@ -47,7 +55,7 @@ from hsc.analytic import (
 )
 from hsc.cli import ResultRow
 from hsc.distributions import EVENT_BLOCK, parse_distribution_spec, poisson_events, sample_block
-from hsc.errors import PreconditionError
+from hsc.errors import DomainError, PreconditionError
 from hsc.simulate import (
     _TIE_RTOL,
     _Z95,
@@ -158,6 +166,16 @@ def max_deficit_full_blocks(
             return best
         s0 += float(deficits[-1])
         done += float(units[-1])
+
+
+def poisson_events_generator(lam, packet, rng):
+    """:func:`hsc.poisson_events` as the generator it was up to 0.8.0: the
+    same block draws, yielded pair by pair."""
+    scale = 1.0 / lam
+    while True:
+        gaps = rng.exponential(scale, EVENT_BLOCK)
+        packets = sample_block(packet, rng, EVENT_BLOCK)
+        yield from zip(gaps.tolist(), packets.tolist())
 
 
 def scripted_events(
@@ -405,6 +423,42 @@ def renewal_march(f, theta, step):
         interior = f[1:j] @ phi[j - 1 : 0 : -1]
         phi[j] = ((1.0 - theta) + step * (interior + f[j] * half_phi0)) / denom
     return phi
+
+
+def lindley_time_loop(params, steps, burn_in, events):
+    """``simulate_lindley`` as the scalar loop it was up to 0.8.0, on checked
+    arguments: the level in time units, ``v = W / p``, one pair at a time.
+    The exact oracle of the library's lanes, bit for bit."""
+    p = params.p
+    v = params.u0 / p
+    events = iter(events)
+    for gap, packet in islice(events, burn_in):
+        v = v + packet / p - gap
+        if v <= 0.0:
+            v = 0.0
+    counted = 0
+    empty_arrivals = 0
+    empty_time = 0.0
+    total_time = 0.0
+    for gap, packet in islice(events, steps - burn_in):
+        counted += 1
+        total_time += gap
+        v = v + packet / p - gap
+        if v <= 0.0:  # the store was empty for -v before this arrival
+            empty_time -= v
+            v = 0.0
+            empty_arrivals += 1
+    if counted == 0:
+        raise PreconditionError("event stream ended before any post-burn-in step")
+    if total_time <= 0.0:
+        raise PreconditionError(f"no time passes in the {counted} post-burn-in steps: every gap is 0")
+    if not (v < math.inf and total_time < math.inf):
+        raise DomainError(f"a battery level or the elapsed time leaves the doubles at p = {p!r}")
+    return LindleyStats(
+        time_empty_fraction=empty_time / total_time,
+        arrival_empty_fraction=empty_arrivals / counted,
+        steps=burn_in + counted,
+    )
 
 
 def lindley_loop(params, steps, burn_in, events):

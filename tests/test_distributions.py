@@ -17,10 +17,12 @@ from hsc import (
     log_laplace,
     parse_distribution_spec,
     poisson_events,
+    SystemParams,
     sample_block,
+    simulate_lindley,
 )
-from hsc.distributions import PHI_SERIES, raw_block, scale_block
-from kernel_oracle import scripted_events
+from hsc.distributions import PHI_SERIES, EventStream, raw_block, scale_block
+from kernel_oracle import lindley_time_loop, poisson_events_generator, scripted_events
 
 means = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 kinds = st.sampled_from(list(Kind))
@@ -311,3 +313,79 @@ class TestNumpyStream:
             for draw in (rng.standard_exponential, rng.random)
         )
         assert digests == self.DIGESTS[seed, index]
+
+
+class TestEventStream:
+    """The stream ``poisson_events`` returns: the pairs of the generator it
+    was up to 0.8.0, drawn alike, with pairs and arrays read from one
+    position.  Run beside ``TestNumpyStream`` in CI, before tier-1."""
+
+    SPECS = (
+        DistributionSpec(Kind.EXPONENTIAL, 1.5),
+        DistributionSpec(Kind.DETERMINISTIC, 2.5),
+        DistributionSpec(Kind.UNIFORM, 0.3),
+    )
+
+    @staticmethod
+    def reference(spec, n, seed=8):
+        return list(itertools.islice(poisson_events_generator(0.7, spec, np.random.default_rng(seed)), n))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_pairs_equal_the_generator(self, spec):
+        stream = poisson_events(0.7, spec, np.random.default_rng(8))
+        assert isinstance(stream, EventStream)
+        n = 3 * EVENT_BLOCK + 5
+        assert list(itertools.islice(stream, n)) == self.reference(spec, n)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_take_and_next_share_one_position(self, spec):
+        # takes before any pair, inside a block, up to its end, across
+        # several blocks and of nothing, each followed by a few pairs
+        stream = poisson_events(0.7, spec, np.random.default_rng(8))
+        got = []
+        for n, pairs in ((5, 2), (EVENT_BLOCK - 7, 0), (0, 1), (1, 0), (2 * EVENT_BLOCK + 3, 3),
+                         (EVENT_BLOCK - 6, 0), (EVENT_BLOCK, 2), (3, 1)):
+            gaps, packets = stream.take(n)
+            assert gaps.shape == packets.shape == (n,)
+            got += zip(gaps.tolist(), packets.tolist())
+            got += (next(stream) for _ in range(pairs))
+        assert got == self.reference(spec, len(got))
+
+    @pytest.mark.parametrize("n", [0, 1, EVENT_BLOCK - 1, EVENT_BLOCK, EVENT_BLOCK + 1, 3 * EVENT_BLOCK])
+    def test_a_block_is_drawn_when_its_first_pair_is_read(self, n):
+        spec = self.SPECS[2]
+        taken, read, ref = (np.random.default_rng(4) for _ in range(3))
+        poisson_events(0.7, spec, taken).take(n)
+        list(itertools.islice(poisson_events(0.7, spec, read), n))
+        list(itertools.islice(poisson_events_generator(0.7, spec, ref), n))
+        assert taken.bit_generator.state == read.bit_generator.state == ref.bit_generator.state
+
+    def test_close_ends_the_stream(self):
+        stream = poisson_events(0.7, self.SPECS[0], np.random.default_rng(8))
+        next(stream)
+        stream.close()
+        assert list(stream) == []
+        gaps, packets = stream.take(5)
+        assert gaps.size == packets.size == 0
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_the_battery_recursion_reads_the_pairs_after_next(self, spec):
+        params = SystemParams(0.7, spec, 2.0 * spec.mean)
+        stream = poisson_events(0.7, spec, np.random.default_rng(8))
+        head = [next(stream) for _ in range(3)]
+        stats = simulate_lindley(params, 2000, 100, stream)
+        pairs = self.reference(spec, 2005)
+        assert head == pairs[:3]
+        assert stats == lindley_time_loop(params, 2000, 100, pairs[3:2003])
+        assert [next(stream), next(stream)] == pairs[2003:]
+
+    def test_any_iterable_loses_exactly_the_pairs_it_walks(self):
+        # steps counts the burn-in: 3000 pairs are read, and the next one is
+        # still there, from a list iterator, a generator and the stream alike
+        spec = self.SPECS[0]
+        params = SystemParams(0.4, spec, 1.0)
+        pairs = self.reference(spec, 3001)
+        for events in (iter(pairs), (pair for pair in pairs), scripted_events(pairs),
+                       poisson_events(0.7, spec, np.random.default_rng(8))):
+            simulate_lindley(params, 3000, 500, events)
+            assert next(events) == pairs[3000]

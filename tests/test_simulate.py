@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -651,6 +652,127 @@ class TestLindley:
     def test_a_level_or_time_past_the_doubles_raises(self, pairs, burn_in):
         with pytest.raises(DomainError):
             simulate_lindley(mm1(lam=0.9), len(pairs), burn_in, scripted_events(pairs))
+
+
+class TestLindleyLanes:
+    """``simulate_lindley``'s lockstep lanes against the scalar loop in time
+    units (``kernel_oracle.lindley_time_loop``), bit for bit."""
+
+    @pytest.fixture
+    def small_lanes(self, monkeypatch):
+        # lanes of 4 steps in chunks of 12 pairs, so a few dozen pairs cross
+        # every lane and chunk edge
+        monkeypatch.setattr(simulate, "_LANE", 4)
+        monkeypatch.setattr(simulate, "_LINDLEY_CHUNK", 12)
+
+    @staticmethod
+    def assert_equal(params, steps, burn_in, events):
+        events = list(events)
+        try:
+            ref = kernel_oracle.lindley_time_loop(params, steps, burn_in, events)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                simulate_lindley(params, steps, burn_in, events)
+        else:
+            assert simulate_lindley(params, steps, burn_in, events) == ref
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    @pytest.mark.parametrize("p", [1.0, 0.3, 10.0 / 3.0])
+    @pytest.mark.parametrize("rho", [0.3, 0.8, 0.95, 0.999])
+    def test_equals_the_time_loop_oracle(self, packet, p, rho):
+        params = SystemParams(rho * p, packet, p, u0=0.5)
+        for seed in (1, 2):
+            got, ref = (
+                f(params, 20_000, 700, poisson_events(params.lam, packet, trial_rng(seed, 3)))
+                for f in (simulate_lindley, kernel_oracle.lindley_time_loop)
+            )
+            assert got == ref
+
+    @pytest.mark.parametrize(
+        "steps, burn_in",
+        [(255, 0), (256, 0), (257, 0), (257, 256), (300, 255), (65_535, 0), (65_536, 0),
+         (65_537, 0), (65_537, 65_536), (70_000, 65_537), (131_073, 65_535)],
+    )
+    def test_chunk_and_lane_edges(self, steps, burn_in):
+        # the lanes are 256 steps and a chunk 65 536 pairs; at rho 0.999 a
+        # walk started above 0 runs over many lanes before its first zero
+        for rho in (0.6, 0.999):
+            params = SystemParams(rho, UNIF1, 1.0, u0=2.0)
+            got, ref = (
+                f(params, steps, burn_in, poisson_events(rho, UNIF1, trial_rng(9, steps)))
+                for f in (simulate_lindley, kernel_oracle.lindley_time_loop)
+            )
+            assert got == ref
+
+    @pytest.mark.parametrize("rho", [0.5, 0.999])
+    @pytest.mark.parametrize("size", [40, 23, 17])
+    def test_every_burn_in_and_steps_in_small_lanes(self, small_lanes, rho, size):
+        # burn-in ends at every place in a lane and a chunk; the stream of
+        # size pairs runs dry at the end of the last chunk (40 of steps up to
+        # 40), inside a lane (23, 17) or not at all
+        rng = np.random.default_rng(5)
+        pairs = list(zip(rng.exponential(1.0 / rho, 40).tolist(), rng.exponential(1.0, 40).tolist()))
+        params = SystemParams(rho, EXP1, 1.0, u0=0.7)
+        for steps in range(1, 41):
+            for burn_in in range(steps):
+                self.assert_equal(params, steps, burn_in, pairs[:size])
+
+    @pytest.mark.parametrize("p", [0.3, 10.0 / 3.0])
+    def test_long_busy_periods_in_small_lanes(self, monkeypatch, p):
+        # at rho 0.999 a walk from a nonzero start spans many 16-step lanes,
+        # in windows of 1, 2, 4, ... lanes, and chunks of 256 pairs end
+        # inside it
+        monkeypatch.setattr(simulate, "_LANE", 16)
+        monkeypatch.setattr(simulate, "_LINDLEY_CHUNK", 256)
+        params = SystemParams(0.999 * p, EXP1, p, u0=30.0)
+        got, ref = (
+            f(params, 5000, 1000, poisson_events(params.lam, EXP1, trial_rng(4, 0)))
+            for f in (simulate_lindley, kernel_oracle.lindley_time_loop)
+        )
+        assert got == ref
+
+    def test_levels_of_exactly_zero(self, small_lanes):
+        # from u0 = 0 every third level is exactly 0 after a positive one,
+        # and the others 0.5 then 0: empty arrivals with no idle time
+        pairs = [(1.0, 1.0), (0.5, 1.0), (1.5, 1.0)] * 10
+        params = SystemParams(0.5, DET1, 1.0)
+        stats = simulate_lindley(params, 30, 0, pairs)
+        assert stats == kernel_oracle.lindley_time_loop(params, 30, 0, pairs)
+        assert stats.time_empty_fraction == 0.0
+        assert stats.arrival_empty_fraction == 20 / 30
+        for burn_in in range(30):
+            self.assert_equal(params, 30, burn_in, pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, params",
+        [
+            ([(1.0, 1.0)] * 5 + [(1.0, math.inf)] + [(1.0, 1.0)] * 6, mm1(lam=0.9)),  # +inf in the second lane
+            ([(1.0, 1.0)] * 5 + [(1.0, math.inf), (math.inf, 1.0)] + [(1.0, 1.0)] * 5, mm1(lam=0.9)),  # then nan
+            ([(1.0, 1.0)] * 9 + [(math.inf, 1.0)] + [(1.0, 1.0)] * 2, mm1(lam=0.9)),  # the elapsed time
+            ([(1.0, 1.0)] * 12, SystemParams(0.5e-10, DET1, 1e-10, u0=1e308)),  # u0 / p is +inf
+        ],
+    )
+    def test_inf_and_nan_levels_raise_without_a_warning(self, small_lanes, pairs, params):
+        for burn_in in (0, 6):
+            with pytest.raises(DomainError, match="leaves the doubles"):
+                kernel_oracle.lindley_time_loop(params, len(pairs), burn_in, pairs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="leaves the doubles"):
+                    simulate_lindley(params, len(pairs), burn_in, pairs)
+
+    def test_zero_gaps_after_the_burn_in_are_not_a_dry_stream(self):
+        # the stream did not end: no time passed after the burn-in
+        for pairs, burn_in in (([(0.0, 1.0)] * 2, 0), ([(1.0, 0.5), (0.0, 1.0), (0.0, 2.0)], 1)):
+            with pytest.raises(PreconditionError, match="no time passes"):
+                simulate_lindley(mm1(lam=0.9), len(pairs), burn_in, pairs)
+            with pytest.raises(PreconditionError, match="no time passes"):
+                kernel_oracle.lindley_time_loop(mm1(lam=0.9), len(pairs), burn_in, pairs)
+
+    def test_pairs_of_other_lengths_rejected(self):
+        for pairs in ([(1.0, 1.0, 1.0)] * 4, [(1.0,)] * 4):
+            with pytest.raises(ValueError, match="pair"):
+                simulate_lindley(mm1(lam=0.9), 4, 1, pairs)
 
 
 class TestEstimatorDeterminism:
@@ -1493,6 +1615,20 @@ class TestBatchedWalk:
                 got = _max_deficits(columns, 5.0, 1, 0, 20, grid)
             self.assert_bits_equal(got, self.oracle(columns, 5.0, 1, 0, 20, grid))
 
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_rooms_are_at_least_the_least_double(self, packet):
+        # at lam = 1e-300 and H = 1e-30, lam * H underflows to 0, so each
+        # room is the least double, 5e-324 units, and every first ramp is
+        # 5e-324 * p / lam, about 4.9e-24 at p = 1, far above packets of mean
+        # 1e-30: each D_i is positive, as the oracle forms it.  A room of 0
+        # would make every D_i minus the first packet
+        packet = replace(packet, mean=1e-30)
+        columns = [SystemParams(1e-300, packet, 1.0), SystemParams(1e-300, packet, 0.25)]
+        assert columns[0].lam * 1e-30 == 0.0
+        got = _max_deficits(columns, 1e-30, 1, 0, 20, [0.0])
+        self.assert_bits_equal(got, self.oracle(columns, 1e-30, 1, 0, 20, [0.0]))
+        assert (got > 1e-24).all()
 
 def scalar_counts(params, horizon, seed, grid, trials):
     """Outages of trials ``[0, trials)`` for each u0, by the exact scalar."""
