@@ -22,7 +22,8 @@ from .errors import *  # noqa: F401,F403
 from .distributions import *  # noqa: F401,F403
 from .analytic import *  # noqa: F401,F403
 
-# simulate.__all__, which test_package_exports_each_module_name_once keeps in step
+# hsc.simulate's public names, which it takes as its __all__: listed here, since
+# the package must know them without loading hsc.simulate and numpy
 _SIMULATE = (
     "TrialOutcome",
     "LadderSample",

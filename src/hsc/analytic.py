@@ -241,7 +241,7 @@ def outage_bound(r_star: float, u0: float) -> float:
     """Exponential upper bound ``exp(-r* u0)`` on the outage probability."""
     if not r_star > 0.0:
         raise PreconditionError(f"r_star must be positive, got {r_star!r}")
-    if u0 < 0.0:
+    if not u0 >= 0.0:
         raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
     return math.exp(-r_star * u0)
 
@@ -301,7 +301,7 @@ def asymptotic_outage(
         raise PreconditionError(f"r_star must be positive, got {r_star!r}")
     if not mu_tilde > 0.0:
         raise PreconditionError(f"mu_tilde must be positive, got {mu_tilde!r}")
-    if u0 < 0.0:
+    if not u0 >= 0.0:
         raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
     scale = r_star * mu_tilde
     if scale >= sys.float_info.min:  # a normal double, so defect / scale is finite
@@ -345,7 +345,7 @@ def ladder_height_density_poisson(
 
     theta = _ladder_mass(params, r_star, "ladder density form")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise PreconditionError("ladder heights are nonnegative; x must be >= 0")
     beta = params.lam / params.p
     with np.errstate(over="ignore"):  # -beta x past the doubles is -inf, whose exp is the density's 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -122,23 +123,18 @@ def parse_distribution_spec(text: str) -> DistributionSpec:
     return DistributionSpec(_KINDS[kind_token], mean)
 
 
-def sample_block(
-    spec: DistributionSpec, rng: np.random.Generator, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_block(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` packet sizes as one vectorized call (one stream advance).
 
-    They fill ``out`` (``n`` doubles) if it is given, else a new array.  The
-    draws are numpy's ``exponential(mean)`` and ``uniform(0, 2 * mean)``, bit
-    for bit; a packet past the largest double (``2 * mean`` itself may
-    overflow) is ``+inf``.  It is :func:`raw_block` and then
+    The draws are numpy's ``exponential(mean)`` and ``uniform(0, 2 *
+    mean)``, bit for bit; a packet past the largest double (``2 * mean``
+    itself may overflow) is ``+inf``.  It is :func:`raw_block` and then
     :func:`scale_block`; the block walk calls the two apart, a raw draw per
     row and one scale per batch of rows.
     """
     import numpy as np
 
-    if out is None:
-        out = np.empty(n)
-    return scale_block(spec, raw_block(spec, rng, out))
+    return scale_block(spec, raw_block(spec, rng, np.empty(n)))
 
 
 def raw_block(spec: DistributionSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -254,51 +250,41 @@ class EventStream(itertools.chain):
     """The endless ``(gap, packet)`` stream of :func:`poisson_events`.
 
     Iterating it yields pairs; :meth:`take` hands out the next ``n`` pairs
-    as two float arrays.  Both read from one position in the stream.  Pairs
-    come from a C-level chain over ``zip``s of each block's lists, so a pair
-    costs what one from a plain generator over the same lists does.
+    as two float arrays.  Both read from one position in the stream.  It is
+    its own iterator (``iter(stream) is stream``): an ``itertools.chain``
+    over ``zip``s of each block's lists, which it gets from its own method
+    through ``iter(callable, None)``, so a pair costs what one from a plain
+    generator over the same lists does.  The current block is held as
+    arrays and as the two list iterators that its ``zip`` reads; their index
+    is the position in the block, which :meth:`take` moves with
+    ``__setstate__``.  :func:`poisson_events` builds it, checking ``lam``.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("scale", "packet", "rng", "gaps", "packets", "g", "q", "closed", "__weakref__")
 
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``n`` gaps and packets, as two arrays of ``n`` doubles
-        (none once the stream is closed)."""
-        return self._blocks.take(n)
+    def __new__(cls, lam: float, packet: DistributionSpec, rng: np.random.Generator) -> EventStream:
+        # the chain's source holds the stream weakly: a cycle would keep each
+        # dropped stream and its block until the next garbage collection
+        stream = cls.from_iterable(iter(lambda: ref()._block(), None))
+        ref = weakref.ref(stream)
+        stream.scale, stream.packet, stream.rng = 1.0 / lam, packet, rng
+        stream.g = stream.q = iter([])
+        stream.closed = False
+        return stream
 
-    def close(self) -> None:
-        """End the stream: it yields no more pairs, and takes none."""
-        self._blocks.close()
-
-
-class _Blocks:
-    # The draws behind an EventStream, one block at a time.  The current
-    # block is held as arrays and as two list iterators, which the chain's
-    # zip reads; the iterators' index is the position in the block, which
-    # take() moves with __setstate__.  `fresh` marks a block that take()
-    # drew but the chain has not been handed yet.
-
-    def __init__(self, scale: float, packet: DistributionSpec, rng: np.random.Generator):
-        self.scale, self.packet, self.rng = scale, packet, rng
-        self.gaps = self.packets = None
-        self.g = self.q = iter([])
-        self.fresh = self.closed = False
-
-    def __iter__(self) -> _Blocks:
-        return self
-
-    def __next__(self) -> Iterator[tuple[float, float]]:  # the chain's next block of pairs
+    def _block(self) -> Iterator[tuple[float, float]] | None:
+        # the chain's next block of pairs: the rest of the block that take()
+        # read part of, else a new one; None once the stream is closed
         if self.closed:
-            raise StopIteration
-        if not self.fresh:
-            self.hold(*self.draw(), 0)
-        self.fresh = False
+            return None
+        if not self.g.__length_hint__():
+            self._hold(*self._draw(), 0)
         return zip(self.g, self.q)
 
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+    def _draw(self) -> tuple[np.ndarray, np.ndarray]:
         return self.rng.exponential(self.scale, EVENT_BLOCK), sample_block(self.packet, self.rng, EVENT_BLOCK)
 
-    def hold(self, gaps: np.ndarray, packets: np.ndarray, at: int) -> None:
+    def _hold(self, gaps: np.ndarray, packets: np.ndarray, at: int) -> None:
         # make (gaps, packets) the current block, its first `at` pairs read
         self.gaps, self.packets = gaps, packets
         self.g, self.q = iter(gaps.tolist()), iter(packets.tolist())
@@ -306,6 +292,8 @@ class _Blocks:
         self.q.__setstate__(at)
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` gaps and packets, as two arrays of ``n`` doubles
+        (none once the stream is closed)."""
         import numpy as np
 
         if self.closed:
@@ -319,17 +307,17 @@ class _Blocks:
             self.g.__setstate__(at + k)
             self.q.__setstate__(at + k)
         while k < n:
-            block_gaps, block_packets = self.draw()
+            block_gaps, block_packets = self._draw()
             m = min(EVENT_BLOCK, n - k)
             gaps[k : k + m] = block_gaps[:m]
             packets[k : k + m] = block_packets[:m]
             k += m
-            if m < EVENT_BLOCK:  # the chain's pairs go on from here
-                self.hold(block_gaps, block_packets, m)
-                self.fresh = True
+            if m < EVENT_BLOCK:  # the pairs go on from here
+                self._hold(block_gaps, block_packets, m)
         return gaps, packets
 
     def close(self) -> None:
+        """End the stream: it yields no more pairs, and takes none."""
         self.closed = True
         self.g.__setstate__(EVENT_BLOCK)  # the chain's zip ends with the block
         self.q.__setstate__(EVENT_BLOCK)
@@ -350,7 +338,4 @@ def poisson_events(lam: float, packet: DistributionSpec, rng: np.random.Generato
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"arrival rate must be positive and finite, got {lam!r}")
-    blocks = _Blocks(1.0 / lam, packet, rng)
-    stream = EventStream.from_iterable(blocks)
-    stream._blocks = blocks
-    return stream
+    return EventStream(lam, packet, rng)

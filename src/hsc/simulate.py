@@ -42,7 +42,8 @@ monotone, so ``max_i fl(s + x_i) == fl(s + max_i x_i)``, and ``fl(s + x_i)
 level, or the idle time before the next arrival.  It reads the caller's
 event stream a chunk at a time as arrays (an
 :class:`~hsc.distributions.EventStream` hands them out, any other iterable
-is converted) and walks a chunk as lanes of consecutive steps in lockstep,
+is converted, and a pair of another length than two raises ``ValueError``)
+and walks a chunk as lanes of consecutive steps in lockstep,
 lane 0 from the carried level and the others from 0.  Rounding is
 monotone, so each step is monotone in the level: a lane started at 0 never
 lies above the true chain, and from the true chain's first zero on it holds
@@ -108,24 +109,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import _SIMULATE
 from .analytic import SystemParams, _check_protocol, _finite_horizon, _integer
 from .distributions import EVENT_BLOCK, DistributionSpec, EventStream, poisson_events, raw_block, scale_block
 from .distributions import sample_block  # noqa: F401  (hsc.simulate.sample_block: a traced name)
 from .errors import DomainError, PreconditionError
 
-__all__ = [
-    "TrialOutcome",
-    "LadderSample",
-    "EstimateWithCI",
-    "LindleyStats",
-    "trial_rng",
-    "simulate_first_passage",
-    "estimate_outage_curves",
-    "estimate_eventual_outage",
-    "collect_ladder_samples",
-    "estimate_phi_from_max",
-    "simulate_lindley",
-]
+__all__ = list(_SIMULATE)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # The scalar simulator decides where |u0 - D_i| <= _TIE_RTOL * (p / lam + |D_i|),
@@ -462,21 +452,17 @@ def _max_deficits(
     # packet laws share each trial's first block of units, drawn and summed
     # once: the first law walks on from the trial's generator, each later one
     # from a generator set to the state it had after those units.
-    laws: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns, in order
+    laws: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns
     for k, params in enumerate(columns):
         laws.setdefault(params.packet, []).append(k)
-    order = [k for ks in laws.values() for k in ks]
-    deficits = np.empty((hi - lo, len(columns)))  # its columns in that order
+    deficits = np.empty((hi - lo, len(columns)))
     for indices, rngs, first in _first_blocks(seed, lo, hi):
         states = [rng.bit_generator.state for rng in rngs] if len(laws) > 1 else []  # for later laws
-        end = 0
         for ks in laws.values():
-            cols = slice(end, end + len(ks))
-            end += len(ks)
             walked = list(_walk_blocks([columns[k] for k in ks], horizon, zip(indices, rngs, first), u0_sorted))
-            deficits[[trial.index - lo for trial in walked], cols] = [trial.best for trial in walked]
+            deficits[np.ix_([trial.index - lo for trial in walked], ks)] = [trial.best for trial in walked]
             rngs = _restored(states)
-    return deficits[:, np.argsort(order)]
+    return deficits
 
 
 def _count_range(
@@ -675,9 +661,12 @@ def collect_ladder_samples(
 
 
 def estimate_phi_from_max(samples: list[LadderSample], u0: float) -> float:
-    """Empirical fraction of walks whose running maximum stayed at or below u0."""
+    """Empirical fraction of walks whose running maximum stayed at or below
+    ``u0``, which must be at least 0 (a nan raises :class:`PreconditionError`)."""
     if not samples:
         raise PreconditionError("samples must be nonempty")
+    if not u0 >= 0.0:
+        raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
     hits = sum(1 for s in samples if s.max_shortfall <= u0)
     return hits / len(samples)
 
@@ -707,6 +696,7 @@ def simulate_lindley(
             ends before any post-burn-in step; or when no time passes after
             the burn-in (every counted gap is 0).
         DomainError: where a level or the elapsed time leaves the doubles.
+        ValueError: where an event of another iterable is not a pair.
     """
     burn_in = _integer("burn_in", burn_in, 0)
     steps = _walk_length("steps", steps, burn_in + 1)
@@ -752,9 +742,9 @@ def _pair_arrays(events: Iterator[tuple[float, float]]) -> Callable[[int], tuple
 
     def take(n: int) -> tuple[np.ndarray, np.ndarray]:
         pairs = list(islice(events, n))
-        flat = np.fromiter(chain.from_iterable(pairs), float)
-        if flat.size != 2 * len(pairs):
+        if not set(map(len, pairs)) <= {2}:
             raise ValueError("each event must be a (gap, packet) pair")
+        flat = np.fromiter(chain.from_iterable(pairs), float)
         return flat[0::2], flat[1::2]
 
     return take

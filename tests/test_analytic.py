@@ -23,11 +23,13 @@ from hsc import (
     DomainError,
     GridError,
     Kind,
+    LadderSample,
     PreconditionError,
     SolveMethod,
     Sustainability,
     SystemParams,
     asymptotic_outage,
+    estimate_phi_from_max,
     eventual_outage_poisson_exact,
     ladder_height_density_poisson,
     outage_bound,
@@ -383,6 +385,17 @@ class TestOutageFormulas:
         for defect in (0.0, -0.1, 1.5, math.nan):
             with pytest.raises(PreconditionError):
                 asymptotic_outage(defect, 0.1, 10.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: outage_bound(0.1, math.nan),
+        lambda: ladder_height_density_poisson(mm1(), 0.1, math.nan),
+        lambda: ladder_height_density_poisson(mm1(), 0.1, np.array([1.0, math.nan])),
+        lambda: estimate_phi_from_max([LadderSample(0.0, None, None)], math.nan),
+        lambda: asymptotic_outage(0.1, 0.1, 1.0, math.nan),
+    ], ids=["outage_bound", "ladder_density", "ladder_density_array", "phi_from_max", "asymptotic_outage"])
+    def test_a_nan_argument_is_rejected(self, call):
+        with pytest.raises(PreconditionError):
+            call()
 
     def test_required_energy(self):
         assert required_initial_energy(0.1, 0.01) == pytest.approx(

@@ -1,7 +1,9 @@
 """Packet-law parsing, moments, MGF domain handling, and event streams."""
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,7 +185,8 @@ class TestEventSources:
 
 
 class TestSampleBlockInPlace:
-    """Packets drawn into a given row equal the allocating draw."""
+    """Packets drawn into a given row, raw and then scaled in place as the
+    block walk draws them, equal the allocating draw."""
 
     # a subnormal mean; the last mean scaled with no errstate and the first
     # scaled under one
@@ -201,7 +204,7 @@ class TestSampleBlockInPlace:
         a, b = (np.random.Generator(np.random.PCG64DXSM(11)) for _ in range(2))
         expect = sample_block(spec, a, EVENT_BLOCK)
         row = np.full((2, EVENT_BLOCK + 5), np.nan)[1, 3:-2]  # a strided parent, a contiguous row
-        got = sample_block(spec, b, EVENT_BLOCK, row)
+        got = scale_block(spec, raw_block(spec, b, row))
         assert got is row
         assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
         assert a.bit_generator.state == b.bit_generator.state
@@ -359,6 +362,63 @@ class TestEventStream:
         list(itertools.islice(poisson_events(0.7, spec, read), n))
         list(itertools.islice(poisson_events_generator(0.7, spec, ref), n))
         assert taken.bit_generator.state == read.bit_generator.state == ref.bit_generator.state
+
+    def test_the_stream_is_its_own_iterator(self):
+        stream = poisson_events(0.7, self.SPECS[0], np.random.default_rng(8))
+        assert iter(stream) is stream
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("head", [0, 5, EVENT_BLOCK - 1])
+    def test_next_after_a_take_that_ends_at_a_block_end(self, spec, head):
+        stream = poisson_events(0.7, spec, np.random.default_rng(8))
+        got = [next(stream) for _ in range(head)]
+        for n in (EVENT_BLOCK - head, EVENT_BLOCK, 2 * EVENT_BLOCK):
+            gaps, packets = stream.take(n)
+            got += zip(gaps.tolist(), packets.tolist())
+            got.append(next(stream))
+            gaps, packets = stream.take(EVENT_BLOCK - 1)  # to the next block end
+            got += zip(gaps.tolist(), packets.tolist())
+        assert got == self.reference(spec, len(got))
+
+    @pytest.mark.parametrize("head, n", [(0, 5), (3, 7), (3, EVENT_BLOCK + 5), (0, 2 * EVENT_BLOCK + 1)])
+    def test_close_after_a_partial_take_ends_pairs_and_takes(self, head, n):
+        stream = poisson_events(0.7, self.SPECS[2], np.random.default_rng(8))
+        for _ in range(head):
+            next(stream)
+        stream.take(n)
+        stream.close()
+        assert list(stream) == []
+        gaps, packets = stream.take(5)
+        assert gaps.size == packets.size == 0
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_a_for_loop_broken_mid_block_and_a_take_share_one_position(self, spec):
+        stream = poisson_events(0.7, spec, np.random.default_rng(8))
+        got = []
+        for pair in stream:
+            got.append(pair)
+            if len(got) == 10:
+                break
+        gaps, packets = stream.take(EVENT_BLOCK)
+        got += zip(gaps.tolist(), packets.tolist())
+        for pair in stream:
+            got.append(pair)
+            if len(got) == EVENT_BLOCK + 20:
+                break
+        assert got == self.reference(spec, len(got))
+
+    def test_a_dropped_stream_is_freed_at_once(self):
+        # no reference cycle holds it, and its block, until a collection
+        stream = poisson_events(0.7, self.SPECS[0], np.random.default_rng(8))
+        stream.take(5)
+        next(stream)
+        ref = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_close_ends_the_stream(self):
         stream = poisson_events(0.7, self.SPECS[0], np.random.default_rng(8))

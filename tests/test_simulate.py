@@ -774,6 +774,16 @@ class TestLindleyLanes:
             with pytest.raises(ValueError, match="pair"):
                 simulate_lindley(mm1(lam=0.9), 4, 1, pairs)
 
+    @pytest.mark.parametrize("pairs", [
+        [(1.0,), (0.5, 2.0, 0.7)] + [(1.0, 0.3)] * 10,  # 24 numbers, as 12 pairs hold
+        [(1.0, 0.3, 0.2)] * 4,
+    ])
+    def test_ragged_pairs_rejected_as_the_loop_rejects_them(self, pairs):
+        params = SystemParams(0.5, EXP1, 1.0)
+        for walk in (simulate_lindley, kernel_oracle.lindley_time_loop):
+            with pytest.raises(ValueError):
+                walk(params, len(pairs), 0, pairs)
+
 
 class TestEstimatorDeterminism:
     def test_same_seed_bit_identical(self):
@@ -967,7 +977,7 @@ class TestOutageCurve:
         watch_rows(monkeypatch, lambda spec, rng, n: drawn[simulate].append(n))
         monkeypatch.setattr(
             kernel_oracle, "sample_block",
-            lambda spec, rng, n, out=None: drawn[kernel_oracle].append(n) or sample_block(spec, rng, n, out),
+            lambda spec, rng, n: drawn[kernel_oracle].append(n) or sample_block(spec, rng, n),
         )
         walked = 0
         for packet in (EXP1, DET1, DistributionSpec(Kind.UNIFORM, 1.0)):
