@@ -16,11 +16,10 @@ The first packet of a stream lands at time zero.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import weakref
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError
 
@@ -182,9 +181,12 @@ def log_laplace(spec: DistributionSpec, r: float) -> float:
     itself under- or overflows.
 
     Exponential packets need ``r > -1/mean``.  A :class:`DomainError` is
-    raised there, and where the value is not a finite double.
+    raised there, where ``r`` is not finite, and where the value is not a
+    finite double.
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise DomainError(f"log E[e^(-rX)] needs a finite r, got r={r}")
     a = r * spec.mean
     if spec.kind is Kind.EXPONENTIAL:
         if a <= -1.0:
@@ -246,81 +248,71 @@ def log_phi(kind: Kind, a: float) -> tuple[float, float]:
     return math.log(l1 / a), m / l1 - 1.0
 
 
-class EventStream(itertools.chain):
+class EventStream:
     """The endless ``(gap, packet)`` stream of :func:`poisson_events`.
 
     Iterating it yields pairs; :meth:`take` hands out the next ``n`` pairs
-    as two float arrays.  Both read from one position in the stream.  It is
-    its own iterator (``iter(stream) is stream``): an ``itertools.chain``
-    over ``zip``s of each block's lists, which it gets from its own method
-    through ``iter(callable, None)``, so a pair costs what one from a plain
-    generator over the same lists does.  The current block is held as
-    arrays and as the two list iterators that its ``zip`` reads; their index
-    is the position in the block, which :meth:`take` moves with
-    ``__setstate__``.  :func:`poisson_events` builds it, checking ``lam``.
+    as two float arrays.  It is its own iterator (``iter(stream) is
+    stream``).  The current block is held as two arrays, with ``at``, the
+    number of its pairs already read: pairs and arrays read from that one
+    position, and :meth:`take` and :meth:`close` only move it.  The block's
+    two lists, from which pairs are read, are made when its first pair is
+    read, so a block that :meth:`take` hands out whole is never listed.
+    :func:`poisson_events` builds it, checking ``lam``.
     """
 
-    __slots__ = ("scale", "packet", "rng", "gaps", "packets", "g", "q", "closed", "__weakref__")
+    __slots__ = ("scale", "packet", "rng", "gaps", "packets", "at", "g", "q", "closed", "__weakref__")
 
-    def __new__(cls, lam: float, packet: DistributionSpec, rng: np.random.Generator) -> EventStream:
-        # the chain's source holds the stream weakly: a cycle would keep each
-        # dropped stream and its block until the next garbage collection
-        stream = cls.from_iterable(iter(lambda: ref()._block(), None))
-        ref = weakref.ref(stream)
-        stream.scale, stream.packet, stream.rng = 1.0 / lam, packet, rng
-        stream.g = stream.q = iter([])
-        stream.closed = False
-        return stream
+    def __init__(self, lam: float, packet: DistributionSpec, rng: np.random.Generator) -> None:
+        self.scale, self.packet, self.rng = 1.0 / lam, packet, rng
+        self.at = EVENT_BLOCK  # no block yet: the first read draws one
+        self.closed = False
 
-    def _block(self) -> Iterator[tuple[float, float]] | None:
-        # the chain's next block of pairs: the rest of the block that take()
-        # read part of, else a new one; None once the stream is closed
-        if self.closed:
-            return None
-        if not self.g.__length_hint__():
-            self._hold(*self._draw(), 0)
-        return zip(self.g, self.q)
+    def __iter__(self) -> EventStream:
+        return self
 
-    def _draw(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.rng.exponential(self.scale, EVENT_BLOCK), sample_block(self.packet, self.rng, EVENT_BLOCK)
+    def __next__(self) -> tuple[float, float]:
+        at = self.at
+        if at == EVENT_BLOCK:
+            if self.closed:
+                raise StopIteration
+            self._draw()
+            at = 0
+        if self.g is None:
+            self.g, self.q = self.gaps.tolist(), self.packets.tolist()
+        self.at = at + 1
+        return self.g[at], self.q[at]
 
-    def _hold(self, gaps: np.ndarray, packets: np.ndarray, at: int) -> None:
-        # make (gaps, packets) the current block, its first `at` pairs read
-        self.gaps, self.packets = gaps, packets
-        self.g, self.q = iter(gaps.tolist()), iter(packets.tolist())
-        self.g.__setstate__(at)
-        self.q.__setstate__(at)
+    def _draw(self) -> None:
+        # make the next block the current one, none of its pairs read and
+        # not yet listed
+        self.gaps = self.rng.exponential(self.scale, EVENT_BLOCK)
+        self.packets = sample_block(self.packet, self.rng, EVENT_BLOCK)
+        self.at = 0
+        self.g = self.q = None
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``n`` gaps and packets, as two arrays of ``n`` doubles
         (none once the stream is closed)."""
         import numpy as np
 
-        if self.closed:
-            n = 0
+        n = 0 if self.closed else operator.index(n)
         gaps, packets = np.empty(n), np.empty(n)
-        at = EVENT_BLOCK - self.g.__length_hint__()
-        k = min(n, EVENT_BLOCK - at)
-        if k:  # the rest of the current block first
-            gaps[:k] = self.gaps[at : at + k]
-            packets[:k] = self.packets[at : at + k]
-            self.g.__setstate__(at + k)
-            self.q.__setstate__(at + k)
+        k = 0
         while k < n:
-            block_gaps, block_packets = self._draw()
-            m = min(EVENT_BLOCK, n - k)
-            gaps[k : k + m] = block_gaps[:m]
-            packets[k : k + m] = block_packets[:m]
+            if self.at == EVENT_BLOCK:
+                self._draw()
+            m = min(n - k, EVENT_BLOCK - self.at)
+            gaps[k : k + m] = self.gaps[self.at : self.at + m]
+            packets[k : k + m] = self.packets[self.at : self.at + m]
+            self.at += m
             k += m
-            if m < EVENT_BLOCK:  # the pairs go on from here
-                self._hold(block_gaps, block_packets, m)
         return gaps, packets
 
     def close(self) -> None:
         """End the stream: it yields no more pairs, and takes none."""
         self.closed = True
-        self.g.__setstate__(EVENT_BLOCK)  # the chain's zip ends with the block
-        self.q.__setstate__(EVENT_BLOCK)
+        self.at = EVENT_BLOCK
 
 
 def poisson_events(lam: float, packet: DistributionSpec, rng: np.random.Generator) -> EventStream:

@@ -16,12 +16,14 @@ from hsc import (
     DomainError,
     Kind,
     ParseError,
+    PreconditionError,
     log_laplace,
     parse_distribution_spec,
     poisson_events,
     SystemParams,
     sample_block,
     simulate_lindley,
+    step_cgf,
 )
 from hsc.distributions import PHI_SERIES, EventStream, raw_block, scale_block
 from kernel_oracle import lindley_time_loop, poisson_events_generator, scripted_events
@@ -140,6 +142,15 @@ class TestMgf:
         # E[e^{rX}] for r < 0 lies in (0, 1) for any positive packet law
         value = mgf(DistributionSpec(kind, mean), r)
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    @pytest.mark.parametrize("f", [log_laplace, lambda spec, r: step_cgf(SystemParams(1.1, spec, 1.0), r)],
+                             ids=["log_laplace", "step_cgf"])
+    def test_an_r_that_is_not_finite_is_refused(self, kind, r, f):
+        # a nan r used to pass through both as a nan value
+        with pytest.raises(DomainError):
+            f(DistributionSpec(kind, 1.0), r)
 
 
 class TestEventSources:
@@ -380,7 +391,7 @@ class TestEventStream:
             got += zip(gaps.tolist(), packets.tolist())
         assert got == self.reference(spec, len(got))
 
-    @pytest.mark.parametrize("head, n", [(0, 5), (3, 7), (3, EVENT_BLOCK + 5), (0, 2 * EVENT_BLOCK + 1)])
+    @pytest.mark.parametrize("head, n", [(0, 0), (0, 5), (3, 7), (3, EVENT_BLOCK + 5), (0, 2 * EVENT_BLOCK + 1)])
     def test_close_after_a_partial_take_ends_pairs_and_takes(self, head, n):
         stream = poisson_events(0.7, self.SPECS[2], np.random.default_rng(8))
         for _ in range(head):
@@ -427,6 +438,24 @@ class TestEventStream:
         assert list(stream) == []
         gaps, packets = stream.take(5)
         assert gaps.size == packets.size == 0
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_take_accepts_any_integer(self, spec):
+        stream = poisson_events(0.7, spec, np.random.default_rng(8))
+        got = []
+        for n in (np.int64(5), np.int64(EVENT_BLOCK)):
+            gaps, packets = stream.take(n)
+            got += zip(gaps.tolist(), packets.tolist())
+        got.append(next(stream))
+        assert got == self.reference(spec, len(got))
+
+    def test_the_battery_recursion_on_a_closed_stream_reads_nothing(self):
+        params = SystemParams(0.7, self.SPECS[0], 3.0)
+        stream = poisson_events(0.7, self.SPECS[0], np.random.default_rng(8))
+        next(stream)
+        stream.close()
+        with pytest.raises(PreconditionError, match="ended before"):
+            simulate_lindley(params, 2000, 100, stream)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_the_battery_recursion_reads_the_pairs_after_next(self, spec):
