@@ -15,7 +15,7 @@ neither does the closed-form report of ``hsc analyze``.
 """
 from __future__ import annotations
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from . import analytic, distributions, errors
 from .errors import *  # noqa: F401,F403

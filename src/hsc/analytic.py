@@ -239,8 +239,8 @@ def solve_adjustment_coefficient(
 
 def outage_bound(r_star: float, u0: float) -> float:
     """Exponential upper bound ``exp(-r* u0)`` on the outage probability."""
-    if not r_star > 0.0:
-        raise PreconditionError(f"r_star must be positive, got {r_star!r}")
+    if not 0.0 < r_star < math.inf:
+        raise PreconditionError(f"r_star must be positive and finite, got {r_star!r}")
     if not u0 >= 0.0:
         raise PreconditionError(f"u0 must be nonnegative, got {u0!r}")
     return math.exp(-r_star * u0)
@@ -297,8 +297,8 @@ def asymptotic_outage(
     """
     if not 0.0 < defect <= 1.0:
         raise PreconditionError(f"defect must be in (0, 1], got {defect!r}")
-    if not r_star > 0.0:
-        raise PreconditionError(f"r_star must be positive, got {r_star!r}")
+    if not 0.0 < r_star < math.inf:
+        raise PreconditionError(f"r_star must be positive and finite, got {r_star!r}")
     if not mu_tilde > 0.0:
         raise PreconditionError(f"mu_tilde must be positive, got {mu_tilde!r}")
     if not u0 >= 0.0:
@@ -323,8 +323,8 @@ def required_initial_energy(r_star: float, epsilon: float) -> float:
     Inverts ``exp(-r* u0) = epsilon``: ``u0 = -log(epsilon) / r*``, or
     raises :class:`DomainError` where that overflows (at a subnormal ``r*``).
     """
-    if not r_star > 0.0:
-        raise PreconditionError(f"r_star must be positive, got {r_star!r}")
+    if not 0.0 < r_star < math.inf:
+        raise PreconditionError(f"r_star must be positive and finite, got {r_star!r}")
     if not 0.0 < epsilon <= 1.0:
         raise PreconditionError(f"epsilon must be in (0, 1], got {epsilon!r}")
     u0 = abs(math.log(epsilon)) / r_star  # abs, not minus: 0.0 at epsilon = 1
@@ -489,9 +489,7 @@ def _integer(name: str, value: int, least: int, error: type[ValueError] = Precon
     return int(value)
 
 
-def _check_protocol(
-    horizon: float, u0_grid: list[float], seed: int, workers: int | None, ci_method: str
-) -> float:
+def _check_protocol(horizon: float, u0_grid: list[float], seed: int, workers: int | None) -> float:
     """Check the Monte-Carlo arguments a sweep shares; return the horizon as a float.
 
     The CLI maps the horizon's :class:`PreconditionError` to exit code 3 and
@@ -505,6 +503,4 @@ def _check_protocol(
     _integer("seed", seed, 0, ValueError)
     if workers is not None:
         _integer("workers", workers, 1, ValueError)
-    if ci_method not in ("normal", "wilson"):
-        raise ValueError(f"unknown ci_method {ci_method!r}")
     return horizon

@@ -80,7 +80,6 @@ class SweepSpec:
     horizon: float = DEFAULT_HORIZON
     seed: int = DEFAULT_SEED
     workers: int | None = None
-    ci_method: str = "normal"
 
     def __post_init__(self) -> None:
         if not self.rho_list or not self.dist_list:
@@ -89,7 +88,7 @@ class SweepSpec:
             raise ValueError(f"every rho must be positive, got {self.rho_list}")
         trials = _integer("trials", self.trials, 0, ValueError)
         # checked here as well as by the Monte-Carlo call, which trials = 0 skips
-        horizon = _check_protocol(self.horizon, self.u0_grid, self.seed, self.workers, self.ci_method)
+        horizon = _check_protocol(self.horizon, self.u0_grid, self.seed, self.workers)
         # kept as checked, so that equal values write equal bytes whatever their types
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "horizon", horizon)
@@ -193,15 +192,12 @@ def run_simulate(
     horizon: float,
     seed: int,
     workers: int | None = None,
-    ci_method: str = "normal",
 ) -> dict:
     """Monte-Carlo outage estimate for one parameter point, as a dict."""
     from .simulate import estimate_eventual_outage
 
     trials = _integer("trials", trials, 1, ValueError)  # exit code 2, as for sweep
-    est = estimate_eventual_outage(
-        params, horizon, trials, seed, workers=workers, ci_method=ci_method
-    )
+    est = estimate_eventual_outage(params, horizon, trials, seed, workers=workers)
     report = {
         "params": _params_report(params),
         "rho": params.rho,
@@ -259,7 +255,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
         curves = estimate_outage_curves(
             [column[0] for column in columns], spec.horizon, spec.trials, spec.seed,
-            spec.u0_grid, spec.workers, spec.ci_method,
+            spec.u0_grid, spec.workers,
         )
     return [
         ResultRow(
@@ -338,10 +334,10 @@ _POINT = ["--lam", "--packet", "--p", "--u0"]
 _TRIALS = ["--trials", "--horizon", "--seed", "--workers"]
 _COMMANDS = {  # subcommand -> (help, the flags it reads besides --out and --config)
     "analyze": ("closed-form report for one parameter point", _POINT),
-    "simulate": ("Monte-Carlo outage estimate for one point", [*_POINT, *_TRIALS, "--ci"]),
+    "simulate": ("Monte-Carlo outage estimate for one point", [*_POINT, *_TRIALS]),
     "sweep": (
         "CSV sweep over (dist, rho, u0) grids",
-        ["--dist", "--rho", "--u0-grid", "--p", *_TRIALS, "--ci"],
+        ["--dist", "--rho", "--u0-grid", "--p", *_TRIALS],
     ),
     "reproduce": ("emit a reference figure CSV + manifest", ["--figure", *_TRIALS]),
 }
@@ -364,9 +360,6 @@ _FLAGS = {  # each flag once, with its type, default and help
     ),
     "--seed": dict(type=int, default=DEFAULT_SEED, help="master seed (default %(default)s)"),
     "--workers": dict(type=int, help="worker processes for trials"),
-    "--ci": dict(
-        choices=["normal", "wilson"], default="normal", help="CI method (default %(default)s)"
-    ),
     "--out": dict(help="output file (directory for reproduce)"),
     "--config": dict(help="JSON file with the same keys as the flags"),
 }
@@ -487,12 +480,12 @@ def _dispatch(args: argparse.Namespace) -> None:
             rho_list=_parse_float_list(args.rho, "rho"),
             dist_list=[tok.strip() for tok in args.dist.split(",") if tok.strip()],
             p=args.p, trials=args.trials, horizon=args.horizon, seed=args.seed,
-            workers=args.workers, ci_method=args.ci,
+            workers=args.workers,
         )
         text = rows_to_csv(run_sweep(spec))
     elif args.command == "simulate":
         report = run_simulate(
-            _system_params(args), args.trials, args.horizon, args.seed, args.workers, args.ci
+            _system_params(args), args.trials, args.horizon, args.seed, args.workers
         )
         text = json.dumps(report, indent=2) + "\n"
     else:

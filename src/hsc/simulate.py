@@ -195,7 +195,14 @@ class LadderSample:
 
 @dataclass(frozen=True)
 class EstimateWithCI:
-    """A binomial proportion with its 95% confidence interval."""
+    """A binomial proportion with its Wilson 95% score interval.
+
+    ``stderr`` is the plug-in ``sqrt(p (1 - p) / n)``.  The interval
+    ``[ci95_lo, ci95_hi]`` is Wilson's (1927): it lies in ``[0, 1]``, holds
+    the estimate, is exactly 0 at its lower end when no trial has an outage
+    and exactly 1 at its upper end when every trial has one, and has a
+    positive width whatever the count.
+    """
 
     estimate: float
     stderr: float
@@ -492,24 +499,17 @@ def _count_range(
     return counts.tolist()
 
 
-def _estimate(outages: int, trials: int, ci_method: str) -> EstimateWithCI:
+def _estimate(outages: int, trials: int) -> EstimateWithCI:
     est = outages / trials
-    stderr = math.sqrt(est * (1.0 - est) / trials)
-    if ci_method == "normal":
-        lo = max(0.0, est - _Z95 * stderr)
-        hi = min(1.0, est + _Z95 * stderr)
-    else:
-        z2 = _Z95 * _Z95
-        denom = 1.0 + z2 / trials
-        center = (est + z2 / (2.0 * trials)) / denom
-        half = (
-            _Z95
-            * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
-            / denom
-        )
-        lo = max(0.0, center - half)
-        hi = min(1.0, center + half)
-    return EstimateWithCI(est, stderr, lo, hi, trials)
+    z2 = _Z95 * _Z95
+    denom = 1.0 + z2 / trials
+    center = (est + z2 / (2.0 * trials)) / denom
+    half = _Z95 * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials)) / denom
+    # the score interval ends at 0 with no outage and at 1 with all: set so,
+    # since center -/+ half leaves a rounding error there
+    lo = center - half if outages else 0.0
+    hi = center + half if outages < trials else 1.0
+    return EstimateWithCI(est, math.sqrt(est * (1.0 - est) / trials), lo, hi, trials)
 
 
 def _close_pool() -> None:
@@ -565,7 +565,6 @@ def estimate_outage_curves(
     seed: int,
     u0_grid: list[float],
     workers: int | None = None,
-    ci_method: str = "normal",
 ) -> list[list[EstimateWithCI]]:
     """:func:`estimate_eventual_outage` for each of ``columns`` and each u0 in ``u0_grid``.
 
@@ -584,7 +583,7 @@ def estimate_outage_curves(
     if not columns:
         raise ValueError("columns must hold at least one SystemParams")
     trials = _integer("trials", trials, 1)
-    horizon = _check_protocol(horizon, u0_grid, seed, workers, ci_method)
+    horizon = _check_protocol(horizon, u0_grid, seed, workers)
     arrivals = max(params.lam for params in columns) * horizon
     if not arrivals <= _MAX_ARRIVALS:
         raise PreconditionError(
@@ -601,7 +600,7 @@ def estimate_outage_curves(
         counts = list(map(_count_range, *zip(*tasks)))
     # counts: (chunk, column, u0)
     return [
-        [_estimate(n, trials, ci_method) for n in curve]
+        [_estimate(n, trials) for n in curve]
         for curve in np.sum(counts, axis=0).tolist()
     ]
 
@@ -612,7 +611,6 @@ def estimate_eventual_outage(
     trials: int,
     seed: int,
     workers: int | None = None,
-    ci_method: str = "normal",
 ) -> EstimateWithCI:
     """Fraction of seeded trials that suffer an outage within ``horizon``.
 
@@ -620,14 +618,8 @@ def estimate_eventual_outage(
     streams; aggregation is a plain count).  It is a downward-biased
     estimator of the eventual-outage probability, since crossings beyond
     the horizon are not observed.
-
-    Args:
-        ci_method: ``"normal"`` (clamped normal approximation, default) or
-            ``"wilson"`` for a score interval that behaves near 0 and 1.
     """
-    ((est,),) = estimate_outage_curves(
-        [params], horizon, trials, seed, [params.u0], workers, ci_method
-    )
+    ((est,),) = estimate_outage_curves([params], horizon, trials, seed, [params.u0], workers)
     return est
 
 

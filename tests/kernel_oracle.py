@@ -355,30 +355,21 @@ def count_outages_full_walk(params, horizon, seed, u0_grid, lo, hi):
     return counts
 
 
-def _old_path_estimate(params, horizon, trials, seed, ci_method):
+def _old_path_estimate(params, horizon, trials, seed):
     # One kernel walk per trial for the single u0 in params, then the
-    # binomial interval as estimate_eventual_outage computes it.
+    # Wilson interval as estimate_eventual_outage computes it.
     outages = sum(
         _first_passage_kernel(params, horizon, trial_rng(seed, i)).outage
         for i in range(trials)
     )
     est = outages / trials
-    stderr = math.sqrt(est * (1.0 - est) / trials)
-    if ci_method == "normal":
-        lo = max(0.0, est - _Z95 * stderr)
-        hi = min(1.0, est + _Z95 * stderr)
-    else:
-        z2 = _Z95 * _Z95
-        denom = 1.0 + z2 / trials
-        center = (est + z2 / (2.0 * trials)) / denom
-        half = (
-            _Z95
-            * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials))
-            / denom
-        )
-        lo = max(0.0, center - half)
-        hi = min(1.0, center + half)
-    return EstimateWithCI(est, stderr, lo, hi, trials)
+    z2 = _Z95 * _Z95
+    denom = 1.0 + z2 / trials
+    center = (est + z2 / (2.0 * trials)) / denom
+    half = _Z95 * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials)) / denom
+    lo = 0.0 if outages == 0 else center - half
+    hi = 1.0 if outages == trials else center + half
+    return EstimateWithCI(est, math.sqrt(est * (1.0 - est) / trials), lo, hi, trials)
 
 
 def old_path_sweep(spec):
@@ -397,9 +388,7 @@ def old_path_sweep(spec):
                     psi_exact = eventual_outage_poisson_exact(params, r_star)
                     psi_bound = outage_bound(r_star, u0)
                 if spec.trials > 0:
-                    est = _old_path_estimate(
-                        params, spec.horizon, spec.trials, spec.seed, spec.ci_method
-                    )
+                    est = _old_path_estimate(params, spec.horizon, spec.trials, spec.seed)
                     psi_mc, ci_lo, ci_hi = est.estimate, est.ci95_lo, est.ci95_hi
                 rows.append(
                     ResultRow(

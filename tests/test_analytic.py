@@ -397,6 +397,17 @@ class TestOutageFormulas:
         with pytest.raises(PreconditionError):
             call()
 
+    # unchecked, inf * 0 makes the bound nan and log(2) / inf the energy 0.0
+    @pytest.mark.parametrize("call", [
+        lambda: outage_bound(math.inf, 0.0),
+        lambda: outage_bound(math.inf, 1.0),
+        lambda: required_initial_energy(math.inf, 0.5),
+        lambda: asymptotic_outage(0.1, math.inf, 1.0, 0.0),
+    ], ids=["outage_bound_u0_0", "outage_bound", "required_energy", "asymptotic_outage"])
+    def test_an_infinite_r_star_is_rejected(self, call):
+        with pytest.raises(PreconditionError):
+            call()
+
     def test_required_energy(self):
         assert required_initial_energy(0.1, 0.01) == pytest.approx(
             46.05170185988092, rel=1e-14

@@ -302,8 +302,6 @@ class TestSweep:
             with pytest.raises(ValueError, match="workers must be an integer") as err:
                 SweepSpec(**grids, workers=workers)
             assert type(err.value) is ValueError  # exit code 2, as for workers < 1
-        with pytest.raises(ValueError, match="bogus"):
-            SweepSpec(**grids, trials=0, ci_method="bogus")
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -608,6 +606,8 @@ class TestMainEntry:
             (["sweep", "--trials", "0"], {"config": "other.json"}, "config"),
             (["analyze"], {"lam": 1.1, "packet": "exp:mean=1.0", "trials": 5}, "trials"),
             (["reproduce", "--figure", "5", "--trials", "0"], {"ci": "wilson"}, "ci"),
+            (["sweep", "--trials", "0"], {"ci": "wilson"}, "ci"),
+            (["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0"], {"ci": "wilson"}, "ci"),
         ],
     )
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, argv, config, key):
@@ -627,6 +627,9 @@ class TestMainEntry:
             ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--workers", "2"],
             ["analyze", "--lam", "1.1", "--packet", "exp:mean=1.0", "--ci", "wilson"],
             ["reproduce", "--figure", "5", "--trials", "0", "--ci", "wilson"],
+            ["sweep", "--trials", "0", "--ci", "wilson"],
+            ["simulate", "--lam", "1.1", "--packet", "exp:mean=1.0", "--trials", "5",
+             "--ci", "normal"],
         ],
     )
     def test_flag_the_subcommand_ignores_is_exit_2(self, tmp_path, capsys, argv):
@@ -634,13 +637,6 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_unknown_ci_method_is_exit_2_without_trials(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"ci": "bogus"}))
-        for trials in ("0", "5"):
-            assert main(["sweep", "--trials", trials, "--u0-grid", "0", "--config", str(cfg)]) == 2
-            assert "bogus" in capsys.readouterr().err
 
     def test_workers_below_one_is_exit_2(self, capsys):
         code = main(
@@ -685,7 +681,6 @@ _VALID = {  # dest -> argv values
     "horizon": ["5", "20", "1e-300", "1e15", "1e300"],
     "seed": ["0", "1", "7"],
     "workers": ["1"],
-    "ci": ["normal", "wilson"],
     "out": ["out"],
 }
 _INVALID = {  # dest -> argv values, _BAD when absent
@@ -697,12 +692,11 @@ _INVALID = {  # dest -> argv values, _BAD when absent
     "figure": ["9", "2.0"] + _BAD,
     "seed": ["1.5"] + _BAD,
     "workers": ["-3", "0", "1.5"],
-    "ci": ["bogus", ""],
 }
 _OWN = {  # subcommand -> its dests, besides out and config
     "analyze": ["lam", "packet", "p", "u0"],
-    "simulate": ["lam", "packet", "p", "u0", "trials", "horizon", "seed", "workers", "ci"],
-    "sweep": ["dist", "rho", "u0_grid", "p", "trials", "horizon", "seed", "workers", "ci"],
+    "simulate": ["lam", "packet", "p", "u0", "trials", "horizon", "seed", "workers"],
+    "sweep": ["dist", "rho", "u0_grid", "p", "trials", "horizon", "seed", "workers"],
     "reproduce": ["figure", "trials", "horizon", "seed", "workers"],
 }
 _STRANGERS = sorted(_VALID) + ["trails", "u0-grid", "config"]  # for unknown and foreign keys
@@ -952,15 +946,16 @@ class TestReproduce:
 
     def test_golden_csv_digests(self, tmp_path, capsys):
         # sha256 of CSVs on the PCG64DXSM(seed).jumped(i) trial streams of
-        # 0.8.0 (0.4.0 to 0.7.0 drew on Philox(seed).jumped(i)); they pin the
-        # bytes across kernel rewrites
+        # 0.8.0 (0.4.0 to 0.7.0 drew on Philox(seed).jumped(i)), with the
+        # Wilson ci_lo and ci_hi of 0.9.0 (the normal interval before); they
+        # pin the bytes across kernel rewrites
         assert main(["reproduce", "--figure", "all", "--seed", "42", "--trials", "300",
                      "--horizon", "200", "--out", str(tmp_path)]) == 0
         golden = {
-            "figure2.csv": "5d6a3d05eba069db6e5c57147665e61c1926da51e758fb123e489ee67728d84a",
-            "figure3.csv": "a2b9e78e627af66bfe613a3c6aedcf7d3c72e965edccf56a2650b776e8adae8f",
-            "figure4.csv": "72be553b6aae8366be4d76c0731dfc4106a5bb67c47667f54667ddfc8f1db6c8",
-            "figure5.csv": "9cef1e54fd58d52c39c70a1532296a3647b6c18d6534f1204c9b7ed6f516953f",
+            "figure2.csv": "208cd315b57d4a1077340c751420f7ec2d6e2fbd8fc2b51127ddd363ed59ad0c",
+            "figure3.csv": "636c84796f5a21eb9cc60fd9d61ba82d2bb6b9a603bfb752e5a97d2fda4569fb",
+            "figure4.csv": "92e356f993fc2a814c54104cbce517112901e9dbbb04ed517c25e64a8cc786e1",
+            "figure5.csv": "1c2c5737666aa6234ffcf90a82d2551200adaf4a79992b8d3993f2bc9949de6f",
         }
         for name, digest in golden.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -970,7 +965,7 @@ class TestReproduce:
             trials=400, horizon=1000.0, seed=5,
         )
         digest = hashlib.sha256(rows_to_csv(run_sweep(spec)).encode("utf-8")).hexdigest()
-        assert digest == "3ea827064f729ba4343b3e2ea4e40dfe77cc75c666dc02f42255ed2e422c2b89"
+        assert digest == "f811bb02389a249ee6008a47e523ec219d654f92c16576da9f927e249c624428"
 
     @pytest.mark.parametrize(
         "figure,trials,horizon,seed",

@@ -36,10 +36,13 @@ from hsc import (
     estimate_eventual_outage,
     estimate_outage_curves,
     estimate_phi_from_max,
+    eventual_outage_poisson_exact,
+    parse_distribution_spec,
     poisson_events,
     sample_block,
     simulate_first_passage,
     simulate_lindley,
+    solve_adjustment_coefficient,
     trial_rng,
 )
 from hsc.cli import main, run_simulate
@@ -838,7 +841,12 @@ class TestEstimatorDeterminism:
         est = estimate_eventual_outage(mm1(), 100.0, 1, seed=3)
         assert est.estimate in (0.0, 1.0)
         assert est.stderr == 0.0
-        assert est.ci95_lo == est.ci95_hi == est.estimate
+        # Wilson's interval for one trial: [0, z^2 / (1 + z^2)] or [1 / (1 + z^2), 1]
+        z2 = simulate._Z95**2
+        if est.estimate == 0.0:
+            assert (est.ci95_lo, est.ci95_hi) == (0.0, pytest.approx(z2 / (1.0 + z2), rel=1e-12))
+        else:
+            assert (est.ci95_lo, est.ci95_hi) == (pytest.approx(1.0 / (1.0 + z2), rel=1e-12), 1.0)
 
     def test_estimate_monotone_in_horizon(self):
         p = mm1(u0=6.0)
@@ -849,18 +857,46 @@ class TestEstimatorDeterminism:
         assert values[0] <= values[1] <= values[2]
 
     def test_ci_contains_estimate_and_is_clamped(self):
-        for method in ("normal", "wilson"):
-            est = estimate_eventual_outage(mm1(u0=0.0), 500.0, 300, 5, ci_method=method)
-            assert 0.0 <= est.ci95_lo <= est.estimate <= est.ci95_hi <= 1.0
-        with pytest.raises(ValueError):
-            estimate_eventual_outage(mm1(), 10.0, 10, 0, ci_method="exact")
+        est = estimate_eventual_outage(mm1(u0=0.0), 500.0, 300, 5)
+        assert 0.0 <= est.ci95_lo <= est.estimate <= est.ci95_hi <= 1.0
 
     def test_wilson_interval_is_informative_at_zero_count(self):
-        est = estimate_eventual_outage(
-            mm1(u0=200.0), 50.0, 40, seed=1, ci_method="wilson"
-        )
+        est = estimate_eventual_outage(mm1(u0=200.0), 50.0, 40, seed=1)
         assert est.estimate == 0.0
         assert est.ci95_hi > 0.0
+
+    @pytest.mark.parametrize("trials", [1, 3, 7, 20, 400, 50_000])
+    def test_wilson_ends_are_exact(self, trials):
+        # center -/+ half alone is a rounding error off here: 8.7e-19 at 0 of 400
+        z2 = simulate._Z95**2
+        none, every = simulate._estimate(0, trials), simulate._estimate(trials, trials)
+        assert none.ci95_lo == 0.0 and every.ci95_hi == 1.0
+        assert none.ci95_hi == pytest.approx(z2 / (trials + z2), rel=1e-12)
+        assert every.ci95_lo == pytest.approx(trials / (trials + z2), rel=1e-12)
+        for outages in (1, trials - 1):
+            est = simulate._estimate(outages, trials)
+            assert 0.0 <= est.ci95_lo <= est.estimate <= est.ci95_hi <= 1.0
+            assert est.ci95_lo < est.ci95_hi
+
+    def test_zero_count_interval_covers_the_exact_psi(self):
+        # det at rho 1.3 far out in u0, where trials * psi_exact < 1: most
+        # seeds see no outage there, and the interval must still hold psi_exact
+        params = SystemParams(1.3, parse_distribution_spec("det:mean=1.0"), 1.0)
+        r_star = solve_adjustment_coefficient(params).r_star
+        trials = 2000
+        psi = {
+            u0: eventual_outage_poisson_exact(replace(params, u0=u0), r_star)
+            for u0 in map(float, range(0, 42, 2))  # the figures' u0 grid
+        }
+        grid = [u0 for u0 in psi if trials * psi[u0] < 1.0]
+        zeros = 0
+        for seed in (1, 2, 3):
+            (curve,) = estimate_outage_curves([params], 1000.0, trials, seed, grid)
+            for u0, est in zip(grid, curve):
+                if est.estimate == 0.0:
+                    zeros += 1
+                    assert est.ci95_hi >= psi[u0], (seed, u0, est)
+        assert zeros > 0
 
     def test_trials_validation(self):
         with pytest.raises(PreconditionError):
@@ -1166,8 +1202,6 @@ class TestOutageCurve:
             estimate_outage_curves(columns, math.inf, 10, 0, [0.0])
         with pytest.raises(ValueError):
             estimate_outage_curves(columns, 50.0, 10, 0, [-1.0])
-        with pytest.raises(ValueError):
-            estimate_outage_curves(columns, 50.0, 10, 0, [0.0], ci_method="x")
 
     def test_u0_at_max_deficit_is_decided_by_scalar(self, monkeypatch):
         params = mm1()
