@@ -258,12 +258,14 @@ class EventStream:
     position, and :meth:`take` and :meth:`close` only move it.  The block's
     two lists, from which pairs are read, are made when its first pair is
     read, so a block that :meth:`take` hands out whole is never listed.
-    :func:`poisson_events` builds it, checking ``lam``.
+    ``lam`` must be positive and finite (``ValueError`` otherwise).
     """
 
     __slots__ = ("scale", "packet", "rng", "gaps", "packets", "at", "g", "q", "closed", "__weakref__")
 
     def __init__(self, lam: float, packet: DistributionSpec, rng: np.random.Generator) -> None:
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"arrival rate must be positive and finite, got {lam!r}")
         self.scale, self.packet, self.rng = 1.0 / lam, packet, rng
         self.at = EVENT_BLOCK  # no block yet: the first read draws one
         self.closed = False
@@ -328,6 +330,4 @@ def poisson_events(lam: float, packet: DistributionSpec, rng: np.random.Generato
     stream.  :func:`hsc.simulate_lindley` takes a chunk of arrays at a time
     and walks it as lockstep lanes, exactly (see :mod:`hsc.simulate`).
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"arrival rate must be positive and finite, got {lam!r}")
     return EventStream(lam, packet, rng)

@@ -24,7 +24,9 @@ Its functionals:
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
   delivered up to and including it).  From any ``u0`` the trial has an
   outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
-  counts a whole ``u0`` grid; near ties go to the scalar first-passage
+  counts a whole ``u0`` grid, by a search of the sorted ``D_i`` for each
+  ``u0``.  A search of the sorted grid for each ``D_i`` finds the trials with
+  a ``u0`` near a tie; those ``u0`` go to the scalar first-passage
   simulator, which sums the same stream in exact integer arithmetic and so
   decides an outage exactly at ``tau == H``.  Packets are nonnegative, so
   after a block no later deficit exceeds ``p * H - A``; the walk stops at
@@ -133,9 +135,6 @@ _MAX_ARRIVALS = 1e8
 # the steps of one of its lockstep lanes (see _lindley_lanes).
 _LINDLEY_CHUNK = 64 * EVENT_BLOCK
 _LANE = 256
-# Cap on the (trial, u0) cells counted at once, about 17 bytes each, so the
-# count takes about 4.5 MB whatever the size of the u0 grid.
-_COUNT_CELLS = 2**18
 # Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
 # arrays of 128 KB each.
 _ROWS = 16
@@ -307,8 +306,9 @@ def simulate_first_passage(
     nearest the exact instant.  A gap is clamped at the horizon, which ends
     the walk as an infinite one would.  An infinite packet rules out an
     outage where ``p * horizon`` is finite, and raises :class:`DomainError`
-    where it is not.  ``horizon`` must be finite, since an endless stream at
-    ``rho > 1`` may never produce an outage.
+    where it is not.  A negative or nan gap or packet raises
+    :class:`PreconditionError`.  ``horizon`` must be finite, since an endless
+    stream at ``rho > 1`` may never produce an outage.
     """
     horizon = _finite_horizon(horizon)
     pn, pd = params.p.as_integer_ratio()
@@ -318,6 +318,8 @@ def simulate_first_passage(
     seen = 0
     for gap, packet in events:
         seen += 1
+        if not gap >= 0.0 <= packet:  # also a nan
+            raise PreconditionError(f"event {seen} has a negative or nan gap or packet: {(gap, packet)!r}")
         if packet == math.inf:
             if not params.p * horizon < math.inf:  # both past the doubles: no order between them
                 raise DomainError(f"an infinite packet and p * horizon = inf at p = {params.p!r}")
@@ -475,27 +477,29 @@ def _max_deficits(
 def _count_range(
     columns: list[SystemParams], horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
 ) -> list[list[int]]:
-    # Outages of trials [lo, hi) for each column and u0.  The scalar simulator
-    # decides, one (trial, column, u0) at a time on the column's own packet
-    # law, each u0 near a tie and every u0 of a D_i that is not finite (+inf
-    # where the walk leaves the doubles, -inf where the first packet is infinite):
-    # there the band test reads inf <= inf.
+    # Outages of trials [lo, hi) for each column and u0, from searches of the
+    # sorted D_i and the sorted grid.  The scalar decides, one (trial, column,
+    # u0) at a time on the column's own packet law, each u0 near a tie and
+    # every u0 of a D_i that is not finite (+inf where the walk leaves the
+    # doubles, -inf where the first packet is infinite): its band is inf.
     u0s = np.asarray(u0_grid, dtype=float)
-    deficits = _max_deficits(columns, horizon, seed, lo, hi, sorted(u0s.tolist()))
+    grid = np.sort(u0s)
+    deficits = _max_deficits(columns, horizon, seed, lo, hi, grid.tolist())
     counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
-    rows = max(1, _COUNT_CELLS // u0s.size)  # trials per (trial, u0) array
-    for start in range(0, len(deficits), rows):
-        for k, params in enumerate(columns):
-            d = deficits[start : start + rows, k, None]
-            hit = u0s <= d
-            with np.errstate(over="ignore"):  # a gap past the doubles is no tie
-                near = np.abs(u0s - d) <= _TIE_RTOL * (params.p / params.lam + np.abs(d))
-            for t, j in np.argwhere(near):
-                events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + start + t))
-                hit[t, j] = simulate_first_passage(
-                    replace(params, u0=float(u0s[j])), horizon, events
-                ).outage
-            counts[k] += hit.sum(axis=0)
+    for k, (params, d) in enumerate(zip(columns, deficits.T)):
+        counts[k] = d.size - np.sort(d).searchsorted(u0s)  # the trials with u0 <= D_i
+        with np.errstate(over="ignore"):  # a gap past the doubles is no tie
+            band = _TIE_RTOL * (params.p / params.lam + np.abs(d))
+            # rounding is monotone: a band holding a u0 holds a neighbour of D_i in the grid
+            sides = grid[np.clip(grid.searchsorted(d) - [[1], [0]], 0, grid.size - 1)]
+            tied = np.flatnonzero((np.abs(sides - d) <= band).any(axis=0))
+            near = np.abs(u0s - d[tied, None]) <= band[tied, None]
+        for t, j in np.argwhere(near):
+            events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + tied[t]))
+            outage = simulate_first_passage(
+                replace(params, u0=float(u0s[j])), horizon, events
+            ).outage
+            counts[k, j] += outage - bool(u0s[j] <= d[tied[t]])
     return counts.tolist()
 
 
@@ -685,8 +689,10 @@ def simulate_lindley(
         PreconditionError: unless ``steps > burn_in >= 0`` are integers;
             when ``steps`` exceeds 1e8, before any draw; when ``rho >= 1``,
             since there is no stationary regime to sample; when the stream
-            ends before any post-burn-in step; or when no time passes after
-            the burn-in (every counted gap is 0).
+            ends before any post-burn-in step; when no time passes after
+            the burn-in (every counted gap is 0); or when a gap or packet of
+            an iterable other than an :class:`~hsc.distributions.EventStream`
+            is negative.
         DomainError: where a level or the elapsed time leaves the doubles.
         ValueError: where an event of another iterable is not a pair.
     """
@@ -737,6 +743,8 @@ def _pair_arrays(events: Iterator[tuple[float, float]]) -> Callable[[int], tuple
         if not set(map(len, pairs)) <= {2}:
             raise ValueError("each event must be a (gap, packet) pair")
         flat = np.fromiter(chain.from_iterable(pairs), float)
+        if (flat < 0.0).any():  # a nan or an inf is raised as a level or time
+            raise PreconditionError("a gap or packet is negative")
         return flat[0::2], flat[1::2]
 
     return take

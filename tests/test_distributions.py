@@ -187,6 +187,12 @@ class TestEventSources:
         with pytest.raises(ValueError):
             next(poisson_events(0.0, spec, np.random.default_rng(0)))
 
+    @pytest.mark.parametrize("lam", [0.0, math.nan, -1.0, math.inf])
+    def test_a_stream_built_directly_checks_its_rate(self, lam):
+        # a ZeroDivisionError, nan gaps and numpy's "scale < 0" before
+        with pytest.raises(ValueError, match="arrival rate"):
+            EventStream(lam, DistributionSpec(Kind.EXPONENTIAL, 1.0), np.random.default_rng(0))
+
     def test_scripted_validates(self):
         assert list(scripted_events([(1.0, 2.0)])) == [(1.0, 2.0)]
         with pytest.raises(ValueError):

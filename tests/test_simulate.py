@@ -2,6 +2,7 @@
 and agreement between the scalar simulators and the vectorized kernels.
 """
 import bisect
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -139,6 +140,18 @@ class TestFirstPassageScripted:
         with pytest.raises(DomainError, match="infinite packet"):
             simulate_first_passage(params, 2.0, scripted_events([(1.0, math.inf)]))
         assert not simulate_first_passage(params, 1.0, scripted_events([(1.0, math.inf)])).outage
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.5, -5.0)],  # read as an outage at tau = -3
+        [(-1.0, 1.0)] * 5,  # read as an outage at 7
+        [(1.0, math.nan)],  # an untyped ValueError from _units
+        [(math.nan, 1.0)],
+        [(1.0, -math.inf)],  # an OverflowError
+        [(1.0, 1.0), (-math.inf, 1.0)],
+    ])
+    def test_a_negative_or_nan_gap_or_packet_is_refused(self, pairs):
+        with pytest.raises(PreconditionError, match="negative or nan"):
+            simulate_first_passage(mm1(u0=2.0, lam=1.1), 10.0, pairs)
 
     def test_zero_drift_stream_never_crosses(self):
         events = scripted_events(itertools.repeat((1.0, 1.0)))
@@ -772,6 +785,15 @@ class TestLindleyLanes:
             with pytest.raises(PreconditionError, match="no time passes"):
                 kernel_oracle.lindley_time_loop(mm1(lam=0.9), len(pairs), burn_in, pairs)
 
+    @pytest.mark.parametrize("pairs", [
+        [(1.0, -0.5)] * 4,  # read as time_empty_fraction 1.5
+        [(1.0, 1.0), (1.0, -math.inf), (1.0, 1.0), (1.0, 1.0)],
+        [(1.0, 1.0), (-0.5, 1.0), (1.0, 1.0), (1.0, 1.0)],
+    ])
+    def test_a_negative_gap_or_packet_is_refused(self, small_lanes, pairs):
+        with pytest.raises(PreconditionError, match="negative"):
+            simulate_lindley(mm1(lam=0.5), len(pairs), 1, pairs)
+
     def test_pairs_of_other_lengths_rejected(self):
         for pairs in ([(1.0, 1.0, 1.0)] * 4, [(1.0,)] * 4):
             with pytest.raises(ValueError, match="pair"):
@@ -1120,13 +1142,11 @@ class TestOutageCurve:
         _count_range([mm1(lam=1.1)], 1000.0, 7, [30.0], 0, 400)
         assert len(calls) / 400 <= 1.1
 
-    def test_chunk_counts_match_scalar_across_row_blocks(self, monkeypatch):
-        # 1100 trials span two 1024-row blocks of the (trial, u0) comparison;
+    def test_chunk_counts_match_scalar_across_row_blocks(self):
         # one u0 ties trial 1050 exactly, so the replay must find that trial
         params = mm1()
         tie = max_deficit_full_blocks(params, 30.0, trial_rng(3, 1050))
         grid = [0.0, 4.0, tie]
-        monkeypatch.setattr(simulate, "_COUNT_CELLS", 1024 * len(grid))
         expect = [
             sum(
                 simulate_first_passage(
@@ -1139,6 +1159,54 @@ class TestOutageCurve:
             for u0 in grid
         ]
         assert _count_range([params], 30.0, 3, grid, 0, 1100) == [expect]
+
+    def test_replays_exactly_the_cells_in_the_tie_band(self, monkeypatch):
+        # the scalar replays the (trial, u0) cells with |u0 - D_i| within the
+        # band, no more and no fewer: trial a's band holds only u0 at or above
+        # D_i (D_i itself, twice, and half a band above), trial b's only one
+        # half a band below, and exp packets of mean 1e308 draw infinite first
+        # packets, whose D_i of -inf replays every u0 of the trial
+        columns = [mm1(lam=1.1), SystemParams(1.1, DET1, 1.0),
+                   SystemParams(1.0, DistributionSpec(Kind.EXPONENTIAL, 1e308), 1.0)]
+        horizon, seed, trials = 300.0, 3, 40
+
+        def band(params, d):
+            return simulate._TIE_RTOL * (params.p / params.lam + abs(d))
+
+        full = [[max_deficit_full_blocks(c, horizon, trial_rng(seed, i)) for c in columns[:2]]
+                for i in range(trials)]
+        a = next(i for i in range(trials) if full[i][0] > 1.0)
+        b = next(i for i in range(trials) if full[i][1] > 1.0 and i != a)
+        da, db = full[a][0], full[b][1]
+        grid = [30.0, da, da + 0.5 * band(columns[0], da), 0.0, db - 0.5 * band(columns[1], db), da, 5.0]
+        deficits = _max_deficits(columns, horizon, seed, 0, trials, sorted(grid))
+        assert (deficits[a, 0], deficits[b, 1]) == (da, db)
+        assert np.isneginf(deficits[:, 2]).any()
+        expect = collections.Counter(
+            (k, t, u0)
+            for k, params in enumerate(columns)
+            for t, d in enumerate(deficits[:, k].tolist())
+            for u0 in grid
+            if abs(u0 - d) <= band(params, d)
+        )
+        assert {u0 for k, t, u0 in expect if (k, t) == (0, a)} == {da, grid[2]}
+        assert {u0 for k, t, u0 in expect if (k, t) == (1, b)} == {grid[4]}
+
+        replays, index = collections.Counter(), []
+        rng, scalar = simulate.trial_rng, simulate.simulate_first_passage
+
+        def trial_rng_(seed, i):
+            index.append(int(i))
+            return rng(seed, i)
+
+        def replay(params, horizon, events):
+            replays[columns.index(replace(params, u0=0.0)), index[-1], params.u0] += 1
+            return scalar(params, horizon, events)
+
+        monkeypatch.setattr(simulate, "trial_rng", trial_rng_)
+        monkeypatch.setattr(simulate, "simulate_first_passage", replay)
+        _count_range(columns, horizon, seed, grid, 0, trials)
+        assert replays == expect
 
     def test_counting_memory_does_not_grow_with_the_grid(self):
         # 1024 trials against 10 000 u0 took 175 MB when a block of 1024
