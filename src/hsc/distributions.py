@@ -295,10 +295,15 @@ class EventStream:
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next ``n`` gaps and packets, as two arrays of ``n`` doubles
-        (none once the stream is closed)."""
+        (none once the stream is closed).  A negative ``n`` raises
+        ``ValueError``."""
         import numpy as np
 
-        n = 0 if self.closed else operator.index(n)
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"take(n) needs n >= 0, got n = {n}")
+        if self.closed:
+            n = 0
         gaps, packets = np.empty(n), np.empty(n)
         k = 0
         while k < n:

@@ -68,8 +68,8 @@ once, up to the first unit sum reaching the farthest ``lam * H`` among the
 columns still walking (a shorter draw is the prefix of a longer one).  Each
 column keeps its own offset and stop rule, and the trial ends when all have
 stopped.  The packet laws of a call share each trial's first block of units
-too: that block is drawn and summed once, for runs of ``_RUN`` trials at a
-time, before any packet.  The first law walks on from the trial's
+too: that block is drawn for runs of ``_RUN`` trials at a time, and summed
+once per run before any packet.  The first law walks on from the trial's
 generator, each later one from a generator set to the state it had just
 after those units, so each law reads the stream it would read alone.  A
 sweep puts one task per trial chunk, holding every column, on one pool
@@ -85,18 +85,23 @@ The walk takes up to ``_ROWS`` trials a block at a time, one row of a
 buffer each.  Per trial it does what the stream order needs: it takes the
 trial's generator (kept until the trial ends, so no state is saved or
 restored between blocks), draws the block's units into its row (the first
-block comes summed from its run) and, once the batch has summed the rows,
-draws the law's raw packet values (:func:`~hsc.distributions.raw_block`) up
-to the farthest live horizon or the step cap into its row of a second
-buffer, zeroing the rest.  Per batch it scales that buffer to packet sizes
-with one multiply (none at a scale of exactly 1; a zero stays zero), takes
-one row-wise ``cumsum`` of each buffer and, per column, one clamp (none
-where no ramp reaches its room; the rooms are Python floats until then),
-one multiply, one subtract and the row maxima; then it updates each
-(trial, column) maximum, offset and stop rule, and a ladder walk's first
-ladder point.  Elementwise IEEE operations and sequential row
-sums give every functional bit for bit as walking one trial at a time does,
-so counts and CSV bytes do not depend on the batching.
+block comes from its run) and then the law's raw packet values
+(:func:`~hsc.distributions.raw_block`) into its row of a second buffer,
+zeroing the rest.  A deficit walk's packets reach the first unit sum at the
+farthest live horizon, so it sums the unit rows first, by one row-wise
+``cumsum`` (its first blocks come summed); a ladder walk's reach its step
+cap, which needs no sum.  Per batch the walk scales the packet buffer with
+one multiply (none at a scale of exactly 1; a zero stays zero) and sums its
+rows by one row-wise ``cumsum``.  A ladder walk takes both sums in that one
+pass instead: the units are the real part and the packets the imaginary
+part of one complex buffer, and a complex sum adds the two parts apart, as
+two ``cumsum`` calls would.  Then per column it takes one clamp (none where
+no ramp reaches its room; the rooms are Python floats until then), one
+multiply, one subtract and the row maxima, and updates each (trial, column)
+maximum, offset and stop rule, and a ladder walk's first ladder point.
+Elementwise IEEE operations and sequential row sums give every functional
+bit for bit as walking one trial at a time does, so counts and CSV bytes do
+not depend on the batching.
 """
 from __future__ import annotations
 
@@ -136,12 +141,13 @@ _MAX_ARRIVALS = 1e8
 _LINDLEY_CHUNK = 64 * EVENT_BLOCK
 _LANE = 256
 # Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
-# arrays of 128 KB each.
+# arrays of 128 KB each, and for a ladder walk a complex one of 256 KB.
 _ROWS = 16
-# Trials whose first unit blocks are drawn and summed as one 512 KB array, which
-# each packet law of a call then walks from.  Each run starts one walk per law,
-# whose batch drains at the run's end: runs of _ROWS trials cost about 7 % more
-# per trial on short walks, runs of 256 no less than these.
+# Trials whose first unit blocks are drawn as one 512 KB array (and summed there
+# for the deficit walks), which each packet law of a call then walks from.
+# Each run starts one walk per law, whose batch drains at the run's end: runs
+# of _ROWS trials cost about 7 % more per trial on short walks, runs of 256 no
+# less than these.
 _RUN = 64
 # Generators the vectorized walks have finished with, for _restored to hand
 # out again: building one takes about 20 us, setting its state 1.6 us.
@@ -267,10 +273,10 @@ def _restored(states: Iterable[dict]) -> Iterator[np.random.Generator]:
 
 def _first_blocks(seed: int, lo: int, hi: int) -> Iterator[tuple[range, list, np.ndarray]]:
     # Trials [lo, hi) in runs of up to _RUN: their indices, their generators
-    # and their first blocks of unit sums, a row each of one array, drawn and
-    # summed before any packet, so each generator is just past its units.
-    # Every run reuses one array, so a run's rows hold until the next is
-    # drawn; a new array per run cost a page fault per 4 KB of it.
+    # and their first blocks of units, raw, a row each of one array, drawn
+    # before any packet, so each generator is just past its units.  Every run
+    # reuses one array, so a run's rows hold until the next is drawn; a new
+    # array per run cost a page fault per 4 KB of it.
     rngs = _trial_rngs(seed, lo, hi)
     runs = np.empty((min(_RUN, hi - lo), EVENT_BLOCK))
     for start in range(lo, hi, _RUN):
@@ -278,7 +284,6 @@ def _first_blocks(seed: int, lo: int, hi: int) -> Iterator[tuple[range, list, np
         first = runs[: len(run)]
         for rng, row in zip(run, first):
             rng.standard_exponential(out=row)
-        first.cumsum(axis=1, out=first)
         yield range(start, start + len(run)), run, first
 
 
@@ -308,16 +313,23 @@ def simulate_first_passage(
     outage where ``p * horizon`` is finite, and raises :class:`DomainError`
     where it is not.  A negative or nan gap or packet raises
     :class:`PreconditionError`.  ``horizon`` must be finite, since an endless
-    stream at ``rho > 1`` may never produce an outage.
+    stream at ``rho > 1`` may never produce an outage.  A stream that yields
+    more than ``2 * _MAX_ARRIVALS`` (2e8) pairs with the outage undecided, as
+    one whose time does not advance, raises :class:`PreconditionError`: a
+    trial of ``lam * horizon <= 1e8``, as every estimate has, reads about
+    Poisson(``lam * horizon``) + 1 pairs, far below it.
     """
     horizon = _finite_horizon(horizon)
     pn, pd = params.p.as_integer_ratio()
     supply = pd * _units(params.u0)  # pd (u0 + A_j)
     drain = 0  # pn T_{j+1}
     limit = pn * _units(horizon)  # pn H
+    cap = int(2 * _MAX_ARRIVALS)
     seen = 0
     for gap, packet in events:
         seen += 1
+        if seen > cap:
+            raise PreconditionError(f"{cap} pairs read and no outage decided by horizon {horizon!r}")
         if not gap >= 0.0 <= packet:  # also a nan
             raise PreconditionError(f"event {seen} has a negative or nan gap or packet: {(gap, packet)!r}")
         if packet == math.inf:
@@ -364,7 +376,8 @@ def _walk_blocks(
 ) -> Iterator[_Walk]:
     # The walks of the trials in starts, each yielded once all its columns
     # stop.  A start is a trial's index, its generator just past its first
-    # block of units and that block's unit sums (_first_blocks).
+    # block of units and that block's units: their sums for a deficit walk,
+    # raw for a ladder walk, which sums them beside its packets.
     # A deficit walk (u0_sorted given) stops a column at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
     # tie band); a ladder walk (u0_sorted None, one column, no horizon) once
@@ -379,13 +392,15 @@ def _walk_blocks(
     least = math.ulp(0.0)
     packet = columns[0].packet
     units, packets, walk = np.empty((3, _ROWS, EVENT_BLOCK))
+    both = np.empty((_ROWS, EVENT_BLOCK), complex) if ladder else None  # units real, packets imaginary
     starts = iter(starts)
     batch: list[_Walk] = []  # trials that go on, then new ones
     while True:
         m = len(batch)
         for r, trial in enumerate(batch):
             trial.rng.standard_exponential(out=units[r])
-        units[:m].cumsum(axis=1, out=units[:m])
+        if not ladder:
+            units[:m].cumsum(axis=1, out=units[:m])
         for index, rng, row in islice(starts, _ROWS - m):
             units[len(batch)] = row
             batch.append(_Walk(index, width, rng, origin))
@@ -393,28 +408,42 @@ def _walk_blocks(
             return
         m = len(batch)
         u, pk, x = units[:m], packets[:m], walk[:m]
-        ends = u[:, -1].tolist()
-        caps = []  # (row, units of its last step) where a step cap falls in this block
-        for r, (trial, end) in enumerate(zip(batch, ends)):
-            # packets up to the first ramp reaching the farthest live horizon
-            far = max(compress(reach, trial.live)) - trial.units
-            n = int(u[r].searchsorted(far)) + 1 if end >= far else EVENT_BLOCK
-            if max_steps - trial.steps <= n:
+        if not ladder:
+            ends = u[:, -1].tolist()
+        cut = []  # (row, steps) where a step cap falls in this block
+        for r, trial in enumerate(batch):
+            if ladder:  # no horizon: packets up to the step cap, drawn before any sum
                 n = max_steps - trial.steps
-                caps.append((r, float(u[r, n - 1])))
+                if n <= EVENT_BLOCK:
+                    cut.append((r, n))
+                else:
+                    n = EVENT_BLOCK
+            else:  # packets up to the first ramp reaching the farthest live horizon
+                far = max(compress(reach, trial.live)) - trial.units
+                n = int(u[r].searchsorted(far)) + 1 if ends[r] >= far else EVENT_BLOCK
             raw_block(packet, trial.rng, pk[r, :n])
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
         scale_block(packet, pk)  # the zeros past each row's packets stay zero
+        # a packet sum past the doubles ends the walk below every bound
         with np.errstate(over="ignore", invalid="ignore"):  # the rule below takes an inf or a nan
-            pk.cumsum(axis=1, out=pk)  # a sum past the doubles ends below every bound
+            if ladder:
+                # both running sums in one pass: a complex sum adds the real
+                # and the imaginary parts apart, bit for bit as two cumsums
+                z = both[:m]
+                z.real, z.imag = u, pk
+                z.cumsum(axis=1, out=z)
+                u, pk = z.real, z.imag
+                ends = u[:, -1].tolist()
+            else:
+                pk.cumsum(axis=1, out=pk)
             for k, rate in enumerate(rates):
                 # (p / lam) * min(U, R) - A, each room at least the least double,
                 # as the oracles form it: where lam * H underflows to 0 a ramp
                 # is then the least double times p / lam, not 0.
                 rooms = [max(reach[k] - trial.units, least) for trial in batch]
-                for r, cap in caps:  # a walk with a step cap has no horizon
-                    rooms[r] = cap
+                for r, n in cut:  # a walk with a step cap has no horizon: its last step's units
+                    rooms[r] = float(u[r, n - 1])
                 clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
                 np.multiply(np.minimum(u, np.array(rooms)[:, None], out=x) if clamped else u, rate, out=x)
                 x -= pk
@@ -466,6 +495,7 @@ def _max_deficits(
         laws.setdefault(params.packet, []).append(k)
     deficits = np.empty((hi - lo, len(columns)))
     for indices, rngs, first in _first_blocks(seed, lo, hi):
+        first.cumsum(axis=1, out=first)  # before any packet: a block's packet count reads its unit sums
         states = [rng.bit_generator.state for rng in rngs] if len(laws) > 1 else []  # for later laws
         for ks in laws.values():
             walked = list(_walk_blocks([columns[k] for k in ks], horizon, zip(indices, rngs, first), u0_sorted))

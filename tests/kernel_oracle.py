@@ -21,7 +21,7 @@ the Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
 accumulates.  The scalar ladder walk reads the stream one pair at a
 time.  The per-walk ladder kernel, which the library used up to 0.5.1, walks
 one trial at a time as ``s + cumsum(p * gap - packet)``, where the library
-sums units and packets apart.  The full-block ladder walk does the library's
+sums units and packets apart (as the two parts of one complex sum).  The full-block ladder walk does the library's
 unit arithmetic, but draws every block in full, cuts the walk at the step
 cap and forms each block's walk in full, where the library clamps its last
 block at the cap and adds the block-start offset to scalars.  The renewal march

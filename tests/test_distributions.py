@@ -334,6 +334,27 @@ class TestNumpyStream:
         )
         assert digests == self.DIGESTS[seed, index]
 
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_a_complex_cumsum_is_two_float_cumsums_bit_for_bit(self, rows):
+        # The ladder walk sums a block's units and packets as the real and
+        # imaginary parts of one complex row-wise cumsum, in place.  That
+        # holds only while numpy adds the two parts apart, in sequence.
+        rng = np.random.default_rng(34)
+        re, im = rng.standard_exponential((2, rows, EVENT_BLOCK)) * rng.choice([1e-3, 1.0, 1e3], (2, rows, 1))
+        specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]
+        for part in (re, im):  # a special value at 64 random places of each part
+            part.flat[rng.choice(part.size, 64, replace=False)] = rng.choice(specials, 64)
+        re[0, :50] = 1e308  # sums that overflow to inf, beside finite ones
+        im[0, 50:60] = -0.0
+        im[-1, :40] = 5e-324  # subnormal sums
+        z = np.empty((rows, EVENT_BLOCK), complex)
+        z.real, z.imag = re, im  # never re + 1j * im: 1j * inf is nan + inf j
+        with np.errstate(over="ignore", invalid="ignore"):
+            z.cumsum(axis=1, out=z)
+            sums = [part.cumsum(axis=1) for part in (re, im)]
+        for got, want in zip((z.real, z.imag), sums):
+            assert np.ascontiguousarray(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
 
 class TestEventStream:
     """The stream ``poisson_events`` returns: the pairs of the generator it
@@ -454,6 +475,20 @@ class TestEventStream:
             got += zip(gaps.tolist(), packets.tolist())
         got.append(next(stream))
         assert got == self.reference(spec, len(got))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("n", [-1, np.int64(-EVENT_BLOCK)])
+    def test_take_of_a_negative_count_raises_naming_it(self, closed, n):
+        # numpy's "negative dimensions are not allowed" named no n
+        stream = poisson_events(0.7, self.SPECS[0], np.random.default_rng(8))
+        head = stream.take(3)
+        if closed:
+            stream.close()
+        with pytest.raises(ValueError, match=f"n = {int(n)}$"):
+            stream.take(n)
+        if not closed:  # the position did not move
+            gaps, _ = stream.take(2)
+            assert np.concatenate((head[0], gaps)).tolist() == [g for g, _ in self.reference(self.SPECS[0], 5)]
 
     def test_the_battery_recursion_on_a_closed_stream_reads_nothing(self):
         params = SystemParams(0.7, self.SPECS[0], 3.0)

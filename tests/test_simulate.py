@@ -159,6 +159,22 @@ class TestFirstPassageScripted:
         assert out.outage is False
         assert out.arrivals_observed >= 500
 
+    def test_a_stream_whose_time_stands_still_raises_past_the_pair_cap(self, monkeypatch):
+        # gaps of 0 never reach the horizon and packets keep the surplus up,
+        # so no pair decides the outage: without the cap this never returns
+        monkeypatch.setattr(simulate, "_MAX_ARRIVALS", 50)
+        read = []
+        events = (read.append(pair) or pair for pair in itertools.repeat((0.0, 1.0)))
+        with pytest.raises(PreconditionError, match="100 pairs read and no outage decided"):
+            simulate_first_passage(SystemParams(0.5, EXP1, 1.0, u0=1.0), 10.0, events)
+        assert len(read) == 101
+
+    def test_a_stream_decided_at_the_pair_cap_returns(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_ARRIVALS", 50)
+        pairs = [(0.0, 1.0)] * 99 + [(20.0, 0.0)]  # the 100th gap passes the horizon
+        out = simulate_first_passage(SystemParams(0.5, EXP1, 1.0, u0=1.0), 10.0, pairs)
+        assert (out.outage, out.arrivals_observed) == (False, 100)
+
     def test_exhausted_stream_ends_on_final_ramp(self):
         # after the only arrival the surplus is 1.5 at t = 0.5, then ramps
         out = simulate_first_passage(mm1(u0=1.0), 10.0, scripted_events([(0.5, 1.0)]))
