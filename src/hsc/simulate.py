@@ -7,17 +7,17 @@ packets.  The scalar simulators and the tie replays read it through
 :func:`hsc.distributions.poisson_events`, which always draws whole blocks.
 The vectorized walk draws the same blocks, a final block's packets only
 up to the horizon or the step cap (a prefix of the same draws), and reads
-them as one random walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``.  In a
-block it is ``s + (p / lam) * min(cumsum(units), R) - cumsum(packets)``:
-``units`` are the block's standard exponentials, ``s`` the walk at the
-block's start and ``R`` its room, the horizon in units, ``lam * H - U``
-(``U`` is the earlier blocks' unit sum, ``lam`` times the arrival time), or
-in a ladder walk's last block the unit sum of its last step.  The ``min``
-clamps each ramp there before the multiply, so past it only packets are
-subtracted (none past a step cap).  A packet sum past the doubles ends the
-walk below every bound; a row maximum not below +inf (a ramp past the
-doubles, or ``inf - inf``) makes a deficit walk's ``D_i`` +inf, for the
-exact scalar to decide, and a ladder walk raise :class:`DomainError`.
+them as one random walk, ``S_n = sum_{j<n} (p * gap_j - packet_j)``.  A
+deficit walk forms a block as ``s + (p / lam) * min(cumsum(units), R) -
+cumsum(packets)``: ``units`` are the block's standard exponentials, ``s``
+the walk at the block's start and ``R`` its room, the horizon in units,
+``lam * H - U`` (``U``: the earlier blocks' unit sum), so past the horizon
+only packets are subtracted.  A ladder walk has no horizon and sums its
+steps, ``s + cumsum(p * (units / lam) - packets)``, zero past its step cap.
+A row maximum not below +inf (a step or a ramp past the doubles, or ``inf -
+inf``) makes ``D_i`` +inf, for the exact scalar to decide, and a ladder
+walk raise :class:`DomainError`.  A walk below the doubles ends below every
+bound; a ladder walk only while its rise since stays below ``2**1023``.
 Its functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
@@ -91,13 +91,12 @@ zeroing the rest.  A deficit walk's packets reach the first unit sum at the
 farthest live horizon, so it sums the unit rows first, by one row-wise
 ``cumsum`` (its first blocks come summed); a ladder walk's reach its step
 cap, which needs no sum.  Per batch the walk scales the packet buffer with
-one multiply (none at a scale of exactly 1; a zero stays zero) and sums its
-rows by one row-wise ``cumsum``.  A ladder walk takes both sums in that one
-pass instead: the units are the real part and the packets the imaginary
-part of one complex buffer, and a complex sum adds the two parts apart, as
-two ``cumsum`` calls would.  Then per column it takes one clamp (none where
-no ramp reaches its room; the rooms are Python floats until then), one
-multiply, one subtract and the row maxima, and updates each (trial, column)
+one multiply (none at a scale of exactly 1; a zero stays zero).  A deficit
+walk sums its rows by one row-wise ``cumsum`` and per column takes one clamp
+(none where no ramp reaches its room; the rooms are Python floats until
+then), one multiply, one subtract and the row maxima; a ladder walk forms
+its steps as the 0.5.1 per-walk kernel does (no multiply by ``p == 1``) and
+sums them by one row-wise ``cumsum``.  Then it updates each (trial, column)
 maximum, offset and stop rule, and a ladder walk's first ladder point.
 Elementwise IEEE operations and sequential row sums give every functional
 bit for bit as walking one trial at a time does, so counts and CSV bytes do
@@ -141,7 +140,7 @@ _MAX_ARRIVALS = 1e8
 _LINDLEY_CHUNK = 64 * EVENT_BLOCK
 _LANE = 256
 # Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
-# arrays of 128 KB each, and for a ladder walk a complex one of 256 KB.
+# arrays of 128 KB each.
 _ROWS = 16
 # Trials whose first unit blocks are drawn as one 512 KB array (and summed there
 # for the deficit walks), which each packet law of a call then walks from.
@@ -356,12 +355,12 @@ class _Walk:
     # One trial's walk: its steps and unit sum before the block, shared by the
     # columns; per column the running maximum, the walk after the previous
     # block and whether it still walks; its first ladder point; its generator.
-    __slots__ = ("index", "steps", "units", "best", "s", "live", "epoch", "height", "rng")
+    __slots__ = ("index", "steps", "units", "best", "s", "live", "epoch", "height", "rise", "rng")
 
     def __init__(self, index: int, width: int, rng: np.random.Generator, best: float):
         self.index = index
         self.steps = 0
-        self.units = 0.0
+        self.units = self.rise = 0.0
         self.best = [best] * width
         self.s = [0.0] * width
         self.live = [True] * width
@@ -376,14 +375,12 @@ def _walk_blocks(
 ) -> Iterator[_Walk]:
     # The walks of the trials in starts, each yielded once all its columns
     # stop.  A start is a trial's index, its generator just past its first
-    # block of units and that block's units: their sums for a deficit walk,
-    # raw for a ladder walk, which sums them beside its packets.
+    # block of units and that block's units, summed for a deficit walk.
     # A deficit walk (u0_sorted given) stops a column at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
-    # tie band); a ladder walk (u0_sorted None, one column, no horizon) once
-    # it sits drawdown below its maximum.  Either stops in the block where its
-    # ramps reach their room: the horizon, or a ladder walk's max_steps-th
-    # step, whose unit sum clamps the rest of the block flat.
+    # tie band), or in the block where its ramps reach the horizon; a ladder
+    # walk (u0_sorted None, one column, no horizon) once it sits drawdown
+    # below its maximum, or in the block of its max_steps-th step.
     ladder = u0_sorted is None
     origin = 0.0 if ladder else -math.inf  # a ladder walk's maximum counts S_0 = 0
     width = len(columns)
@@ -391,8 +388,8 @@ def _walk_blocks(
     rates = [params.p / params.lam for params in columns]
     least = math.ulp(0.0)
     packet = columns[0].packet
+    p, scale = columns[0].p, 1.0 / columns[0].lam  # a ladder walk's one column
     units, packets, walk = np.empty((3, _ROWS, EVENT_BLOCK))
-    both = np.empty((_ROWS, EVENT_BLOCK), complex) if ladder else None  # units real, packets imaginary
     starts = iter(starts)
     batch: list[_Walk] = []  # trials that go on, then new ones
     while True:
@@ -408,51 +405,52 @@ def _walk_blocks(
             return
         m = len(batch)
         u, pk, x = units[:m], packets[:m], walk[:m]
-        if not ladder:
-            ends = u[:, -1].tolist()
-        cut = []  # (row, steps) where a step cap falls in this block
+        ends = None if ladder else u[:, -1].tolist()
         for r, trial in enumerate(batch):
-            if ladder:  # no horizon: packets up to the step cap, drawn before any sum
-                n = max_steps - trial.steps
-                if n <= EVENT_BLOCK:
-                    cut.append((r, n))
-                else:
-                    n = EVENT_BLOCK
+            if ladder:  # no horizon: packets up to the step cap
+                n = min(max_steps - trial.steps, EVENT_BLOCK)
             else:  # packets up to the first ramp reaching the farthest live horizon
                 far = max(compress(reach, trial.live)) - trial.units
                 n = int(u[r].searchsorted(far)) + 1 if ends[r] >= far else EVENT_BLOCK
             raw_block(packet, trial.rng, pk[r, :n])
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
+                if ladder:  # and its units, so that no step follows the cap
+                    u[r, n:] = 0.0
         scale_block(packet, pk)  # the zeros past each row's packets stay zero
-        # a packet sum past the doubles ends the walk below every bound
         with np.errstate(over="ignore", invalid="ignore"):  # the rule below takes an inf or a nan
             if ladder:
-                # both running sums in one pass: a complex sum adds the real
-                # and the imaginary parts apart, bit for bit as two cumsums
-                z = both[:m]
-                z.real, z.imag = u, pk
-                z.cumsum(axis=1, out=z)
-                u, pk = z.real, z.imag
-                ends = u[:, -1].tolist()
+                # the steps p * gap - packet as the 0.5.1 kernel forms them,
+                # zero past the step cap, and their running sums
+                np.multiply(u, scale, out=x)
+                if p != 1.0:
+                    x *= p
+                x -= pk
+                x.cumsum(axis=1, out=x)
             else:
                 pk.cumsum(axis=1, out=pk)
             for k, rate in enumerate(rates):
-                # (p / lam) * min(U, R) - A, each room at least the least double,
-                # as the oracles form it: where lam * H underflows to 0 a ramp
-                # is then the least double times p / lam, not 0.
-                rooms = [max(reach[k] - trial.units, least) for trial in batch]
-                for r, n in cut:  # a walk with a step cap has no horizon: its last step's units
-                    rooms[r] = float(u[r, n - 1])
-                clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
-                np.multiply(np.minimum(u, np.array(rooms)[:, None], out=x) if clamped else u, rate, out=x)
-                x -= pk
+                if not ladder:
+                    # (p / lam) * min(U, R) - A, each room R at least the least
+                    # double, as the oracles form it: where lam * H underflows to
+                    # 0 a ramp is then the least double times p / lam, not 0.
+                    rooms = [max(reach[k] - trial.units, least) for trial in batch]
+                    clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
+                    np.multiply(np.minimum(u, np.array(rooms)[:, None], out=x) if clamped else u, rate, out=x)
+                    x -= pk
                 tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
                 for r, trial in enumerate(batch):
                     if trial.live[k]:
                         s = trial.s[k]
                         top = s + tops[r]
-                        if not top < math.inf:  # an overflowed ramp, or inf - inf
+                        if ladder and s + lasts[r] == -math.inf:
+                            # below the doubles, it stays below its maximum while its rise since it
+                            # fell (bounded by the block's ramps where its own sum fell) is below 2**1023
+                            rise = trial.rise if s == -math.inf else -math.inf
+                            trial.rise = float(u[r].sum()) * rate if lasts[r] == -math.inf else max(rise + lasts[r], 0.0)
+                            if not max(rise + tops[r], trial.rise) < 2.0**1023:
+                                top = math.inf  # it may climb back
+                        if not top < math.inf:  # a step past the doubles, or inf - inf
                             if ladder:  # which has no exact fallback
                                 raise DomainError(f"ladder walk {trial.index} leaves the doubles at p / lam = {rate!r}")
                             top = math.inf  # so no u0 is left above it, and the scalar decides each
@@ -460,8 +458,8 @@ def _walk_blocks(
                             first = int(np.argmax(x[r] > -s))
                             trial.epoch, trial.height = trial.steps + first + 1, s + float(x[r, first])
                         best = trial.best[k] = max(trial.best[k], top)
-                        left = rooms[r] - ends[r]  # the units from the block end to the room's
-                        if left <= 0.0:  # a ramp of this block reached its room
+                        left = max_steps - trial.steps - EVENT_BLOCK if ladder else rooms[r] - ends[r]
+                        if left <= 0.0:  # the block reached the step cap, or the room (left: units to it)
                             trial.live[k] = False
                             continue
                         s = trial.s[k] = s + lasts[r]
@@ -472,10 +470,11 @@ def _walk_blocks(
                             j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
                             trial.live[k] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (rate + abs(bound)) <= bound
         walking = []
-        for trial, end in zip(batch, ends):
+        for r, trial in enumerate(batch):
             if any(trial.live):
                 trial.steps += EVENT_BLOCK
-                trial.units += end
+                if not ladder:
+                    trial.units += ends[r]
                 walking.append(trial)
             else:
                 _SPARE_RNGS.append(trial.rng)
@@ -671,9 +670,10 @@ def collect_ladder_samples(
     stop_drawdown)`` per walk for a large speedup; pass e.g. ``30 / r*`` to
     keep that error below 1e-13.  One that is not positive (``inf`` never
     stops) and ``max_steps`` above 1e8 raise :class:`PreconditionError`
-    before any draw.  No horizon clamps a ladder walk's ramps: where ``p /
-    lam`` times a unit sum leaves the doubles, alone or less a packet sum
-    that does too, it raises :class:`DomainError`.
+    before any draw.  A walk sums its steps ``p * gap - packet``: where a
+    step or the walk leaves the doubles it raises :class:`DomainError`,
+    unless the walk falls below them and cannot climb back above its
+    maximum, which ends it below every bound.
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)

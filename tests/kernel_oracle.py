@@ -20,11 +20,9 @@ trajectory whose troughs :func:`hsc.simulate_first_passage` scans,
 the Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
 accumulates.  The scalar ladder walk reads the stream one pair at a
 time.  The per-walk ladder kernel, which the library used up to 0.5.1, walks
-one trial at a time as ``s + cumsum(p * gap - packet)``, where the library
-sums units and packets apart (as the two parts of one complex sum).  The full-block ladder walk does the library's
-unit arithmetic, but draws every block in full, cuts the walk at the step
-cap and forms each block's walk in full, where the library clamps its last
-block at the cap and adds the block-start offset to scalars.  The renewal march
+one trial at a time as ``s + cumsum(p * gap - packet)``: the exact oracle of
+the library's ladder walks, which form the same steps for a batch of trials
+at a time and so give its samples bit for bit.  The renewal march
 solves the trapezoid rows one dot product at a time, where the library
 divides power series.  The Lindley time loop is the battery recursion as
 the library ran it up to 0.8.0, one pair at a time with the level in time
@@ -313,28 +311,6 @@ def _ladder_kernel(
             epoch, height = done + first + 1, s + float(x[first])
         s_max = max(s_max, top)
         s += float(x[-1])
-        if stop_drawdown is not None and s_max - s >= stop_drawdown:
-            break
-    return LadderSample(s_max, epoch, height)
-
-
-def ladder_blocks(params, max_steps, rng, stop_drawdown=None):
-    """The ladder walk in the library's unit arithmetic, every block drawn in
-    full: unit gaps, then all EVENT_BLOCK packets, each block's walk formed as
-    ``s + ((p / lam) * cumsum(units) - cumsum(packets))`` and cut at
-    ``max_steps``, where the library clamps its last block's units."""
-    rate = params.p / params.lam
-    s = s_max = 0.0
-    epoch = height = None
-    for done in range(0, max_steps, EVENT_BLOCK):
-        units = np.cumsum(rng.standard_exponential(EVENT_BLOCK))
-        packets = np.cumsum(sample_block(params.packet, rng, EVENT_BLOCK))
-        walk = s + (rate * units - packets)[: max_steps - done]
-        rises = np.flatnonzero(walk > 0.0)
-        if epoch is None and rises.size:
-            epoch, height = done + int(rises[0]) + 1, float(walk[rises[0]])
-        s_max = max(s_max, float(walk.max()))
-        s = float(walk[-1])
         if stop_drawdown is not None and s_max - s >= stop_drawdown:
             break
     return LadderSample(s_max, epoch, height)

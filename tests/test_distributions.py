@@ -334,27 +334,6 @@ class TestNumpyStream:
         )
         assert digests == self.DIGESTS[seed, index]
 
-    @pytest.mark.parametrize("rows", [1, 16])
-    def test_a_complex_cumsum_is_two_float_cumsums_bit_for_bit(self, rows):
-        # The ladder walk sums a block's units and packets as the real and
-        # imaginary parts of one complex row-wise cumsum, in place.  That
-        # holds only while numpy adds the two parts apart, in sequence.
-        rng = np.random.default_rng(34)
-        re, im = rng.standard_exponential((2, rows, EVENT_BLOCK)) * rng.choice([1e-3, 1.0, 1e3], (2, rows, 1))
-        specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]
-        for part in (re, im):  # a special value at 64 random places of each part
-            part.flat[rng.choice(part.size, 64, replace=False)] = rng.choice(specials, 64)
-        re[0, :50] = 1e308  # sums that overflow to inf, beside finite ones
-        im[0, 50:60] = -0.0
-        im[-1, :40] = 5e-324  # subnormal sums
-        z = np.empty((rows, EVENT_BLOCK), complex)
-        z.real, z.imag = re, im  # never re + 1j * im: 1j * inf is nan + inf j
-        with np.errstate(over="ignore", invalid="ignore"):
-            z.cumsum(axis=1, out=z)
-            sums = [part.cumsum(axis=1) for part in (re, im)]
-        for got, want in zip((z.real, z.imag), sums):
-            assert np.ascontiguousarray(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
-
 
 class TestEventStream:
     """The stream ``poisson_events`` returns: the pairs of the generator it

@@ -353,18 +353,21 @@ class TestLadderScripted:
         floats = np.array([sample.max_shortfall, height]).view(np.uint64).tolist()
         return sample.first_ladder_epoch, floats
 
-    def assert_equals_the_block_walk(self, params, walks, max_steps, seed, stop):
+    def assert_equals_the_kernel(self, params, walks, max_steps, seed, stop):
         got = collect_ladder_samples(params, walks, max_steps, seed, stop)
-        expect = [kernel_oracle.ladder_blocks(params, max_steps, trial_rng(seed, i), stop) for i in range(walks)]
+        expect = [kernel_oracle._ladder_kernel(params, max_steps, trial_rng(seed, i), stop) for i in range(walks)]
         assert [self.bits(a) for a in got] == [self.bits(b) for b in expect]
         return expect
 
     def test_kernel_equals_the_block_walk_bit_for_bit(self):
+        # the per-walk kernel of 0.5.1 sums p * gap - packet a block at a
+        # time, as the batched walk does; p = 1 skips a multiply by 1
         for packet in (EXP1, DET1, UNIF1):
-            for rho in (0.9, 1.0, 1.1):
-                params = SystemParams(lam=0.7 * rho, packet=packet, p=0.7)
+            for rho, p in itertools.product((0.9, 1.0, 1.1, 1.2), (0.7, 1.0)):
+                params = SystemParams(lam=p * rho, packet=packet, p=p)
                 for max_steps, stop in itertools.product((1, 1023, 1024, 1025, 3000), (None, 20.0)):
-                    self.assert_equals_the_block_walk(params, 17, max_steps, 8, stop)
+                    for walks, seed in ((17, 8), (20, 9)):
+                        self.assert_equals_the_kernel(params, walks, max_steps, seed, stop)
 
     @pytest.mark.parametrize("walks", [1, 15, 16, 17, 40, 150])
     def test_batches_of_any_size_mix_stopped_and_capped_walks(self, walks):
@@ -374,7 +377,7 @@ class TestLadderScripted:
         # their third; 150 walks take their first blocks from three runs of
         # the one run array
         params = SystemParams(lam=1.0, packet=EXP1, p=1.0)
-        self.assert_equals_the_block_walk(params, walks, 2500, 1, 40.0)
+        self.assert_equals_the_kernel(params, walks, 2500, 1, 40.0)
         ends = set()
         for i in range(min(walks, 15)):
             events = poisson_events(params.lam, params.packet, trial_rng(1, i))
@@ -383,21 +386,6 @@ class TestLadderScripted:
             peak = np.maximum.accumulate(np.maximum(walk, 0.0))
             ends.add(next((e for e in (1024, 2048) if peak[e - 1] - walk[e - 1] >= 40.0), 2500))
         assert ends == ({2500} if walks == 1 else {1024, 2048, 2500})
-
-    def test_kernel_matches_the_gap_walk(self):
-        # the per-walk kernel of 0.5.1 sums p * gap - packet, so its floats
-        # differ in the last bits; its ladder epochs and stops do not
-        for packet in (EXP1, DET1, UNIF1):
-            for rho in (0.9, 1.0, 1.1, 1.2):
-                params = SystemParams(lam=0.7 * rho, packet=packet, p=0.7)
-                for max_steps, stop in itertools.product((1, 1024, 1025, 3000), (None, 20.0)):
-                    got = collect_ladder_samples(params, 20, max_steps, 9, stop)
-                    for i, a in enumerate(got):
-                        b = kernel_oracle._ladder_kernel(params, max_steps, trial_rng(9, i), stop)
-                        assert a.first_ladder_epoch == b.first_ladder_epoch
-                        assert abs(a.max_shortfall - b.max_shortfall) <= 1e-11 * (1.0 + abs(b.max_shortfall))
-                        if b.first_ladder_height is not None:
-                            assert a.first_ladder_height == pytest.approx(b.first_ladder_height, rel=1e-9)
 
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
         # trial 2 of seed 17 at rho 1.02 first rises above zero at step 3302
@@ -423,7 +411,7 @@ class TestLadderScripted:
     def test_walks_use_the_trial_streams(self):
         params = mm1()
         for stop in (None, 40.0):
-            expect = [kernel_oracle.ladder_blocks(params, 2500, trial_rng(12, i), stop) for i in range(40)]
+            expect = [kernel_oracle._ladder_kernel(params, 2500, trial_rng(12, i), stop) for i in range(40)]
             assert collect_ladder_samples(params, 40, 2500, 12, stop) == expect
 
     def test_walks_give_their_generators_back(self):
@@ -453,18 +441,41 @@ class TestLadderScripted:
                 collect_ladder_samples(params, 3, 3000, 1)
 
     @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
-    def test_a_walk_scaled_past_the_doubles_raises(self, packet):
-        # scaling the means and p by 2**1015 scales every walk exactly, so its
-        # true maxima are finite, but the ramps and packet sums overflow to
-        # inf - inf in every family; at scale 1 the same walks are finite
+    @pytest.mark.parametrize("max_steps", [3000, 5000])
+    def test_a_walk_scaled_near_the_top_of_the_doubles_scales_exactly(self, packet, max_steps):
+        # scaling the means and p by 2**1015 scales every step exactly, and
+        # the walk sums steps, so every sample scales bit for bit (summed
+        # apart, the unit and packet sums overflowed to inf - inf and every
+        # family raised).  Drifting down, 15 to 20 of each family's 40 walks
+        # fall past -2**1024 from step 2124 on and end below every bound;
+        # at 5000 steps they walk on below the doubles for two more blocks
         big = 2.0**1015
         params = SystemParams(1.2, packet, 1.0)
         scaled = SystemParams(1.2, replace(packet, mean=big), big)
-        assert all(a.max_shortfall < math.inf for a in collect_ladder_samples(params, 40, 3000, 9))
+        plain = collect_ladder_samples(params, 40, max_steps, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError):
-                collect_ladder_samples(scaled, 40, 3000, 9)
+            got = collect_ladder_samples(scaled, 40, max_steps, 9)
+        expect = [
+            LadderSample(math.ldexp(a.max_shortfall, 1015), a.first_ladder_epoch,
+                         None if a.terminated else math.ldexp(a.first_ladder_height, 1015))
+            for a in plain
+        ]
+        assert [self.bits(a) for a in got] == [self.bits(b) for b in expect]
+
+    def test_a_walk_that_may_climb_back_into_the_doubles_raises(self):
+        # walk 0 of seed 5 at rho 0.9 falls to -17.5 at step 160 and then
+        # rises to its maximum, 303, at step 3000.  Scaled by 2**1020 each
+        # step is a double, but the walk falls past -2**1024 (-16 unscaled),
+        # where its later rise is lost, so it raises; walked on at -inf it
+        # read a maximum of 5.38 (unscaled), not 303
+        packet = DistributionSpec(Kind.UNIFORM, 1.0)
+        assert collect_ladder_samples(SystemParams(0.9, packet, 1.0), 1, 3000, 5)[0].max_shortfall > 300.0
+        big = 2.0**1020
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="leaves the doubles"):
+                collect_ladder_samples(SystemParams(0.9, replace(packet, mean=big), big), 1, 3000, 5)
 
     def test_stop_drawdown_only_prunes_decided_walks(self):
         params = mm1()
@@ -1914,10 +1925,11 @@ scale_cases = st.tuples(
 class TestScaledPastTheDoubles:
     """Scaling every mean, ``p`` and ``u0`` by ``2**k`` scales each walk
     exactly, up to where it leaves the doubles.  So each functional is
-    unchanged up to that scaling, or raises :class:`DomainError`: the one
-    rule where the block walk leaves the doubles (a deficit walk's ``D_i``
-    is +inf and the exact scalar decides, a ladder walk raises), and the
-    battery recursion's check."""
+    unchanged up to that scaling, or raises :class:`DomainError`: the rule
+    where the block walk leaves the doubles (a deficit walk's ``D_i`` is
+    +inf and the exact scalar decides; a ladder walk, which sums its steps,
+    raises where a step or the walk rises past them, or where it falls past
+    them and may climb back), and the battery recursion's check."""
 
     def test_the_deficit_walk_through_main_warns_nowhere(self, capsys):
         # p / lam = 1.5e308 times a unit sum overflows, and unif packets of
@@ -1953,11 +1965,29 @@ class TestScaledPastTheDoubles:
     @given(scale_cases, st.floats(0.3, 3.0), st.integers(1, 3000))
     @settings(max_examples=40, deadline=None)
     def test_ladder_maxima_scale_exactly(self, case, rho, max_steps):
+        self.assert_ladder_samples_scale(case, rho, max_steps)
+
+    @given(st.sampled_from(Kind), st.floats(0.95, 1.05), st.integers(2000, 6000), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_ladder_samples_scale_exactly_where_a_walk_falls_past_the_doubles(self, kind, rho, max_steps, seed):
+        # scaled by the largest 2**k that keeps the walk's steps and maximum
+        # doubles, about half these walks fall past -2**1024: they read the
+        # samples scaled, or raise where they may climb back.  Walked on at
+        # -inf, one in eight read a maximum from before the fall
+        params = SystemParams(rho, DistributionSpec(kind, 1.0), 1.0)
+        events = poisson_events(params.lam, params.packet, trial_rng(seed, 0))
+        largest = max(max(pair) for pair in itertools.islice(events, max_steps))
+        (plain,) = collect_ladder_samples(params, 1, max_steps, seed)
+        k = math.floor(math.log2(sys.float_info.max / max(plain.max_shortfall, largest)))
+        self.assert_ladder_samples_scale((kind, k, 1.0, 1.0, seed), rho, max_steps, walks=1)
+
+    @staticmethod
+    def assert_ladder_samples_scale(case, rho, max_steps, walks=4):
         kind, k, mean, p, seed = case
         params = SystemParams(rho * p / mean, DistributionSpec(kind, mean), p)
-        plain = collect_ladder_samples(params, 4, max_steps, seed)
+        plain = collect_ladder_samples(params, walks, max_steps, seed)
         try:
-            scaled = collect_ladder_samples(_scaled(params, k), 4, max_steps, seed)
+            scaled = collect_ladder_samples(_scaled(params, k), walks, max_steps, seed)
         except DomainError:
             return
         for a, b in zip(plain, scaled):
