@@ -16,8 +16,9 @@ only packets are subtracted.  A ladder walk has no horizon and sums its
 steps, ``s + cumsum(p * (units / lam) - packets)``, zero past its step cap.
 A row maximum not below +inf (a step or a ramp past the doubles, or ``inf -
 inf``) makes ``D_i`` +inf, for the exact scalar to decide, and a ladder
-walk raise :class:`DomainError`.  A walk below the doubles ends below every
-bound; a ladder walk only while its rise since stays below ``2**1023``.
+walk raise :class:`DomainError`.  A deficit walk below the doubles ends
+below every bound.  A ladder walk walks on there, raising once its rise
+since reaches ``2**1023``, and an infinite packet ends it.
 Its functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
@@ -81,26 +82,22 @@ A call that finds it broken (a worker died) runs its tasks once more on a
 new one, and the old pool is shut down, its threads joined, before the new
 one forks.
 
-The walk takes up to ``_ROWS`` trials a block at a time, one row of a
-buffer each.  Per trial it does what the stream order needs: it takes the
-trial's generator (kept until the trial ends, so no state is saved or
-restored between blocks), draws the block's units into its row (the first
-block comes from its run) and then the law's raw packet values
-(:func:`~hsc.distributions.raw_block`) into its row of a second buffer,
-zeroing the rest.  A deficit walk's packets reach the first unit sum at the
-farthest live horizon, so it sums the unit rows first, by one row-wise
-``cumsum`` (its first blocks come summed); a ladder walk's reach its step
-cap, which needs no sum.  Per batch the walk scales the packet buffer with
-one multiply (none at a scale of exactly 1; a zero stays zero).  A deficit
-walk sums its rows by one row-wise ``cumsum`` and per column takes one clamp
-(none where no ramp reaches its room; the rooms are Python floats until
-then), one multiply, one subtract and the row maxima; a ladder walk forms
-its steps as the 0.5.1 per-walk kernel does (no multiply by ``p == 1``) and
-sums them by one row-wise ``cumsum``.  Then it updates each (trial, column)
-maximum, offset and stop rule, and a ladder walk's first ladder point.
-Elementwise IEEE operations and sequential row sums give every functional
-bit for bit as walking one trial at a time does, so counts and CSV bytes do
-not depend on the batching.
+The walk takes up to ``_ROWS`` trials a block at a time, one buffer row
+each.  Per trial it takes the trial's generator (kept until the trial ends,
+so no state is saved or restored between blocks), draws the block's units
+into its row (the first block comes from its run), then the law's raw
+packets (:func:`~hsc.distributions.raw_block`) into a second buffer's row,
+zeroing the rest: a deficit walk's up to the first unit sum at the farthest
+live horizon, so it sums its unit rows first by one row-wise ``cumsum``, a
+ladder walk's up to its step cap.  Per batch one multiply scales the
+packets (none at a scale of 1).  A deficit walk sums them by one row-wise
+``cumsum`` and per column takes one clamp (none where no ramp reaches its
+room), one multiply, one subtract and the row maxima; a ladder walk forms
+its steps as the 0.5.1 per-walk kernel does and sums them by one row-wise
+``cumsum``.  Then it updates each (trial, column) maximum, offset and stop
+rule, and a ladder walk's first ladder point.  Elementwise IEEE operations
+and sequential row sums give every functional bit for bit as walking one
+trial at a time does, so counts and CSV bytes do not depend on batching.
 """
 from __future__ import annotations
 
@@ -139,8 +136,7 @@ _MAX_ARRIVALS = 1e8
 # the steps of one of its lockstep lanes (see _lindley_lanes).
 _LINDLEY_CHUNK = 64 * EVENT_BLOCK
 _LANE = 256
-# Trials whose blocks are walked as one batch, in three (rows, EVENT_BLOCK)
-# arrays of 128 KB each.
+# Trials whose blocks are walked as one batch, in three 128 KB (rows, EVENT_BLOCK) arrays.
 _ROWS = 16
 # Trials whose first unit blocks are drawn as one 512 KB array (and summed there
 # for the deficit walks), which each packet law of a call then walks from.
@@ -354,7 +350,8 @@ def _units(x: float) -> int:
 class _Walk:
     # One trial's walk: its steps and unit sum before the block, shared by the
     # columns; per column the running maximum, the walk after the previous
-    # block and whether it still walks; its first ladder point; its generator.
+    # block and whether it still walks; its first ladder point; its rise since
+    # it fell below the doubles (-inf after an infinite packet); its generator.
     __slots__ = ("index", "steps", "units", "best", "s", "live", "epoch", "height", "rise", "rng")
 
     def __init__(self, index: int, width: int, rng: np.random.Generator, best: float):
@@ -386,7 +383,6 @@ def _walk_blocks(
     width = len(columns)
     reach = [params.lam * horizon for params in columns]  # the horizon in units
     rates = [params.p / params.lam for params in columns]
-    least = math.ulp(0.0)
     packet = columns[0].packet
     p, scale = columns[0].p, 1.0 / columns[0].lam  # a ladder walk's one column
     units, packets, walk = np.empty((3, _ROWS, EVENT_BLOCK))
@@ -420,8 +416,7 @@ def _walk_blocks(
         scale_block(packet, pk)  # the zeros past each row's packets stay zero
         with np.errstate(over="ignore", invalid="ignore"):  # the rule below takes an inf or a nan
             if ladder:
-                # the steps p * gap - packet as the 0.5.1 kernel forms them,
-                # zero past the step cap, and their running sums
+                # the steps p * gap - packet as the 0.5.1 kernel forms them (zero past the cap), summed
                 np.multiply(u, scale, out=x)
                 if p != 1.0:
                     x *= p
@@ -434,7 +429,7 @@ def _walk_blocks(
                     # (p / lam) * min(U, R) - A, each room R at least the least
                     # double, as the oracles form it: where lam * H underflows to
                     # 0 a ramp is then the least double times p / lam, not 0.
-                    rooms = [max(reach[k] - trial.units, least) for trial in batch]
+                    rooms = [max(reach[k] - trial.units, math.ulp(0.0)) for trial in batch]
                     clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
                     np.multiply(np.minimum(u, np.array(rooms)[:, None], out=x) if clamped else u, rate, out=x)
                     x -= pk
@@ -444,12 +439,17 @@ def _walk_blocks(
                         s = trial.s[k]
                         top = s + tops[r]
                         if ladder and s + lasts[r] == -math.inf:
-                            # below the doubles, it stays below its maximum while its rise since it
-                            # fell (bounded by the block's ramps where its own sum fell) is below 2**1023
+                            # below the doubles, it stays below its maximum while its rise is below
+                            # 2**1023: since its lowest block end down there, or, where the block's own
+                            # sum fell, at most the block's ramps up to an infinite packet, which ends it
                             rise = trial.rise if s == -math.inf else -math.inf
-                            trial.rise = float(u[r].sum()) * rate if lasts[r] == -math.inf else max(rise + lasts[r], 0.0)
+                            end = int(pk[r].argmax())  # the first infinite packet, if any
+                            gone = pk[r, end] == math.inf
+                            ramps = float(u[r, :end if gone else EVENT_BLOCK].sum()) * rate
+                            trial.rise = max(rise + lasts[r], 0.0) if lasts[r] > -math.inf else ramps
                             if not max(rise + tops[r], trial.rise) < 2.0**1023:
                                 top = math.inf  # it may climb back
+                            trial.rise = -math.inf if gone else trial.rise
                         if not top < math.inf:  # a step past the doubles, or inf - inf
                             if ladder:  # which has no exact fallback
                                 raise DomainError(f"ladder walk {trial.index} leaves the doubles at p / lam = {rate!r}")
@@ -459,12 +459,13 @@ def _walk_blocks(
                             trial.epoch, trial.height = trial.steps + first + 1, s + float(x[r, first])
                         best = trial.best[k] = max(trial.best[k], top)
                         left = max_steps - trial.steps - EVENT_BLOCK if ladder else rooms[r] - ends[r]
-                        if left <= 0.0:  # the block reached the step cap, or the room (left: units to it)
+                        # the step cap, the room (left: units to it), or an infinite packet
+                        if left <= 0.0 or trial.rise == -math.inf:
                             trial.live[k] = False
                             continue
                         s = trial.s[k] = s + lasts[r]
-                        if ladder:
-                            trial.live[k] = best - s < drawdown
+                        if ladder:  # with no drawdown, a walk below the doubles walks on
+                            trial.live[k] = drawdown == math.inf or best - s < drawdown
                         else:
                             bound = s + rate * left  # p * H - A caps later deficits
                             j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
@@ -672,8 +673,7 @@ def collect_ladder_samples(
     stops) and ``max_steps`` above 1e8 raise :class:`PreconditionError`
     before any draw.  A walk sums its steps ``p * gap - packet``: where a
     step or the walk leaves the doubles it raises :class:`DomainError`,
-    unless the walk falls below them and cannot climb back above its
-    maximum, which ends it below every bound.
+    unless it falls below them and cannot climb back above its maximum.
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)

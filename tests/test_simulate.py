@@ -448,7 +448,8 @@ class TestLadderScripted:
         # apart, the unit and packet sums overflowed to inf - inf and every
         # family raised).  Drifting down, 15 to 20 of each family's 40 walks
         # fall past -2**1024 from step 2124 on and end below every bound;
-        # at 5000 steps they walk on below the doubles for two more blocks
+        # at 5000 steps all 40 have fallen by step 4096 and walk on below the
+        # doubles to the cap, their rise since tracked
         big = 2.0**1015
         params = SystemParams(1.2, packet, 1.0)
         scaled = SystemParams(1.2, replace(packet, mean=big), big)
@@ -466,9 +467,9 @@ class TestLadderScripted:
     def test_a_walk_that_may_climb_back_into_the_doubles_raises(self):
         # walk 0 of seed 5 at rho 0.9 falls to -17.5 at step 160 and then
         # rises to its maximum, 303, at step 3000.  Scaled by 2**1020 each
-        # step is a double, but the walk falls past -2**1024 (-16 unscaled),
-        # where its later rise is lost, so it raises; walked on at -inf it
-        # read a maximum of 5.38 (unscaled), not 303
+        # step is a double, but the first block's own sum falls past -2**1024
+        # (-16 unscaled), where its later rise is lost, so it raises; walked
+        # on at -inf it read a maximum of 5.38 (unscaled), not 303
         packet = DistributionSpec(Kind.UNIFORM, 1.0)
         assert collect_ladder_samples(SystemParams(0.9, packet, 1.0), 1, 3000, 5)[0].max_shortfall > 300.0
         big = 2.0**1020
@@ -476,6 +477,41 @@ class TestLadderScripted:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="leaves the doubles"):
                 collect_ladder_samples(SystemParams(0.9, replace(packet, mean=big), big), 1, 3000, 5)
+
+    def test_a_walk_that_falls_at_a_block_end_and_may_climb_back_raises(self):
+        # walk 0 of seed 145 at unif rho 1 ends its first two blocks at -53.3
+        # and -68.7, and climbs from there to its maximum, 25.3 at step 4920,
+        # from 2.82 over those two blocks.  Scaled by 2**1018 each block's own
+        # sums, the first block end and the maximum are doubles, but the second
+        # block end is past -2**1024 (-64 unscaled).  Below the doubles the walk
+        # walks on and raises once its rise since reaches 2**1023; stopped at
+        # the fall or walked on unchecked at -inf, it read 2.82 (unscaled)
+        packet = DistributionSpec(Kind.UNIFORM, 1.0)
+        steps = [gap - size for gap, size in itertools.islice(poisson_events(1.0, packet, trial_rng(145, 0)), 5120)]
+        blocks = np.cumsum(np.reshape(steps, (5, 1024)), axis=1)  # each block's own sums
+        ends = np.cumsum(blocks[:, -1])
+        assert np.abs(blocks).max() < 64.0 and ends[0] > -64.0 > ends[1]
+        (plain,) = collect_ladder_samples(SystemParams(1.0, packet, 1.0), 1, 5120, 145)
+        assert max(blocks[0].max(), ends[0] + blocks[1].max()) + 20.0 < plain.max_shortfall < 64.0
+        big = 2.0**1018
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="leaves the doubles"):
+                collect_ladder_samples(SystemParams(1.0, replace(packet, mean=big), big), 1, 5120, 145)
+
+    def test_an_infinite_packet_ends_a_walk_at_any_ramp(self):
+        # exp packets of mean 1e308 are infinite about a sixth of the time,
+        # and at p / lam = 2**1014 a block's ramps sum past 2**1023.  No rise
+        # follows an infinite packet, so only the ramps before it bound the
+        # walk's rise once its block sum falls past the doubles, and each walk
+        # ends at its first one with the kernel's sample
+        params = SystemParams(1.0, DistributionSpec(Kind.EXPONENTIAL, 1e308), 2.0**1014)
+        with np.errstate(over="ignore"):  # the kernel's block sums overflow to -inf
+            expect = [kernel_oracle._ladder_kernel(params, 3000, trial_rng(3, i)) for i in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = collect_ladder_samples(params, 20, 3000, 3)
+        assert [self.bits(a) for a in got] == [self.bits(b) for b in expect]
 
     def test_stop_drawdown_only_prunes_decided_walks(self):
         params = mm1()
@@ -1972,8 +2008,9 @@ class TestScaledPastTheDoubles:
     def test_ladder_samples_scale_exactly_where_a_walk_falls_past_the_doubles(self, kind, rho, max_steps, seed):
         # scaled by the largest 2**k that keeps the walk's steps and maximum
         # doubles, about half these walks fall past -2**1024: they read the
-        # samples scaled, or raise where they may climb back.  Walked on at
-        # -inf, one in eight read a maximum from before the fall
+        # samples scaled, or raise where they may climb back.  Of 200 such
+        # examples, 5 read a maximum from before the fall when walked on
+        # unchecked at -inf, and 1 when stopped at the fall
         params = SystemParams(rho, DistributionSpec(kind, 1.0), 1.0)
         events = poisson_events(params.lam, params.packet, trial_rng(seed, 0))
         largest = max(max(pair) for pair in itertools.islice(events, max_steps))
