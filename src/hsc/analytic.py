@@ -433,8 +433,9 @@ def solve_renewal_equation(
     with np.errstate(over="ignore", invalid="ignore"):  # a series past the doubles fails the check below
         while m < n:
             size = 2 * m
-            ag = irfft(rfft(a[:size], size) * rfft(g, size), size)  # A g: 1 below z^m
-            g = np.concatenate([g, -irfft(rfft(g, size) * rfft(ag[m:], size), size)[:m]])
+            g_hat = rfft(g, size)  # both products of the pass take it
+            ag = irfft(rfft(a[:size], size) * g_hat, size)  # A g: 1 below z^m
+            g = np.concatenate([g, -irfft(g_hat * rfft(ag[m:], size), size)[:m]])
             m = size
         b = (1.0 - theta) + step * f[1:] * (0.5 * phi[0])
         phi[1:] = irfft(rfft(b, 2 * m) * rfft(g[:n], 2 * m), 2 * m)[:n]

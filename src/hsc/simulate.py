@@ -16,9 +16,10 @@ only packets are subtracted.  A ladder walk has no horizon and sums its
 steps, ``s + cumsum(p * (units / lam) - packets)``, zero past its step cap.
 A row maximum not below +inf (a step or a ramp past the doubles, or ``inf -
 inf``) makes ``D_i`` +inf, for the exact scalar to decide, and a ladder
-walk raise :class:`DomainError`.  A deficit walk below the doubles ends
-below every bound.  A ladder walk walks on there, raising once its rise
-since reaches ``2**1023``, and an infinite packet ends it.
+walk raise :class:`DomainError`.  So does a deficit walk that falls below
+the doubles in a block with no infinite packet, since it may climb back.  A
+ladder walk walks on there, raising once its rise since reaches
+``2**1023``.  An infinite packet ends either walk below every bound.
 Its functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
@@ -82,22 +83,29 @@ A call that finds it broken (a worker died) runs its tasks once more on a
 new one, and the old pool is shut down, its threads joined, before the new
 one forks.
 
-The walk takes up to ``_ROWS`` trials a block at a time, one buffer row
-each.  Per trial it takes the trial's generator (kept until the trial ends,
-so no state is saved or restored between blocks), draws the block's units
-into its row (the first block comes from its run), then the law's raw
-packets (:func:`~hsc.distributions.raw_block`) into a second buffer's row,
-zeroing the rest: a deficit walk's up to the first unit sum at the farthest
-live horizon, so it sums its unit rows first by one row-wise ``cumsum``, a
-ladder walk's up to its step cap.  Per batch one multiply scales the
-packets (none at a scale of 1).  A deficit walk sums them by one row-wise
-``cumsum`` and per column takes one clamp (none where no ramp reaches its
-room), one multiply, one subtract and the row maxima; a ladder walk forms
-its steps as the 0.5.1 per-walk kernel does and sums them by one row-wise
-``cumsum``.  Then it updates each (trial, column) maximum, offset and stop
-rule, and a ladder walk's first ladder point.  Elementwise IEEE operations
-and sequential row sums give every functional bit for bit as walking one
-trial at a time does, so counts and CSV bytes do not depend on batching.
+The walk takes up to ``_ROWS`` trials a block at a time, one row each.  A
+trial's first block is walked in its run's array, where it was drawn, at
+offset 0 and unit sum 0, so each column's room is one value for every row.
+Only a trial with a column still walking goes on: its state (generator,
+unit sum or steps, per column maximum, offset and stop flag) is kept in one
+list per field, and the trials that go on are walked ``_ROWS`` at a time,
+their units drawn into a buffer of their own, until fewer than ``_ROWS``
+wait before the next run, so a call holds fewer than ``_RUN + _ROWS``
+walks.  One block routine and one stop rule serve both.  A trial keeps its
+generator until it ends, so no state is saved or restored between blocks.
+Per trial the walk draws the law's raw packets
+(:func:`~hsc.distributions.raw_block`) into a row of another buffer, zeroing
+the rest: a deficit walk's up to the first unit sum at the farthest live
+horizon, a ladder walk's up to its step cap.  Per batch one multiply scales
+the packets (none at a scale of 1).  A deficit walk sums them by one
+row-wise ``cumsum`` and per column takes one clamp (none where no ramp
+reaches its room), one multiply, one subtract and the row maxima; a ladder
+walk forms its steps as the 0.5.1 per-walk kernel does and sums them by one
+row-wise ``cumsum``.  Then it updates each (trial, column) maximum, offset
+and stop rule, and a ladder walk's first ladder point.  Elementwise IEEE
+operations and sequential row sums give every functional bit for bit as
+walking one trial at a time does, so counts and CSV bytes do not depend on
+batching.
 """
 from __future__ import annotations
 
@@ -108,6 +116,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain, compress, islice
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -136,7 +145,7 @@ _MAX_ARRIVALS = 1e8
 # the steps of one of its lockstep lanes (see _lindley_lanes).
 _LINDLEY_CHUNK = 64 * EVENT_BLOCK
 _LANE = 256
-# Trials whose blocks are walked as one batch, in three 128 KB (rows, EVENT_BLOCK) arrays.
+# Trials whose blocks are walked as one batch, in four 128 KB (rows, EVENT_BLOCK) arrays.
 _ROWS = 16
 # Trials whose first unit blocks are drawn as one 512 KB array (and summed there
 # for the deficit walks), which each packet law of a call then walks from.
@@ -347,68 +356,94 @@ def _units(x: float) -> int:
     return n << (1075 - d.bit_length())
 
 
-class _Walk:
-    # One trial's walk: its steps and unit sum before the block, shared by the
-    # columns; per column the running maximum, the walk after the previous
-    # block and whether it still walks; its first ladder point; its rise since
-    # it fell below the doubles (-inf after an infinite packet); its generator.
-    __slots__ = ("index", "steps", "units", "best", "s", "live", "epoch", "height", "rise", "rng")
-
-    def __init__(self, index: int, width: int, rng: np.random.Generator, best: float):
-        self.index = index
-        self.steps = 0
-        self.units = self.rise = 0.0
-        self.best = [best] * width
-        self.s = [0.0] * width
-        self.live = [True] * width
-        self.epoch = self.height = None
-        self.rng = rng
-
-
 def _walk_blocks(
     columns: list[SystemParams], horizon: float,
-    starts: Iterable[tuple[int, np.random.Generator, np.ndarray]],
+    runs: Iterable[tuple[range, Iterable[np.random.Generator], np.ndarray]],
     u0_sorted: list[float] | None, max_steps: float = math.inf, drawdown: float = math.inf,
-) -> Iterator[_Walk]:
-    # The walks of the trials in starts, each yielded once all its columns
-    # stop.  A start is a trial's index, its generator just past its first
-    # block of units and that block's units, summed for a deficit walk.
+) -> Iterator[tuple[int, tuple[float, ...], int | None, float | None]]:
+    # Each trial's index, running maxima (one per column) and first ladder
+    # point, once all its columns stop.  A run is trials' indices, their
+    # generators just past their first blocks of units and those blocks, a row
+    # each (summed for a deficit walk), as _first_blocks yields them.
     # A deficit walk (u0_sorted given) stops a column at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
     # tie band), or in the block where its ramps reach the horizon; a ladder
     # walk (u0_sorted None, one column, no horizon) once it sits drawdown
     # below its maximum, or in the block of its max_steps-th step.
     ladder = u0_sorted is None
-    origin = 0.0 if ladder else -math.inf  # a ladder walk's maximum counts S_0 = 0
+    inf = math.inf
+    origin = 0.0 if ladder else -inf  # a ladder walk's maximum counts S_0 = 0
     width = len(columns)
     reach = [params.lam * horizon for params in columns]  # the horizon in units
     rates = [params.p / params.lam for params in columns]
+    # each room R at least the least double, as the oracles form it: where
+    # lam * H underflows to 0 a ramp is then the least double times p / lam, not 0
+    least = math.ulp(0.0)
+    fresh_rooms, far = np.maximum(reach, least)[:, None], max(reach)  # (column, 1): no units walked yet
     packet = columns[0].packet
     p, scale = columns[0].p, 1.0 / columns[0].lam  # a ladder walk's one column
-    units, packets, walk = np.empty((3, _ROWS, EVENT_BLOCK))
-    starts = iter(starts)
-    batch: list[_Walk] = []  # trials that go on, then new ones
-    while True:
-        m = len(batch)
-        for r, trial in enumerate(batch):
-            trial.rng.standard_exponential(out=units[r])
-        if not ladder:
-            units[:m].cumsum(axis=1, out=units[:m])
-        for index, rng, row in islice(starts, _ROWS - m):
-            units[len(batch)] = row
-            batch.append(_Walk(index, width, rng, origin))
-        if not batch:
-            return
-        m = len(batch)
-        u, pk, x = units[:m], packets[:m], walk[:m]
-        ends = None if ladder else u[:, -1].tolist()
-        for r, trial in enumerate(batch):
-            if ladder:  # no horizon: packets up to the step cap
-                n = min(max_steps - trial.steps, EVENT_BLOCK)
-            else:  # packets up to the first ramp reaching the farthest live horizon
-                far = max(compress(reach, trial.live)) - trial.units
-                n = int(u[r].searchsorted(far)) + 1 if ends[r] >= far else EVENT_BLOCK
-            raw_block(packet, trial.rng, pk[r, :n])
+    units, packets, sums, walk = np.empty((4, _ROWS, EVENT_BLOCK))
+    # A batch's state is one list per field, each over its trials: their
+    # indices and generators, their steps (a ladder walk) or unit sums (a
+    # deficit walk) so far, their rises since they fell below the doubles
+    # (-inf after an infinite packet) and first ladder points; then per column
+    # the running maxima, the walks at the block end and whether each walks on.
+    waiting: list[list[list]] = []  # the walks that go on, in groups of a batch's state
+
+    def batches() -> Iterator[tuple[np.ndarray, list, bool]]:
+        # Each run's first blocks where they were drawn, _ROWS rows at a time,
+        # then the walks that go on, _ROWS at a time while as many wait (so
+        # fewer than _RUN + _ROWS are ever held), and after the last run until
+        # none does.
+        for run in chain(runs, [None]):
+            if run is not None:
+                indices, rngs, first = run
+                rngs = iter(rngs)
+                for a in range(0, len(first), _ROWS):
+                    u = first[a : a + _ROWS]
+                    m = len(u)
+                    state = [list(indices[a : a + m]), list(islice(rngs, m))]
+                    state += [[0] * m, [0.0] * m, [None] * m, [None] * m]
+                    for value in (origin, 0.0, True):
+                        state += [[value] * m for _ in range(width)]
+                    yield u, state, True
+            while sum(len(group[0]) for group in waiting) >= (_ROWS if run is not None else 1):
+                state = waiting.pop(0)
+                while len(state[0]) < _ROWS and waiting:  # filled up from the next groups
+                    group, need = waiting[0], _ROWS - len(state[0])
+                    for field, column in zip(state, group):
+                        field += column[:need]
+                        del column[:need]
+                    if not group[0]:
+                        waiting.pop(0)
+                u = units[: len(state[0])]
+                for row, rng in zip(u, state[1]):
+                    rng.standard_exponential(out=row)
+                if not ladder:
+                    u.cumsum(axis=1, out=u)
+                yield u, state, False
+
+    for u, state, fresh in batches():
+        m = len(u)
+        index, rngs, done, rise, epoch, height = state[:6]
+        best, s, live = state[6 : 6 + width], state[6 + width : 6 + 2 * width], state[6 + 2 * width :]
+        pk, x = packets[:m], walk[:m]
+        if ladder:  # no horizon: packets up to the step cap
+            ends = [EVENT_BLOCK] * m
+            counts = [min(max_steps - d, EVENT_BLOCK) for d in done]
+            left = [max_steps - d - EVENT_BLOCK for d in done]
+        else:  # packets up to the first ramp reaching the farthest live horizon
+            ends, last = u[:, -1].tolist(), u[:, -1]
+            if fresh:
+                rooms, fars = fresh_rooms, [far] * m
+            else:
+                rooms = np.maximum(np.subtract.outer(reach, done), least)
+                fars = [max(compress(reach, flags)) - d for flags, d in zip(zip(*live), done)]
+            counts = [
+                int(u[r].searchsorted(f)) + 1 if e >= f else EVENT_BLOCK for r, (f, e) in enumerate(zip(fars, ends))
+            ]
+        for r, (rng, n) in enumerate(zip(rngs, counts)):
+            raw_block(packet, rng, pk[r, :n])
             if n < EVENT_BLOCK:
                 pk[r, n:] = 0.0
                 if ladder:  # and its units, so that no step follows the cap
@@ -423,64 +458,65 @@ def _walk_blocks(
                 x -= pk
                 x.cumsum(axis=1, out=x)
             else:
-                pk.cumsum(axis=1, out=pk)
+                a = np.cumsum(pk, axis=1, out=sums[:m])
             for k, rate in enumerate(rates):
-                if not ladder:
-                    # (p / lam) * min(U, R) - A, each room R at least the least
-                    # double, as the oracles form it: where lam * H underflows to
-                    # 0 a ramp is then the least double times p / lam, not 0.
-                    rooms = [max(reach[k] - trial.units, math.ulp(0.0)) for trial in batch]
-                    clamped = any(map(float.__lt__, rooms, ends))  # some ramp reaches its room
-                    np.multiply(np.minimum(u, np.array(rooms)[:, None], out=x) if clamped else u, rate, out=x)
-                    x -= pk
+                if not ladder:  # (p / lam) * min(U, R) - A; left: units from the block's end to R
+                    left = (rooms[k] - last).tolist()
+                    clamped = min(left) < 0.0  # some ramp reaches its room
+                    np.multiply(np.minimum(u, rooms[k][:, None], out=x) if clamped else u, rate, out=x)
+                    x -= a
                 tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
-                for r, trial in enumerate(batch):
-                    if trial.live[k]:
-                        s = trial.s[k]
-                        top = s + tops[r]
-                        if ladder and s + lasts[r] == -math.inf:
+                best_k, s_k, live_k = best[k], s[k], live[k]
+                for r in compress(range(m), live_k):
+                    s0 = s_k[r]
+                    top, end = s0 + tops[r], s0 + lasts[r]
+                    if end == -inf:  # below the doubles, or past an infinite packet
+                        j = int(pk[r].argmax())  # the first infinite packet, if any
+                        gone = pk[r, j] == inf
+                        if ladder:
                             # below the doubles, it stays below its maximum while its rise is below
                             # 2**1023: since its lowest block end down there, or, where the block's own
                             # sum fell, at most the block's ramps up to an infinite packet, which ends it
-                            rise = trial.rise if s == -math.inf else -math.inf
-                            end = int(pk[r].argmax())  # the first infinite packet, if any
-                            gone = pk[r, end] == math.inf
-                            ramps = float(u[r, :end if gone else EVENT_BLOCK].sum()) * rate
-                            trial.rise = max(rise + lasts[r], 0.0) if lasts[r] > -math.inf else ramps
-                            if not max(rise + tops[r], trial.rise) < 2.0**1023:
-                                top = math.inf  # it may climb back
-                            trial.rise = -math.inf if gone else trial.rise
-                        if not top < math.inf:  # a step past the doubles, or inf - inf
-                            if ladder:  # which has no exact fallback
-                                raise DomainError(f"ladder walk {trial.index} leaves the doubles at p / lam = {rate!r}")
-                            top = math.inf  # so no u0 is left above it, and the scalar decides each
-                        if ladder and trial.epoch is None and top > 0.0:
-                            first = int(np.argmax(x[r] > -s))
-                            trial.epoch, trial.height = trial.steps + first + 1, s + float(x[r, first])
-                        best = trial.best[k] = max(trial.best[k], top)
-                        left = max_steps - trial.steps - EVENT_BLOCK if ladder else rooms[r] - ends[r]
-                        # the step cap, the room (left: units to it), or an infinite packet
-                        if left <= 0.0 or trial.rise == -math.inf:
-                            trial.live[k] = False
-                            continue
-                        s = trial.s[k] = s + lasts[r]
-                        if ladder:  # with no drawdown, a walk below the doubles walks on
-                            trial.live[k] = drawdown == math.inf or best - s < drawdown
-                        else:
-                            bound = s + rate * left  # p * H - A caps later deficits
-                            j = bisect_right(u0_sorted, best)  # first u0 the walk has not reached
-                            trial.live[k] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (rate + abs(bound)) <= bound
-        walking = []
-        for r, trial in enumerate(batch):
-            if any(trial.live):
-                trial.steps += EVENT_BLOCK
-                if not ladder:
-                    trial.units += ends[r]
-                walking.append(trial)
-            else:
-                _SPARE_RNGS.append(trial.rng)
-                yield trial
-        batch = walking
+                            below = rise[r] if s0 == -inf else -inf
+                            ramps = float(u[r, :j if gone else EVENT_BLOCK].sum()) * rate
+                            rise[r] = max(below + lasts[r], 0.0) if lasts[r] > -inf else ramps
+                            if not max(below + tops[r], rise[r]) < 2.0**1023:
+                                top = inf  # it may climb back
+                            rise[r] = -inf if gone else rise[r]
+                        elif not gone and s0 > -inf:
+                            top = inf  # it fell here and may climb back: the scalar decides each u0
+                    if not top < inf:  # a step past the doubles, or inf - inf
+                        if ladder:  # which has no exact fallback
+                            raise DomainError(f"ladder walk {index[r]} leaves the doubles at p / lam = {rate!r}")
+                        top = inf  # so no u0 is left above it, and the scalar decides each
+                    if ladder and epoch[r] is None and top > 0.0:
+                        first = int(np.argmax(x[r] > -s0))
+                        epoch[r], height[r] = done[r] + first + 1, s0 + float(x[r, first])
+                    b = best_k[r]
+                    if top > b:
+                        best_k[r] = b = top
+                    # the step cap, the room, or an infinite packet
+                    if left[r] <= 0.0 or rise[r] == -inf:
+                        live_k[r] = False
+                        continue
+                    s_k[r] = end
+                    if ladder:  # with no drawdown, a walk below the doubles walks on
+                        live_k[r] = drawdown == inf or b - end < drawdown
+                    else:
+                        bound = end + rate * left[r]  # p * H - A caps later deficits
+                        j = bisect_right(u0_sorted, b)  # first u0 the walk has not reached
+                        live_k[r] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (rate + abs(bound)) <= bound
+        going = list(map(any, zip(*live)))
+        state[2] = list(map(add, done, ends))
+        if not all(going):
+            for i, rng, b, e, h, on in zip(index, rngs, zip(*best), epoch, height, going):
+                if not on:
+                    _SPARE_RNGS.append(rng)
+                    yield i, b, e, h
+            if not any(going):
+                continue
+            state = [list(compress(column, going)) for column in state]
+        waiting.insert(len(waiting) if fresh else 0, state)  # after the others, or in its own place
 
 
 def _max_deficits(
@@ -498,8 +534,9 @@ def _max_deficits(
         first.cumsum(axis=1, out=first)  # before any packet: a block's packet count reads its unit sums
         states = [rng.bit_generator.state for rng in rngs] if len(laws) > 1 else []  # for later laws
         for ks in laws.values():
-            walked = list(_walk_blocks([columns[k] for k in ks], horizon, zip(indices, rngs, first), u0_sorted))
-            deficits[np.ix_([trial.index - lo for trial in walked], ks)] = [trial.best for trial in walked]
+            walked = _walk_blocks([columns[k] for k in ks], horizon, [(indices, rngs, first)], u0_sorted)
+            index, best, _, _ = zip(*walked)
+            deficits[np.ix_(np.subtract(index, lo), ks)] = best
             rngs = _restored(states)
     return deficits
 
@@ -680,9 +717,10 @@ def collect_ladder_samples(
     if not (stop_drawdown is None or stop_drawdown > 0.0):
         raise PreconditionError(f"stop_drawdown must be positive or None, got {stop_drawdown!r}")
     samples = [None] * walks
-    starts = (start for run in _first_blocks(seed, 0, walks) for start in zip(*run))
-    for trial in _walk_blocks([params], math.inf, starts, None, max_steps, stop_drawdown or math.inf):
-        samples[trial.index] = LadderSample(trial.best[0], trial.epoch, trial.height)
+    runs = _first_blocks(seed, 0, walks)
+    walked = _walk_blocks([params], math.inf, runs, None, max_steps, stop_drawdown or math.inf)
+    for index, (best,), epoch, height in walked:
+        samples[index] = LadderSample(best, epoch, height)
     return samples
 
 

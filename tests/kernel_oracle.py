@@ -124,6 +124,7 @@ def _max_deficit(
         n = min(int(np.searchsorted(units, far)) + 1, EVENT_BLOCK)
         packets = np.zeros(EVENT_BLOCK)
         packets[:n] = sample_block(columns[0].packet, rng, n)
+        infinite = packets[:n].max() == math.inf
         packets.cumsum(out=packets)
         walking = []
         for k in live:
@@ -132,6 +133,8 @@ def _max_deficit(
             x *= rates[k]
             x -= packets
             best[k] = max(best[k], s[k] + float(x.max()))
+            if s[k] + float(x[-1]) == -math.inf and s[k] > -math.inf and not infinite:
+                best[k] = math.inf  # fell below the doubles and may climb back: the scalar decides
             left = room - float(units[-1])
             if left <= 0.0:  # a ramp of this block reached the horizon
                 continue

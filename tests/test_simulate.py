@@ -387,6 +387,47 @@ class TestLadderScripted:
             ends.add(next((e for e in (1024, 2048) if peak[e - 1] - walk[e - 1] >= 40.0), 2500))
         assert ends == ({2500} if walks == 1 else {1024, 2048, 2500})
 
+    @pytest.mark.parametrize("max_steps", [1, 700, 1023])
+    def test_walks_capped_in_their_first_block_across_runs(self, max_steps):
+        # every walk ends in its first block, walked where its run drew it:
+        # 2 * _RUN + 9 walks cross two run edges and end on a part batch
+        walks = 2 * simulate._RUN + 9
+        for stop in (None, 20.0):
+            self.assert_equals_the_kernel(SystemParams(0.9, UNIF1, 0.7), walks, max_steps, 4, stop)
+
+    def test_a_drawdown_ends_some_walks_in_their_first_block(self, monkeypatch):
+        # at rho 1 a drawdown of 20 ends some of seed 6's walks at their first
+        # block end and lets the others go on, so the walks that go on from
+        # one run fill batches beside those of the next
+        drawn = []
+        watch_rows(monkeypatch, lambda spec, rng, n: drawn.append(n))
+        walks = 2 * simulate._RUN + 9
+        self.assert_equals_the_kernel(SystemParams(1.0, EXP1, 1.0), walks, 5000, 6, 20.0)
+        assert walks < len(drawn) < 2 * walks  # some walks end in their first block, some go on
+
+    def test_a_call_holds_fewer_than_a_run_and_a_batch_of_walks(self, monkeypatch):
+        # a walk is held from its run's draw to its sample: the walks that go
+        # on from a run are walked down to fewer than _ROWS before the next
+        # run is drawn, so 2000 walks never hold as many as _RUN + _ROWS
+        issued, done, held = [0], [0], []
+        first_blocks, sample = simulate._first_blocks, simulate.LadderSample
+
+        def runs(*args):
+            for run in first_blocks(*args):
+                issued[0] += len(run[0])
+                held.append(issued[0] - done[0])
+                yield run
+
+        def counted(*args):
+            done[0] += 1
+            return sample(*args)
+
+        monkeypatch.setattr(simulate, "_first_blocks", runs)
+        monkeypatch.setattr(simulate, "LadderSample", counted)
+        samples = collect_ladder_samples(SystemParams(1.0, EXP1, 1.0), 2000, 3000, 7, 20.0)
+        assert done[0] == len(samples) == 2000 and None not in samples
+        assert simulate._RUN < max(held) < simulate._RUN + simulate._ROWS
+
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
         # trial 2 of seed 17 at rho 1.02 first rises above zero at step 3302
         params = SystemParams(lam=1.02, packet=EXP1, p=1.0)
@@ -1434,9 +1475,16 @@ class TestWorkerPool:
             "deadline = time.monotonic() + 30\n"
             "while seen[0][0] in pids() and time.monotonic() < deadline:\n"
             "    time.sleep(0.01)\n"
+            # the broken pool's other workers end while its replacement serves:
+            # until each is reaped it is listed beside the new pool's
+            "def settled():\n"
+            "    deadline = time.monotonic() + 30\n"
+            "    while set(pids()) & set(seen[0]) and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    return pids()\n"
             "for _ in range(2):\n"
             "    assert curves(2) == serial\n"
-            "    seen.append(pids())\n"
+            "    seen.append(settled())\n"
             "print(json.dumps(seen))\n"
         )
         killed, after, later = served
@@ -1719,6 +1767,26 @@ class TestBatchedWalk:
                     got = _max_deficits(columns, horizon, 3, lo, hi, grid)
                     self.assert_bits_equal(got, self.oracle(columns, horizon, 3, lo, hi, grid))
 
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_runs_mix_first_block_ends_with_walks_that_go_on(self, monkeypatch, packet):
+        # at H 3000 some walks end in their first block and some go on; 2 *
+        # _RUN + 9 trials from trial 5 cross two run edges and end on a part
+        # batch, so the walks that go on from one run share batches with
+        # those of the next
+        blocks, sample = [], kernel_oracle.sample_block
+        monkeypatch.setattr(kernel_oracle, "sample_block", lambda *args: blocks.append(1) or sample(*args))
+        columns = [SystemParams(lam=rho, packet=packet, p=1.0) for rho in (1.02, 1.3)]
+        lo, hi = 5, 5 + 2 * simulate._RUN + 9
+        for grid in ([0.0], [0.0, 5.0]):  # a walk whose maximum passes every u0 stops
+            got = _max_deficits(columns, 3000.0, 3, lo, hi, grid)
+            expect, walked = [], []
+            for i in range(lo, hi):
+                blocks.clear()
+                expect.append(kernel_oracle._max_deficit(columns, 3000.0, trial_rng(3, i), grid))
+                walked.append(len(blocks))
+            assert 1 in walked and max(walked) > 1, walked
+            self.assert_bits_equal(got, np.array(expect))
+
     @pytest.mark.usefixtures("fresh_pool")
     def test_threads_sharing_spare_generators_keep_every_count(self, monkeypatch):
         # more threads than cores, switching often: a generator handed to two
@@ -1982,6 +2050,26 @@ class TestScaledPastTheDoubles:
         params = SystemParams(1.0, DistributionSpec(Kind.UNIFORM, 8e307), 1.5e308)
         expect = scalar_counts(params, 2.0, out["seed"], [out["params"]["u0"]], 20)
         assert [round(out["psi_mc"] * 20)] == expect
+
+    @pytest.mark.parametrize("kind", [Kind.DETERMINISTIC, Kind.EXPONENTIAL])
+    def test_a_deficit_walk_that_falls_below_the_doubles_goes_to_the_scalar(self, kind):
+        # at p = 2**1013 and packets of mean 2**1014 every step is a double,
+        # but the walk falls past -2**1024 within 3000 arrivals (a block's own
+        # packet sum reaches 2**1024 near its end): where it falls, D_i is +inf
+        # and the exact scalar decides each u0.  Without that rule each such
+        # D_i kept the maximum from before the fall, which is wrong where the
+        # walk climbs back
+        params = SystemParams(1.0, DistributionSpec(kind, 2.0**1014), 2.0**1013)
+        grid = [0.0, 2.0**1013, 2.0**1016]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _max_deficits([params], 3000.0, 1, 0, 4, grid)
+            counts = _count_range([params], 3000.0, 1, grid, 0, 4)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's block sums overflow to inf
+            expect = [kernel_oracle._max_deficit([params], 3000.0, trial_rng(1, i), grid) for i in range(4)]
+        assert got.view(np.uint64).tolist() == np.array(expect).view(np.uint64).tolist()
+        assert np.isposinf(got).sum() == (4 if kind is Kind.DETERMINISTIC else 3)
+        assert counts == [scalar_counts(params, 3000.0, 1, grid, 4)]
 
     @given(scale_cases, st.floats(0.3, 3.0), st.floats(0.5, 2000.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
