@@ -148,7 +148,7 @@ def run_analyze(params: SystemParams) -> dict:
     probabilities, and the initial energy required for outage targets
     0.1, 0.01, 0.001.  For rho <= 1 the eventual outage is certain; the
     rho < 1 report adds the stationary empty fraction and outage-duration
-    quantiles.
+    quantiles, or raises :class:`DomainError` where one is past the doubles.
     """
     rho = params.rho
     report: dict = {
@@ -180,9 +180,10 @@ def run_analyze(params: SystemParams) -> dict:
         report["psi_exact"] = 1.0
         if rho < 1.0:
             report["stationary_outage"] = stationary_outage(params)
-            report["outage_duration_quantiles"] = {
-                str(q): -math.log(1.0 - q) / params.lam for q in (0.5, 0.9, 0.99)
-            }
+            quantiles = {str(q): -math.log(1.0 - q) / params.lam for q in (0.5, 0.9, 0.99)}
+            if math.inf in quantiles.values():  # JSON has no Infinity
+                raise DomainError(f"an outage-duration quantile overflows at lam = {params.lam!r}")
+            report["outage_duration_quantiles"] = quantiles
     return report
 
 

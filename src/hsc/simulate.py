@@ -14,13 +14,15 @@ the walk at the block's start and ``R`` its room, the horizon in units,
 ``lam * H - U`` (``U``: the earlier blocks' unit sum), so past the horizon
 only packets are subtracted.  A ladder walk has no horizon and sums its
 steps, ``s + cumsum(p * (units / lam) - packets)``, zero past its step cap.
-A row maximum not below +inf (a step or a ramp past the doubles, or ``inf -
-inf``) makes ``D_i`` +inf, for the exact scalar to decide, and a ladder
-walk raise :class:`DomainError`.  So does a deficit walk that falls below
-the doubles in a block with no infinite packet, since it may climb back.  A
-ladder walk walks on there, raising once its rise since reaches
-``2**1023``.  An infinite packet ends either walk below every bound.
-Its functionals:
+Each column walks at a power-of-two scale: energy in units of ``2**k`` and
+a ladder walk's time in units of ``2**j``, the least ``k, j >= 0`` that
+leave its packet mean, ``p / lam`` and ``1 / lam`` at most ``2**900`` (the
+columns of one law walk apart where their scales differ).  Such a scaling
+is exact short of an under- or overflow, and at it no walk of fewer than
+``2**60`` steps passes ``2**1000``: only an infinite packet takes a walk
+past the doubles, and it ends the walk.  Scaled back, a ``D_i`` past the
+doubles is +inf, for the exact scalar to decide, and a ladder sample past
+them raises :class:`DomainError`.  Its functionals:
 
 * the largest energy deficit before the horizon, ``D_i = max_j (p *
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
@@ -83,29 +85,17 @@ A call that finds it broken (a worker died) runs its tasks once more on a
 new one, and the old pool is shut down, its threads joined, before the new
 one forks.
 
-The walk takes up to ``_ROWS`` trials a block at a time, one row each.  A
-trial's first block is walked in its run's array, where it was drawn, at
-offset 0 and unit sum 0, so each column's room is one value for every row.
-Only a trial with a column still walking goes on: its state (generator,
-unit sum or steps, per column maximum, offset and stop flag) is kept in one
-list per field, and the trials that go on are walked ``_ROWS`` at a time,
-their units drawn into a buffer of their own, until fewer than ``_ROWS``
-wait before the next run, so a call holds fewer than ``_RUN + _ROWS``
-walks.  One block routine and one stop rule serve both.  A trial keeps its
-generator until it ends, so no state is saved or restored between blocks.
-Per trial the walk draws the law's raw packets
-(:func:`~hsc.distributions.raw_block`) into a row of another buffer, zeroing
-the rest: a deficit walk's up to the first unit sum at the farthest live
-horizon, a ladder walk's up to its step cap.  Per batch one multiply scales
-the packets (none at a scale of 1).  A deficit walk sums them by one
-row-wise ``cumsum`` and per column takes one clamp (none where no ramp
-reaches its room), one multiply, one subtract and the row maxima; a ladder
-walk forms its steps as the 0.5.1 per-walk kernel does and sums them by one
-row-wise ``cumsum``.  Then it updates each (trial, column) maximum, offset
-and stop rule, and a ladder walk's first ladder point.  Elementwise IEEE
-operations and sequential row sums give every functional bit for bit as
-walking one trial at a time does, so counts and CSV bytes do not depend on
-batching.
+The walk takes up to ``_ROWS`` trials a block at a time, one row each, and
+walks a trial's first block where its run drew it, at offset 0 and unit sum
+0, so each column's room is one value for every row.  Only a trial with a
+column still walking goes on, its state kept in one list per field; those
+are walked ``_ROWS`` at a time until fewer wait before the next run, so a
+call holds fewer than ``_RUN + _ROWS`` walks.  Per batch the walk scales the
+packets, forms the walk by one row-wise ``cumsum`` and takes the row maxima;
+only each (trial, column) maximum, offset and stop rule is updated one at a
+time.  Elementwise IEEE operations and sequential row sums give every
+functional bit for bit as walking one trial at a time does, so counts and
+CSV bytes do not depend on batching.
 """
 from __future__ import annotations
 
@@ -356,38 +346,50 @@ def _units(x: float) -> int:
     return n << (1075 - d.bit_length())
 
 
+def _scales(params: SystemParams) -> tuple[int, int]:
+    # A column's (k, j) of the module docstring: log2 is exact at a power of
+    # two, log2(p) - log2(lam) is finite where p / lam is past the doubles, and
+    # elsewhere its rounding may leave a value a hair above 2**900.  Each step
+    # is then below 45 * 2**900, as exp packets are below 45 means (scale_block).
+    k = math.ceil(max(math.log2(params.packet.mean), math.log2(params.p) - math.log2(params.lam)))
+    return max(k - 900, 0), max(math.ceil(-math.log2(params.lam)) - 900, 0)
+
+
 def _walk_blocks(
     columns: list[SystemParams], horizon: float,
     runs: Iterable[tuple[range, Iterable[np.random.Generator], np.ndarray]],
-    u0_sorted: list[float] | None, max_steps: float = math.inf, drawdown: float = math.inf,
+    u0_sorted: list[float] | None, max_steps: float, drawdown: float, scales: tuple[int, int],
 ) -> Iterator[tuple[int, tuple[float, ...], int | None, float | None]]:
     # Each trial's index, running maxima (one per column) and first ladder
-    # point, once all its columns stop.  A run is trials' indices, their
-    # generators just past their first blocks of units and those blocks, a row
-    # each (summed for a deficit walk), as _first_blocks yields them.
+    # point, once all its columns stop, in energy units of 2**k, where (k, j)
+    # = scales is each column's _scales (u0_sorted and drawdown are in those
+    # units too).  A run is trials' indices, their generators just past their
+    # first blocks of units and those blocks, a row each (summed for a deficit
+    # walk), as _first_blocks yields them.
     # A deficit walk (u0_sorted given) stops a column at a block end once no
     # u0 lies above its maximum yet within reach of its p * H - A (plus the
     # tie band), or in the block where its ramps reach the horizon; a ladder
     # walk (u0_sorted None, one column, no horizon) once it sits drawdown
-    # below its maximum, or in the block of its max_steps-th step.
+    # below its maximum, or in the block of its max_steps-th step; either at
+    # an infinite packet, after which it is -inf.
     ladder = u0_sorted is None
     inf = math.inf
     origin = 0.0 if ladder else -inf  # a ladder walk's maximum counts S_0 = 0
     width = len(columns)
+    k, j = scales
     reach = [params.lam * horizon for params in columns]  # the horizon in units
-    rates = [params.p / params.lam for params in columns]
+    rates = [math.ldexp(params.p, -k) / params.lam for params in columns]  # a double where p / lam is not
     # each room R at least the least double, as the oracles form it: where
     # lam * H underflows to 0 a ramp is then the least double times p / lam, not 0
     least = math.ulp(0.0)
     fresh_rooms, far = np.maximum(reach, least)[:, None], max(reach)  # (column, 1): no units walked yet
     packet = columns[0].packet
-    p, scale = columns[0].p, 1.0 / columns[0].lam  # a ladder walk's one column
+    p, scale = math.ldexp(columns[0].p, j - k), math.ldexp(1.0, -j) / columns[0].lam  # a ladder walk's one column
     units, packets, sums, walk = np.empty((4, _ROWS, EVENT_BLOCK))
     # A batch's state is one list per field, each over its trials: their
     # indices and generators, their steps (a ladder walk) or unit sums (a
-    # deficit walk) so far, their rises since they fell below the doubles
-    # (-inf after an infinite packet) and first ladder points; then per column
-    # the running maxima, the walks at the block end and whether each walks on.
+    # deficit walk) so far and first ladder points; then per column the
+    # running maxima, the walks at the block end and whether each walks on.
     waiting: list[list[list]] = []  # the walks that go on, in groups of a batch's state
 
     def batches() -> Iterator[tuple[np.ndarray, list, bool]]:
@@ -402,8 +404,7 @@ def _walk_blocks(
                 for a in range(0, len(first), _ROWS):
                     u = first[a : a + _ROWS]
                     m = len(u)
-                    state = [list(indices[a : a + m]), list(islice(rngs, m))]
-                    state += [[0] * m, [0.0] * m, [None] * m, [None] * m]
+                    state = [list(indices[a : a + m]), list(islice(rngs, m)), [0] * m, [None] * m, [None] * m]
                     for value in (origin, 0.0, True):
                         state += [[value] * m for _ in range(width)]
                     yield u, state, True
@@ -425,8 +426,8 @@ def _walk_blocks(
 
     for u, state, fresh in batches():
         m = len(u)
-        index, rngs, done, rise, epoch, height = state[:6]
-        best, s, live = state[6 : 6 + width], state[6 + width : 6 + 2 * width], state[6 + 2 * width :]
+        index, rngs, done, epoch, height = state[:5]
+        best, s, live = state[5 : 5 + width], state[5 + width : 5 + 2 * width], state[5 + 2 * width :]
         pk, x = packets[:m], walk[:m]
         if ladder:  # no horizon: packets up to the step cap
             ends = [EVENT_BLOCK] * m
@@ -449,63 +450,44 @@ def _walk_blocks(
                 if ladder:  # and its units, so that no step follows the cap
                     u[r, n:] = 0.0
         scale_block(packet, pk)  # the zeros past each row's packets stay zero
-        with np.errstate(over="ignore", invalid="ignore"):  # the rule below takes an inf or a nan
-            if ladder:
-                # the steps p * gap - packet as the 0.5.1 kernel forms them (zero past the cap), summed
-                np.multiply(u, scale, out=x)
-                if p != 1.0:
-                    x *= p
-                x -= pk
-                x.cumsum(axis=1, out=x)
-            else:
-                a = np.cumsum(pk, axis=1, out=sums[:m])
-            for k, rate in enumerate(rates):
-                if not ladder:  # (p / lam) * min(U, R) - A; left: units from the block's end to R
-                    left = (rooms[k] - last).tolist()
-                    clamped = min(left) < 0.0  # some ramp reaches its room
-                    np.multiply(np.minimum(u, rooms[k][:, None], out=x) if clamped else u, rate, out=x)
-                    x -= a
-                tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
-                best_k, s_k, live_k = best[k], s[k], live[k]
-                for r in compress(range(m), live_k):
-                    s0 = s_k[r]
-                    top, end = s0 + tops[r], s0 + lasts[r]
-                    if end == -inf:  # below the doubles, or past an infinite packet
-                        j = int(pk[r].argmax())  # the first infinite packet, if any
-                        gone = pk[r, j] == inf
-                        if ladder:
-                            # below the doubles, it stays below its maximum while its rise is below
-                            # 2**1023: since its lowest block end down there, or, where the block's own
-                            # sum fell, at most the block's ramps up to an infinite packet, which ends it
-                            below = rise[r] if s0 == -inf else -inf
-                            ramps = float(u[r, :j if gone else EVENT_BLOCK].sum()) * rate
-                            rise[r] = max(below + lasts[r], 0.0) if lasts[r] > -inf else ramps
-                            if not max(below + tops[r], rise[r]) < 2.0**1023:
-                                top = inf  # it may climb back
-                            rise[r] = -inf if gone else rise[r]
-                        elif not gone and s0 > -inf:
-                            top = inf  # it fell here and may climb back: the scalar decides each u0
-                    if not top < inf:  # a step past the doubles, or inf - inf
-                        if ladder:  # which has no exact fallback
-                            raise DomainError(f"ladder walk {index[r]} leaves the doubles at p / lam = {rate!r}")
-                        top = inf  # so no u0 is left above it, and the scalar decides each
-                    if ladder and epoch[r] is None and top > 0.0:
-                        first = int(np.argmax(x[r] > -s0))
-                        epoch[r], height[r] = done[r] + first + 1, s0 + float(x[r, first])
-                    b = best_k[r]
-                    if top > b:
-                        best_k[r] = b = top
-                    # the step cap, the room, or an infinite packet
-                    if left[r] <= 0.0 or rise[r] == -inf:
-                        live_k[r] = False
-                        continue
-                    s_k[r] = end
-                    if ladder:  # with no drawdown, a walk below the doubles walks on
-                        live_k[r] = drawdown == inf or b - end < drawdown
-                    else:
-                        bound = end + rate * left[r]  # p * H - A caps later deficits
-                        j = bisect_right(u0_sorted, b)  # first u0 the walk has not reached
-                        live_k[r] = j < len(u0_sorted) and u0_sorted[j] - _TIE_RTOL * (rate + abs(bound)) <= bound
+        if k:  # to energy units of 2**k; an infinite packet stays infinite
+            np.ldexp(pk, -k, out=pk)
+        if ladder:
+            # the steps p * gap - packet as the 0.5.1 kernel forms them (zero past the cap), summed
+            np.multiply(u, scale, out=x)
+            if p != 1.0:
+                x *= p
+            x -= pk
+            x.cumsum(axis=1, out=x)
+        else:
+            a = np.cumsum(pk, axis=1, out=sums[:m])
+        for c, rate in enumerate(rates):
+            if not ladder:  # (p / lam) * min(U, R) - A; left: units from the block's end to R
+                left = (rooms[c] - last).tolist()
+                clamped = min(left) < 0.0  # some ramp reaches its room
+                np.multiply(np.minimum(u, rooms[c][:, None], out=x) if clamped else u, rate, out=x)
+                x -= a
+            tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
+            best_c, s_c, live_c = best[c], s[c], live[c]
+            for r in compress(range(m), live_c):
+                s0 = s_c[r]
+                top, end = s0 + tops[r], s0 + lasts[r]
+                if ladder and epoch[r] is None and top > 0.0:
+                    first = int(np.argmax(x[r] > -s0))
+                    epoch[r], height[r] = done[r] + first + 1, s0 + float(x[r, first])
+                b = best_c[r]
+                if top > b:
+                    best_c[r] = b = top
+                if left[r] <= 0.0 or end == -inf:  # the step cap, the room, or an infinite packet
+                    live_c[r] = False
+                    continue
+                s_c[r] = end
+                if ladder:
+                    live_c[r] = b - end < drawdown
+                else:
+                    bound = end + rate * left[r]  # p * H - A caps later deficits
+                    i = bisect_right(u0_sorted, b)  # first u0 the walk has not reached
+                    live_c[r] = i < len(u0_sorted) and u0_sorted[i] - _TIE_RTOL * (rate + abs(bound)) <= bound
         going = list(map(any, zip(*live)))
         state[2] = list(map(add, done, ends))
         if not all(going):
@@ -525,18 +507,26 @@ def _max_deficits(
     # The deficit walks' running maxima, as a (trial, column) array.  The
     # packet laws share each trial's first block of units, drawn and summed
     # once: the first law walks on from the trial's generator, each later one
-    # from a generator set to the state it had after those units.
-    laws: dict[DistributionSpec, list[int]] = {}  # packet law -> its columns
-    for k, params in enumerate(columns):
-        laws.setdefault(params.packet, []).append(k)
+    # from a generator set to the state it had after those units.  The columns
+    # of a law walk together at their scale (_scales), or apart where their
+    # scales differ, and their maxima are scaled back: one past the doubles is
+    # +inf, and the scalar decides each u0.
+    groups: dict[tuple, list[int]] = {}  # (packet law, scales) -> its columns
+    for c, params in enumerate(columns):
+        groups.setdefault((params.packet, _scales(params)), []).append(c)
+    walks = [  # per group: its columns, their params, its scales and the u0s in its units
+        (cs, [columns[c] for c in cs], scales, np.ldexp(u0_sorted, -scales[0]).tolist())
+        for (_, scales), cs in groups.items()
+    ]
     deficits = np.empty((hi - lo, len(columns)))
     for indices, rngs, first in _first_blocks(seed, lo, hi):
         first.cumsum(axis=1, out=first)  # before any packet: a block's packet count reads its unit sums
-        states = [rng.bit_generator.state for rng in rngs] if len(laws) > 1 else []  # for later laws
-        for ks in laws.values():
-            walked = _walk_blocks([columns[k] for k in ks], horizon, [(indices, rngs, first)], u0_sorted)
+        states = [rng.bit_generator.state for rng in rngs] if len(walks) > 1 else []  # for later groups
+        for cs, law, scales, grid in walks:
+            walked = _walk_blocks(law, horizon, [(indices, rngs, first)], grid, math.inf, math.inf, scales)
             index, best, _, _ = zip(*walked)
-            deficits[np.ix_(np.subtract(index, lo), ks)] = best
+            with np.errstate(over="ignore"):  # to +inf past the doubles
+                deficits[np.ix_(np.subtract(index, lo), cs)] = np.ldexp(best, scales[0])
             rngs = _restored(states)
     return deficits
 
@@ -547,8 +537,8 @@ def _count_range(
     # Outages of trials [lo, hi) for each column and u0, from searches of the
     # sorted D_i and the sorted grid.  The scalar decides, one (trial, column,
     # u0) at a time on the column's own packet law, each u0 near a tie and
-    # every u0 of a D_i that is not finite (+inf where the walk leaves the
-    # doubles, -inf where the first packet is infinite): its band is inf.
+    # every u0 of a D_i that is not finite (+inf where it is past the doubles
+    # once scaled back, -inf where the first packet is infinite): its band is inf.
     u0s = np.asarray(u0_grid, dtype=float)
     grid = np.sort(u0s)
     deficits = _max_deficits(columns, horizon, seed, lo, hi, grid.tolist())
@@ -708,19 +698,24 @@ def collect_ladder_samples(
     stop_drawdown)`` per walk for a large speedup; pass e.g. ``30 / r*`` to
     keep that error below 1e-13.  One that is not positive (``inf`` never
     stops) and ``max_steps`` above 1e8 raise :class:`PreconditionError`
-    before any draw.  A walk sums its steps ``p * gap - packet``: where a
-    step or the walk leaves the doubles it raises :class:`DomainError`,
-    unless it falls below them and cannot climb back above its maximum.
+    before any draw.  A walk sums its steps ``p * gap - packet`` at a
+    power-of-two scale that keeps every finite sum far inside the doubles,
+    exactly, and an infinite packet ends it; a sample past the largest
+    double raises :class:`DomainError`.
     """
     walks = _integer("walks", walks, 1)
     max_steps = _walk_length("max_steps", max_steps, 1)
     if not (stop_drawdown is None or stop_drawdown > 0.0):
         raise PreconditionError(f"stop_drawdown must be positive or None, got {stop_drawdown!r}")
     samples = [None] * walks
-    runs = _first_blocks(seed, 0, walks)
-    walked = _walk_blocks([params], math.inf, runs, None, max_steps, stop_drawdown or math.inf)
+    k, _ = scales = _scales(params)
+    drawdown = math.ldexp(stop_drawdown or math.inf, -k)
+    walked = _walk_blocks([params], math.inf, _first_blocks(seed, 0, walks), None, max_steps, drawdown, scales)
     for index, (best,), epoch, height in walked:
-        samples[index] = LadderSample(best, epoch, height)
+        try:
+            samples[index] = LadderSample(math.ldexp(best, k), epoch, None if height is None else math.ldexp(height, k))
+        except OverflowError:
+            raise DomainError(f"ladder walk {index} leaves the doubles at p / lam = {params.p / params.lam!r}") from None
     return samples
 
 

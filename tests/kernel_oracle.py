@@ -14,8 +14,12 @@ library's walk draws its final block's packets only up to the horizon and
 stops once every u0 is decided.  The per-trial max-deficit walk does what the
 library's walk does, draws and stop rule included, one trial at a time with
 one generator, where the library walks a batch of trials together, each on
-its own generator.  The sawtooth recorder lists the breakpoints of the
-trajectory whose troughs :func:`hsc.simulate_first_passage` scans,
+its own generator.  It walks at the parameters it is given, where the
+library walks at a power-of-two scale, ``2**k`` (``k = 0`` unless a mean or
+``p / lam`` is above ``2**900``), and scales back: so they are compared at
+the parameters scaled by ``2**-k``.  The sawtooth recorder lists the
+breakpoints of the trajectory whose troughs
+:func:`hsc.simulate_first_passage` scans,
 :func:`scripted_events` feeds the scalar simulators hand-written pairs, and
 the Lindley path lists the levels whose statistics :func:`hsc.simulate_lindley`
 accumulates.  The scalar ladder walk reads the stream one pair at a
@@ -124,7 +128,6 @@ def _max_deficit(
         n = min(int(np.searchsorted(units, far)) + 1, EVENT_BLOCK)
         packets = np.zeros(EVENT_BLOCK)
         packets[:n] = sample_block(columns[0].packet, rng, n)
-        infinite = packets[:n].max() == math.inf
         packets.cumsum(out=packets)
         walking = []
         for k in live:
@@ -133,8 +136,6 @@ def _max_deficit(
             x *= rates[k]
             x -= packets
             best[k] = max(best[k], s[k] + float(x.max()))
-            if s[k] + float(x[-1]) == -math.inf and s[k] > -math.inf and not infinite:
-                best[k] = math.inf  # fell below the doubles and may climb back: the scalar decides
             left = room - float(units[-1])
             if left <= 0.0:  # a ramp of this block reached the horizon
                 continue

@@ -494,6 +494,17 @@ class TestMainEntry:
         assert main(["analyze", "--lam", "1.1", "--packet", "det:mean=1.0"]) == 3
         assert "stalled" in capsys.readouterr().err
 
+    def test_analyze_where_a_duration_quantile_overflows_is_exit_3(self, capsys):
+        # at rho < 1 each quantile is -log(1 - q) / lam, past the doubles at
+        # lam 1e-320, where the report used to hold Infinity, which is no JSON
+        assert main(["analyze", "--lam", "1e-320", "--packet", "exp:mean=1.0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "quantile" in err
+        # at lam 1e-307 the largest, 0.99's, is a double
+        assert main(["analyze", "--lam", "1e-307", "--packet", "exp:mean=1.0"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert report["outage_duration_quantiles"]["0.99"] == pytest.approx(-math.log(0.01) / 1e-307)
+
     def test_analyze_where_rho_rounds_to_one_plus_an_ulp(self, capsys):
         # exact rho of these doubles is about 1 + 8e-17; r* is its root
         assert main(["analyze", "--lam", "17", "--p", "1.7", "--packet", "det:mean=0.1"]) == 0
@@ -702,6 +713,11 @@ _OWN = {  # subcommand -> its dests, besides out and config
 _STRANGERS = sorted(_VALID) + ["trails", "u0-grid", "config"]  # for unknown and foreign keys
 
 
+def _no_constant(name: str):
+    """``parse_constant`` of a strict JSON parse: NaN and Infinity are no JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def _json_token(token: str):
     """A pool token as the JSON number it spells, else as a string."""
     try:
@@ -769,6 +785,8 @@ class TestMainFuzz:
             argv += ["--out", str(Path(tmp, "out"))]
             with redirect_stdout(stdout), redirect_stderr(stderr):
                 code = main(argv)
+            if code == 0 and command in ("analyze", "simulate"):  # each report parses as strict JSON
+                json.loads(Path(tmp, "out").read_text(encoding="utf-8"), parse_constant=_no_constant)
         err = stderr.getvalue()
         assert code in (0, 2, 3, 4), (argv, config, err)
         assert "Traceback" not in err

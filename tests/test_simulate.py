@@ -508,9 +508,10 @@ class TestLadderScripted:
     def test_a_walk_that_may_climb_back_into_the_doubles_raises(self):
         # walk 0 of seed 5 at rho 0.9 falls to -17.5 at step 160 and then
         # rises to its maximum, 303, at step 3000.  Scaled by 2**1020 each
-        # step is a double, but the first block's own sum falls past -2**1024
-        # (-16 unscaled), where its later rise is lost, so it raises; walked
-        # on at -inf it read a maximum of 5.38 (unscaled), not 303
+        # step is a double, but the maximum, 303 * 2**1020, is not, so it
+        # raises.  Walked on at -inf past the fall of its first block's own
+        # sum below -2**1024 (-16 unscaled), it read a maximum of 5.38
+        # (unscaled), not 303
         packet = DistributionSpec(Kind.UNIFORM, 1.0)
         assert collect_ladder_samples(SystemParams(0.9, packet, 1.0), 1, 3000, 5)[0].max_shortfall > 300.0
         big = 2.0**1020
@@ -519,14 +520,15 @@ class TestLadderScripted:
             with pytest.raises(DomainError, match="leaves the doubles"):
                 collect_ladder_samples(SystemParams(0.9, replace(packet, mean=big), big), 1, 3000, 5)
 
-    def test_a_walk_that_falls_at_a_block_end_and_may_climb_back_raises(self):
+    def test_a_walk_that_falls_at_a_block_end_and_climbs_back_scales_exactly(self):
         # walk 0 of seed 145 at unif rho 1 ends its first two blocks at -53.3
         # and -68.7, and climbs from there to its maximum, 25.3 at step 4920,
         # from 2.82 over those two blocks.  Scaled by 2**1018 each block's own
         # sums, the first block end and the maximum are doubles, but the second
-        # block end is past -2**1024 (-64 unscaled).  Below the doubles the walk
-        # walks on and raises once its rise since reaches 2**1023; stopped at
-        # the fall or walked on unchecked at -inf, it read 2.82 (unscaled)
+        # block end is past -2**1024 (-64 unscaled).  The walk runs at 2**900
+        # and its sample is scaled back.  Without that scale it walked on below
+        # the doubles and raised, and stopped at the fall or walked on
+        # unchecked at -inf, it read 2.82 (unscaled)
         packet = DistributionSpec(Kind.UNIFORM, 1.0)
         steps = [gap - size for gap, size in itertools.islice(poisson_events(1.0, packet, trial_rng(145, 0)), 5120)]
         blocks = np.cumsum(np.reshape(steps, (5, 1024)), axis=1)  # each block's own sums
@@ -537,8 +539,33 @@ class TestLadderScripted:
         big = 2.0**1018
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="leaves the doubles"):
-                collect_ladder_samples(SystemParams(1.0, replace(packet, mean=big), big), 1, 5120, 145)
+            (got,) = collect_ladder_samples(SystemParams(1.0, replace(packet, mean=big), big), 1, 5120, 145)
+        expect = LadderSample(math.ldexp(plain.max_shortfall, 1018), plain.first_ladder_epoch,
+                              math.ldexp(plain.first_ladder_height, 1018))
+        assert self.bits(got) == self.bits(expect)
+
+    def test_a_walk_at_a_subnormal_rate_sums_its_steps(self):
+        # 1 / lam = 1e310 is past the doubles, so the walk counts time in
+        # units of 2**130; without that scale every gap read inf and it raised.
+        # Its maximum and first ladder point are those of the exact sum of the
+        # same draws, p * unit / lam - packet, within rounding
+        params = SystemParams(1e-310, DistributionSpec(Kind.UNIFORM, 1e-300), 1e-315)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = collect_ladder_samples(params, 3, 3000, 1)
+        rng = trial_rng(1, 0)
+        steps = []
+        for n in (1024, 1024, 952):  # the last block's packets up to the step cap
+            units = rng.standard_exponential(EVENT_BLOCK)[:n]
+            packets = raw_block(params.packet, rng, np.empty(n)) * (2.0 * params.packet.mean)
+            steps += [Fraction(params.p) * Fraction(u) / Fraction(params.lam) - Fraction(x) for u, x in zip(units, packets)]
+        walk = list(itertools.accumulate(steps))
+        exact = max(0, *walk)
+        assert float(exact) == 0.02932707101717432
+        assert got[0].max_shortfall == pytest.approx(float(exact), rel=1e-12)
+        assert walk[0] > 0 and got[0].first_ladder_epoch == 1
+        assert got[0].first_ladder_height == pytest.approx(float(walk[0]), rel=1e-12)
+        assert all(0.02 < a.max_shortfall < 0.04 for a in got)
 
     def test_an_infinite_packet_ends_a_walk_at_any_ramp(self):
         # exp packets of mean 1e308 are infinite about a sixth of the time,
@@ -2028,12 +2055,12 @@ scale_cases = st.tuples(
 
 class TestScaledPastTheDoubles:
     """Scaling every mean, ``p`` and ``u0`` by ``2**k`` scales each walk
-    exactly, up to where it leaves the doubles.  So each functional is
-    unchanged up to that scaling, or raises :class:`DomainError`: the rule
-    where the block walk leaves the doubles (a deficit walk's ``D_i`` is
-    +inf and the exact scalar decides; a ladder walk, which sums its steps,
-    raises where a step or the walk rises past them, or where it falls past
-    them and may climb back), and the battery recursion's check."""
+    exactly, up to where a result leaves the doubles.  So each functional is
+    unchanged up to that scaling, or raises :class:`DomainError`: the block
+    walk runs at a power-of-two scale where no finite walk leaves the doubles,
+    and its results are scaled back (a deficit walk's ``D_i`` past them is
+    +inf, and the exact scalar decides; a ladder sample past them raises),
+    and the battery recursion has its own check."""
 
     def test_the_deficit_walk_through_main_warns_nowhere(self, capsys):
         # p / lam = 1.5e308 times a unit sum overflows, and unif packets of
@@ -2052,24 +2079,68 @@ class TestScaledPastTheDoubles:
         assert [round(out["psi_mc"] * 20)] == expect
 
     @pytest.mark.parametrize("kind", [Kind.DETERMINISTIC, Kind.EXPONENTIAL])
-    def test_a_deficit_walk_that_falls_below_the_doubles_goes_to_the_scalar(self, kind):
+    def test_a_deficit_walk_that_would_fall_below_the_doubles_scales_exactly(self, kind, monkeypatch):
         # at p = 2**1013 and packets of mean 2**1014 every step is a double,
-        # but the walk falls past -2**1024 within 3000 arrivals (a block's own
-        # packet sum reaches 2**1024 near its end): where it falls, D_i is +inf
-        # and the exact scalar decides each u0.  Without that rule each such
-        # D_i kept the maximum from before the fall, which is wrong where the
-        # walk climbs back
+        # but unscaled the walk falls past -2**1024 within 3000 arrivals (a
+        # block's own packet sum reaches 2**1024 near its end).  The walk runs
+        # in energy units of 2**114, where it stays a double, so each D_i is
+        # that of the model scaled by 2**-114, scaled back, and no u0 is
+        # replayed.  Where the unscaled walk's fall made D_i +inf (4 of the 4
+        # det trials, 3 exp), the scalar decided each of their u0s
         params = SystemParams(1.0, DistributionSpec(kind, 2.0**1014), 2.0**1013)
         grid = [0.0, 2.0**1013, 2.0**1016]
+        replays = []
+        first_passage = simulate.simulate_first_passage
+        monkeypatch.setattr(simulate, "simulate_first_passage", lambda *args: replays.append(args) or first_passage(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _max_deficits([params], 3000.0, 1, 0, 4, grid)
             counts = _count_range([params], 3000.0, 1, grid, 0, 4)
-        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's block sums overflow to inf
-            expect = [kernel_oracle._max_deficit([params], 3000.0, trial_rng(1, i), grid) for i in range(4)]
-        assert got.view(np.uint64).tolist() == np.array(expect).view(np.uint64).tolist()
-        assert np.isposinf(got).sum() == (4 if kind is Kind.DETERMINISTIC else 3)
+        scaled, scaled_grid = _scaled(params, -114), [math.ldexp(u0, -114) for u0 in grid]
+        expect = [kernel_oracle._max_deficit([scaled], 3000.0, trial_rng(1, i), scaled_grid) for i in range(4)]
+        assert np.isfinite(got).all() and not replays
+        assert got.view(np.uint64).tolist() == np.ldexp(expect, 114).view(np.uint64).tolist()
         assert counts == [scalar_counts(params, 3000.0, 1, grid, 4)]
+
+    def test_u0s_that_underflow_at_the_walk_scale_count_as_the_scalar(self):
+        # at exp mean and p 2**1013 the walk counts energy in units of
+        # 2**113, where u0 5e-324 and 2**-1000 are 0
+        params = SystemParams(1.1, DistributionSpec(Kind.EXPONENTIAL, 2.0**1013), 2.0**1013)
+        grid = [0.0, 5e-324, 2.0**-1000, 1.0, 2.0**1013]
+        assert [math.ldexp(u0, -113) for u0 in grid[:3]] == [0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _count_range([params], 100.0, 1, grid, 0, 50)
+        assert counts == [scalar_counts(params, 100.0, 1, grid, 50)]
+
+    def test_columns_of_one_law_at_different_scales_walk_apart(self):
+        # p / lam is 2**2074 in the first column (k = 1174) and 1 in the
+        # second (k = 0): at one shared scale the second column's rates and
+        # packets would be 0, and its counts read [26, 0, 0]
+        columns = [SystemParams(5e-324, EXP1, 2.0**1000), SystemParams(1.0, EXP1, 1.0)]
+        assert [simulate._scales(params) for params in columns] == [(1174, 1074 - 900), (0, 0)]
+        grid = [0.0, 1.0, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _count_range(columns, 100.0, 1, grid, 0, 30)
+        assert counts == [scalar_counts(params, 100.0, 1, grid, 30) for params in columns]
+
+    @pytest.mark.parametrize("mean", [2.0**1020, 2.0**1023])
+    def test_infinite_packets_at_a_walk_scale_above_1_count_as_the_scalar(self, mean):
+        # exp packets of mean 2**1020 are past the largest double above 16
+        # means (one in 9e6), and of 2**1023 above 2: each is +inf, after
+        # which the scalar finds no outage, as p * H is a double.  The walk
+        # counts energy in units of 2**120 or 2**123, where an infinite packet
+        # stays infinite and ends the walk
+        params = SystemParams(1.1 * 2.0**1019 / mean, DistributionSpec(Kind.EXPONENTIAL, mean), 2.0**1019)
+        grid = [0.0, 2.0**1015, 2.0**1019, 2.0**1022]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = _count_range([params], 30.0, 5, grid, 0, 200)
+        assert counts == [scalar_counts(params, 30.0, 5, grid, 200)]
+        if mean == 2.0**1023:  # infinite first packets among the 200 trials
+            firsts = [next(poisson_events(params.lam, params.packet, trial_rng(5, i)))[1] for i in range(200)]
+            assert firsts.count(math.inf) > 20
 
     @given(scale_cases, st.floats(0.3, 3.0), st.floats(0.5, 2000.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
@@ -2095,26 +2166,30 @@ class TestScaledPastTheDoubles:
     @settings(max_examples=40, deadline=None)
     def test_ladder_samples_scale_exactly_where_a_walk_falls_past_the_doubles(self, kind, rho, max_steps, seed):
         # scaled by the largest 2**k that keeps the walk's steps and maximum
-        # doubles, about half these walks fall past -2**1024: they read the
-        # samples scaled, or raise where they may climb back.  Of 200 such
-        # examples, 5 read a maximum from before the fall when walked on
-        # unchecked at -inf, and 1 when stopped at the fall
+        # doubles, about half these walks would fall past -2**1024 unscaled:
+        # each reads its samples scaled, with no DomainError.  Of 200 such
+        # examples, walked unscaled, 93 raised under the rise rule, 5 read a
+        # maximum from before the fall when walked on unchecked at -inf, and 1
+        # when stopped at the fall
         params = SystemParams(rho, DistributionSpec(kind, 1.0), 1.0)
         events = poisson_events(params.lam, params.packet, trial_rng(seed, 0))
         largest = max(max(pair) for pair in itertools.islice(events, max_steps))
         (plain,) = collect_ladder_samples(params, 1, max_steps, seed)
         k = math.floor(math.log2(sys.float_info.max / max(plain.max_shortfall, largest)))
-        self.assert_ladder_samples_scale((kind, k, 1.0, 1.0, seed), rho, max_steps, walks=1)
+        self.assert_ladder_samples_scale((kind, k, 1.0, 1.0, seed), rho, max_steps, walks=1, past=False)
 
     @staticmethod
-    def assert_ladder_samples_scale(case, rho, max_steps, walks=4):
+    def assert_ladder_samples_scale(case, rho, max_steps, walks=4, past=True):
+        # past: a sample may be past the doubles once scaled, and raise
         kind, k, mean, p, seed = case
         params = SystemParams(rho * p / mean, DistributionSpec(kind, mean), p)
         plain = collect_ladder_samples(params, walks, max_steps, seed)
         try:
             scaled = collect_ladder_samples(_scaled(params, k), walks, max_steps, seed)
         except DomainError:
-            return
+            if past:
+                return
+            raise
         for a, b in zip(plain, scaled):
             assert b.max_shortfall == math.ldexp(a.max_shortfall, k)
             assert b.first_ladder_epoch == a.first_ladder_epoch
