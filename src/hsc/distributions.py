@@ -19,7 +19,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, ParseError
 
@@ -128,24 +128,37 @@ def sample_block(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np
     The draws are numpy's ``exponential(mean)`` and ``uniform(0, 2 *
     mean)``, bit for bit; a packet past the largest double (``2 * mean``
     itself may overflow) is ``+inf``.  It is :func:`raw_block` and then
-    :func:`scale_block`; the block walk calls the two apart, a raw draw per
-    row and one scale per batch of rows.
+    :func:`scale_block`; the block walk calls the two apart, the draw of
+    :func:`raw_draw` per row and one scale per batch of rows.
     """
     import numpy as np
 
     return scale_block(spec, raw_block(spec, rng, np.empty(n)))
 
 
+# The law's unscaled draw: the np.random.Generator method that fills an array
+# with it, by name.  The constant law draws nothing.
+_RAW_DRAWS = {Kind.EXPONENTIAL: "standard_exponential", Kind.UNIFORM: "random"}
+
+
+def raw_draw(spec: DistributionSpec) -> Callable | None:
+    """The law's unscaled draw as an unbound ``np.random.Generator`` method,
+    called as ``draw(rng, out=row)``: standard exponentials or uniforms on
+    [0, 1).  None for the constant law, which draws nothing."""
+    import numpy as np
+
+    name = _RAW_DRAWS.get(spec.kind)
+    return None if name is None else getattr(np.random.Generator, name)
+
+
 def raw_block(spec: DistributionSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the law's unscaled draws: standard exponentials,
-    uniforms on [0, 1), or the constant mean.  :func:`scale_block` makes
-    them packet sizes."""
-    if spec.kind is Kind.EXPONENTIAL:
-        rng.standard_exponential(out=out)
-    elif spec.kind is Kind.UNIFORM:
-        rng.random(out=out)
-    else:
+    """Fill ``out`` with the law's unscaled draws (:func:`raw_draw`), or
+    with the constant mean.  :func:`scale_block` makes them packet sizes."""
+    draw = raw_draw(spec)
+    if draw is None:
         out.fill(spec.mean)
+    else:
+        draw(rng, out=out)
     return out
 
 

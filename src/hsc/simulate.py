@@ -90,12 +90,16 @@ walks a trial's first block where its run drew it, at offset 0 and unit sum
 0, so each column's room is one value for every row.  Only a trial with a
 column still walking goes on, its state kept in one list per field; those
 are walked ``_ROWS`` at a time until fewer wait before the next run, so a
-call holds fewer than ``_RUN + _ROWS`` walks.  Per batch the walk scales the
-packets, forms the walk by one row-wise ``cumsum`` and takes the row maxima;
-only each (trial, column) maximum, offset and stop rule is updated one at a
-time.  Elementwise IEEE operations and sequential row sums give every
-functional bit for bit as walking one trial at a time does, so counts and
-CSV bytes do not depend on batching.
+call holds fewer than ``_RUN + _ROWS`` walks.  A call looks its law's draw
+up once (:func:`~hsc.distributions.raw_draw`, a generator method called per
+row), and a deficit walk of constant packets draws none: it sums one row of
+them once and reads it in every block.  Per batch the walk scales the
+packets, forms the walk by one row-wise ``cumsum`` and takes the row maxima,
+and a ladder walk finds its rows' first ascents by one search of the block,
+where some row first rises above 0; only each (trial, column) maximum,
+offset and stop rule is updated one at a time.  Elementwise IEEE operations
+and sequential row sums give every functional bit for bit as walking one
+trial at a time does, so counts and CSV bytes do not depend on batching.
 """
 from __future__ import annotations
 
@@ -113,7 +117,7 @@ import numpy as np
 
 from . import _SIMULATE
 from .analytic import SystemParams, _check_protocol, _finite_horizon, _integer
-from .distributions import EVENT_BLOCK, DistributionSpec, EventStream, poisson_events, raw_block, scale_block
+from .distributions import EVENT_BLOCK, DistributionSpec, EventStream, poisson_events, raw_draw, scale_block
 from .distributions import sample_block  # noqa: F401  (hsc.simulate.sample_block: a traced name)
 from .errors import DomainError, PreconditionError
 
@@ -244,11 +248,12 @@ def _trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     bits.advance(_JUMP_STEP * lo % 2**128)
     state = bits.state  # has_uint32 and uinteger 0: nothing buffered
     words = state["state"]
+    inc = _JUMP_INC * words["inc"]
 
     def states() -> Iterator[dict]:
         for _ in range(lo, hi):
             yield state
-            words["state"] = (_JUMP_MUL * words["state"] + _JUMP_INC * words["inc"]) % 2**128
+            words["state"] = (_JUMP_MUL * words["state"] + inc) & (2**128 - 1)
 
     return _restored(states())
 
@@ -384,8 +389,16 @@ def _walk_blocks(
     least = math.ulp(0.0)
     fresh_rooms, far = np.maximum(reach, least)[:, None], max(reach)  # (column, 1): no units walked yet
     packet = columns[0].packet
+    draw = raw_draw(packet)  # each row's packets, raw; None for the constant law
     p, scale = math.ldexp(columns[0].p, j - k), math.ldexp(1.0, -j) / columns[0].lam  # a ladder walk's one column
     units, packets, sums, walk = np.empty((4, _ROWS, EVENT_BLOCK))
+    # A deficit walk's constant packets sum to one row, the same in every
+    # block.  A final block's sums go on past the step where a drawn law's
+    # packets would stop, but by that step each live column has reached its
+    # room, so no later deficit is larger, and the column stops in the block.
+    constant = draw is None and not ladder
+    if constant:
+        sums[:] = np.ldexp(np.full(EVENT_BLOCK, packet.mean), -k).cumsum()
     # A batch's state is one list per field, each over its trials: their
     # indices and generators, their steps (a ladder walk) or unit sums (a
     # deficit walk) so far and first ladder points; then per column the
@@ -428,30 +441,35 @@ def _walk_blocks(
         m = len(u)
         index, rngs, done, epoch, height = state[:5]
         best, s, live = state[5 : 5 + width], state[5 + width : 5 + 2 * width], state[5 + 2 * width :]
-        pk, x = packets[:m], walk[:m]
+        pk, a, x = packets[:m], sums[:m], walk[:m]
         if ladder:  # no horizon: packets up to the step cap
             ends = [EVENT_BLOCK] * m
             counts = [min(max_steps - d, EVENT_BLOCK) for d in done]
             left = [max_steps - d - EVENT_BLOCK for d in done]
         else:  # packets up to the first ramp reaching the farthest live horizon
             ends, last = u[:, -1].tolist(), u[:, -1]
-            if fresh:
-                rooms, fars = fresh_rooms, [far] * m
+            rooms = fresh_rooms if fresh else np.maximum(np.subtract.outer(reach, done), least)
+            if not constant:
+                fars = [far] * m if fresh else [max(compress(reach, flags)) - d for flags, d in zip(zip(*live), done)]
+                counts = [
+                    int(u[r].searchsorted(f)) + 1 if e >= f else EVENT_BLOCK for r, (f, e) in enumerate(zip(fars, ends))
+                ]
+        if not constant:
+            if draw is None:  # a constant law's ladder walk
+                pk.fill(packet.mean)
             else:
-                rooms = np.maximum(np.subtract.outer(reach, done), least)
-                fars = [max(compress(reach, flags)) - d for flags, d in zip(zip(*live), done)]
-            counts = [
-                int(u[r].searchsorted(f)) + 1 if e >= f else EVENT_BLOCK for r, (f, e) in enumerate(zip(fars, ends))
-            ]
-        for r, (rng, n) in enumerate(zip(rngs, counts)):
-            raw_block(packet, rng, pk[r, :n])
-            if n < EVENT_BLOCK:
-                pk[r, n:] = 0.0
-                if ladder:  # and its units, so that no step follows the cap
-                    u[r, n:] = 0.0
-        scale_block(packet, pk)  # the zeros past each row's packets stay zero
-        if k:  # to energy units of 2**k; an infinite packet stays infinite
-            np.ldexp(pk, -k, out=pk)
+                for row, rng, n in zip(pk, rngs, counts):
+                    draw(rng, out=row if n == EVENT_BLOCK else row[:n])
+            for r, n in enumerate(counts):
+                if n < EVENT_BLOCK:
+                    pk[r, n:] = 0.0
+                    if ladder:  # and its units, so that no step follows the cap
+                        u[r, n:] = 0.0
+            scale_block(packet, pk)  # the zeros past each row's packets stay zero
+            if k:  # to energy units of 2**k; an infinite packet stays infinite
+                np.ldexp(pk, -k, out=pk)
+            if not ladder:
+                np.cumsum(pk, axis=1, out=a)
         if ladder:
             # the steps p * gap - packet as the 0.5.1 kernel forms them (zero past the cap), summed
             np.multiply(u, scale, out=x)
@@ -459,8 +477,6 @@ def _walk_blocks(
                 x *= p
             x -= pk
             x.cumsum(axis=1, out=x)
-        else:
-            a = np.cumsum(pk, axis=1, out=sums[:m])
         for c, rate in enumerate(rates):
             if not ladder:  # (p / lam) * min(U, R) - A; left: units from the block's end to R
                 left = (rooms[c] - last).tolist()
@@ -469,11 +485,13 @@ def _walk_blocks(
                 x -= a
             tops, lasts = x.max(axis=1).tolist(), x[:, -1].tolist()
             best_c, s_c, live_c = best[c], s[c], live[c]
+            if ladder and any(on and e is None and s0 + t > 0.0 for on, e, s0, t in zip(live_c, epoch, s_c, tops)):
+                firsts = (x > -np.array(s_c)[:, None]).argmax(axis=1).tolist()  # each row's first ascent
             for r in compress(range(m), live_c):
                 s0 = s_c[r]
                 top, end = s0 + tops[r], s0 + lasts[r]
                 if ladder and epoch[r] is None and top > 0.0:
-                    first = int(np.argmax(x[r] > -s0))
+                    first = firsts[r]
                     epoch[r], height[r] = done[r] + first + 1, s0 + float(x[r, first])
                 b = best_c[r]
                 if top > b:

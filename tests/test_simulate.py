@@ -47,7 +47,7 @@ from hsc import (
     trial_rng,
 )
 from hsc.cli import main, run_simulate
-from hsc.distributions import raw_block
+from hsc.distributions import raw_block, raw_draw
 import hsc.simulate as simulate
 from hsc.simulate import (
     _count_range,
@@ -80,13 +80,24 @@ def walk_trial(columns, horizon, seed, i, u0_sorted):
 
 
 def watch_rows(monkeypatch, record):
-    """Call ``record(spec, rng, n)`` before each row's packet draw of the walk."""
+    """Call ``record(spec, rng, n)`` before each row's packet draw of the walk.
 
-    def draw(spec, rng, out):
-        record(spec, rng, out.size)
-        return raw_block(spec, rng, out)
+    The walk looks its law's draw up once per call (``raw_draw``) and calls
+    it per row; a constant law draws no row, so nothing is recorded for it.
+    """
 
-    monkeypatch.setattr(simulate, "raw_block", draw)
+    def hook(spec):
+        draw = raw_draw(spec)
+        if draw is None:
+            return None
+
+        def watched(rng, out):
+            record(spec, rng, out.size)
+            return draw(rng, out=out)
+
+        return watched
+
+    monkeypatch.setattr(simulate, "raw_draw", hook)
 
 
 pair_lists = st.lists(
@@ -427,6 +438,16 @@ class TestLadderScripted:
         samples = collect_ladder_samples(SystemParams(1.0, EXP1, 1.0), 2000, 3000, 7, 20.0)
         assert done[0] == len(samples) == 2000 and None not in samples
         assert simulate._RUN < max(held) < simulate._RUN + simulate._ROWS
+
+    @pytest.mark.parametrize("packet", [EXP1, DET1, UNIF1])
+    def test_first_ascents_after_the_first_block_equal_the_kernel(self, packet):
+        # at rho 1 about one walk in fifty first rises above zero after its
+        # first block, where the walk's offset is not 0: each batch finds its
+        # rows' first ascents by one search over the block, against each
+        # row's own offset, and every sample is the per-walk kernel's
+        expect = self.assert_equals_the_kernel(SystemParams(1.0, packet, 1.0), 1000, 3500, 21, None)
+        late = [b.first_ladder_epoch for b in expect if not b.terminated and b.first_ladder_epoch > EVENT_BLOCK]
+        assert len(late) >= 5 and max(late) > 2 * EVENT_BLOCK, late
 
     def test_kernel_finds_a_first_ladder_point_after_the_first_block(self):
         # trial 2 of seed 17 at rho 1.02 first rises above zero at step 3302
@@ -1182,6 +1203,9 @@ class TestOutageCurve:
                     (got,) = walk_trial([params], horizon, 9, i, grid)
                     assert got == ref, (packet, lam, i)
                     kernel, full = drawn[simulate], drawn[kernel_oracle]
+                    if packet == DET1:  # constant packets: one summed row per call, no row drawn
+                        assert kernel == [], (lam, i)
+                        continue
                     assert kernel[:-1] == full[: len(kernel) - 1] and len(kernel) <= len(full)
                     if len(kernel) == len(full) > 1:
                         walked += 1
@@ -1211,24 +1235,29 @@ class TestOutageCurve:
                             drawn.clear()
                             (got,) = walk_trial([params], horizon, 6, i, grid)
                             assert got == ref, (packet, i, j, horizon, grid)
-                            assert drawn == sizes[: len(drawn)] and drawn, (packet, i, j, horizon)
+                            if packet == DET1:  # no packet row drawn
+                                assert drawn == [], (i, j, horizon)
+                            else:
+                                assert drawn == sizes[: len(drawn)] and drawn, (packet, i, j, horizon)
 
     def test_one_ulp_past_a_block_end_the_last_block_is_one_step(self, monkeypatch):
         # drifting up (rho 0.5), the first block often ends at its running
         # maximum, so a u0 one ulp above D_i stays undecided until the
         # horizon one ulp past T_1024; the walk then draws a single packet
+        # (constant packets: none, their sums go on past it).  15 trials a
+        # law give at least 15 such walks of the two drawn laws
         drawn, walked = [], 0
         watch_rows(monkeypatch, lambda spec, rng, n: drawn.append(n))
         for packet in (EXP1, DET1, UNIF1):
             params = SystemParams(lam=0.5, packet=packet, p=1.0)
-            for i in range(10):
+            for i in range(15):
                 units = trial_rng(6, i).standard_exponential(EVENT_BLOCK)
                 horizon = float(np.nextafter(1.0 / params.lam * np.cumsum(units)[-1], math.inf))
                 ref = max_deficit_full_blocks(params, horizon, trial_rng(6, i))
                 drawn.clear()
                 grid = [float(np.nextafter(ref, math.inf))]
                 assert walk_trial([params], horizon, 6, i, grid) == [ref]
-                assert drawn in ([EVENT_BLOCK], [EVENT_BLOCK, 1]), (packet, i)
+                assert drawn in (([],) if packet == DET1 else ([EVENT_BLOCK], [EVENT_BLOCK, 1])), (packet, i)
                 walked += drawn == [EVENT_BLOCK, 1]
         assert walked >= 15
 
@@ -1915,6 +1944,96 @@ def scalar_counts(params, horizon, seed, grid, trials):
     ]
 
 
+class TestConstantPackets:
+    """Deterministic packets: the deficit walk sums one row of them per
+    call, draws and scales no packet row, and equals the per-trial oracle,
+    which draws each block's packets and zeroes them past the horizon, bit
+    for bit."""
+
+    COLUMNS = [SystemParams(lam, DET1, 1.0) for lam in (0.9, 1.02, 1.1, 1.3)]
+
+    @staticmethod
+    def walk(columns, horizon, seed, lo, hi, grid):
+        """The walk's ``D_i``, once it has drawn and scaled no packet row."""
+        drawn, scaled = [], []
+        scale = simulate.scale_block
+        with pytest.MonkeyPatch.context() as mp:
+            watch_rows(mp, lambda *args: drawn.append(args))
+            mp.setattr(simulate, "scale_block", lambda *args: scaled.append(args) or scale(*args))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _max_deficits(columns, horizon, seed, lo, hi, grid)
+        assert drawn == [] and scaled == []
+        return got
+
+    @staticmethod
+    def oracle(columns, horizon, seed, lo, hi, grid):
+        return np.array(
+            [kernel_oracle._max_deficit(columns, horizon, trial_rng(seed, i), grid) for i in range(lo, hi)]
+        )
+
+    @pytest.mark.parametrize("horizon", [1000.0, 2500.0])
+    def test_columns_of_one_law_across_run_and_batch_edges(self, horizon):
+        # one trial, and 2 * _RUN + 9 trials from trial 5, which cross two
+        # run edges and end on a part batch
+        for lo, hi in ((0, 1), (5, 5 + 2 * simulate._RUN + 9)):
+            for grid in ([], [30.0], [float(u) for u in range(0, 41, 2)]):
+                got = self.walk(self.COLUMNS, horizon, 3, lo, hi, grid)
+                expect = self.oracle(self.COLUMNS, horizon, 3, lo, hi, grid)
+                assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), (lo, grid)
+
+    def test_each_walk_draws_the_oracles_unit_blocks(self, monkeypatch):
+        # constant packets take no draw, so a trial's generator, given back
+        # when its walk ends, has drawn only its blocks of units: as many as
+        # the oracle's walk of the same trial, whose generator has drawn them too
+        blocks, sample = [], kernel_oracle.sample_block
+        monkeypatch.setattr(kernel_oracle, "sample_block", lambda *args: blocks.append(1) or sample(*args))
+        grid = [float(u) for u in range(0, 41, 2)]
+        walked = set()
+        for horizon in (1000.0, 2500.0):
+            for i in range(30):
+                blocks.clear()
+                ref = trial_rng(3, i)
+                kernel_oracle._max_deficit(self.COLUMNS, horizon, ref, grid)
+                _max_deficits(self.COLUMNS, horizon, 3, i, i + 1, grid)
+                assert simulate._SPARE_RNGS[-1].bit_generator.state == ref.bit_generator.state, (horizon, i)
+                walked.add(len(blocks))
+        assert 1 in walked and max(walked) >= 3, walked  # walks that end in their first block and that go on
+
+    def test_a_final_block_cut_with_several_live_columns(self, monkeypatch):
+        # rho 0.9, 0.92 and 0.94 drift up, so with a u0 at every unit each
+        # column walks on to its horizon, 2250, 2300 and 2350 units in at H
+        # 2500: all three reach their rooms at different steps of the third
+        # block, and the row's packet sums go on past each of them
+        columns = [SystemParams(lam, DET1, 1.0) for lam in (0.9, 0.92, 0.94)]
+        grid = [float(u) for u in range(0, 2501)]
+        blocks, sample = [], kernel_oracle.sample_block
+        monkeypatch.setattr(
+            kernel_oracle, "sample_block", lambda spec, rng, n: blocks.append(n) or sample(spec, rng, n)
+        )
+        for i in range(20):
+            for params in columns:  # each column alone walks into the third block and stops in it
+                blocks.clear()
+                kernel_oracle._max_deficit([params], 2500.0, trial_rng(4, i), grid)
+                assert len(blocks) == 3 and blocks[-1] < EVENT_BLOCK, (params.lam, i, blocks)
+        got = self.walk(columns, 2500.0, 4, 0, 20, grid)
+        assert got.view(np.uint64).tolist() == self.oracle(columns, 2500.0, 4, 0, 20, grid).view(np.uint64).tolist()
+
+    def test_at_a_walk_scale_above_1(self):
+        # packets of mean 2**1014 at p = 2**1013 (rho 2 lam): the walk counts
+        # energy in units of 2**114, where its packet row is 2**900 a step,
+        # and its D_i are the oracle's at the model scaled by 2**-114
+        columns = [SystemParams(lam, DistributionSpec(Kind.DETERMINISTIC, 2.0**1014), 2.0**1013)
+                   for lam in (0.5, 0.51, 0.55, 0.65)]
+        assert {simulate._scales(params) for params in columns} == {(114, 0)}
+        grid = [0.0, 2.0**1013, 2.0**1016]
+        got = self.walk(columns, 2500.0, 1, 0, 40, grid)
+        expect = self.oracle([_scaled(params, -114) for params in columns], 2500.0, 1, 0, 40,
+                             [math.ldexp(u0, -114) for u0 in grid])
+        assert np.isfinite(got).all()
+        assert got.view(np.uint64).tolist() == np.ldexp(expect, 114).view(np.uint64).tolist()
+
+
 class TestTinyRates:
     """Counts where lam * H is small or p / lam leaves the double range."""
 
@@ -2266,9 +2385,10 @@ class TestTrialStreams:
                 assert i == lo + 1
 
     def test_later_packet_laws_draw_from_the_jumped_streams(self, monkeypatch):
-        # a horizon inside the first block: each law draws one packet block
-        # per trial, in trial order, the later laws from restored states;
-        # 70 trials span two first-block runs and end at the index bound
+        # a horizon inside the first block: each drawn law draws one packet
+        # block per trial, in trial order, the later laws from restored
+        # states, and the constant law none; 70 trials span two first-block
+        # runs and end at the index bound
         drawn = []
         watch_rows(monkeypatch, lambda spec, rng, n: drawn.append((spec, rng.bit_generator.state)))
         columns = [SystemParams(1.1, packet, 1.0) for packet in (EXP1, DET1, UNIF1)]
@@ -2279,8 +2399,9 @@ class TestTrialStreams:
             ref = self.jumped(7, i)
             ref.standard_exponential(EVENT_BLOCK)
             expect.append(ref.bit_generator.state)
-        for packet in (EXP1, DET1, UNIF1):
+        for packet in (EXP1, UNIF1):
             assert [state for spec, state in drawn if spec == packet] == expect
+        assert [spec for spec, _ in drawn if spec == DET1] == []
 
     def test_a_trial_leaves_nothing_buffered_for_the_next(self):
         # a 32-bit draw keeps half a word back; the next trial must not see it,
