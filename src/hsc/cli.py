@@ -13,8 +13,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .analytic import (
@@ -97,8 +98,7 @@ class SweepSpec:
         object.__setattr__(self, "rho_list", [float(rho) for rho in self.rho_list])
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One sweep grid point; column order is the CSV contract."""
 
     dist: str
@@ -115,7 +115,7 @@ class ResultRow:
     seed: int
 
 
-CSV_HEADER = ",".join(field.name for field in fields(ResultRow))
+CSV_HEADER = ",".join(ResultRow._fields)
 
 
 def __getattr__(name: str):
@@ -132,7 +132,7 @@ def __getattr__(name: str):
 def rows_to_csv(rows: list[ResultRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:  # fields in CSV order; str of a float is its shortest round-trip repr
-        lines.append(",".join("" if v is None else str(v) for v in vars(r).values()))
+        lines.append(",".join(["" if v is None else str(v) for v in r]))
     return "\n".join(lines) + "\n"
 
 
@@ -234,9 +234,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     until interpreter exit), and each trial walks once for all the column's
     u0.  A failure there is shared by every column, so it is raised as it is.
     """
-    columns = []  # (params at u0 = 0, rho, r*, theta); r* and theta are None for rho <= 1
+    columns = []  # (params at u0 = 0, its law as text, rho, r*, theta); r* and theta are None for rho <= 1
     for dist_text in spec.dist_list:
         packet = parse_distribution_spec(dist_text)
+        dist = packet.spec_string()
         for rho in spec.rho_list:
             try:
                 base = SystemParams(rho * spec.p / packet.mean, packet, spec.p)
@@ -248,7 +249,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 # keep the type, and so the exit code; name the column
                 exc.args = (f"grid point (dist={dist_text}, rho={rho}) failed: {exc}",)
                 raise
-            columns.append((base, rho, r_star, theta))
+            columns.append((base, dist, rho, r_star, theta))
     if spec.trials == 0:
         curves = [[None] * len(spec.u0_grid)] * len(columns)
     else:
@@ -260,13 +261,13 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         )
     return [
         ResultRow(
-            base.packet.spec_string(), rho, u0, r_star,
+            dist, rho, u0, r_star,
             1.0 if r_star is None else theta * math.exp(-r_star * u0),
             None if r_star is None else outage_bound(r_star, u0),
             *((None,) * 3 if est is None else (est.estimate, est.ci95_lo, est.ci95_hi)),
             spec.trials, spec.horizon, spec.seed,
         )
-        for (base, rho, r_star, theta), curve in zip(columns, curves)
+        for (_, dist, rho, r_star, theta), curve in zip(columns, curves)
         for u0, est in zip(spec.u0_grid, curve)
     ]
 

@@ -28,14 +28,15 @@ them raises :class:`DomainError`.  Its functionals:
   min(T_{j+1}, H) - A_j)`` (``T_j``: time of arrival ``j``; ``A_j``: energy
   delivered up to and including it).  From any ``u0`` the trial has an
   outage within ``H`` exactly when ``u0 <= D_i``, so one walk per trial
-  counts a whole ``u0`` grid, by a search of the sorted ``D_i`` for each
-  ``u0``.  A search of the sorted grid for each ``D_i`` finds the trials with
-  a ``u0`` near a tie; those ``u0`` go to the scalar first-passage
-  simulator, which sums the same stream in exact integer arithmetic and so
-  decides an outage exactly at ``tau == H``.  Packets are nonnegative, so
-  after a block no later deficit exceeds ``p * H - A``; the walk stops at
-  the first block end where no grid ``u0`` lies above its running maximum
-  and within reach of that bound, tie band included.
+  counts a whole ``u0`` grid, by one search of the sorted grid for every
+  (trial, column) maximum and one histogram of how many ``u0`` lie at or
+  below each.  The same search gives each ``D_i``'s neighbours in the grid,
+  and so the cells with a ``u0`` near a tie; those ``u0`` go to the scalar
+  first-passage simulator, which sums the same stream in exact integer
+  arithmetic and so decides an outage exactly at ``tau == H``.  Packets are
+  nonnegative, so after a block no later deficit exceeds ``p * H - A``; the
+  walk stops at the first block end where no grid ``u0`` lies above its
+  running maximum and within reach of that bound, tie band included.
 * the first ascending ladder point (the first ``S_n > 0``) and the running
   maximum (``S_0 = 0`` included) of a walk with no horizon, truncated at
   ``max_steps``, which may stop at a block end a given drawdown below it.
@@ -109,9 +110,9 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -196,8 +197,7 @@ class LadderSample:
         return self.first_ladder_epoch is None
 
 
-@dataclass(frozen=True)
-class EstimateWithCI:
+class EstimateWithCI(NamedTuple):
     """A binomial proportion with its Wilson 95% score interval.
 
     ``stderr`` is the plug-in ``sqrt(p (1 - p) / n)``.  The interval
@@ -397,8 +397,8 @@ def _walk_blocks(
     # packets would stop, but by that step each live column has reached its
     # room, so no later deficit is larger, and the column stops in the block.
     constant = draw is None and not ladder
-    if constant:
-        sums[:] = np.ldexp(np.full(EVENT_BLOCK, packet.mean), -k).cumsum()
+    if constant:  # one (1, EVENT_BLOCK) row, which x -= a broadcasts over a batch's rows
+        a = np.ldexp(np.full(EVENT_BLOCK, packet.mean), -k).cumsum()[None]
     # A batch's state is one list per field, each over its trials: their
     # indices and generators, their steps (a ladder walk) or unit sums (a
     # deficit walk) so far and first ladder points; then per column the
@@ -441,7 +441,7 @@ def _walk_blocks(
         m = len(u)
         index, rngs, done, epoch, height = state[:5]
         best, s, live = state[5 : 5 + width], state[5 + width : 5 + 2 * width], state[5 + 2 * width :]
-        pk, a, x = packets[:m], sums[:m], walk[:m]
+        pk, x = packets[:m], walk[:m]
         if ladder:  # no horizon: packets up to the step cap
             ends = [EVENT_BLOCK] * m
             counts = [min(max_steps - d, EVENT_BLOCK) for d in done]
@@ -469,7 +469,7 @@ def _walk_blocks(
             if k:  # to energy units of 2**k; an infinite packet stays infinite
                 np.ldexp(pk, -k, out=pk)
             if not ladder:
-                np.cumsum(pk, axis=1, out=a)
+                a = np.cumsum(pk, axis=1, out=sums[:m])
         if ladder:
             # the steps p * gap - packet as the 0.5.1 kernel forms them (zero past the cap), summed
             np.multiply(u, scale, out=x)
@@ -532,63 +532,76 @@ def _max_deficits(
     groups: dict[tuple, list[int]] = {}  # (packet law, scales) -> its columns
     for c, params in enumerate(columns):
         groups.setdefault((params.packet, _scales(params)), []).append(c)
-    walks = [  # per group: its columns, their params, its scales and the u0s in its units
-        (cs, [columns[c] for c in cs], scales, np.ldexp(u0_sorted, -scales[0]).tolist())
+    walks = [  # per group: its columns, their params, its scales, the u0s in its units and its finished walks
+        (cs, [columns[c] for c in cs], scales, np.ldexp(u0_sorted, -scales[0]).tolist(), [])
         for (_, scales), cs in groups.items()
     ]
-    deficits = np.empty((hi - lo, len(columns)))
     for indices, rngs, first in _first_blocks(seed, lo, hi):
         first.cumsum(axis=1, out=first)  # before any packet: a block's packet count reads its unit sums
         states = [rng.bit_generator.state for rng in rngs] if len(walks) > 1 else []  # for later groups
-        for cs, law, scales, grid in walks:
-            walked = _walk_blocks(law, horizon, [(indices, rngs, first)], grid, math.inf, math.inf, scales)
-            index, best, _, _ = zip(*walked)
-            with np.errstate(over="ignore"):  # to +inf past the doubles
-                deficits[np.ix_(np.subtract(index, lo), cs)] = np.ldexp(best, scales[0])
+        for cs, law, scales, grid, walked in walks:
+            walked += _walk_blocks(law, horizon, [(indices, rngs, first)], grid, math.inf, math.inf, scales)
             rngs = _restored(states)
+    deficits = np.empty((hi - lo, len(columns)))
+    for cs, _, (k, _), _, walked in walks:
+        index, best, _, _ = zip(*walked)
+        if k:
+            with np.errstate(over="ignore"):  # to +inf past the doubles
+                best = np.ldexp(best, k)
+        deficits[np.ix_(np.subtract(index, lo), cs)] = best
     return deficits
 
 
 def _count_range(
     columns: list[SystemParams], horizon: float, seed: int, u0_grid: list[float], lo: int, hi: int
 ) -> list[list[int]]:
-    # Outages of trials [lo, hi) for each column and u0, from searches of the
-    # sorted D_i and the sorted grid.  The scalar decides, one (trial, column,
-    # u0) at a time on the column's own packet law, each u0 near a tie and
-    # every u0 of a D_i that is not finite (+inf where it is past the doubles
-    # once scaled back, -inf where the first packet is infinite): its band is inf.
+    # Outages of trials [lo, hi) for each column and u0, from one search of the sorted
+    # grid for every (trial, column) maximum D_i and one histogram.  The scalar decides,
+    # one (trial, column, u0) at a time on the column's own packet law, each u0 near a tie
+    # and every u0 of a D_i that is not finite (+inf where it is past the doubles once
+    # scaled back, -inf where the first packet is infinite): its band is inf.
     u0s = np.asarray(u0_grid, dtype=float)
     grid = np.sort(u0s)
     deficits = _max_deficits(columns, horizon, seed, lo, hi, grid.tolist())
-    counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
-    for k, (params, d) in enumerate(zip(columns, deficits.T)):
-        counts[k] = d.size - np.sort(d).searchsorted(u0s)  # the trials with u0 <= D_i
-        with np.errstate(over="ignore"):  # a gap past the doubles is no tie
-            band = _TIE_RTOL * (params.p / params.lam + np.abs(d))
-            # rounding is monotone: a band holding a u0 holds a neighbour of D_i in the grid
-            sides = grid[np.clip(grid.searchsorted(d) - [[1], [0]], 0, grid.size - 1)]
-            tied = np.flatnonzero((np.abs(sides - d) <= band).any(axis=0))
-            near = np.abs(u0s - d[tied, None]) <= band[tied, None]
-        for t, j in np.argwhere(near):
-            events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + tied[t]))
-            outage = simulate_first_passage(
-                replace(params, u0=float(u0s[j])), horizon, events
-            ).outage
-            counts[k, j] += outage - bool(u0s[j] <= d[tied[t]])
+    width = grid.size + 1
+    reached = grid.searchsorted(deficits, side="right")  # the grid u0s at or below each D_i
+    hist = np.bincount((reached + width * np.arange(len(columns))).ravel(), minlength=width * len(columns))
+    at_least = hist.reshape(-1, width)[:, ::-1].cumsum(axis=1)[:, ::-1]  # [k, m]: column k's D_i reaching m u0s
+    # u0 <= D_i where D_i reaches past u0's first place in the grid
+    counts = at_least[:, grid.searchsorted(u0s) + 1]
+    rates = [params.p / params.lam for params in columns]
+    with np.errstate(over="ignore"):  # a gap past the doubles is no tie
+        band = _TIE_RTOL * (rates + np.abs(deficits))
+        # rounding is monotone: a band holding a u0 holds a neighbour of D_i in the grid
+        sides = grid[np.clip(reached - [[[1]], [[0]]], 0, grid.size - 1)]
+        tied = np.nonzero((np.abs(sides - deficits) <= band).any(axis=0))  # (trial, column) cells
+        d, band = deficits[tied], band[tied]
+        near = np.abs(u0s - d[:, None]) <= band[:, None]
+    u0s = u0s.tolist()
+    for t, k, d_i, row in zip(tied[0].tolist(), tied[1].tolist(), d.tolist(), near):
+        params = columns[k]
+        for j in np.flatnonzero(row).tolist():
+            events = poisson_events(params.lam, params.packet, trial_rng(seed, lo + t))
+            outage = simulate_first_passage(replace(params, u0=u0s[j]), horizon, events).outage
+            counts[k, j] += outage - (u0s[j] <= d_i)
     return counts.tolist()
 
 
-def _estimate(outages: int, trials: int) -> EstimateWithCI:
+def _estimates(outages: np.ndarray, trials: int) -> list[list[EstimateWithCI]]:
+    # Wilson's interval for each count of a (column, u0) array, as Python floats: the
+    # scalar formula's IEEE operations, sqrt among them, elementwise and in its order.
     est = outages / trials
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (est + z2 / (2.0 * trials)) / denom
-    half = _Z95 * math.sqrt(est * (1.0 - est) / trials + z2 / (4.0 * trials * trials)) / denom
+    var = est * (1.0 - est) / trials
+    half = _Z95 * np.sqrt(var + z2 / (4.0 * trials * trials)) / denom
     # the score interval ends at 0 with no outage and at 1 with all: set so,
     # since center -/+ half leaves a rounding error there
-    lo = center - half if outages else 0.0
-    hi = center + half if outages < trials else 1.0
-    return EstimateWithCI(est, math.sqrt(est * (1.0 - est) / trials), lo, hi, trials)
+    lo = np.where(outages > 0, center - half, 0.0)
+    hi = np.where(outages < trials, center + half, 1.0)
+    fields = zip(est.tolist(), np.sqrt(var).tolist(), lo.tolist(), hi.tolist())
+    return [list(map(EstimateWithCI, *curve, repeat(trials))) for curve in fields]
 
 
 def _close_pool() -> None:
@@ -677,11 +690,7 @@ def estimate_outage_curves(
         counts = _pool_map(_count_range, min(chunks, os.cpu_count() or 1), *zip(*tasks))
     else:
         counts = list(map(_count_range, *zip(*tasks)))
-    # counts: (chunk, column, u0)
-    return [
-        [_estimate(n, trials) for n in curve]
-        for curve in np.sum(counts, axis=0).tolist()
-    ]
+    return _estimates(np.sum(counts, axis=0), trials)  # counts: (chunk, column, u0)
 
 
 def estimate_eventual_outage(

@@ -35,7 +35,11 @@ steps as lockstep lanes and walk again, by one cumsum, each lane whose
 true start is not 0 (rounding is monotone, so a lane started at 0 meets
 the true chain at its first zero and holds the same doubles from there).
 The Lindley loop recurses in energy and tests the step index on every
-pair; it equals the library bit for bit only at ``p = 1``.  The event
+pair; it equals the library bit for bit only at ``p = 1``.  The per-column
+count sorts and searches each column's maxima apart, and forms each
+column's tie band on its own, where the library counts every column at
+once; the scalar Wilson interval forms one count's interval at a time, where
+the library forms a whole count array's by the same operations.  The event
 generator is :func:`hsc.poisson_events` as a plain generator, before the
 stream kept its place and handed out arrays.
 """
@@ -49,6 +53,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+import hsc.simulate as simulate
 from hsc.analytic import (
     SystemParams,
     eventual_outage_poisson_exact,
@@ -335,13 +340,38 @@ def count_outages_full_walk(params, horizon, seed, u0_grid, lo, hi):
     return counts
 
 
-def _old_path_estimate(params, horizon, trials, seed):
-    # One kernel walk per trial for the single u0 in params, then the
-    # Wilson interval as estimate_eventual_outage computes it.
-    outages = sum(
-        _first_passage_kernel(params, horizon, trial_rng(seed, i)).outage
-        for i in range(trials)
-    )
+def count_per_column(columns, horizon, seed, u0_grid, lo, deficits):
+    """``hsc.simulate._count_range`` as it counted one column at a time, on
+    given (trial, column) maxima ``deficits`` of trials ``[lo, lo +
+    len(deficits))``: per column, a
+    search of its sorted ``D_i`` for each u0 and a search of the sorted grid
+    for each ``D_i``, its tie band at its own ``p / lam``.  Each u0 in a band
+    goes to ``simulate_first_passage``, as the library hands it over; the
+    stream and the simulator are looked up in ``hsc.simulate`` at call time,
+    so a test can patch them for both."""
+    u0s = np.asarray(u0_grid, dtype=float)
+    grid = np.sort(u0s)
+    counts = np.zeros((len(columns), u0s.size), dtype=np.int64)
+    for k, (params, d) in enumerate(zip(columns, deficits.T)):
+        counts[k] = d.size - np.sort(d).searchsorted(u0s)  # the trials with u0 <= D_i
+        with np.errstate(over="ignore"):  # a gap past the doubles is no tie
+            band = _TIE_RTOL * (params.p / params.lam + np.abs(d))
+            # rounding is monotone: a band holding a u0 holds a neighbour of D_i in the grid
+            sides = grid[np.clip(grid.searchsorted(d) - [[1], [0]], 0, grid.size - 1)]
+            tied = np.flatnonzero((np.abs(sides - d) <= band).any(axis=0))
+            near = np.abs(u0s - d[tied, None]) <= band[tied, None]
+        for t, j in np.argwhere(near):
+            events = simulate.poisson_events(params.lam, params.packet, simulate.trial_rng(seed, lo + tied[t]))
+            outage = simulate.simulate_first_passage(
+                replace(params, u0=float(u0s[j])), horizon, events
+            ).outage
+            counts[k, j] += outage - bool(u0s[j] <= d[tied[t]])
+    return counts.tolist()
+
+
+def wilson_estimate(outages, trials):
+    """The estimate and Wilson interval of ``outages`` in ``trials`` as the
+    library formed them one count at a time."""
     est = outages / trials
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
@@ -350,6 +380,16 @@ def _old_path_estimate(params, horizon, trials, seed):
     lo = 0.0 if outages == 0 else center - half
     hi = 1.0 if outages == trials else center + half
     return EstimateWithCI(est, math.sqrt(est * (1.0 - est) / trials), lo, hi, trials)
+
+
+def _old_path_estimate(params, horizon, trials, seed):
+    # One kernel walk per trial for the single u0 in params, then the
+    # Wilson interval.
+    outages = sum(
+        _first_passage_kernel(params, horizon, trial_rng(seed, i)).outage
+        for i in range(trials)
+    )
+    return wilson_estimate(outages, trials)
 
 
 def old_path_sweep(spec):

@@ -1043,14 +1043,27 @@ class TestEstimatorDeterminism:
     def test_wilson_ends_are_exact(self, trials):
         # center -/+ half alone is a rounding error off here: 8.7e-19 at 0 of 400
         z2 = simulate._Z95**2
-        none, every = simulate._estimate(0, trials), simulate._estimate(trials, trials)
+        ((none, every, *inner),) = simulate._estimates(np.array([[0, trials, 1, trials - 1]]), trials)
         assert none.ci95_lo == 0.0 and every.ci95_hi == 1.0
         assert none.ci95_hi == pytest.approx(z2 / (trials + z2), rel=1e-12)
         assert every.ci95_lo == pytest.approx(trials / (trials + z2), rel=1e-12)
-        for outages in (1, trials - 1):
-            est = simulate._estimate(outages, trials)
+        for est in inner:
             assert 0.0 <= est.ci95_lo <= est.estimate <= est.ci95_hi <= 1.0
             assert est.ci95_lo < est.ci95_hi
+
+    def test_wilson_arrays_equal_the_scalar_formula(self):
+        # the CSV writes str() of each field, so each must be the scalar's
+        # float, bit for bit and of type float
+        cases = [(n, [0, 1, n // 2, n - 1, n]) for n in (1, 2, 3, 7, 20, 400, 50_000, 10**6)]
+        rng = np.random.default_rng(39)
+        trials = np.floor(10.0 ** rng.uniform(0.0, 6.0, 2000)).astype(int).tolist()
+        cases += [(n, [int(rng.integers(0, n, endpoint=True))]) for n in trials]
+        for n, outages in cases:
+            (curve,) = simulate._estimates(np.array([outages]), n)
+            for k, got in zip(outages, curve, strict=True):
+                expect = kernel_oracle.wilson_estimate(k, n)
+                assert got == expect and list(map(str, got)) == list(map(str, expect)), (n, k)
+                assert [type(x) for x in got] == [float] * 4 + [int], (n, k)
 
     def test_zero_count_interval_covers_the_exact_psi(self):
         # det at rho 1.3 far out in u0, where trials * psi_exact < 1: most
@@ -1367,6 +1380,49 @@ class TestOutageCurve:
         monkeypatch.setattr(simulate, "simulate_first_passage", replay)
         _count_range(columns, horizon, seed, grid, 0, trials)
         assert replays == expect
+
+    @staticmethod
+    def _counted_cells():
+        # (grid, maxima) cases for three columns whose tie bands differ: about
+        # 1e-8 (p / lam near 1) and 1e-6 (p / lam = 1000) at D_i near 10
+        up, down = (lambda u: math.nextafter(u, math.inf)), (lambda u: math.nextafter(u, -math.inf))
+        rng = np.random.default_rng(7)
+        grid = rng.integers(0, 10, 12).astype(float).tolist()
+        near = [u + f for u in grid for f in (0.0, 5e-7, -5e-7, 5e-9)]
+        drawn = [*near, *map(up, grid), *map(down, grid), *rng.uniform(-1.0, 11.0, 40), math.inf, -math.inf]
+        return {
+            "infinite": ([30.0, 0.0, 12.5, 5.0], [math.inf, -math.inf, 0.0, 7.0, 30.0, 31.0, 13.5]),
+            "at_and_beside": ([4.0, 0.0, 10.0, 2.5], [f(u) for u in (4.0, 0.0, 10.0, 2.5) for f in (float, up, down)]),
+            "repeated": ([6.0, 2.0, 6.0, 0.0, 2.0, 6.0], [6.0, 2.0, 0.0, 4.0, 7.0, down(6.0), up(2.0), -1.0]),
+            "column_rates": ([10.0, 3.0, 20.0], [10.0 + 1e-7, 3.0 - 1e-7, 20.0 + 1e-7, 15.0]),
+            "wide_band": ([20.0, 20.0 + 3e-7, 20.0 - 4e-7, 20.0 + 2e-6, 19.0, 21.0], [20.0 + 1e-7, 19.0, 21.5]),
+            "drawn": (grid, rng.permutation(drawn).tolist()),
+        }
+
+    @pytest.mark.parametrize("case", ["infinite", "at_and_beside", "repeated", "column_rates", "wide_band", "drawn"])
+    def test_all_column_count_equals_the_per_column_count(self, monkeypatch, case):
+        # every column counted by one search and one histogram, every tie
+        # band by one pass, against the count one column at a time, on the
+        # same (trial, column) maxima; each column sees each maximum
+        grid, values = self._counted_cells()[case]
+        columns = [mm1(), SystemParams(1e-3, DET1, 1.0), SystemParams(0.5, UNIF1, 1.0)]
+        deficits = np.stack([np.roll(values, k) for k in range(len(columns))], axis=1)
+        horizon, seed, lo = 100.0, 4, 3
+        replays = []
+
+        def decide(params, horizon, events):  # an outcome that disagrees with u0 <= D_i at some cells
+            cell = (columns.index(replace(params, u0=0.0)), events, params.u0)
+            replays.append(cell)
+            return simulate.TrialOutcome(hash(cell) % 2 == 0, None, 0)
+
+        monkeypatch.setattr(simulate, "_max_deficits", lambda cs, h, sd, a, b, grid: deficits[a - lo : b - lo].copy())
+        monkeypatch.setattr(simulate, "trial_rng", lambda seed, i: int(i))
+        monkeypatch.setattr(simulate, "poisson_events", lambda lam, packet, rng: rng)
+        monkeypatch.setattr(simulate, "simulate_first_passage", decide)
+        expect = kernel_oracle.count_per_column(columns, horizon, seed, grid, lo, deficits)
+        expect_replays, replays[:] = collections.Counter(replays), []
+        assert _count_range(columns, horizon, seed, grid, lo, lo + len(values)) == expect
+        assert collections.Counter(replays) == expect_replays and expect_replays
 
     def test_counting_memory_does_not_grow_with_the_grid(self):
         # 1024 trials against 10 000 u0 took 175 MB when a block of 1024
